@@ -37,7 +37,7 @@ class ChannelRealization:
     def __post_init__(self) -> None:
         self.kind = ChannelKind(self.kind)
         self.gain = complex(self.gain)
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:  # also false for NaN
             raise ValueError(f"noise variance must be >= 0, got {self.noise_variance}")
         if self.kind is ChannelKind.AWGN and self.gain != 1.0 + 0.0j:
             raise ValueError("awgn realizations must have unit gain")
@@ -140,10 +140,13 @@ def noise_variance_from_psnr(psnr_db: float, signal_power: float = 1.0) -> float
     """Total complex noise variance giving the requested peak-SNR in dB.
 
     ``sigma^2 = P / 10^(psnr/10)``; an infinite PSNR gives exactly zero.
+    NaN and minus infinity name no noise level and are rejected.
     """
     if signal_power <= 0:
         raise ValueError("signal power must be positive")
-    if math.isinf(psnr_db) and psnr_db > 0:
+    if math.isnan(psnr_db) or psnr_db == -math.inf:
+        raise ValueError(f"PSNR must be finite or +inf dB, got {psnr_db}")
+    if psnr_db == math.inf:
         return 0.0
     return signal_power / (10.0 ** (psnr_db / 10.0))
 

@@ -5,7 +5,7 @@ trained model bundle, the accuracy sweep (CSV + SVG), the two round loops,
 and a confusion matrix. All randomness flows from ``--seed`` (or the
 ``SEMCOM_SEED`` environment variable), so reruns reproduce files exactly.
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import os
 import sys
 from dataclasses import replace
 
-from . import harness
-from .config import HarnessConfig, load_config
+from . import blas, harness
+from .config import ConfigError, HarnessConfig, load_config, validate
 from .csa import rounds_to_target
 from .dataset import generate_synthetic, save_tensor_file, summary_csv
 from .dtjscc import save_bundle, train_dtjscc
@@ -97,7 +97,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if args.workers is not None:
-        cfg = replace(cfg, experiment=replace(cfg.experiment, workers=args.workers))
+        cfg = validate(replace(cfg, experiment=replace(cfg.experiment, workers=args.workers)))
     result = harness.run_sweep(cfg)
     out = _outdir(args)
     csv_path = os.path.join(out, "sweep.csv")
@@ -220,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@blas.single_thread()
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
@@ -236,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # surfaced as a one-line diagnostic, code 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

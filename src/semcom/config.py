@@ -10,11 +10,16 @@ environment variable and every component seed is derived from it.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 from .dataset import DatasetSpec
 from .dtjscc import DtjsccConfig
 from .seeding import derive_seed
+
+
+class ConfigError(ValueError):
+    """A configuration value no run can use; the message names ``section.key``."""
 
 
 @dataclass
@@ -212,6 +217,35 @@ def load_config(path: str | None, master_seed: int = 0) -> HarnessConfig:
         scarce_per_class=int(fas.get("scarce_per_class", base_fa.scarce_per_class)),
     )
 
-    return HarnessConfig(
-        linkbudget=lb, dataset=ds, experiment=ex, dtjscc=dt, csa=cs, fedavg=fa
+    return validate(
+        HarnessConfig(linkbudget=lb, dataset=ds, experiment=ex, dtjscc=dt, csa=cs, fedavg=fa)
     )
+
+
+def validate(cfg: HarnessConfig) -> HarnessConfig:
+    """Return ``cfg`` unchanged, or raise :class:`ConfigError` naming the bad key.
+
+    Counts must be at least 1 and PSNR values finite; keys carry their INI names.
+    """
+    ex, cs = cfg.experiment, cfg.csa
+    counts = {
+        "sweep.trials": ex.trials,
+        "sweep.workers": ex.workers,
+        "sweep.eval_frame": ex.eval_frame,
+        "sweep.eval_repetitions": ex.eval_repetitions,
+        "csa.rounds": cs.rounds,
+        "fedavg.rounds": cfg.fedavg.rounds,
+    }
+    for key, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
+    psnrs = [("sweep.psnr_grid", p) for p in ex.psnr_grid_db] + [
+        ("sweep.train_psnr_db", ex.train_psnr_db),
+        ("sweep.eval_psnr_db", ex.eval_psnr_db),
+        ("csa.isl_psnr_db", cs.isl_psnr_db),
+        ("csa.eval_psnr_db", cs.eval_psnr_db),
+    ]
+    for key, value in psnrs:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite PSNR in dB, got {value}")
+    return cfg

@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import nn
+from . import blas, nn
 from .channel import (
     ChannelConfig,
     ChannelKind,
@@ -161,11 +161,15 @@ def evaluate_through_channel(
     return EvalResult(correct / (n * repetitions), predictions, labels)
 
 
-def _sweep_job(args: tuple[HarnessConfig, int, int]) -> list[SweepRow]:
-    """Train one (K, trial) system and score every (channel, PSNR) cell."""
-    cfg, k, trial = args
+@blas.single_thread()
+def _sweep_job(args: tuple[HarnessConfig, SplitDatasets, int, int]) -> list[SweepRow]:
+    """Train one (K, trial) system and score every (channel, PSNR) cell.
+
+    Pins BLAS itself so that pool workers run on one thread whatever the
+    start method.
+    """
+    cfg, splits, k, trial = args
     ex = cfg.experiment
-    splits, _ = generate_synthetic(cfg.dataset)
     dj = replace(
         cfg.dtjscc, k=k, seed=derive_seed(ex.master_seed, "sweep_train", k, trial)
     )
@@ -194,10 +198,15 @@ def _sweep_job(args: tuple[HarnessConfig, int, int]) -> list[SweepRow]:
     return rows
 
 
+@blas.single_thread()
 def run_sweep(cfg: HarnessConfig) -> SweepResult:
-    """Run the full grid. Worker count changes wall time, never the bytes."""
+    """Run the full grid. Worker count changes wall time, never the bytes.
+
+    The dataset is generated once and shared by every (K, trial) job.
+    """
     ex = cfg.experiment
-    jobs = [(cfg, k, trial) for k in ex.k_presets for trial in range(ex.trials)]
+    splits, _ = generate_synthetic(cfg.dataset)
+    jobs = [(cfg, splits, k, trial) for k in ex.k_presets for trial in range(ex.trials)]
     if ex.workers <= 1:
         chunks = [_sweep_job(job) for job in jobs]
     else:
@@ -237,6 +246,7 @@ class ConfusionMatrix:
         return "\n".join(lines) + "\n"
 
 
+@blas.single_thread()
 def run_confusion(cfg: HarnessConfig) -> ConfusionMatrix:
     """Train once and tabulate test-set decisions at the evaluation PSNR."""
     ex = cfg.experiment
@@ -316,6 +326,7 @@ def build_csa_scenario(cfg: HarnessConfig, meta_enabled: bool = True) -> CsaScen
     )
 
 
+@blas.single_thread()
 def run_csa_experiment(
     cfg: HarnessConfig, meta_enabled: bool = True
 ) -> tuple[list[RoundLog], CsaScenario]:
@@ -354,6 +365,7 @@ def fedavg_client_shards(
     return shards
 
 
+@blas.single_thread()
 def run_fedavg_experiment(
     cfg: HarnessConfig,
     scenario: CsaScenario | None = None,
@@ -429,6 +441,7 @@ class RaceResult:
         return self.fedavg_rounds is None or self.csa_rounds < self.fedavg_rounds
 
 
+@blas.single_thread()
 def run_round_race(cfg: HarnessConfig) -> RaceResult:
     """Race the adaptation loop against parameter averaging to a target Top-1.
 

@@ -1,0 +1,102 @@
+"""The one-thread BLAS scope: counts inside and after it, pool workers, bytes."""
+
+from __future__ import annotations
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
+from semcom import blas, harness
+from semcom.dataset import generate_synthetic
+
+from conftest import tiny_harness_cfg
+
+needs_openblas = pytest.mark.skipif(not blas._controls(), reason="numpy does not use OpenBLAS")
+
+
+def thread_counts() -> list[int]:
+    return [get() for _, get in blas._controls()]
+
+
+def set_threads(count: int) -> None:
+    for set_fn, _ in blas._controls():
+        set_fn(count)
+
+
+@pytest.fixture()
+def two_threads():
+    """Start from two BLAS threads so that a pinned scope is visible."""
+    before = thread_counts()
+    set_threads(2)
+    yield
+    for (set_fn, _), count in zip(blas._controls(), before):
+        set_fn(count)
+
+
+class _Probe(Exception):
+    pass
+
+
+def _threads_in_sweep_job(job) -> list[int]:
+    """Run ``_sweep_job`` in a worker and report the thread counts it trains with."""
+
+    def probe(*args, **kwargs):
+        raise _Probe(thread_counts())
+
+    harness.train_dtjscc = probe  # this worker process only
+    try:
+        harness._sweep_job(job)
+    except _Probe as seen:
+        return seen.args[0]
+    raise AssertionError("_sweep_job never trained")
+
+
+@needs_openblas
+class TestScope:
+    def test_pins_and_restores(self, two_threads):
+        with blas.single_thread():
+            assert set(thread_counts()) == {1}
+        assert set(thread_counts()) == {2}
+
+    def test_nested_scopes_restore_the_outer_count(self, two_threads):
+        with blas.single_thread():
+            with blas.single_thread():
+                assert set(thread_counts()) == {1}
+            assert set(thread_counts()) == {1}
+        assert set(thread_counts()) == {2}
+
+    def test_restores_when_the_body_raises(self, two_threads):
+        with pytest.raises(RuntimeError):
+            with blas.single_thread():
+                raise RuntimeError("boom")
+        assert set(thread_counts()) == {2}
+
+    def test_no_library_found_is_a_no_op(self, two_threads, monkeypatch):
+        real = blas._controls()
+        monkeypatch.setattr(blas, "_controls", lambda: ())
+        with blas.single_thread():
+            assert {get() for _, get in real} == {2}
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_workers_train_on_one_thread(self, two_threads, method):
+        cfg = tiny_harness_cfg()
+        splits, _ = generate_synthetic(cfg.dataset)
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            seen = pool.submit(_threads_in_sweep_job, (cfg, splits, 32, 0)).result(timeout=120)
+        assert seen and set(seen) == {1}
+
+
+def test_lookup_without_openblas_finds_nothing(monkeypatch):
+    monkeypatch.setattr(blas, "_loaded_openblas_paths", lambda: ["/nonexistent/libopenblas.so"])
+    assert blas._controls.__wrapped__() == ()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_bytes_do_not_depend_on_the_scope(workers, two_threads, monkeypatch):
+    cfg = tiny_harness_cfg(master_seed=4, experiment={"workers": workers})
+    with monkeypatch.context() as unpinned:
+        unpinned.setattr(blas, "_controls", lambda: ())
+        reference = harness.run_sweep(cfg).csv()
+    assert harness.run_sweep(cfg).csv() == reference

@@ -84,6 +84,15 @@ class TestNoiseVariance:
         with pytest.raises(ValueError):
             noise_variance_from_psnr(0.0, signal_power=0.0)
 
+    @pytest.mark.parametrize("psnr_db", [math.nan, -math.inf])
+    def test_nan_and_minus_infinity_rejected(self, psnr_db):
+        with pytest.raises(ValueError, match=str(psnr_db)):
+            noise_variance_from_psnr(psnr_db)
+
+    def test_realization_rejects_nan_noise_variance(self):
+        with pytest.raises(ValueError, match="nan"):
+            ChannelRealization(gain=1.0, noise_variance=math.nan)
+
 
 class TestRealizations:
     def test_awgn_gain_is_unity(self):

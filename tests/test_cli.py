@@ -41,6 +41,41 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() != ""
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "section,key,value,shown",
+        [
+            ("csa", "rounds", "0", "0"),
+            ("fedavg", "rounds", "0", "0"),
+            ("sweep", "trials", "0", "0"),
+            ("sweep", "workers", "0", "0"),
+            ("sweep", "eval_frame", "0", "0"),
+            ("sweep", "eval_repetitions", "-1", "-1"),
+            ("sweep", "psnr_grid", "nan,4", "nan"),
+            ("sweep", "train_psnr_db", "inf", "inf"),
+            ("sweep", "eval_psnr_db", "-inf", "-inf"),
+            ("csa", "isl_psnr_db", "nan", "nan"),
+        ],
+    )
+    def test_bad_value_exits_one_naming_key_and_value(
+        self, tmp_path, capsys, section, key, value, shown
+    ):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main(["csa", "--config", str(ini), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{section}.{key}" in err
+        assert f"got {shown}\n" in err
+        assert not (tmp_path / "out" / "csa_rounds.csv").exists()
+
+    def test_workers_flag_below_one_exits_one(self, tmp_path, tiny_ini, capsys):
+        code = main(["sweep", "--config", tiny_ini, "--workers", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert "sweep.workers must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 class TestLinkBudgetCommand:
     def test_writes_parseable_tables(self, tmp_path, capsys):
         out = str(tmp_path / "lb")

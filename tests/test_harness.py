@@ -8,10 +8,11 @@ import re
 import numpy as np
 import pytest
 
+from semcom import harness
 from semcom.channel import ChannelConfig, ChannelKind
 from semcom.config import load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, run_csa_end_to_end
-from semcom.dataset import ClassCatalog
+from semcom.dataset import ClassCatalog, generate_synthetic
 from semcom.harness import (
     CONFUSION_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -140,7 +141,16 @@ class TestRunSweep:
         assert all(r.modulation == exp.modulation for r in sweep_result.rows)
         assert all(0.0 <= r.top1 <= 1.0 for r in sweep_result.rows)
 
-    def test_worker_count_does_not_change_bytes(self, sweep_cfg, sweep_result):
+    def test_worker_count_does_not_change_bytes(self, sweep_cfg, sweep_result, monkeypatch):
+        specs = []
+
+        def counting(spec):
+            specs.append(spec)
+            return generate_synthetic(spec)
+
+        monkeypatch.setattr(harness, "generate_synthetic", counting)
+        assert run_sweep(sweep_cfg).csv() == sweep_result.csv()
+        assert specs == [sweep_cfg.dataset]  # one dataset shared by every job
         parallel = dataclasses.replace(
             sweep_cfg, experiment=dataclasses.replace(sweep_cfg.experiment, workers=2)
         )
