@@ -136,19 +136,37 @@ def time_frequency_response(
     return complex(gain) * cmath_exp(phase)
 
 
+def psnr_ratio(psnr_db: float) -> float:
+    """Linear power ratio ``10^(psnr/10)`` of a PSNR in dB; +inf gives inf.
+
+    NaN and minus infinity name no noise level, and a finite PSNR so far
+    from 0 dB that its ratio underflows to 0 or overflows a float names
+    none either; all three raise :class:`ValueError` naming the value.
+    """
+    if psnr_db == math.inf:
+        return math.inf
+    if math.isnan(psnr_db) or psnr_db == -math.inf:
+        raise ValueError(f"PSNR must be finite or +inf dB, got {psnr_db}")
+    try:
+        ratio = 10.0 ** (float(psnr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"PSNR {psnr_db} dB is out of range: its power ratio does not fit a float"
+        )
+    return ratio
+
+
 def noise_variance_from_psnr(psnr_db: float, signal_power: float = 1.0) -> float:
     """Total complex noise variance giving the requested peak-SNR in dB.
 
     ``sigma^2 = P / 10^(psnr/10)``; an infinite PSNR gives exactly zero.
-    NaN and minus infinity name no noise level and are rejected.
+    PSNR values that :func:`psnr_ratio` rejects raise :class:`ValueError`.
     """
     if signal_power <= 0:
         raise ValueError("signal power must be positive")
-    if math.isnan(psnr_db) or psnr_db == -math.inf:
-        raise ValueError(f"PSNR must be finite or +inf dB, got {psnr_db}")
-    if psnr_db == math.inf:
-        return 0.0
-    return signal_power / (10.0 ** (psnr_db / 10.0))
+    return signal_power / psnr_ratio(psnr_db)
 
 
 def sample_realization(

@@ -13,7 +13,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 
-from .dataset import DatasetSpec
+from .channel import psnr_ratio
+from .dataset import SPLIT_RATIOS, DatasetSpec, split_counts
 from .dtjscc import DtjsccConfig
 from .seeding import derive_seed
 
@@ -225,7 +226,9 @@ def load_config(path: str | None, master_seed: int = 0) -> HarnessConfig:
 def validate(cfg: HarnessConfig) -> HarnessConfig:
     """Return ``cfg`` unchanged, or raise :class:`ConfigError` naming the bad key.
 
-    Counts must be at least 1 and PSNR values finite; keys carry their INI names.
+    Counts must be at least 1, PSNR values finite with a power ratio a float
+    can hold, and ``dataset.per_class_count`` large enough to give every
+    split at least one image per class. Keys carry their INI names.
     """
     ex, cs = cfg.experiment, cfg.csa
     counts = {
@@ -248,4 +251,16 @@ def validate(cfg: HarnessConfig) -> HarnessConfig:
     for key, value in psnrs:
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be a finite PSNR in dB, got {value}")
+        try:
+            psnr_ratio(value)
+        except ValueError:
+            raise ConfigError(
+                f"{key} is too far from 0 dB for a float power ratio, got {value}"
+            ) from None
+    per_class = cfg.dataset.per_class_count
+    if min(split_counts(per_class, SPLIT_RATIOS)) < 1:
+        raise ConfigError(
+            "dataset.per_class_count must give every train/val/test split "
+            f"at least one image per class, got {per_class}"
+        )
     return cfg

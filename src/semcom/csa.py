@@ -27,6 +27,7 @@ from .dtjscc import (
     SemanticFeatures,
     TrainedSystem,
     classify,
+    classify_over_channel,
     dequantize,
     encode,
     frame_bit_count,
@@ -361,36 +362,32 @@ def _transmit_features(
     return SemanticFeatures(vectors, features.labels), bits, received.erased
 
 
-def _eval_through_downlink(
+def eval_through_downlink(
     encoder: nn.Network,
     classifier: nn.Network,
     system: TrainedSystem,
     scenario: CsaScenario,
     round_index: int,
 ) -> tuple[float, float, int]:
-    """Transmit the t_1 test set in frames and classify at the terminal."""
+    """Transmit the t_1 test set in frames and classify at the terminal.
+
+    Returns Top-1, mean cross-entropy and the bits sent on the downlink.
+    """
     test = scenario.splits_t1.test
     feats = encode(test, encoder)
-    bits_total = 0
-    probs = np.zeros((len(test), system.n_classes))
-    frame = max(1, scenario.eval_frame)
-    for fi, start in enumerate(range(0, len(test), frame)):
-        stop = min(start + frame, len(test))
-        chunk = SemanticFeatures(feats.vectors[start:stop], feats.labels[start:stop])
-        rng = spawn_rng(scenario.seed, "eval", round_index, fi)
-        message = quantize(chunk, system.codebook, system.blocks, frame_id=fi)
-        realization = sample_realization(
-            scenario.downlink_channel,
-            noise_variance_from_psnr(scenario.eval_psnr_db),
-            rng,
-        )
-        received = transmit(
-            message, scenario.constellation, realization, rng, scenario.downlink_channel
-        )
-        bits_total += frame_bit_count(received)
-        probs[start:stop] = classify(
-            received, system.codebook, classifier, system.blocks
-        )
+    probs, bits_total = classify_over_channel(
+        feats.vectors,
+        system.codebook,
+        classifier,
+        system.blocks,
+        scenario.constellation,
+        scenario.downlink_channel,
+        scenario.eval_psnr_db,
+        max(1, scenario.eval_frame),
+        scenario.seed,
+        "eval",
+        round_index,
+    )
     labels = test.labels
     top1 = float(np.mean(np.argmax(probs, axis=1) == labels))
     eps = 1e-12
@@ -475,7 +472,7 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
             np.mean(-np.log(val_probs[np.arange(len(t1_val)), t1_val.labels] + eps))
         )
 
-        ut_top1, ut_ce, down_bits = _eval_through_downlink(
+        ut_top1, ut_ce, down_bits = eval_through_downlink(
             f_s2, l_ut, system, scenario, i
         )
         logs.append(

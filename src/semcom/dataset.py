@@ -175,8 +175,11 @@ def _texture(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
     return spec.texture_amplitude * np.cos(2.0 * np.pi * (u * ii + v * jj) + phase)
 
 
+SPLIT_RATIOS = (0.70, 0.15, 0.15)
+
+
 def generate_synthetic(
-    spec: DatasetSpec, ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
+    spec: DatasetSpec, ratios: tuple[float, float, float] = SPLIT_RATIOS
 ) -> tuple[SplitDatasets, SplitDatasets]:
     """Generate the t_0 scenario and its drifted t_1 twin, both split.
 
@@ -212,31 +215,39 @@ def generate_synthetic(
     )
 
 
+def split_counts(n: int, ratios: tuple[float, float, float]) -> list[int]:
+    """Records per part when ``n`` records are split in ``ratios``.
+
+    Largest-remainder rounding: each part gets within one record of its
+    exact share, and the counts sum to ``n``.
+    """
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
+        raise ValueError("ratios must be three non-negative numbers")
+    total = float(sum(ratios))
+    raw = [r / total * n for r in ratios]
+    counts = [int(np.floor(r)) for r in raw]
+    remainders = [r - c for r, c in zip(raw, counts)]
+    for _ in range(n - sum(counts)):
+        j = int(np.argmax(remainders))
+        counts[j] += 1
+        remainders[j] = -1.0
+    return counts
+
+
 def split(
     dataset: Dataset, ratios: tuple[float, float, float], seed: int
 ) -> SplitDatasets:
     """Stratified split; deterministic, disjoint, exhaustive.
 
     Within each class the three parts match the requested proportions to
-    within one record (largest-remainder rounding).
+    within one record (:func:`split_counts`).
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
-        raise ValueError("ratios must be three non-negative numbers")
-    total = float(sum(ratios))
-    fractions = [r / total for r in ratios]
     rng = spawn_rng(seed, "dataset", "split")
     parts: list[list[np.ndarray]] = [[], [], []]
     for cls in range(len(dataset.catalog)):
         idx = np.flatnonzero(dataset.labels == cls)
         idx = idx[rng.permutation(idx.size)]
-        n_c = idx.size
-        raw = [f * n_c for f in fractions]
-        counts = [int(np.floor(r)) for r in raw]
-        remainders = [r - c for r, c in zip(raw, counts)]
-        for _ in range(n_c - sum(counts)):
-            j = int(np.argmax(remainders))
-            counts[j] += 1
-            remainders[j] = -1.0
+        counts = split_counts(idx.size, ratios)
         start = 0
         for part, count in zip(parts, counts):
             part.append(idx[start : start + count])

@@ -21,9 +21,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .channel import ChannelConfig, ChannelRealization, apply_channel, sample_gain_sequence
+from .channel import (
+    ChannelConfig,
+    ChannelRealization,
+    apply_channel,
+    noise_variance_from_psnr,
+    psnr_ratio,
+    sample_gain_sequence,
+    sample_realization,
+)
 from .dataset import Dataset, MultispectralImage, SplitDatasets
-from .modem import Constellation, DeepFadeError, bits_to_ints, demodulate_hard, ints_to_bits, modulate
+from .modem import (
+    Constellation,
+    DeepFadeError,
+    bits_to_ints,
+    demodulate_hard,
+    fits_in_bits,
+    ints_to_bits,
+    modulate,
+)
 from .seeding import spawn_rng
 
 CODEBOOK_MAGIC = b"MCB1"
@@ -63,14 +79,17 @@ class Codebook:
         return int(round(math.log2(self.k)))
 
     def nearest(self, vectors: np.ndarray) -> np.ndarray:
-        """Nearest codeword index per row, Euclidean, ties to lowest index."""
+        """Nearest codeword index per row, Euclidean, ties to lowest index.
+
+        Rows run along the last axis; leading axes stack independent batches.
+        """
         vectors = np.asarray(vectors, dtype=np.float64)
         d2 = (
-            (vectors**2).sum(axis=1, keepdims=True)
+            (vectors**2).sum(axis=-1, keepdims=True)
             - 2.0 * vectors @ self.entries.T
-            + (self.entries**2).sum(axis=1)[None, :]
+            + (self.entries**2).sum(axis=1)
         )
-        return np.argmin(d2, axis=1)
+        return d2.argmin(axis=-1)
 
     def nearest_exact(self, vectors: np.ndarray) -> np.ndarray:
         """Loop-free of algebraic shortcuts: direct squared distances.
@@ -120,9 +139,7 @@ class QuantizedMessage:
             raise ValueError("indices must be a vector")
         if self.bits_per_index <= 0:
             raise ValueError("bits_per_index must be positive")
-        if self.indices.size and (
-            self.indices.min() < 0 or self.indices.max() >= (1 << self.bits_per_index)
-        ):
+        if not fits_in_bits(self.indices, self.bits_per_index):
             raise ValueError("indices exceed the index bit width")
         if self.pad_bits < 0:
             raise ValueError("pad_bits must be >= 0")
@@ -247,6 +264,64 @@ def classify(
     return nn.softmax(nn.forward(classifier, vectors))
 
 
+def _frame_by_frame(fn, rows: np.ndarray, frame_rows: int) -> np.ndarray:
+    """Apply row-wise ``fn`` to ``rows`` as if called once per frame of rows.
+
+    BLAS can round a row's products differently depending on how many rows
+    share the call, so one call over every row may differ in the last bit
+    from frame-sized calls. Stacking the full frames into one batched call
+    makes the frame-sized products, and the short last frame gets its own.
+    """
+    full = rows.shape[0] - rows.shape[0] % frame_rows
+    head = fn(rows[:full].reshape(-1, frame_rows, rows.shape[1]))
+    return np.concatenate([head.reshape(full, *head.shape[2:]), fn(rows[full:])])
+
+
+def classify_over_channel(
+    vectors: np.ndarray,
+    codebook: Codebook,
+    classifier: nn.Network,
+    blocks: int,
+    constellation: Constellation,
+    channel_cfg: ChannelConfig,
+    psnr_db: float,
+    frame: int,
+    seed: int,
+    *tag: object,
+) -> tuple[np.ndarray, int]:
+    """Send feature vectors in frames of ``frame`` items and classify what arrives.
+
+    Frame ``fi`` draws its realization, then its per-symbol gains and noise,
+    from ``spawn_rng(seed, *tag, fi)``. Quantizing and classifying run once
+    for all frames and give, bit for bit, what per-frame :func:`quantize`
+    and :func:`classify` calls give; items of an erased frame get the
+    uniform distribution. Returns the (n, classes) probabilities and the
+    bits on the air.
+    """
+    n = vectors.shape[0]
+    sent = _frame_by_frame(codebook.nearest, _split_blocks(vectors, blocks), frame * blocks)
+    width = codebook.bits_per_index
+    noise_variance = noise_variance_from_psnr(psnr_db)
+    received = np.empty_like(sent)
+    erased = np.zeros(n, dtype=bool)
+    bits = 0
+    for fi, start in enumerate(range(0, n, frame)):
+        stop = min(start + frame, n)
+        rows = slice(start * blocks, stop * blocks)
+        rng = spawn_rng(seed, *tag, fi)
+        message = QuantizedMessage(sent[rows], width, frame_id=fi)
+        realization = sample_realization(channel_cfg, noise_variance, rng)
+        arrived = transmit(message, constellation, realization, rng, channel_cfg)
+        received[rows] = arrived.indices
+        erased[start:stop] = arrived.erased
+        bits += frame_bit_count(arrived)
+    codewords = codebook.entries[received].reshape(n, vectors.shape[1])
+    logits = _frame_by_frame(lambda v: nn.forward(classifier, v), codewords, frame)
+    probs = nn.softmax(logits)
+    probs[erased] = 1.0 / classifier.output_dim
+    return probs, bits
+
+
 @dataclass
 class DtjsccConfig:
     """Architecture and training knobs for one system."""
@@ -307,6 +382,63 @@ def _init_codebook(
     return entries
 
 
+def _train_step(
+    encoder: nn.Network,
+    classifier: nn.Network,
+    codebook: Codebook,
+    x: np.ndarray,
+    y: np.ndarray,
+    noise_factor: float,
+    rng: np.random.Generator,
+    cfg: DtjsccConfig,
+) -> tuple[float, float]:
+    """One joint SGD step on a batch; returns its cross-entropy and codebook MSE.
+
+    Written for the networks :func:`train_dtjscc` builds (a relu-relu encoder
+    and a single linear head) and updating them and the codebook in place.
+    It does the floating-point operations of ``nn.forward_cached``,
+    ``nn.backward`` and ``nn.sgd_step`` in their order, so the result is
+    bit for bit theirs, but builds no caches or gradient objects and skips
+    the encoder's input gradient, which nothing reads.
+    """
+    hidden, out = encoder.layers
+    head = classifier.layers[0]
+    lr = cfg.learning_rate
+    z1 = x @ hidden.weights + hidden.biases
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ out.weights + out.biases
+    feats = np.maximum(z2, 0.0)
+    fb = _split_blocks(feats, cfg.blocks)
+    idx = codebook.nearest(fb)
+    qb = codebook.entries[idx]
+    q = qb.reshape(feats.shape)
+    # x.sum() / x.size is how np.mean computes a full mean.
+    q2 = q**2
+    sigma2 = float(q2.sum() / q2.size) / noise_factor
+    noisy = q + rng.normal(0.0, math.sqrt(sigma2), size=q.shape) if sigma2 > 0 else q
+    logits = noisy @ head.weights + head.biases
+    ce, dlogits = nn.softmax_cross_entropy(logits, y)
+    diff = feats - q
+    d_feats = dlogits @ head.weights.T + (2.0 * cfg.commitment_weight / feats.size) * diff
+    dz2 = d_feats * (z2 > 0.0)
+    dz1 = (dz2 @ out.weights.T) * (z1 > 0.0)
+    d_entries = np.zeros_like(codebook.entries)
+    np.add.at(d_entries, idx, (2.0 * cfg.codebook_weight / fb.size) * (qb - fb))
+    for param, grad in (
+        (head.weights, noisy.T @ dlogits),
+        (head.biases, dlogits.sum(axis=0)),
+        (hidden.weights, x.T @ dz1),
+        (hidden.biases, dz1.sum(axis=0)),
+        (out.weights, h1.T @ dz2),
+        (out.biases, dz2.sum(axis=0)),
+        (codebook.entries, d_entries),
+    ):
+        grad *= lr  # in place: the same product as lr * grad
+        param -= grad
+    d2 = diff**2
+    return ce, float(d2.sum() / d2.size)
+
+
 def train_dtjscc(
     splits: SplitDatasets, train_psnr_db: float, cfg: DtjsccConfig
 ) -> TrainedSystem:
@@ -340,8 +472,7 @@ def train_dtjscc(
     warm = nn.forward(encoder, x_all[: max(cfg.k * 4, cfg.batch_size)])
     codebook = Codebook(_init_codebook(_split_blocks(warm, cfg.blocks), cfg.k, rng))
 
-    dim = codebook.dim
-    noise_factor = 10.0 ** (train_psnr_db / 10.0)
+    noise_factor = psnr_ratio(train_psnr_db)
     history: list[float] = []
     best_loss = math.inf
     best_epoch = -1
@@ -352,30 +483,9 @@ def train_dtjscc(
         n_batches = 0
         for start in range(0, len(train), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = x_all[batch]
-            y = y_all[batch]
-            b = x.shape[0]
-            feats, caches_f = nn.forward_cached(encoder, x)
-            fb = _split_blocks(feats, cfg.blocks)
-            idx = codebook.nearest(fb)
-            qb = codebook.entries[idx]
-            q = qb.reshape(b, a)
-            power = float(np.mean(q**2))
-            sigma2 = power / noise_factor
-            noisy = q + rng.normal(0.0, math.sqrt(sigma2), size=q.shape) if sigma2 > 0 else q
-            logits, caches_l = nn.forward_cached(classifier, noisy)
-            ce, dlogits = nn.softmax_cross_entropy(logits, y)
-            grads_l = nn.backward(classifier, caches_l, dlogits)
-            d_noisy = grads_l.wrt_input
-            diff = feats - q
-            d_feats = d_noisy + (2.0 * cfg.commitment_weight / feats.size) * diff
-            grads_f = nn.backward(encoder, caches_f, d_feats)
-            d_entries = np.zeros_like(codebook.entries)
-            np.add.at(d_entries, idx, (2.0 * cfg.codebook_weight / fb.size) * (qb - fb))
-            nn.sgd_step(classifier, grads_l, cfg.learning_rate)
-            nn.sgd_step(encoder, grads_f, cfg.learning_rate)
-            codebook.entries -= cfg.learning_rate * d_entries
-            mse_cb = float(np.mean((q - feats) ** 2))
+            ce, mse_cb = _train_step(
+                encoder, classifier, codebook, x_all[batch], y_all[batch], noise_factor, rng, cfg
+            )
             epoch_loss += ce + (cfg.codebook_weight + cfg.commitment_weight) * mse_cb
             n_batches += 1
         epoch_loss /= n_batches

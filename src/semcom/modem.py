@@ -104,10 +104,19 @@ def build_constellation(name: str, ring_ratio: float = DEFAULT_APSK_RING_RATIO) 
     raise ValueError(f"unknown constellation {name!r}")
 
 
+def fits_in_bits(values: np.ndarray, width: int) -> bool:
+    """Whether every int64 value lies in ``[0, 2**width)``.
+
+    One reduction: the OR of all values is negative, or has a bit at or above
+    ``width``, exactly when some value is out of range.
+    """
+    return not values.size or not int(np.bitwise_or.reduce(values, axis=None)) >> width
+
+
 def ints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Unpack integers to MSB-first bit rows, flattened."""
     values = np.asarray(values, dtype=np.int64)
-    if values.size and (values.min() < 0 or values.max() >= (1 << width)):
+    if not fits_in_bits(values, width):
         raise ValueError(f"values do not fit in {width} bits")
     shifts = np.arange(width - 1, -1, -1)
     return ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
@@ -128,7 +137,7 @@ def modulate(bits: np.ndarray, constellation: Constellation) -> tuple[np.ndarray
     Returns the symbol frame and the number of pad bits appended.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size and not np.all((bits == 0) | (bits == 1)):
+    if bits.size and bits.max() > 1:  # unsigned, so only 0 and 1 pass
         raise ValueError("bitstream must contain only 0 and 1")
     k = constellation.bits_per_symbol
     pad = (-bits.size) % k
@@ -153,7 +162,7 @@ def demodulate_hard(
     """
     received = np.asarray(received, dtype=np.complex128)
     gain_arr = np.asarray(gain, dtype=np.complex128)
-    if np.any(np.abs(gain_arr) == 0.0):
+    if not gain_arr.all():  # a complex value is false only when |value| == 0
         raise DeepFadeError("zero channel gain")
     equalized = received / gain_arr
     points = constellation.points

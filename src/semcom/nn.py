@@ -28,7 +28,8 @@ def _relu(z: np.ndarray) -> np.ndarray:
 
 
 def _relu_prime(z: np.ndarray) -> np.ndarray:
-    return (z > 0.0).astype(np.float64)
+    # A boolean mask multiplies like 0.0/1.0 without a float temporary.
+    return z > 0.0
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -160,8 +161,10 @@ def backward(net: Network, caches: list[LayerCache], grad_out: np.ndarray) -> Gr
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         cache = caches[i]
-        _, act_prime = ACTIVATIONS[layer.activation]
-        dz = grad * act_prime(cache.preact)
+        if layer.activation == "linear":
+            dz = grad  # the derivative is one everywhere
+        else:
+            dz = grad * ACTIVATIONS[layer.activation][1](cache.preact)
         per_layer[i] = (cache.x.T @ dz, dz.sum(axis=0))
         grad = dz @ layer.weights.T
     return Gradients(layers=per_layer, wrt_input=grad)
@@ -213,11 +216,13 @@ def softmax_cross_entropy(
     if labels.shape != (b,):
         raise ValueError("labels must be a vector matching the batch")
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    picked = logits[np.arange(b), labels]
-    loss = float(np.mean(lse - picked))
-    grad = softmax(logits)
-    grad[np.arange(b), labels] -= 1.0
+    e = np.exp(logits - m)
+    total = e.sum(axis=1, keepdims=True)
+    rows = np.arange(b)
+    per_item = m[:, 0] + np.log(total[:, 0]) - logits[rows, labels]
+    loss = float(per_item.sum() / b)  # how np.mean computes it
+    grad = e / total  # the softmax, from the same exponentials
+    grad[rows, labels] -= 1.0
     grad /= b
     return loss, grad
 

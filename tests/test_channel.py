@@ -16,6 +16,7 @@ from semcom.channel import (
     apply_channel,
     cmath_exp,
     noise_variance_from_psnr,
+    psnr_ratio,
     sample_gain_sequence,
     sample_isl_gain,
     sample_realization,
@@ -88,6 +89,18 @@ class TestNoiseVariance:
     def test_nan_and_minus_infinity_rejected(self, psnr_db):
         with pytest.raises(ValueError, match=str(psnr_db)):
             noise_variance_from_psnr(psnr_db)
+
+    @pytest.mark.parametrize("psnr_db", [4000.0, -4000.0, 3090.0, -3300.0])
+    def test_out_of_range_finite_psnr_rejected(self, psnr_db):
+        with pytest.raises(ValueError, match=str(psnr_db)):
+            noise_variance_from_psnr(psnr_db)
+        with pytest.raises(ValueError, match=str(psnr_db)):
+            psnr_ratio(psnr_db)
+
+    def test_extreme_finite_psnr_inside_the_float_range(self):
+        assert 0.0 < noise_variance_from_psnr(3080.0) < 1e-307
+        assert noise_variance_from_psnr(-3000.0) == pytest.approx(1e300)
+        assert psnr_ratio(math.inf) == math.inf
 
     def test_realization_rejects_nan_noise_variance(self):
         with pytest.raises(ValueError, match="nan"):

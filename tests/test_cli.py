@@ -55,6 +55,10 @@ class TestConfigErrors:
             ("sweep", "train_psnr_db", "inf", "inf"),
             ("sweep", "eval_psnr_db", "-inf", "-inf"),
             ("csa", "isl_psnr_db", "nan", "nan"),
+            ("sweep", "psnr_grid", "0,-4000", "-4000.0"),
+            ("sweep", "train_psnr_db", "4000", "4000.0"),
+            ("csa", "eval_psnr_db", "3090", "3090.0"),
+            ("dataset", "per_class_count", "4", "4"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(

@@ -20,7 +20,9 @@ from semcom.dataset import (
     load_tensor_file,
     nearest_centroid_accuracy,
     save_tensor_file,
+    SPLIT_RATIOS,
     split,
+    split_counts,
     summary_csv,
 )
 
@@ -147,6 +149,27 @@ class TestSplit:
             split(ds, (0.5, 0.5), seed=0)  # type: ignore[arg-type]
         with pytest.raises(ValueError):
             split(ds, (-0.1, 0.6, 0.5), seed=0)
+
+
+class TestSplitCounts:
+    @pytest.mark.parametrize("n", range(0, 40))
+    def test_counts_sum_to_n_and_stay_within_one_of_the_share(self, n):
+        counts = split_counts(n, SPLIT_RATIOS)
+        assert sum(counts) == n
+        for count, ratio in zip(counts, SPLIT_RATIOS):
+            assert abs(count - ratio * n) < 1.0
+
+    def test_five_per_class_is_the_smallest_that_fills_every_split(self):
+        assert split_counts(4, SPLIT_RATIOS) == [3, 1, 0]
+        assert split_counts(5, SPLIT_RATIOS) == [3, 1, 1]
+        assert all(min(split_counts(n, SPLIT_RATIOS)) >= 1 for n in range(5, 200))
+
+    def test_split_uses_the_same_counts(self):
+        spec = DatasetSpec(per_class_count=13, seed=4)
+        splits, _ = generate_synthetic(spec)
+        want = split_counts(13, SPLIT_RATIOS)
+        for part, count in zip((splits.train, splits.val, splits.test), want):
+            assert np.all(np.bincount(part.labels, minlength=10) == count)
 
 
 class TestContainerFormat:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from semcom.channel import ChannelConfig, ChannelKind, ChannelRealization, noise
 from semcom.dataset import DatasetSpec, generate_synthetic
 from semcom.dtjscc import (
     Codebook,
+    _init_codebook,
+    _split_blocks,
     CodebookError,
     DtjsccConfig,
     QuantizedMessage,
@@ -240,6 +243,94 @@ class TestTraining:
             a.encoder.layers[0].weights, b.encoder.layers[0].weights
         )
         assert a.history == b.history
+
+
+def reference_train(splits, train_psnr_db, cfg):
+    """The generic training loop the lean step replaced, kept as its oracle.
+
+    Same initialisation and early stopping as ``train_dtjscc``; each step goes
+    through ``nn.forward_cached``, ``nn.backward`` and ``nn.sgd_step``.
+    Returns encoder, classifier, codebook and the loss history.
+    """
+    train = splits.train
+    a = cfg.feature_dim
+    x_all = train.flattened()
+    y_all = train.labels
+    encoder = nn.init_network(
+        [x_all.shape[1], cfg.encoder_hidden, a],
+        ["relu", "relu"],
+        spawn_rng(cfg.seed, "enc").integers(2**32),
+    )
+    classifier = nn.init_network(
+        [a, len(train.catalog)], ["linear"], spawn_rng(cfg.seed, "clf").integers(2**32)
+    )
+    rng = spawn_rng(cfg.seed, "train")
+    warm = nn.forward(encoder, x_all[: max(cfg.k * 4, cfg.batch_size)])
+    codebook = Codebook(_init_codebook(_split_blocks(warm, cfg.blocks), cfg.k, rng))
+    noise_factor = 10.0 ** (train_psnr_db / 10.0)
+    history = []
+    best_loss, best_epoch = math.inf, -1
+    for epoch in range(cfg.epochs):
+        order = spawn_rng(cfg.seed, "epoch", epoch).permutation(len(train))
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, len(train), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            x = x_all[batch]
+            y = y_all[batch]
+            b = x.shape[0]
+            feats, caches_f = nn.forward_cached(encoder, x)
+            fb = _split_blocks(feats, cfg.blocks)
+            idx = codebook.nearest(fb)
+            qb = codebook.entries[idx]
+            q = qb.reshape(b, a)
+            power = float(np.mean(q**2))
+            sigma2 = power / noise_factor
+            noisy = q + rng.normal(0.0, math.sqrt(sigma2), size=q.shape) if sigma2 > 0 else q
+            logits, caches_l = nn.forward_cached(classifier, noisy)
+            ce, dlogits = nn.softmax_cross_entropy(logits, y)
+            grads_l = nn.backward(classifier, caches_l, dlogits)
+            diff = feats - q
+            d_feats = grads_l.wrt_input + (2.0 * cfg.commitment_weight / feats.size) * diff
+            grads_f = nn.backward(encoder, caches_f, d_feats)
+            d_entries = np.zeros_like(codebook.entries)
+            np.add.at(d_entries, idx, (2.0 * cfg.codebook_weight / fb.size) * (qb - fb))
+            nn.sgd_step(classifier, grads_l, cfg.learning_rate)
+            nn.sgd_step(encoder, grads_f, cfg.learning_rate)
+            codebook.entries -= cfg.learning_rate * d_entries
+            mse_cb = float(np.mean((q - feats) ** 2))
+            epoch_loss += ce + (cfg.codebook_weight + cfg.commitment_weight) * mse_cb
+            n_batches += 1
+        epoch_loss /= n_batches
+        history.append(epoch_loss)
+        if epoch_loss < best_loss - 1e-6:
+            best_loss, best_epoch = epoch_loss, epoch
+        elif epoch - best_epoch >= cfg.patience:
+            break
+    return encoder, classifier, codebook, history
+
+
+class TestLeanStepMatchesReference:
+    @pytest.mark.parametrize("blocks", [1, 4])
+    @pytest.mark.parametrize("k", [32, 64])
+    @pytest.mark.parametrize("train_psnr_db", [4.0, math.inf])
+    def test_every_parameter_and_loss_is_bit_identical(
+        self, small_splits, blocks, k, train_psnr_db
+    ):
+        cfg = DtjsccConfig(k=k, blocks=blocks, epochs=3, batch_size=32, seed=21)
+        system = train_dtjscc(small_splits, train_psnr_db, cfg)
+        encoder, classifier, codebook, history = reference_train(
+            small_splits, train_psnr_db, cfg
+        )
+        for got, want in zip(
+            system.encoder.layers + system.classifier.layers,
+            encoder.layers + classifier.layers,
+        ):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.biases.tobytes() == want.biases.tobytes()
+        assert system.codebook.entries.tobytes() == codebook.entries.tobytes()
+        assert system.history == history
+        assert len(history) == 3
 
 
 class TestPersistence:

@@ -18,6 +18,7 @@ from semcom.modem import (
     build_psk,
     constellation_csv,
     demodulate_hard,
+    fits_in_bits,
     ints_to_bits,
     modulate,
 )
@@ -97,6 +98,60 @@ class TestBitPacking:
             ints_to_bits(np.array([4]), 2)
         with pytest.raises(ValueError):
             ints_to_bits(np.array([-1]), 2)
+
+
+class TestValidationMatchesTheElementwiseChecks:
+    """Each one-reduction check accepts and rejects what the plain checks do."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0, 1, 2, 3], [4], [-1], [], [7, 8], [2**62], [-(2**63)], [3, -5, 1]],
+    )
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 62, 63, 64, 70])
+    def test_ints_to_bits(self, values, width):
+        values = np.array(values, dtype=np.int64)
+        plain = not values.size or (values.min() >= 0 and values.max() < (1 << width))
+        assert fits_in_bits(values, width) == plain
+        if not plain:
+            with pytest.raises(ValueError):
+                ints_to_bits(values, width)
+
+    @pytest.mark.parametrize(
+        "bits", [[0, 1, 1], [2], [256], [-1], [0.5, 1.0], [], [True, False], [1, 255]]
+    )
+    def test_modulate(self, bits):
+        as_uint8 = np.asarray(np.array(bits), dtype=np.uint8)
+        plain = not as_uint8.size or bool(np.all((as_uint8 == 0) | (as_uint8 == 1)))
+        if plain:
+            modulate(np.array(bits), build_psk(4))
+        else:
+            with pytest.raises(ValueError):
+                modulate(np.array(bits), build_psk(4))
+
+    @pytest.mark.parametrize(
+        "gain",
+        [
+            0j,
+            complex(-0.0, 0.0),
+            complex(0.0, -0.0),
+            complex(5e-324, 0.0),
+            complex(0.0, 5e-324),
+            complex(math.nan, 0.0),
+            complex(math.inf, 0.0),
+            np.array([1.0, 0.0], dtype=complex),
+            np.array([1 + 1j, 2.0], dtype=complex),
+            np.array([complex(math.nan, 0.0), 0.0]),
+        ],
+    )
+    def test_demodulate_hard(self, gain):
+        plain_fade = bool(np.any(np.abs(np.asarray(gain, dtype=complex)) == 0.0))
+        received = np.ones(2, dtype=complex)
+        if plain_fade:
+            with pytest.raises(DeepFadeError):
+                demodulate_hard(received, gain, build_psk(4))
+        else:
+            with np.errstate(all="ignore"):
+                demodulate_hard(received, gain, build_psk(4))
 
 
 class TestModulateDemodulate:
