@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .channel import ChannelConfig, noise_variance_from_psnr, sample_realization
+from .channel import ChannelConfig, ChannelKind, noise_variance_from_psnr, sample_realization
 from .dataset import SplitDatasets
 from .dtjscc import (
     Codebook,
@@ -62,7 +62,7 @@ class CovarianceMatrix:
 
 @dataclass
 class SAConfig:
-    """Augmentation strength and the two-level step sizes.
+    """Augmentation strength, the two-level step sizes and the round loop's links.
 
     ``sa_lambda`` ramps linearly from zero over the first ``warmup_fraction``
     of a run's rounds.
@@ -73,14 +73,24 @@ class SAConfig:
     meta_learning_rate: float = 0.05
     inner_learning_rate: float = 0.05
     warmup_fraction: float = 0.25
+    rounds: int = 30
+    reference_batch: int = 64
+    downlink_kind: str = "leo_rician"
+    isl_psnr_db: float = 12.0
+    eval_psnr_db: float = 12.0
+    fresh_ut_classifier: bool = False
+    target_accuracy: float = 0.75
 
     def __post_init__(self) -> None:
         if self.sa_lambda < 0:
-            raise ValueError("sa_lambda must be >= 0")
+            raise ValueError(f"sa_lambda must be >= 0, got {self.sa_lambda}")
         if self.inner_steps < 0:
-            raise ValueError("inner_steps must be >= 0")
+            raise ValueError(f"inner_steps must be >= 0, got {self.inner_steps}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must lie in [0, 1]")
+            raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
+        kinds = [kind.value for kind in ChannelKind]
+        if self.downlink_kind not in kinds:
+            raise ValueError(f"downlink_kind must be one of {kinds}, got {self.downlink_kind!r}")
 
 
 @dataclass
@@ -326,12 +336,8 @@ class CsaScenario:
     isl_channel: ChannelConfig
     downlink_channel: ChannelConfig
     sa: SAConfig = field(default_factory=SAConfig)
-    isl_psnr_db: float = 12.0
-    eval_psnr_db: float = 12.0
-    reference_batch: int = 64
     eval_frame: int = 32
     meta_enabled: bool = True
-    fresh_ut_classifier: bool = False
     seed: int = 0
 
 
@@ -382,7 +388,7 @@ def eval_through_downlink(
         system.blocks,
         scenario.constellation,
         scenario.downlink_channel,
-        scenario.eval_psnr_db,
+        scenario.sa.eval_psnr_db,
         max(1, scenario.eval_frame),
         scenario.seed,
         "eval",
@@ -393,6 +399,14 @@ def eval_through_downlink(
     eps = 1e-12
     ce = float(np.mean(-np.log(probs[np.arange(len(test)), labels] + eps)))
     return top1, ce, bits_total
+
+
+def terminal_classifier(system: TrainedSystem, sa: SAConfig, seed: int) -> nn.Network:
+    """The terminal's starting classifier: fresh with ``sa.fresh_ut_classifier``, else a copy."""
+    if not sa.fresh_ut_classifier:
+        return system.classifier.copy()
+    rng_seed = spawn_rng(seed, "ut_clf").integers(2**32)
+    return nn.init_network([system.feature_dim, system.n_classes], ["linear"], rng_seed)
 
 
 def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
@@ -409,14 +423,7 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
     f_s1 = system.encoder
     f_s2 = system.encoder.copy()
     l_s2 = system.classifier.copy()
-    if scenario.fresh_ut_classifier:
-        l_ut = nn.init_network(
-            [system.feature_dim, system.n_classes],
-            ["linear"],
-            spawn_rng(scenario.seed, "ut_clf").integers(2**32),
-        )
-    else:
-        l_ut = system.classifier.copy()
+    l_ut = terminal_classifier(system, scenario.sa, scenario.seed)
     g_s2 = system.covariance_net.copy()
     g_ut = system.covariance_net.copy()
 
@@ -431,7 +438,7 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
         cfg_i = replace(scenario.sa, sa_lambda=lam_i)
 
         ref_rng = spawn_rng(scenario.seed, "ref", i)
-        take = min(scenario.reference_batch, len(t0_train))
+        take = min(scenario.sa.reference_batch, len(t0_train))
         ref_idx = ref_rng.choice(len(t0_train), size=take, replace=False)
         ref_images = t0_train.subset(ref_idx)
         ref_feats = encode(ref_images, f_s1)
@@ -441,7 +448,7 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
             system.blocks,
             scenario.constellation,
             scenario.isl_channel,
-            scenario.isl_psnr_db,
+            scenario.sa.isl_psnr_db,
             spawn_rng(scenario.seed, "isl", i),
             frame_id=i,
         )
@@ -450,7 +457,7 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
         ut_sa = float("nan")
         if scenario.meta_enabled and not erased:
             cur_rng = spawn_rng(scenario.seed, "cur", i)
-            take_cur = min(scenario.reference_batch, len(t1_train))
+            take_cur = min(scenario.sa.reference_batch, len(t1_train))
             cur_idx = cur_rng.choice(len(t1_train), size=take_cur, replace=False)
             cur = t1_train.subset(cur_idx)
             info_s2 = meta_step(
@@ -482,12 +489,29 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
     return logs
 
 
+# Client shard modes: class-disjoint blocks (the non-iid regime) or round robin.
+SHARD_MODES = ("disjoint", "iid")
+
+
 @dataclass
 class FedAvgConfig:
+    """Parameter-averaging baseline: clients, local SGD and the labelled pool.
+
+    ``scarce_per_class`` above zero caps the labelled pool both protocols see.
+    """
+
     local_epochs: int = 1
     batch_size: int = 32
     learning_rate: float = 0.05
     seed: int = 0
+    clients: int = 2
+    rounds: int = 30
+    shards: str = "disjoint"
+    scarce_per_class: int = 0
+
+    def __post_init__(self) -> None:
+        if self.shards not in SHARD_MODES:
+            raise ValueError(f"shards must be one of {SHARD_MODES}, got {self.shards!r}")
 
 
 def run_fedavg_baseline(

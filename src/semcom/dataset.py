@@ -82,14 +82,11 @@ class DatasetSpec:
     catalog: ClassCatalog = field(default_factory=ClassCatalog)
 
     def __post_init__(self) -> None:
-        if self.per_class_count <= 0:
-            raise ValueError("per_class_count must be positive")
-        if min(self.height, self.width, self.bands) <= 0:
-            raise ValueError("image dimensions must be positive")
-        if self.class_separation <= 0:
-            raise ValueError("class_separation must be positive")
+        for name in ("per_class_count", "height", "width", "bands", "class_separation"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.temporal_drift < 0:
-            raise ValueError("temporal_drift must be >= 0")
+            raise ValueError(f"temporal_drift must be >= 0, got {self.temporal_drift}")
 
 
 @dataclass

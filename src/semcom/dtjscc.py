@@ -43,7 +43,6 @@ from .modem import (
 from .seeding import spawn_rng
 
 CODEBOOK_MAGIC = b"MCB1"
-CODEBOOK_PRESETS = (32, 64, 128)
 
 
 class CodebookError(Exception):
@@ -341,10 +340,10 @@ class DtjsccConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k not in CODEBOOK_PRESETS and (self.k < 2 or self.k & (self.k - 1)):
-            raise ValueError(f"codebook size must be a power of two, got {self.k}")
-        if self.feature_dim % self.blocks != 0:
-            raise ValueError("feature_dim must divide into blocks")
+        if self.k < 2 or self.k & (self.k - 1):
+            raise ValueError(f"k must be a power of two, got {self.k}")
+        if self.blocks < 1 or self.feature_dim % self.blocks != 0:
+            raise ValueError(f"blocks must divide feature_dim {self.feature_dim}, got {self.blocks}")
 
 
 @dataclass

@@ -24,7 +24,7 @@ EARTH_RADIUS_KM = 6378.0
 MU_EARTH_M3_S2 = 3.986004418e14
 SPEED_OF_LIGHT_M_S = 299792458.0
 
-_SLANT_RANGE_MODES = ("corrected", "verbatim")
+SLANT_RANGE_MODES = ("corrected", "verbatim")
 
 
 @dataclass
@@ -52,7 +52,6 @@ class LinkBudget:
 
     carrier_ghz: float
     sat_antenna_gain_db: float = 35.0
-    user_antenna_gain_db: float = 37.0
     shadow_sigma_db: float = 0.0
     atmospheric_loss_db: float = 0.3
     scintillation_loss_db: float = 0.5
@@ -105,8 +104,8 @@ def slant_range(geom: OrbitGeometry, mode: str = "corrected") -> float:
         term folded inside the radical; it does not reduce to the altitude at
         zenith and is kept only for cross-checks against systems that use it.
     """
-    if mode not in _SLANT_RANGE_MODES:
-        raise ValueError(f"mode must be one of {_SLANT_RANGE_MODES}, got {mode!r}")
+    if mode not in SLANT_RANGE_MODES:
+        raise ValueError(f"mode must be one of {SLANT_RANGE_MODES}, got {mode!r}")
     r_e = geom.earth_radius_km
     r_m = geom.altitude_km
     sin_th = math.sin(geom.elevation_rad)

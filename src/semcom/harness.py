@@ -9,6 +9,7 @@ Sweep output is therefore byte-identical no matter how many workers ran it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,14 +23,14 @@ from . import blas, nn
 from .channel import ChannelConfig, ChannelKind
 from .config import HarnessConfig, LinkBudgetSettings
 from .csa import (
+    SHARD_MODES,
     CsaScenario,
-    FedAvgConfig,
     RoundLog,
-    SAConfig,
     eval_through_downlink,
     rounds_to_target,
     run_csa_end_to_end,
     run_fedavg_baseline,
+    terminal_classifier,
 )
 from .dataset import ClassCatalog, Dataset, SplitDatasets, generate_synthetic
 from .dtjscc import (
@@ -171,11 +172,7 @@ def _sweep_job(args: tuple[HarnessConfig, SplitDatasets, int, int]) -> list[Swee
     constellation = build_constellation(ex.modulation, ex.apsk_ring_ratio)
     rows = []
     for channel in ex.channels:
-        channel_cfg = ChannelConfig(
-            kind=ChannelKind(channel),
-            rician_factor=ex.rician_factor,
-            per_symbol_fading=ex.per_symbol_fading,
-        )
+        channel_cfg = ex.channel_config(channel)
         for psnr in ex.psnr_grid_db:
             cell_seed = derive_seed(ex.master_seed, "sweep_cell", channel, k, psnr, trial)
             result = evaluate_through_channel(
@@ -247,11 +244,7 @@ def run_confusion(cfg: HarnessConfig) -> ConfusionMatrix:
     splits, _ = generate_synthetic(cfg.dataset)
     system = train_dtjscc(splits, ex.train_psnr_db, cfg.dtjscc)
     constellation = build_constellation(ex.modulation, ex.apsk_ring_ratio)
-    channel_cfg = ChannelConfig(
-        kind=ChannelKind(ex.channels[0]),
-        rician_factor=ex.rician_factor,
-        per_symbol_fading=ex.per_symbol_fading,
-    )
+    channel_cfg = ex.channel_config(ex.channels[0])
     result = evaluate_through_channel(
         system,
         splits.test,
@@ -273,7 +266,6 @@ def linkbudget_reports(lb: LinkBudgetSettings) -> tuple[LinkReport, LinkReport]:
     budget = LinkBudget(
         carrier_ghz=lb.carrier_ghz,
         sat_antenna_gain_db=lb.sat_antenna_gain_db,
-        user_antenna_gain_db=lb.user_antenna_gain_db,
         shadow_sigma_db=lb.shadow_sigma_db,
         atmospheric_loss_db=lb.atmospheric_loss_db,
         scintillation_loss_db=lb.scintillation_loss_db,
@@ -285,23 +277,12 @@ def linkbudget_reports(lb: LinkBudgetSettings) -> tuple[LinkReport, LinkReport]:
 
 def build_csa_scenario(cfg: HarnessConfig, meta_enabled: bool = True) -> CsaScenario:
     """Generate data, pretrain the pipeline, and wire the round-loop inputs."""
-    ex, cs = cfg.experiment, cfg.csa
+    ex = cfg.experiment
     splits_t0, splits_t1 = generate_synthetic(cfg.dataset)
     system = train_dtjscc(splits_t0, ex.train_psnr_db, cfg.dtjscc)
     constellation = build_constellation(ex.modulation, ex.apsk_ring_ratio)
     isl_channel = ChannelConfig(kind=ChannelKind.ISL, rician_factor=ex.rician_factor)
-    downlink = ChannelConfig(
-        kind=ChannelKind(cs.downlink_kind),
-        rician_factor=ex.rician_factor,
-        per_symbol_fading=ex.per_symbol_fading,
-    )
-    sa = SAConfig(
-        sa_lambda=cs.sa_lambda,
-        inner_steps=cs.inner_steps,
-        meta_learning_rate=cs.meta_learning_rate,
-        inner_learning_rate=cs.inner_learning_rate,
-        warmup_fraction=cs.warmup_fraction,
-    )
+    downlink = ex.channel_config(cfg.csa.downlink_kind)
     return CsaScenario(
         splits_t0=splits_t0,
         splits_t1=splits_t1,
@@ -309,13 +290,9 @@ def build_csa_scenario(cfg: HarnessConfig, meta_enabled: bool = True) -> CsaScen
         constellation=constellation,
         isl_channel=isl_channel,
         downlink_channel=downlink,
-        sa=sa,
-        isl_psnr_db=cs.isl_psnr_db,
-        eval_psnr_db=cs.eval_psnr_db,
-        reference_batch=cs.reference_batch,
+        sa=cfg.csa,
         eval_frame=ex.eval_frame,
         meta_enabled=meta_enabled,
-        fresh_ut_classifier=cs.fresh_ut_classifier,
         seed=ex.master_seed,
     )
 
@@ -338,6 +315,8 @@ def fedavg_client_shards(
     regime parameter averaging struggles with); ``iid`` deals samples round
     robin.
     """
+    if mode not in SHARD_MODES:
+        raise ValueError(f"mode must be one of {SHARD_MODES}, got {mode!r}")
     feats = encode(dataset, system.encoder)
     message = quantize(feats, system.codebook, system.blocks)
     clean = dequantize(message, system.codebook, system.blocks)
@@ -346,10 +325,8 @@ def fedavg_client_shards(
         n_classes = len(dataset.catalog.names)
         assign = labels * n_clients // n_classes
         assign = np.minimum(assign, n_clients - 1)
-    elif mode == "iid":
-        assign = np.arange(len(labels)) % n_clients
     else:
-        raise ValueError(f"unknown shard mode {mode!r}")
+        assign = np.arange(len(labels)) % n_clients
     shards = []
     for j in range(n_clients):
         mask = assign == j
@@ -377,30 +354,23 @@ def run_fedavg_experiment(
     shards = fedavg_client_shards(
         scenario.system, scenario.splits_t1.train, fa.clients, fa.shards
     )
-    fed_cfg = FedAvgConfig(
-        local_epochs=fa.local_epochs,
-        batch_size=fa.batch_size,
-        learning_rate=fa.learning_rate,
-        seed=cfg.experiment.master_seed,
-    )
-    round_counter = [0]
+    rounds = itertools.count()
 
     def eval_fn(net: nn.Network) -> tuple[float, float]:
-        top1, ce, _ = eval_through_downlink(
-            scenario.system.encoder, net, scenario.system, scenario, round_counter[0]
-        )
-        round_counter[0] += 1
+        system = scenario.system
+        top1, ce, _ = eval_through_downlink(system.encoder, net, system, scenario, next(rounds))
         return top1, ce
 
-    return run_fedavg_baseline(shards, fa.rounds, fed_cfg, classifier, eval_fn)
+    return run_fedavg_baseline(shards, fa.rounds, fa, classifier, eval_fn)
 
 
 def restrict_t1_train(scenario: CsaScenario, per_class: int, seed: int) -> CsaScenario:
     """Cap the labelled current-epoch pool at ``per_class`` samples per class.
 
     Models the scarce-label regime after an environment change: the archive
-    reference stream stays plentiful while fresh labels are rare. A value of
-    zero leaves the pool untouched.
+    reference stream stays plentiful while fresh labels are rare. Returns a
+    new scenario and leaves the argument as it was; a value of zero returns
+    the argument itself.
     """
     if per_class <= 0:
         return scenario
@@ -413,10 +383,9 @@ def restrict_t1_train(scenario: CsaScenario, per_class: int, seed: int) -> CsaSc
         if take:
             keep.extend(rng.choice(idx, size=take, replace=False))
     small = t1.subset(np.sort(np.asarray(keep, dtype=np.int64)))
-    scenario.splits_t1 = SplitDatasets(
-        small, scenario.splits_t1.val, scenario.splits_t1.test
+    return replace(
+        scenario, splits_t1=SplitDatasets(small, scenario.splits_t1.val, scenario.splits_t1.test)
     )
-    return scenario
 
 
 @dataclass
@@ -446,48 +415,14 @@ def run_round_race(cfg: HarnessConfig) -> RaceResult:
     link; the averaging baseline instead exchanges classifier parameters
     between clients holding class-disjoint shards.
     """
-    ex, fa = cfg.experiment, cfg.fedavg
-    seed = ex.master_seed
-    scenario = restrict_t1_train(
-        build_csa_scenario(cfg, meta_enabled=True), fa.scarce_per_class, seed
-    )
-    system = scenario.system
+    seed = cfg.experiment.master_seed
+    per_class = cfg.fedavg.scarce_per_class
+    scenario = restrict_t1_train(build_csa_scenario(cfg, meta_enabled=True), per_class, seed)
     csa_logs = run_csa_end_to_end(scenario, cfg.csa.rounds)
-
-    shards = fedavg_client_shards(
-        system, scenario.splits_t1.train, fa.clients, fa.shards
-    )
-    if cfg.csa.fresh_ut_classifier:
-        classifier = nn.init_network(
-            [system.feature_dim, system.n_classes],
-            ["linear"],
-            spawn_rng(seed, "ut_clf").integers(2**32),
-        )
-    else:
-        classifier = system.classifier.copy()
-    eval_scenario = restrict_t1_train(
-        build_csa_scenario(cfg, meta_enabled=False), fa.scarce_per_class, seed
-    )
-    round_counter = [0]
-
-    def eval_fn(net: nn.Network) -> tuple[float, float]:
-        top1, ce, _ = eval_through_downlink(
-            eval_scenario.system.encoder,
-            net,
-            eval_scenario.system,
-            eval_scenario,
-            round_counter[0],
-        )
-        round_counter[0] += 1
-        return top1, ce
-
-    fed_cfg = FedAvgConfig(
-        local_epochs=fa.local_epochs,
-        batch_size=fa.batch_size,
-        learning_rate=fa.learning_rate,
-        seed=seed,
-    )
-    fedavg_logs = run_fedavg_baseline(shards, fa.rounds, fed_cfg, classifier, eval_fn)
+    # An identical second build for the averaging side; perfbench's traced adapt run counts two.
+    eval_scenario = restrict_t1_train(build_csa_scenario(cfg, meta_enabled=False), per_class, seed)
+    classifier = terminal_classifier(scenario.system, cfg.csa, seed)
+    fedavg_logs = run_fedavg_experiment(cfg, eval_scenario, classifier)
     target = cfg.csa.target_accuracy
     return RaceResult(
         csa_logs,

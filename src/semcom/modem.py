@@ -99,7 +99,7 @@ def build_constellation(name: str, ring_ratio: float = DEFAULT_APSK_RING_RATIO) 
     name = name.lower()
     if name == "16apsk":
         return build_apsk16(ring_ratio)
-    if name.endswith("psk"):
+    if name.endswith("psk") and name[:-3].isdigit():
         return build_psk(int(name[:-3]))
     raise ValueError(f"unknown constellation {name!r}")
 

@@ -59,6 +59,19 @@ class TestConfigErrors:
             ("sweep", "train_psnr_db", "4000", "4000.0"),
             ("csa", "eval_psnr_db", "3090", "3090.0"),
             ("dataset", "per_class_count", "4", "4"),
+            ("dataset", "per_class_count", "0", "0"),
+            ("dataset", "height", "0", "0"),
+            ("dtjscc", "k", "48", "48"),
+            ("dtjscc", "blocks", "3", "3"),
+            ("csa", "lambda", "-1", "-1.0"),
+            ("csa", "warmup_fraction", "2", "2.0"),
+            ("sweep", "trials", "3.5", "'3.5'"),
+            ("channel", "per_symbol", "ture", "'ture'"),
+            ("channel", "kinds", "leo_rician,leo_rayleig", "'leo_rayleig'"),
+            ("csa", "downlink_kind", "leo_rican", "'leo_rican'"),
+            ("channel", "modulation", "16qam", "'16qam'"),
+            ("linkbudget", "slant_mode", "corected", "'corected'"),
+            ("fedavg", "shards", "iidd", "'iidd'"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(

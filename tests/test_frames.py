@@ -18,7 +18,7 @@ from semcom.channel import (
     noise_variance_from_psnr,
     sample_realization,
 )
-from semcom.csa import CsaScenario, eval_through_downlink
+from semcom.csa import CsaScenario, SAConfig, eval_through_downlink
 from semcom.dtjscc import (
     DtjsccConfig,
     SemanticFeatures,
@@ -72,7 +72,7 @@ def reference_downlink(encoder, classifier, system, scenario, round_index):
     test = scenario.splits_t1.test
     probs, bits = reference_frames(
         encode(test, encoder), system, classifier, scenario.constellation,
-        scenario.downlink_channel, scenario.eval_psnr_db, max(1, scenario.eval_frame),
+        scenario.downlink_channel, scenario.sa.eval_psnr_db, max(1, scenario.eval_frame),
         scenario.seed, "eval", round_index,
     )
     labels = test.labels
@@ -110,7 +110,7 @@ def scenario_for(system, splits, fading, frame):
         constellation=build_constellation(modulation),
         isl_channel=ChannelConfig(kind=ChannelKind.ISL),
         downlink_channel=channel_cfg,
-        eval_psnr_db=6.0,
+        sa=SAConfig(eval_psnr_db=6.0),
         eval_frame=frame,
         seed=17,
     )

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semcom import harness
+from semcom import config, harness
 from semcom.channel import ChannelConfig, ChannelKind
-from semcom.config import load_config
+from semcom.cli import main
+from semcom.config import ConfigError, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, run_csa_end_to_end
 from semcom.dataset import ClassCatalog, generate_synthetic
 from semcom.harness import (
@@ -34,6 +37,8 @@ from semcom.harness import (
 from semcom.modem import build_constellation
 
 from conftest import tiny_harness_cfg
+
+DEFAULT_INI = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
 
 
 class TestConfigLayer:
@@ -83,6 +88,64 @@ class TestConfigLayer:
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
             load_config("/nonexistent/path.ini")
+
+    def test_default_ini_loads_to_the_defaults(self):
+        assert load_config(str(DEFAULT_INI), 4) == load_config(None, 4)
+
+    def test_default_ini_lists_every_accepted_key(self):
+        parser = configparser.ConfigParser()
+        parser.read(DEFAULT_INI)
+        written = {(section, key) for section in parser.sections() for key in parser[section]}
+        accepted = {
+            (section, key) for section, (_, keys) in config._SECTIONS.items() for key in keys
+        }
+        assert written == accepted
+
+    @pytest.mark.parametrize(
+        "text,shown",
+        [
+            ("[chanel]\nkinds = awgn\n", "unknown section [chanel]; did you mean 'channel'?"),
+            ("[sweep]\ntrails = 3\n", "unknown key sweep.trails; did you mean 'trials'?"),
+            ("[dtjscc]\nepoch = 5\n", "unknown key dtjscc.epoch; did you mean 'epochs'?"),
+            ("[DEFAULT]\nrounds = 3\n", "unknown section [DEFAULT]; valid: linkbudget, "),
+            ("kinds = awgn\n", "File contains no section headers"),
+        ],
+        ids=["section", "key", "another-key", "default-section", "no-header"],
+    )
+    def test_unknown_names_exit_one_with_a_suggestion(self, tmp_path, capsys, text, shown):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        assert main(["linkbudget", "--config", str(ini), "--out", str(out)]) == 1
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("dtjscc", "seed"),
+            ("dataset", "seed"),
+            ("sweep", "master_seed"),
+            ("dtjscc", "min_accuracy_margin"),
+            ("sweep", "name"),
+            ("linkbudget", "user_antenna_gain_db"),
+        ],
+    )
+    def test_seeds_and_removed_options_are_rejected(self, tmp_path, section, key):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{key} = 5\n")
+        with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
+            load_config(str(ini))
+
+    @pytest.mark.parametrize(
+        "text,value", [("on", True), ("YES", True), ("1", True), ("Off", False), ("no", False)]
+    )
+    def test_boolean_spellings(self, tmp_path, text, value):
+        ini = tmp_path / "bool.ini"
+        ini.write_text(f"[channel]\nper_symbol = {text}\n[csa]\nfresh_ut_classifier = {text}\n")
+        cfg = load_config(str(ini))
+        assert cfg.experiment.per_symbol_fading is value
+        assert cfg.csa.fresh_ut_classifier is value
 
 
 class TestLinkBudgetReports:
@@ -214,7 +277,7 @@ class TestScenario:
         assert scenario.downlink_channel.kind is ChannelKind.LEO_RICIAN
         assert scenario.system.converged
         assert scenario.meta_enabled
-        assert scenario.eval_psnr_db == scenario_cfg.csa.eval_psnr_db
+        assert scenario.sa == scenario_cfg.csa
 
     def test_round_logs_structure(self, scenario, scenario_cfg):
         logs = run_csa_end_to_end(scenario, n_rounds=3)
@@ -245,7 +308,9 @@ class TestScenario:
         assert a.predictions.shape == c.predictions.shape
 
     def test_restrict_t1_train_caps_every_class(self, scenario):
+        before = scenario.splits_t1.train.pixels.copy()
         scarce = restrict_t1_train(scenario, per_class=2, seed=0)
+        assert scenario.splits_t1.train.pixels.tobytes() == before.tobytes()
         counts = np.bincount(scarce.splits_t1.train.labels)
         assert np.all(counts[counts > 0] <= 2)
         assert len(scarce.splits_t1.val) == len(scenario.splits_t1.val)
