@@ -30,8 +30,6 @@ class ChannelRealization:
 
     gain: complex
     noise_variance: float
-    doppler_hz: float = 0.0
-    delay_s: float = 0.0
     kind: ChannelKind = ChannelKind.AWGN
 
     def __post_init__(self) -> None:
@@ -42,20 +40,6 @@ class ChannelRealization:
         if self.kind is ChannelKind.AWGN and self.gain != 1.0 + 0.0j:
             raise ValueError("awgn realizations must have unit gain")
 
-    def csv_row(self) -> str:
-        cells = (
-            self.kind.value,
-            repr(self.gain.real),
-            repr(self.gain.imag),
-            repr(float(self.noise_variance)),
-            repr(float(self.doppler_hz)),
-            repr(float(self.delay_s)),
-        )
-        return ",".join(cells)
-
-
-REALIZATION_CSV_HEADER = "kind,re,im,noise_var,doppler,delay"
-
 
 @dataclass
 class ChannelConfig:
@@ -65,8 +49,6 @@ class ChannelConfig:
     rician_factor: float = 2.8
     zeta_linear: float = 1.0
     los_phase_rad: float = 0.0
-    doppler_hz: float = 0.0
-    delay_s: float = 0.0
     per_symbol_fading: bool = False
 
     def __post_init__(self) -> None:
@@ -124,18 +106,6 @@ def cmath_exp(phase_rad: float) -> complex:
     return complex(math.cos(phase_rad), math.sin(phase_rad))
 
 
-def time_frequency_response(
-    gain: complex, t: float, f: float, doppler_hz: float, delay_s: float
-) -> complex:
-    """Gain rotated by the Doppler/delay phase ``exp(j 2 pi (t v - f tau))``.
-
-    Magnitude equals |gain| for every (t, f); at t = f = 0 the response is the
-    bare gain.
-    """
-    phase = 2.0 * math.pi * (t * doppler_hz - f * delay_s)
-    return complex(gain) * cmath_exp(phase)
-
-
 def psnr_ratio(psnr_db: float) -> float:
     """Linear power ratio ``10^(psnr/10)`` of a PSNR in dB; +inf gives inf.
 
@@ -185,13 +155,7 @@ def sample_realization(
         gain = sample_isl_gain(cfg.rician_factor, cfg.zeta_linear, cfg.los_phase_rad)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown channel kind {cfg.kind}")
-    return ChannelRealization(
-        gain=gain,
-        noise_variance=noise_variance,
-        doppler_hz=cfg.doppler_hz,
-        delay_s=cfg.delay_s,
-        kind=cfg.kind,
-    )
+    return ChannelRealization(gain=gain, noise_variance=noise_variance, kind=cfg.kind)
 
 
 def sample_gain_sequence(

@@ -38,12 +38,16 @@ class LinkBudgetSettings:
     sat_antenna_gain_db: float = 35.0
     atmospheric_loss_db: float = 0.3
     scintillation_loss_db: float = 0.5
-    shadow_sigma_db: float = 0.0
     shadow_db: float = 0.0
     isl_distance_km: float = 2000.0
     slant_mode: str = "corrected"
 
     def __post_init__(self) -> None:
+        for name in ("carrier_ghz", "altitude_km", "isl_distance_km"):
+            if not getattr(self, name) > 0:  # also false for NaN
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.elevation_deg <= 90.0:
+            raise ValueError(f"elevation_deg must lie in (0, 90], got {self.elevation_deg}")
         if self.slant_mode not in SLANT_RANGE_MODES:
             raise ValueError(f"slant_mode must be one of {SLANT_RANGE_MODES}, got {self.slant_mode!r}")
 
@@ -108,7 +112,7 @@ _ALIASES = {
     "psnr_grid": "psnr_grid_db",
 }
 # Fields bound from the master seed or fixed in code, never read from the file.
-_NOT_IN_FILE = {"seed", "master_seed", "catalog", "covariance_hidden", "min_accuracy_margin"}
+_NOT_IN_FILE = {"seed", "master_seed", "catalog"}
 # [channel] and [sweep] both fill ExperimentConfig; these keys are [channel]'s.
 _CHANNEL_KEYS = ("kinds", "modulation", "rician_factor", "apsk_ring_ratio", "per_symbol")
 

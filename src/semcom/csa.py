@@ -86,6 +86,8 @@ class SAConfig:
             raise ValueError(f"sa_lambda must be >= 0, got {self.sa_lambda}")
         if self.inner_steps < 0:
             raise ValueError(f"inner_steps must be >= 0, got {self.inner_steps}")
+        if self.reference_batch < 1:
+            raise ValueError(f"reference_batch must be at least 1, got {self.reference_batch}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
         kinds = [kind.value for kind in ChannelKind]
@@ -225,32 +227,25 @@ def meta_step(
     encoder: nn.Network | None,
     classifier: nn.Network,
     reference: SemanticFeatures,
-    current_batch: SemanticFeatures | tuple[np.ndarray, np.ndarray],
+    current_batch: tuple[np.ndarray, np.ndarray],
     cfg: SAConfig,
 ) -> MetaStepInfo:
     """One bi-level adaptation round. Mutates the networks in place.
 
     (i) predict the covariance from the reference batch, (ii) run
     ``inner_steps`` full-batch SGD steps of the augmented loss on the current
-    batch with the covariance fixed (updating encoder and classifier, or the
-    classifier alone when ``encoder`` is None), (iii) update g down the
-    gradient of the post-inner augmented objective on the reference batch,
-    taken through the covariance term only; the inner updates are constants.
+    batch ``(inputs, labels)`` with the covariance fixed (updating encoder and
+    classifier, or the classifier alone when ``encoder`` is None), (iii)
+    update g down the gradient of the post-inner augmented objective on the
+    reference batch, taken through the covariance term only; the inner
+    updates are constants.
     With lam = 0 the inner trajectory is exactly plain cross-entropy SGD and
     the g update vanishes.
     """
     layer = _require_linear_classifier(classifier)
     cov, cov_caches = _predict_covariance_cached(g, reference)
-    if isinstance(current_batch, SemanticFeatures):
-        if current_batch.labels is None:
-            raise ValueError("current batch must carry labels")
-        cur_x, cur_y = current_batch.vectors, current_batch.labels
-        if encoder is not None:
-            raise ValueError("pass raw arrays when adapting an encoder")
-    else:
-        cur_x, cur_y = current_batch
-        cur_x = np.asarray(cur_x, dtype=np.float64)
-        cur_y = np.asarray(cur_y, dtype=np.int64)
+    cur_x = np.asarray(current_batch[0], dtype=np.float64)
+    cur_y = np.asarray(current_batch[1], dtype=np.int64)
     lam = cfg.sa_lambda
     lr = cfg.inner_learning_rate
 
@@ -355,10 +350,9 @@ def _transmit_features(
     channel_cfg: ChannelConfig,
     psnr_db: float,
     rng: np.random.Generator,
-    frame_id: int = 0,
 ) -> tuple[SemanticFeatures, int, bool]:
     """Quantize, send one frame, dequantize. Returns features, bits, erased."""
-    message = quantize(features, codebook, blocks, frame_id=frame_id)
+    message = quantize(features, codebook, blocks)
     realization = sample_realization(
         channel_cfg, noise_variance_from_psnr(psnr_db), rng
     )
@@ -450,7 +444,6 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
             scenario.isl_channel,
             scenario.sa.isl_psnr_db,
             spawn_rng(scenario.seed, "isl", i),
-            frame_id=i,
         )
 
         sat2_sa = sat2_ce = float("nan")
@@ -465,7 +458,8 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
                 (cur.flattened(), cur.labels), cfg_i,
             )
             info_ut = meta_step(
-                g_ut, None, l_ut, received_ref, received_ref, cfg_i
+                g_ut, None, l_ut, received_ref,
+                (received_ref.vectors, received_ref.labels), cfg_i,
             )
             sat2_sa = info_s2.inner_losses[-1] if info_s2.inner_losses else info_s2.outer_loss
             ut_sa = info_ut.inner_losses[-1] if info_ut.inner_losses else info_ut.outer_loss
@@ -512,6 +506,9 @@ class FedAvgConfig:
     def __post_init__(self) -> None:
         if self.shards not in SHARD_MODES:
             raise ValueError(f"shards must be one of {SHARD_MODES}, got {self.shards!r}")
+        for name in ("clients", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def run_fedavg_baseline(

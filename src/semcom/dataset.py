@@ -90,15 +90,6 @@ class DatasetSpec:
 
 
 @dataclass
-class MultispectralImage:
-    """One labelled capture; pixels are (H, W, bands) float64."""
-
-    pixels: np.ndarray
-    label: int
-    timestamp_index: int = 0
-
-
-@dataclass
 class Dataset:
     """Columnar batch of images sharing one catalog."""
 
@@ -132,11 +123,6 @@ class Dataset:
             self.labels[indices],
             self.timestamps[indices],
             self.catalog,
-        )
-
-    def image(self, i: int) -> MultispectralImage:
-        return MultispectralImage(
-            self.pixels[i], int(self.labels[i]), int(self.timestamps[i])
         )
 
 

@@ -30,7 +30,7 @@ from .channel import (
     sample_gain_sequence,
     sample_realization,
 )
-from .dataset import Dataset, MultispectralImage, SplitDatasets
+from .dataset import Dataset, SplitDatasets
 from .modem import (
     Constellation,
     DeepFadeError,
@@ -43,6 +43,10 @@ from .modem import (
 from .seeding import spawn_rng
 
 CODEBOOK_MAGIC = b"MCB1"
+# Hidden widths of the covariance predictor that train_dtjscc builds.
+COVARIANCE_HIDDEN = (32, 32)
+# Held-out accuracy this far above chance or less counts as not converged.
+MIN_ACCURACY_MARGIN = 0.05
 
 
 class CodebookError(Exception):
@@ -90,20 +94,6 @@ class Codebook:
         )
         return d2.argmin(axis=-1)
 
-    def nearest_exact(self, vectors: np.ndarray) -> np.ndarray:
-        """Loop-free of algebraic shortcuts: direct squared distances.
-
-        Kept as the reference route; the fast path in :meth:`nearest` expands
-        the square, which can reorder floating-point ties. Both resolve ties
-        to the lowest index.
-        """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        out = np.empty(vectors.shape[0], dtype=np.int64)
-        for i, v in enumerate(vectors):
-            d2 = ((self.entries - v) ** 2).sum(axis=1)
-            out[i] = int(np.argmin(d2))
-        return out
-
 
 @dataclass
 class SemanticFeatures:
@@ -129,7 +119,6 @@ class QuantizedMessage:
     indices: np.ndarray
     bits_per_index: int
     pad_bits: int = 0
-    frame_id: int = 0
     erased: bool = False
 
     def __post_init__(self) -> None:
@@ -144,26 +133,9 @@ class QuantizedMessage:
             raise ValueError("pad_bits must be >= 0")
 
 
-def encode(images: object, encoder: nn.Network) -> SemanticFeatures:
-    """Run the encoder over images given as Dataset, array, or single image."""
-    labels = None
-    if isinstance(images, Dataset):
-        flat = images.flattened()
-        labels = images.labels.copy()
-    elif isinstance(images, MultispectralImage):
-        flat = images.pixels.reshape(1, -1)
-        labels = np.array([images.label], dtype=np.int64)
-    else:
-        arr = np.asarray(images, dtype=np.float64)
-        if arr.ndim == 4:
-            flat = arr.reshape(arr.shape[0], -1)
-        elif arr.ndim == 2:
-            flat = arr
-        elif arr.ndim == 3:
-            flat = arr.reshape(1, -1)
-        else:
-            raise ValueError("images must be (B,H,W,D), (H,W,D) or (B,F)")
-    return SemanticFeatures(vectors=nn.forward(encoder, flat), labels=labels)
+def encode(dataset: Dataset, encoder: nn.Network) -> SemanticFeatures:
+    """Run the encoder over every image of ``dataset``; the features keep its labels."""
+    return SemanticFeatures(nn.forward(encoder, dataset.flattened()), dataset.labels.copy())
 
 
 def _split_blocks(vectors: np.ndarray, blocks: int) -> np.ndarray:
@@ -174,7 +146,7 @@ def _split_blocks(vectors: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def quantize(
-    features: SemanticFeatures, codebook: Codebook, blocks: int = 1, frame_id: int = 0
+    features: SemanticFeatures, codebook: Codebook, blocks: int = 1
 ) -> QuantizedMessage:
     """Nearest-codeword index per feature block."""
     vb = _split_blocks(features.vectors, blocks)
@@ -185,7 +157,6 @@ def quantize(
     return QuantizedMessage(
         indices=codebook.nearest(vb),
         bits_per_index=codebook.bits_per_index,
-        frame_id=frame_id,
     )
 
 
@@ -229,7 +200,6 @@ def transmit(
             indices=np.zeros_like(message.indices),
             bits_per_index=width,
             pad_bits=pad,
-            frame_id=message.frame_id,
             erased=True,
         )
     if pad:
@@ -239,7 +209,6 @@ def transmit(
         indices=indices,
         bits_per_index=width,
         pad_bits=pad,
-        frame_id=message.frame_id,
         erased=False,
     )
 
@@ -308,7 +277,7 @@ def classify_over_channel(
         stop = min(start + frame, n)
         rows = slice(start * blocks, stop * blocks)
         rng = spawn_rng(seed, *tag, fi)
-        message = QuantizedMessage(sent[rows], width, frame_id=fi)
+        message = QuantizedMessage(sent[rows], width)
         realization = sample_realization(channel_cfg, noise_variance, rng)
         arrived = transmit(message, constellation, realization, rng, channel_cfg)
         received[rows] = arrived.indices
@@ -328,7 +297,6 @@ class DtjsccConfig:
     k: int = 32
     feature_dim: int = 16
     encoder_hidden: int = 64
-    covariance_hidden: tuple[int, int] = (32, 32)
     blocks: int = 1
     epochs: int = 40
     batch_size: int = 32
@@ -336,12 +304,16 @@ class DtjsccConfig:
     codebook_weight: float = 1.0
     commitment_weight: float = 0.25
     patience: int = 12
-    min_accuracy_margin: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 2 or self.k & (self.k - 1):
             raise ValueError(f"k must be a power of two, got {self.k}")
+        for name in ("feature_dim", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.blocks < 1 or self.feature_dim % self.blocks != 0:
             raise ValueError(f"blocks must divide feature_dim {self.feature_dim}, got {self.blocks}")
 
@@ -460,7 +432,7 @@ def train_dtjscc(
     )
     classifier = nn.init_network([a, n_classes], ["linear"], spawn_rng(cfg.seed, "clf").integers(2**32))
     covariance_net = nn.init_network(
-        [a, cfg.covariance_hidden[0], cfg.covariance_hidden[1], n_classes * a],
+        [a, *COVARIANCE_HIDDEN, n_classes * a],
         ["relu", "relu", "softplus"],
         spawn_rng(cfg.seed, "cov").integers(2**32),
     )
@@ -509,7 +481,7 @@ def train_dtjscc(
     )
     val_acc = float(np.mean(np.argmax(val_probs, axis=1) == val.labels))
     chance = 1.0 / n_classes
-    if val_acc < chance + cfg.min_accuracy_margin:
+    if val_acc < chance + MIN_ACCURACY_MARGIN:
         warnings.warn(
             f"held-out accuracy {val_acc:.3f} within margin of chance {chance:.3f}"
         )

@@ -1,8 +1,9 @@
 """LEO orbit geometry and link budget.
 
-Slant range, free-space path loss, shadow fading, atmospheric terms, the
-combined large-scale gain, and the Doppler shift seen by a ground terminal.
-All angles are radians, distances kilometres unless a name says otherwise.
+Slant range, free-space path loss, a fixed shadowing margin, atmospheric
+terms, the combined large-scale gain, and the Doppler shift seen by a ground
+terminal. All angles are radians, distances kilometres unless a name says
+otherwise.
 
 Conventions in force here (kept deliberately, see README model notes):
 
@@ -16,9 +17,7 @@ Conventions in force here (kept deliberately, see README model notes):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 EARTH_RADIUS_KM = 6378.0
 MU_EARTH_M3_S2 = 3.986004418e14
@@ -52,15 +51,12 @@ class LinkBudget:
 
     carrier_ghz: float
     sat_antenna_gain_db: float = 35.0
-    shadow_sigma_db: float = 0.0
     atmospheric_loss_db: float = 0.3
     scintillation_loss_db: float = 0.5
 
     def __post_init__(self) -> None:
         if self.carrier_ghz <= 0:
             raise ValueError(f"carrier must be positive, got {self.carrier_ghz}")
-        if self.shadow_sigma_db < 0:
-            raise ValueError("shadow sigma must be non-negative")
 
 
 @dataclass
@@ -71,23 +67,11 @@ class PathLossBreakdown:
     shadow_db: float
     atmospheric_db: float
     scintillation_db: float
-    total_db: float = field(default=float("nan"))
-
-    def __post_init__(self) -> None:
-        expected = (
-            self.fspl_db + self.shadow_db + self.atmospheric_db + self.scintillation_db
-        )
-        if math.isnan(self.total_db):
-            self.total_db = expected
-        elif abs(self.total_db - expected) > 1e-12:
-            raise ValueError(
-                f"total {self.total_db} does not match component sum {expected}"
-            )
 
     @property
-    def basic_db(self) -> float:
-        """FSPL plus shadow fading, before atmospheric terms."""
-        return self.fspl_db + self.shadow_db
+    def total_db(self) -> float:
+        """The components summed in field order."""
+        return self.fspl_db + self.shadow_db + self.atmospheric_db + self.scintillation_db
 
 
 def slant_range(geom: OrbitGeometry, mode: str = "corrected") -> float:
@@ -128,15 +112,6 @@ def free_space_path_loss_db(distance_km: float, carrier_ghz: float) -> float:
         raise ValueError(f"carrier must be positive, got {carrier_ghz}")
     distance_m = distance_km * 1e3
     return 32.45 + 20.0 * math.log10(carrier_ghz) + 20.0 * math.log10(distance_m)
-
-
-def shadow_fading_sample(sigma_db: float, rng: np.random.Generator) -> float:
-    """One zero-mean log-normal shadowing draw, in dB."""
-    if sigma_db < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma_db == 0:
-        return 0.0
-    return float(rng.normal(0.0, sigma_db))
 
 
 def total_path_loss(

@@ -266,7 +266,6 @@ def linkbudget_reports(lb: LinkBudgetSettings) -> tuple[LinkReport, LinkReport]:
     budget = LinkBudget(
         carrier_ghz=lb.carrier_ghz,
         sat_antenna_gain_db=lb.sat_antenna_gain_db,
-        shadow_sigma_db=lb.shadow_sigma_db,
         atmospheric_loss_db=lb.atmospheric_loss_db,
         scintillation_loss_db=lb.scintillation_loss_db,
     )

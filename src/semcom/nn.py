@@ -177,24 +177,6 @@ def sgd_step(net: Network, grads: Gradients, learning_rate: float) -> None:
         layer.biases -= learning_rate * db
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.05
-    epochs: int = 100
-    batch_size: int = 32
-    seed: int = 0
-
-
-def backward_and_step(
-    net: Network, x: np.ndarray, loss_grad: np.ndarray, cfg: TrainConfig
-) -> Network:
-    """One SGD step from an output-space loss gradient. Mutates and returns net."""
-    _, caches = forward_cached(net, x)
-    grads = backward(net, caches, loss_grad)
-    sgd_step(net, grads, cfg.learning_rate)
-    return net
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax."""
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -21,7 +21,6 @@ from semcom.channel import (
     sample_isl_gain,
     sample_realization,
     sample_rician_gain,
-    time_frequency_response,
 )
 from semcom.seeding import spawn_rng
 
@@ -176,12 +175,3 @@ class TestPhaseRotation:
     def test_cmath_exp_agrees_with_euler(self):
         for phase in (0.0, 0.3, -2.0, math.pi):
             assert cmath_exp(phase) == pytest.approx(cmath.exp(1j * phase))
-
-    def test_time_frequency_response_oracle(self):
-        gain, t, f, fd, tau = 0.8 + 0.1j, 1e-3, 2e3, 500.0, 1e-6
-        expected = gain * cmath.exp(1j * 2 * math.pi * (t * fd - f * tau))
-        assert time_frequency_response(gain, t, f, fd, tau) == pytest.approx(expected)
-
-    def test_rotation_preserves_magnitude(self):
-        out = time_frequency_response(2.0 + 0j, 0.5, 1.0, 3.0, 0.1)
-        assert abs(out) == pytest.approx(2.0)

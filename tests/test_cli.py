@@ -72,6 +72,17 @@ class TestConfigErrors:
             ("channel", "modulation", "16qam", "'16qam'"),
             ("linkbudget", "slant_mode", "corected", "'corected'"),
             ("fedavg", "shards", "iidd", "'iidd'"),
+            ("dtjscc", "batch_size", "0", "0"),
+            ("dtjscc", "feature_dim", "0", "0"),
+            ("dtjscc", "epochs", "0", "0"),
+            ("dtjscc", "learning_rate", "nan", "nan"),
+            ("linkbudget", "carrier_ghz", "-1", "-1.0"),
+            ("linkbudget", "altitude_km", "0", "0.0"),
+            ("linkbudget", "elevation_deg", "0", "0.0"),
+            ("linkbudget", "isl_distance_km", "0", "0.0"),
+            ("fedavg", "clients", "0", "0"),
+            ("fedavg", "batch_size", "0", "0"),
+            ("csa", "reference_batch", "0", "0"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(

@@ -249,19 +249,6 @@ class TestMetaStep:
         with pytest.raises(ValueError):
             meta_step(g, None, stack, ref, (x, y), cfg)
 
-    def test_encoder_requires_raw_arrays(self):
-        x, y, ref, g, clf = self.setup_instances(9)
-        encoder = nn.init_network([6, 6], ["linear"], seed=2)
-        cfg = SAConfig(sa_lambda=0.0, inner_steps=1, meta_learning_rate=0.01, inner_learning_rate=0.05)
-        with pytest.raises(ValueError):
-            meta_step(g, encoder, clf, ref, SemanticFeatures(x, y), cfg)
-
-    def test_current_batch_needs_labels(self):
-        x, y, ref, g, clf = self.setup_instances(10)
-        cfg = SAConfig(sa_lambda=0.0, inner_steps=1, meta_learning_rate=0.01, inner_learning_rate=0.05)
-        with pytest.raises(ValueError):
-            meta_step(g, None, clf, ref, SemanticFeatures(x), cfg)
-
 
 class TestLambdaSchedule:
     def test_linear_warmup_then_flat(self):

@@ -48,6 +48,18 @@ def brute_force_nearest(entries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def nearest_exact(entries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Reference quantizer: direct squared distances, ties to the lowest index.
+
+    ``Codebook.nearest`` expands the square instead, which can reorder
+    floating-point ties.
+    """
+    out = np.empty(len(vectors), dtype=np.int64)
+    for i, v in enumerate(vectors):
+        out[i] = int(np.argmin(((entries - v) ** 2).sum(axis=1)))
+    return out
+
+
 class TestCodebook:
     def test_size_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -72,7 +84,7 @@ class TestCodebook:
         cb = Codebook(rng.standard_normal((k, 8)))
         vectors = rng.standard_normal((200, 8))
         fast = cb.nearest(vectors)
-        exact = cb.nearest_exact(vectors)
+        exact = nearest_exact(cb.entries, vectors)
         brute = brute_force_nearest(cb.entries, vectors)
         np.testing.assert_array_equal(fast, exact)
         np.testing.assert_array_equal(exact, brute)

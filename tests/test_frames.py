@@ -44,7 +44,7 @@ def reference_frames(feats, system, classifier, constellation, channel_cfg, psnr
         stop = min(start + frame, n)
         chunk = SemanticFeatures(feats.vectors[start:stop], feats.labels[start:stop])
         rng = spawn_rng(seed, *tag, fi)
-        message = quantize(chunk, system.codebook, system.blocks, frame_id=fi)
+        message = quantize(chunk, system.codebook, system.blocks)
         realization = sample_realization(channel_cfg, noise_variance_from_psnr(psnr_db), rng)
         received = transmit(message, constellation, realization, rng, channel_cfg)
         bits += frame_bit_count(received)

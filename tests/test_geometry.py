@@ -21,11 +21,9 @@ from semcom.geometry import (
     large_scale_gain_linear,
     link_budget_report,
     orbital_velocity_m_s,
-    shadow_fading_sample,
     slant_range,
     total_path_loss,
 )
-from semcom.seeding import spawn_rng
 
 TABLE_BUDGET = LinkBudget(carrier_ghz=28.0)
 ZENITH = OrbitGeometry(altitude_km=600.0, elevation_rad=math.pi / 2)
@@ -155,18 +153,3 @@ class TestDoppler:
 
     def test_vanishes_at_zenith(self):
         assert abs(doppler_shift_hz(600.0, math.pi / 2, 28.0)) < 1e-6
-
-
-class TestShadowFading:
-    def test_zero_sigma_is_exactly_zero(self):
-        assert shadow_fading_sample(0.0, spawn_rng(0, "sf")) == 0.0
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            shadow_fading_sample(-1.0, spawn_rng(0, "sf"))
-
-    def test_moments(self):
-        rng = spawn_rng(0, "sf", "moments")
-        draws = np.array([shadow_fading_sample(8.0, rng) for _ in range(20000)])
-        assert abs(draws.mean()) < 0.2
-        assert draws.std() == pytest.approx(8.0, rel=0.03)

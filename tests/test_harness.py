@@ -129,6 +129,7 @@ class TestConfigLayer:
             ("dtjscc", "min_accuracy_margin"),
             ("sweep", "name"),
             ("linkbudget", "user_antenna_gain_db"),
+            ("linkbudget", "shadow_sigma_db"),
         ],
     )
     def test_seeds_and_removed_options_are_rejected(self, tmp_path, section, key):

@@ -167,19 +167,6 @@ class TestTraining:
         np.testing.assert_allclose(net.layers[0].weights, w0 - 0.1)
         np.testing.assert_allclose(net.layers[0].biases, b0 - 0.1)
 
-    def test_backward_and_step_reduces_convex_loss(self):
-        net = nn.zeroed_network([2, 2], ["linear"])
-        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        labels = np.array([0, 1, 0])
-        cfg = nn.TrainConfig(learning_rate=0.5, epochs=1, batch_size=3, seed=0)
-        losses = []
-        for _ in range(20):
-            out = nn.forward(net, x)
-            loss, grad = nn.softmax_cross_entropy(out, labels)
-            losses.append(loss)
-            nn.backward_and_step(net, x, grad, cfg)
-        assert losses[-1] < losses[0] / 2
-
     def test_copy_is_deep(self):
         net = make_mlp(seed=8)
         clone = net.copy()
