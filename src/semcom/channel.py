@@ -178,7 +178,7 @@ def sample_gain_sequence(
     return (
         math.sqrt(r * cfg.zeta_linear / (r + 1.0)) * los
         + math.sqrt(cfg.zeta_linear / (r + 1.0)) * diffuse
-    ).astype(np.complex128)
+    )
 
 
 def apply_channel(

@@ -50,6 +50,9 @@ class LinkBudgetSettings:
             raise ValueError(f"elevation_deg must lie in (0, 90], got {self.elevation_deg}")
         if self.slant_mode not in SLANT_RANGE_MODES:
             raise ValueError(f"slant_mode must be one of {SLANT_RANGE_MODES}, got {self.slant_mode!r}")
+        for f in fields(self):
+            if f.name.endswith("_db") and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
 
 @dataclass
@@ -76,6 +79,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.rician_factor >= 0:  # also false for NaN
+            raise ValueError(f"rician_factor must be >= 0, got {self.rician_factor}")
         kinds = [kind.value for kind in ChannelKind]
         for kind in self.channels:
             if kind not in kinds:

@@ -90,6 +90,9 @@ class SAConfig:
             raise ValueError(f"reference_batch must be at least 1, got {self.reference_batch}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
+        for name in ("meta_learning_rate", "inner_learning_rate"):
+            if not 0.0 < getattr(self, name) < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         kinds = [kind.value for kind in ChannelKind]
         if self.downlink_kind not in kinds:
             raise ValueError(f"downlink_kind must be one of {kinds}, got {self.downlink_kind!r}")
@@ -506,9 +509,11 @@ class FedAvgConfig:
     def __post_init__(self) -> None:
         if self.shards not in SHARD_MODES:
             raise ValueError(f"shards must be one of {SHARD_MODES}, got {self.shards!r}")
-        for name in ("clients", "batch_size"):
+        for name in ("clients", "batch_size", "local_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:  # also false for NaN
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 def run_fedavg_baseline(

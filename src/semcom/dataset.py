@@ -85,8 +85,9 @@ class DatasetSpec:
         for name in ("per_class_count", "height", "width", "bands", "class_separation"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.temporal_drift < 0:
-            raise ValueError(f"temporal_drift must be >= 0, got {self.temporal_drift}")
+        for name in ("temporal_drift", "noise_sigma"):
+            if not getattr(self, name) >= 0:  # also false for NaN
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -87,11 +87,9 @@ class Codebook:
         Rows run along the last axis; leading axes stack independent batches.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
-        d2 = (
-            (vectors**2).sum(axis=-1, keepdims=True)
-            - 2.0 * vectors @ self.entries.T
-            + (self.entries**2).sum(axis=1)
-        )
+        d2 = 2.0 * vectors @ self.entries.T  # then |v|^2 - that + |e|^2, in place
+        np.subtract((vectors**2).sum(axis=-1, keepdims=True), d2, out=d2)
+        d2 += (self.entries**2).sum(axis=1)
         return d2.argmin(axis=-1)
 
 
@@ -309,7 +307,7 @@ class DtjsccConfig:
     def __post_init__(self) -> None:
         if self.k < 2 or self.k & (self.k - 1):
             raise ValueError(f"k must be a power of two, got {self.k}")
-        for name in ("feature_dim", "epochs", "batch_size"):
+        for name in ("feature_dim", "encoder_hidden", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < math.inf:
@@ -353,28 +351,35 @@ def _init_codebook(
     return entries
 
 
+def _flat_views(buf: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive stretches of ``buf``, each a view shaped like the array of ``like``."""
+    ends = np.cumsum([a.size for a in like]).tolist()
+    return [buf[end - a.size : end].reshape(a.shape) for a, end in zip(like, ends)]
+
+
 def _train_step(
     encoder: nn.Network,
     classifier: nn.Network,
     codebook: Codebook,
+    grads: list[np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
     noise_factor: float,
     rng: np.random.Generator,
     cfg: DtjsccConfig,
 ) -> tuple[float, float]:
-    """One joint SGD step on a batch; returns its cross-entropy and codebook MSE.
+    """Gradients of one joint SGD step on a batch; returns its cross-entropy and codebook MSE.
 
     Written for the networks :func:`train_dtjscc` builds (a relu-relu encoder
-    and a single linear head) and updating them and the codebook in place.
-    It does the floating-point operations of ``nn.forward_cached``,
-    ``nn.backward`` and ``nn.sgd_step`` in their order, so the result is
-    bit for bit theirs, but builds no caches or gradient objects and skips
-    the encoder's input gradient, which nothing reads.
+    and a single linear head); writes the seven gradients, in the order of
+    :func:`train_dtjscc`'s tensors, into ``grads``. It does the floating-point
+    operations of ``nn.forward_cached`` and ``nn.backward`` in their order, so
+    the gradients are bit for bit theirs, but builds no caches or gradient
+    objects and skips the encoder's input gradient, which nothing reads.
     """
     hidden, out = encoder.layers
     head = classifier.layers[0]
-    lr = cfg.learning_rate
+    g_w1, g_b1, g_w2, g_b2, g_head_w, g_head_b, g_entries = grads
     z1 = x @ hidden.weights + hidden.biases
     h1 = np.maximum(z1, 0.0)
     z2 = h1 @ out.weights + out.biases
@@ -393,19 +398,14 @@ def _train_step(
     d_feats = dlogits @ head.weights.T + (2.0 * cfg.commitment_weight / feats.size) * diff
     dz2 = d_feats * (z2 > 0.0)
     dz1 = (dz2 @ out.weights.T) * (z1 > 0.0)
-    d_entries = np.zeros_like(codebook.entries)
-    np.add.at(d_entries, idx, (2.0 * cfg.codebook_weight / fb.size) * (qb - fb))
-    for param, grad in (
-        (head.weights, noisy.T @ dlogits),
-        (head.biases, dlogits.sum(axis=0)),
-        (hidden.weights, x.T @ dz1),
-        (hidden.biases, dz1.sum(axis=0)),
-        (out.weights, h1.T @ dz2),
-        (out.biases, dz2.sum(axis=0)),
-        (codebook.entries, d_entries),
-    ):
-        grad *= lr  # in place: the same product as lr * grad
-        param -= grad
+    np.matmul(noisy.T, dlogits, out=g_head_w)
+    dlogits.sum(axis=0, out=g_head_b)
+    np.matmul(x.T, dz1, out=g_w1)
+    dz1.sum(axis=0, out=g_b1)
+    np.matmul(h1.T, dz2, out=g_w2)
+    dz2.sum(axis=0, out=g_b2)
+    g_entries.fill(0.0)
+    np.add.at(g_entries, idx, (2.0 * cfg.codebook_weight / fb.size) * (qb - fb))
     d2 = diff**2
     return ce, float(d2.sum() / d2.size)
 
@@ -443,6 +443,18 @@ def train_dtjscc(
     warm = nn.forward(encoder, x_all[: max(cfg.k * 4, cfg.batch_size)])
     codebook = Codebook(_init_codebook(_split_blocks(warm, cfg.blocks), cfg.k, rng))
 
+    # The seven trained tensors become views of one flat buffer and their
+    # gradients views of another, so one in-place update moves them all.
+    (hidden, out), (head,) = encoder.layers, classifier.layers
+    tensors = [hidden.weights, hidden.biases, out.weights, out.biases]
+    tensors += [head.weights, head.biases, codebook.entries]
+    params = np.concatenate([t.reshape(-1) for t in tensors])
+    grads = np.empty_like(params)
+    grad_views = _flat_views(grads, tensors)
+    tensors = _flat_views(params, tensors)
+    hidden.weights, hidden.biases, out.weights, out.biases = tensors[:4]
+    head.weights, head.biases, codebook.entries = tensors[4:]
+
     noise_factor = psnr_ratio(train_psnr_db)
     history: list[float] = []
     best_loss = math.inf
@@ -455,8 +467,11 @@ def train_dtjscc(
         for start in range(0, len(train), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             ce, mse_cb = _train_step(
-                encoder, classifier, codebook, x_all[batch], y_all[batch], noise_factor, rng, cfg
+                encoder, classifier, codebook, grad_views,
+                x_all[batch], y_all[batch], noise_factor, rng, cfg,
             )
+            grads *= cfg.learning_rate  # in place: the same product as lr * grad
+            params -= grads
             epoch_loss += ce + (cfg.codebook_weight + cfg.commitment_weight) * mse_cb
             n_batches += 1
         epoch_loss /= n_batches
@@ -471,6 +486,10 @@ def train_dtjscc(
             converged = False
             break
 
+    # The trained system owns plain arrays, not views of the buffer.
+    tensors = [t.copy() for t in tensors]
+    hidden.weights, hidden.biases, out.weights, out.biases = tensors[:4]
+    head.weights, head.biases, codebook.entries = tensors[4:]
     if np.unique(codebook.entries, axis=0).shape[0] != codebook.k:
         raise RuntimeError("duplicate codewords after training")
 

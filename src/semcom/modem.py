@@ -8,6 +8,7 @@ nearest point in Euclidean distance, ties to the lowest index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,13 +114,32 @@ def fits_in_bits(values: np.ndarray, width: int) -> bool:
     return not values.size or not int(np.bitwise_or.reduce(values, axis=None)) >> width
 
 
+def _shifted_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) uint8 rows of ``values``' bits, most significant first."""
+    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+@functools.cache
+def _bit_table(width: int) -> np.ndarray:
+    """Item v holds the ``width`` bit bytes of v as one record; built once per width."""
+    table = _shifted_bits(np.arange(1 << width), width).view(np.dtype((np.void, width)))[:, 0]
+    table.flags.writeable = False
+    return table
+
+
+def _msb_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """The bits of ``values``, most significant first, flattened; a table lookup up to 16 bits."""
+    if 0 < width <= 16:
+        return _bit_table(width)[values].view(np.uint8)
+    return _shifted_bits(values, width).reshape(-1)
+
+
 def ints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Unpack integers to MSB-first bit rows, flattened."""
     values = np.asarray(values, dtype=np.int64)
     if not fits_in_bits(values, width):
         raise ValueError(f"values do not fit in {width} bits")
-    shifts = np.arange(width - 1, -1, -1)
-    return ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    return _msb_bits(values, width)
 
 
 def bits_to_ints(bits: np.ndarray, width: int) -> np.ndarray:
@@ -143,9 +163,8 @@ def modulate(bits: np.ndarray, constellation: Constellation) -> tuple[np.ndarray
     pad = (-bits.size) % k
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    values = bits_to_ints(bits, k)
-    indices = constellation.label_to_index[values]
-    return constellation.points[indices], int(pad)
+    indices = constellation.label_to_index[bits_to_ints(bits, k)]
+    return constellation.points[indices], pad
 
 
 def demodulate_hard(
@@ -164,16 +183,15 @@ def demodulate_hard(
     gain_arr = np.asarray(gain, dtype=np.complex128)
     if not gain_arr.all():  # a complex value is false only when |value| == 0
         raise DeepFadeError("zero channel gain")
-    equalized = received / gain_arr
+    flat = (received / gain_arr).reshape(-1)
     points = constellation.points
-    indices = np.empty(equalized.size, dtype=np.int64)
-    flat = equalized.reshape(-1)
-    for start in range(0, flat.size, chunk):
-        block = flat[start : start + chunk]
-        d2 = np.abs(block[:, None] - points[None, :]) ** 2
-        indices[start : start + block.size] = np.argmin(d2, axis=1)
-    values = constellation.labels[indices]
-    return ints_to_bits(values, constellation.bits_per_symbol)
+    nearest = [  # one block when the frame fits in a chunk, or is empty
+        (np.abs(flat[start : start + chunk, None] - points[None, :]) ** 2).argmin(axis=1)
+        for start in range(0, max(flat.size, 1), chunk)
+    ]
+    indices = nearest[0] if len(nearest) == 1 else np.concatenate(nearest)
+    # Labels are 0..M-1, so they fit bits_per_symbol bits: no range check.
+    return _msb_bits(constellation.labels[indices], constellation.bits_per_symbol)
 
 
 CONSTELLATION_CSV_HEADER = "index,bits,re,im"

@@ -83,6 +83,23 @@ class TestConfigErrors:
             ("fedavg", "clients", "0", "0"),
             ("fedavg", "batch_size", "0", "0"),
             ("csa", "reference_batch", "0", "0"),
+            ("csa", "inner_lr", "nan", "nan"),
+            ("csa", "inner_lr", "inf", "inf"),
+            ("csa", "meta_lr", "0", "0.0"),
+            ("csa", "meta_lr", "-0.1", "-0.1"),
+            ("fedavg", "learning_rate", "nan", "nan"),
+            ("fedavg", "learning_rate", "0", "0.0"),
+            ("channel", "rician_factor", "-1", "-1.0"),
+            ("channel", "rician_factor", "nan", "nan"),
+            ("dataset", "noise_sigma", "-1", "-1.0"),
+            ("dataset", "noise_sigma", "nan", "nan"),
+            ("dataset", "temporal_drift", "nan", "nan"),
+            ("dtjscc", "encoder_hidden", "0", "0"),
+            ("fedavg", "local_epochs", "0", "0"),
+            ("linkbudget", "sat_antenna_gain_db", "nan", "nan"),
+            ("linkbudget", "atmospheric_loss_db", "inf", "inf"),
+            ("linkbudget", "scintillation_loss_db", "-inf", "-inf"),
+            ("linkbudget", "shadow_db", "nan", "nan"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(

@@ -322,6 +322,19 @@ def reference_train(splits, train_psnr_db, cfg):
     return encoder, classifier, codebook, history
 
 
+def assert_matches_reference(system, splits, train_psnr_db, cfg):
+    """Every trained tensor and the loss history equal the reference loop's, bit for bit."""
+    encoder, classifier, codebook, history = reference_train(splits, train_psnr_db, cfg)
+    for got, want in zip(
+        system.encoder.layers + system.classifier.layers,
+        encoder.layers + classifier.layers,
+    ):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.biases.tobytes() == want.biases.tobytes()
+    assert system.codebook.entries.tobytes() == codebook.entries.tobytes()
+    assert system.history == history
+
+
 class TestLeanStepMatchesReference:
     @pytest.mark.parametrize("blocks", [1, 4])
     @pytest.mark.parametrize("k", [32, 64])
@@ -331,18 +344,30 @@ class TestLeanStepMatchesReference:
     ):
         cfg = DtjsccConfig(k=k, blocks=blocks, epochs=3, batch_size=32, seed=21)
         system = train_dtjscc(small_splits, train_psnr_db, cfg)
-        encoder, classifier, codebook, history = reference_train(
-            small_splits, train_psnr_db, cfg
-        )
-        for got, want in zip(
-            system.encoder.layers + system.classifier.layers,
-            encoder.layers + classifier.layers,
-        ):
-            assert got.weights.tobytes() == want.weights.tobytes()
-            assert got.biases.tobytes() == want.biases.tobytes()
-        assert system.codebook.entries.tobytes() == codebook.entries.tobytes()
-        assert system.history == history
-        assert len(history) == 3
+        assert_matches_reference(system, small_splits, train_psnr_db, cfg)
+        assert len(system.history) == 3
+
+    def test_short_last_batch(self, small_splits):
+        cfg = DtjsccConfig(k=32, blocks=4, epochs=3, batch_size=100, seed=23)
+        assert len(small_splits.train) % cfg.batch_size == 10
+        system = train_dtjscc(small_splits, 4.0, cfg)
+        assert_matches_reference(system, small_splits, 4.0, cfg)
+
+    def test_early_stop_on_patience(self, small_splits):
+        cfg = DtjsccConfig(k=32, blocks=4, epochs=40, batch_size=32, patience=2, seed=22)
+        with pytest.warns(UserWarning, match="training stalled"):
+            system = train_dtjscc(small_splits, 4.0, cfg)
+        assert not system.converged and len(system.history) < cfg.epochs
+        assert_matches_reference(system, small_splits, 4.0, cfg)
+
+    def test_trained_tensors_share_no_memory(self, small_system):
+        nets = (small_system.encoder, small_system.classifier, small_system.covariance_net)
+        tensors = [a for net in nets for layer in net.layers for a in (layer.weights, layer.biases)]
+        tensors.append(small_system.codebook.entries)
+        for i, a in enumerate(tensors):
+            assert a.base is None
+            for b in tensors[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
 
 class TestPersistence:

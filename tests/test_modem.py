@@ -154,6 +154,138 @@ class TestValidationMatchesTheElementwiseChecks:
                 demodulate_hard(received, gain, build_psk(4))
 
 
+def reference_ints_to_bits(values, width):
+    values = np.asarray(values, dtype=np.int64)
+    if not fits_in_bits(values, width):
+        raise ValueError(f"values do not fit in {width} bits")
+    shifts = np.arange(width - 1, -1, -1)
+    return ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+
+
+def reference_bits_to_ints(bits, width):
+    bits = np.asarray(bits, dtype=np.int64)
+    if bits.size % width != 0:
+        raise ValueError(f"bit count {bits.size} is not a multiple of {width}")
+    weights = 1 << np.arange(width - 1, -1, -1)
+    return bits.reshape(-1, width) @ weights
+
+
+def reference_modulate(bits, constellation):
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.size and bits.max() > 1:
+        raise ValueError("bitstream must contain only 0 and 1")
+    k = constellation.bits_per_symbol
+    pad = (-bits.size) % k
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    values = reference_bits_to_ints(bits, k)
+    indices = constellation.label_to_index[values]
+    return constellation.points[indices], int(pad)
+
+
+def reference_demodulate_hard(received, gain, constellation, chunk=65536):
+    received = np.asarray(received, dtype=np.complex128)
+    gain_arr = np.asarray(gain, dtype=np.complex128)
+    if not gain_arr.all():
+        raise DeepFadeError("zero channel gain")
+    equalized = received / gain_arr
+    points = constellation.points
+    indices = np.empty(equalized.size, dtype=np.int64)
+    flat = equalized.reshape(-1)
+    for start in range(0, flat.size, chunk):
+        block = flat[start : start + chunk]
+        d2 = np.abs(block[:, None] - points[None, :]) ** 2
+        indices[start : start + block.size] = np.argmin(d2, axis=1)
+    values = constellation.labels[indices]
+    return reference_ints_to_bits(values, constellation.bits_per_symbol)
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call gives, comparable with ==: each output's dtype, shape and bytes, or the error."""
+    try:
+        out = fn(*args, **kwargs)
+    except (ValueError, DeepFadeError) as exc:
+        return type(exc), str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return [
+        (p.dtype.str, p.shape, p.tobytes()) if isinstance(p, np.ndarray) else (type(p), p)
+        for p in parts
+    ]
+
+
+class TestKernelsMatchTheReference:
+    """The table-driven bit and symbol kernels against the loops they replaced."""
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_bit_packing_random_and_edge_values(self, width):
+        top = (1 << width) - 1
+        rng = spawn_rng(0, "kernels", width)
+        values = np.concatenate(
+            [rng.integers(0, top + 1, 300), [0, 1, top, top - 1, top >> 1, 1 << (width - 1)]]
+        )
+        for vals in (values, values[:1], values[:0], values.astype(np.int32), values.tolist()):
+            assert outcome(ints_to_bits, vals, width) == outcome(reference_ints_to_bits, vals, width)
+        bits = reference_ints_to_bits(values, width)
+        assert outcome(bits_to_ints, bits, width) == outcome(reference_bits_to_ints, bits, width)
+        assert outcome(bits_to_ints, bits[:-1], width) == outcome(reference_bits_to_ints, bits[:-1], width)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 8, 16, 17, 24, 40, 62, 63, 64])
+    @pytest.mark.parametrize(
+        "values", [[0], [1], [-1], [255], [256], [2**16], [2**17 - 1], [2**62], [-(2**63)], [3, -5, 1], []]
+    )
+    def test_out_of_range_and_wide_values(self, values, width):
+        values = np.array(values, dtype=np.int64)
+        assert outcome(ints_to_bits, values, width) == outcome(reference_ints_to_bits, values, width)
+
+    @pytest.mark.parametrize("name", ["4psk", "16psk", "16apsk"])
+    @pytest.mark.parametrize("n_bits", [0, 1, 3, 4, 101, 4000])
+    def test_modulate(self, name, n_bits):
+        c = build_constellation(name)
+        bits = spawn_rng(1, "kernels", name, n_bits).integers(0, 2, size=n_bits).astype(np.uint8)
+        for b in (bits, bits.astype(np.int64), bits.astype(bool), bits.tolist()):
+            assert outcome(modulate, b, c) == outcome(reference_modulate, b, c)
+
+    @pytest.mark.parametrize(
+        "bits", [[0, 2, 1], [2], [256], [-1], [0.5, 1.0], [True, False], [1, 255]]
+    )
+    def test_modulate_rejects_what_the_reference_rejects(self, bits):
+        c = build_psk(4)
+        assert outcome(modulate, np.array(bits), c) == outcome(reference_modulate, np.array(bits), c)
+
+    @pytest.mark.parametrize("name", ["4psk", "16psk", "16apsk"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 37, 999])
+    @pytest.mark.parametrize("chunk", [7, 37, 65536])
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_demodulate_hard(self, name, n, chunk, per_symbol):
+        c = build_constellation(name)
+        rng = spawn_rng(2, "kernels", name, n)
+        received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        gain = rng.standard_normal(n) + 1j * rng.standard_normal(n) if per_symbol else 0.3 - 0.8j
+        want = outcome(reference_demodulate_hard, received, gain, c, chunk=chunk)
+        assert outcome(demodulate_hard, received, gain, c, chunk=chunk) == want
+
+    @pytest.mark.parametrize(
+        "gain",
+        [
+            0j,
+            complex(-0.0, 0.0),
+            complex(5e-324, 0.0),
+            complex(math.nan, 0.0),
+            complex(math.inf, 1.0),
+            np.array([1.0, 0.0, 1.0], dtype=complex),
+            np.array([1 + 1j, 2.0, -1j]),
+            np.array([[1.0, 2.0, 3.0]]),
+        ],
+    )
+    def test_demodulate_hard_edge_gains(self, gain):
+        received = np.array([1 + 1j, -0.5j, 0.0])
+        c = build_constellation("16apsk")
+        with np.errstate(all="ignore"):
+            assert outcome(demodulate_hard, received, gain, c) == outcome(
+                reference_demodulate_hard, received, gain, c
+            )
+
+
 class TestModulateDemodulate:
     @pytest.mark.parametrize("name", ["16psk", "16apsk"])
     def test_noiseless_round_trip_is_exact(self, name):
