@@ -85,6 +85,8 @@ class ExperimentConfig:
         for kind in self.channels:
             if kind not in kinds:
                 raise ValueError(f"channels must each be one of {kinds}, got {kind!r}")
+        if not 0.0 < self.apsk_ring_ratio < math.inf:  # also false for NaN
+            raise ValueError(f"apsk_ring_ratio must be positive and finite, got {self.apsk_ring_ratio}")
         try:
             build_constellation(self.modulation, self.apsk_ring_ratio)
         except ValueError as exc:

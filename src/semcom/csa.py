@@ -20,19 +20,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .channel import ChannelConfig, ChannelKind, noise_variance_from_psnr, sample_realization
+from .channel import ChannelConfig, ChannelKind
 from .dataset import SplitDatasets
 from .dtjscc import (
-    Codebook,
     SemanticFeatures,
     TrainedSystem,
     classify,
     classify_over_channel,
-    dequantize,
     encode,
-    frame_bit_count,
     quantize,
-    transmit,
+    send_over_channel,
+    # Not called here; perfbench's tracer test patches the csa.transmit binding.
+    transmit,  # noqa: F401
 )
 from .modem import Constellation
 from .seeding import spawn_rng
@@ -82,8 +81,8 @@ class SAConfig:
     target_accuracy: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.sa_lambda < 0:
-            raise ValueError(f"sa_lambda must be >= 0, got {self.sa_lambda}")
+        if not 0.0 <= self.sa_lambda < math.inf:  # also false for NaN
+            raise ValueError(f"sa_lambda must be >= 0 and finite, got {self.sa_lambda}")
         if self.inner_steps < 0:
             raise ValueError(f"inner_steps must be >= 0, got {self.inner_steps}")
         if self.reference_batch < 1:
@@ -106,16 +105,6 @@ class SaGradients:
     cov: np.ndarray
 
 
-def _augmentation_quadratic(
-    weights: np.ndarray, labels: np.ndarray, cov: CovarianceMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Penalty matrix Q[b, c] = (w_c - w_y)^T diag(sigma_y) (w_c - w_y)."""
-    diffs = weights[None, :, :] - weights[labels][:, None, :]  # (B, C, A)
-    sig_y = cov.per_class_diag[labels]  # (B, A)
-    quad = np.einsum("bca,ba->bc", diffs**2, sig_y)
-    return quad, diffs, sig_y
-
-
 def sa_loss(
     features: np.ndarray,
     labels: np.ndarray,
@@ -126,32 +115,36 @@ def sa_loss(
 ) -> tuple[float, SaGradients]:
     """Augmented cross-entropy and its analytic gradients.
 
-    ``weights`` is (C, A), ``biases`` (C,). At lam = 0 the value and every
-    gradient coincide exactly with plain softmax cross-entropy. The loss is
-    monotone non-decreasing in lam for any non-negative covariance, since the
-    penalty only inflates competing logits.
+    ``weights`` is (C, A), ``biases`` (C,). The logit of class c grows by
+    ``(lam / 2) Q[b, c]`` with Q[b, c] = (w_c - w_y)^T diag(sigma_y) (w_c - w_y).
+    At lam = 0 the value and every gradient equal plain softmax
+    cross-entropy's. The loss is monotone non-decreasing in lam for any
+    non-negative covariance, since the penalty only inflates competing logits.
+    The products are those of ``nn.forward_cached`` and ``nn.backward`` on a
+    linear layer holding ``weights.T``, so :func:`meta_step` gets their bits.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not lam >= 0:  # also true for NaN
+        raise ValueError(f"lam must be >= 0, got {lam}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     biases = np.asarray(biases, dtype=np.float64)
     logits = features @ weights.T + biases
-    quad, diffs, sig_y = _augmentation_quadratic(weights, labels, cov)
-    aug = logits + (lam * 0.5) * quad
+    diffs = weights[None, :, :] - weights[labels][:, None, :]  # (B, C, A)
+    diffs2 = diffs**2
+    sig_y = cov.per_class_diag[labels]  # (B, A)
+    aug = logits + (lam * 0.5) * np.einsum("bca,ba->bc", diffs2, sig_y)
     loss, grad_logits = nn.softmax_cross_entropy(aug, labels)
-    d_features = grad_logits @ weights
-    d_weights = grad_logits.T @ features
     coupling = grad_logits[:, :, None] * sig_y[:, None, :] * diffs  # (B, C, A)
-    d_weights = d_weights + lam * coupling.sum(axis=0)
-    row_sums = coupling.sum(axis=1)  # (B, A)
-    np.add.at(d_weights, labels, -lam * row_sums)
-    d_biases = grad_logits.sum(axis=0)
+    extra = coupling.sum(axis=0)
+    np.add.at(extra, labels, -coupling.sum(axis=1))
     d_cov = np.zeros_like(cov.per_class_diag)
-    np.add.at(d_cov, labels, (lam * 0.5) * np.einsum("bc,bca->ba", grad_logits, diffs**2))
+    np.add.at(d_cov, labels, (lam * 0.5) * np.einsum("bc,bca->ba", grad_logits, diffs2))
     return loss, SaGradients(
-        features=d_features, weights=d_weights, biases=d_biases, cov=d_cov
+        features=grad_logits @ weights,
+        weights=(features.T @ grad_logits).T + lam * extra,
+        biases=grad_logits.sum(axis=0),
+        cov=d_cov,
     )
 
 
@@ -258,25 +251,11 @@ def meta_step(
         if encoder is not None:
             feats, caches_f = nn.forward_cached(encoder, cur_x)
         else:
-            feats, caches_f = cur_x, None
-        logits, caches_l = nn.forward_cached(classifier, feats)
-        quad, diffs, sig_y = _augmentation_quadratic(
-            layer.weights.T, cur_y, cov
-        )
-        aug = logits + (lam * 0.5) * quad
-        loss, grad_logits = nn.softmax_cross_entropy(aug, cur_y)
-        grads_l = nn.backward(classifier, caches_l, grad_logits)
-        coupling = grad_logits[:, :, None] * sig_y[:, None, :] * diffs
-        extra = coupling.sum(axis=0)
-        np.add.at(extra, cur_y, -coupling.sum(axis=1))
-        grads_l.layers[0] = (
-            grads_l.layers[0][0] + lam * extra.T,
-            grads_l.layers[0][1],
-        )
+            feats = cur_x
+        loss, grads = sa_loss(feats, cur_y, layer.weights.T, layer.biases, cov, lam)
         if encoder is not None:
-            grads_f = nn.backward(encoder, caches_f, grads_l.wrt_input)
-            nn.sgd_step(encoder, grads_f, lr)
-        nn.sgd_step(classifier, grads_l, lr)
+            nn.sgd_step(encoder, nn.backward(encoder, caches_f, grads.features), lr)
+        nn.sgd_step(classifier, nn.Gradients([(grads.weights.T, grads.biases)]), lr)
         inner_losses.append(loss)
         if first_loss is None:
             first_loss = loss
@@ -345,24 +324,11 @@ def effective_lambda(base: float, round_index: int, n_rounds: int, warmup_fracti
     return base * min(1.0, (round_index + 1) / warm)
 
 
-def _transmit_features(
-    features: SemanticFeatures,
-    codebook: Codebook,
-    blocks: int,
-    constellation: Constellation,
-    channel_cfg: ChannelConfig,
-    psnr_db: float,
-    rng: np.random.Generator,
-) -> tuple[SemanticFeatures, int, bool]:
-    """Quantize, send one frame, dequantize. Returns features, bits, erased."""
-    message = quantize(features, codebook, blocks)
-    realization = sample_realization(
-        channel_cfg, noise_variance_from_psnr(psnr_db), rng
-    )
-    received = transmit(message, constellation, realization, rng, channel_cfg)
-    bits = frame_bit_count(received)
-    vectors = dequantize(received, codebook, blocks)
-    return SemanticFeatures(vectors, features.labels), bits, received.erased
+def top1_and_ce(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Top-1 accuracy and mean cross-entropy of (n, classes) probabilities."""
+    top1 = float(np.mean(np.argmax(probs, axis=1) == labels))
+    ce = float(np.mean(-np.log(probs[np.arange(len(labels)), labels] + 1e-12)))
+    return top1, ce
 
 
 def eval_through_downlink(
@@ -391,11 +357,7 @@ def eval_through_downlink(
         "eval",
         round_index,
     )
-    labels = test.labels
-    top1 = float(np.mean(np.argmax(probs, axis=1) == labels))
-    eps = 1e-12
-    ce = float(np.mean(-np.log(probs[np.arange(len(test)), labels] + eps)))
-    return top1, ce, bits_total
+    return (*top1_and_ce(probs, test.labels), bits_total)
 
 
 def terminal_classifier(system: TrainedSystem, sa: SAConfig, seed: int) -> nn.Network:
@@ -439,19 +401,20 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
         ref_idx = ref_rng.choice(len(t0_train), size=take, replace=False)
         ref_images = t0_train.subset(ref_idx)
         ref_feats = encode(ref_images, f_s1)
-        received_ref, isl_bits, erased = _transmit_features(
-            ref_feats,
+        ref_vectors, erased, isl_bits = send_over_channel(
+            ref_feats.vectors,
             system.codebook,
             system.blocks,
             scenario.constellation,
             scenario.isl_channel,
             scenario.sa.isl_psnr_db,
-            spawn_rng(scenario.seed, "isl", i),
+            take,
+            [spawn_rng(scenario.seed, "isl", i)],
         )
+        received_ref = SemanticFeatures(ref_vectors, ref_feats.labels)
 
-        sat2_sa = sat2_ce = float("nan")
-        ut_sa = float("nan")
-        if scenario.meta_enabled and not erased:
+        sat2_sa = ut_sa = float("nan")
+        if scenario.meta_enabled and not erased.any():
             cur_rng = spawn_rng(scenario.seed, "cur", i)
             take_cur = min(scenario.sa.reference_batch, len(t1_train))
             cur_idx = cur_rng.choice(len(t1_train), size=take_cur, replace=False)
@@ -470,11 +433,7 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
         val_feats = encode(t1_val, f_s2)
         val_msg = quantize(val_feats, system.codebook, system.blocks)
         val_probs = classify(val_msg, system.codebook, l_s2, system.blocks)
-        sat2_top1 = float(np.mean(np.argmax(val_probs, axis=1) == t1_val.labels))
-        eps = 1e-12
-        sat2_ce = float(
-            np.mean(-np.log(val_probs[np.arange(len(t1_val)), t1_val.labels] + eps))
-        )
+        sat2_top1, sat2_ce = top1_and_ce(val_probs, t1_val.labels)
 
         ut_top1, ut_ce, down_bits = eval_through_downlink(
             f_s2, l_ut, system, scenario, i
@@ -549,12 +508,7 @@ def run_fedavg_baseline(
         pool_y = np.concatenate([s.labels for s in clients])
 
         def eval_fn(net: nn.Network) -> tuple[float, float]:
-            probs = nn.softmax(nn.forward(net, pool_x))
-            top1 = float(np.mean(np.argmax(probs, axis=1) == pool_y))
-            ce = float(
-                np.mean(-np.log(probs[np.arange(len(pool_y)), pool_y] + 1e-12))
-            )
-            return top1, ce
+            return top1_and_ce(nn.softmax(nn.forward(net, pool_x)), pool_y)
 
     sizes = np.array([s.vectors.shape[0] for s in clients], dtype=np.float64)
     weights = sizes / sizes.sum()

@@ -82,12 +82,16 @@ class DatasetSpec:
     catalog: ClassCatalog = field(default_factory=ClassCatalog)
 
     def __post_init__(self) -> None:
-        for name in ("per_class_count", "height", "width", "bands", "class_separation"):
+        for name in ("per_class_count", "height", "width", "bands"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.class_separation < np.inf:  # also false for NaN
+            raise ValueError(f"class_separation must be positive and finite, got {self.class_separation}")
         for name in ("temporal_drift", "noise_sigma"):
-            if not getattr(self, name) >= 0:  # also false for NaN
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not np.isfinite(self.texture_amplitude):
+            raise ValueError(f"texture_amplitude must be finite, got {self.texture_amplitude}")
 
 
 @dataclass

@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,6 +244,44 @@ def _frame_by_frame(fn, rows: np.ndarray, frame_rows: int) -> np.ndarray:
     return np.concatenate([head.reshape(full, *head.shape[2:]), fn(rows[full:])])
 
 
+def send_over_channel(
+    vectors: np.ndarray,
+    codebook: Codebook,
+    blocks: int,
+    constellation: Constellation,
+    channel_cfg: ChannelConfig,
+    psnr_db: float,
+    frame: int,
+    rngs: Iterable[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Send feature vectors in frames of ``frame`` items and return what arrives.
+
+    Frame ``fi`` draws its realization, then its per-symbol gains and noise,
+    from the ``fi``-th generator of ``rngs``, which holds one per frame.
+    Quantizing runs once for all frames and gives, bit for bit, what
+    per-frame :func:`quantize` calls give. Returns the received (n, A)
+    codewords, a mask of the items whose frame was erased (their indices
+    arrive as zeros), and the bits on the air.
+    """
+    n = vectors.shape[0]
+    sent = _frame_by_frame(codebook.nearest, _split_blocks(vectors, blocks), frame * blocks)
+    width = codebook.bits_per_index
+    noise_variance = noise_variance_from_psnr(psnr_db)
+    received = np.empty_like(sent)
+    erased = np.zeros(n, dtype=bool)
+    bits = 0
+    for start, rng in zip(range(0, n, frame), rngs, strict=True):
+        stop = min(start + frame, n)
+        rows = slice(start * blocks, stop * blocks)
+        message = QuantizedMessage(sent[rows], width)
+        realization = sample_realization(channel_cfg, noise_variance, rng)
+        arrived = transmit(message, constellation, realization, rng, channel_cfg)
+        received[rows] = arrived.indices
+        erased[start:stop] = arrived.erased
+        bits += frame_bit_count(arrived)
+    return codebook.entries[received].reshape(n, vectors.shape[1]), erased, bits
+
+
 def classify_over_channel(
     vectors: np.ndarray,
     codebook: Codebook,
@@ -257,31 +296,16 @@ def classify_over_channel(
 ) -> tuple[np.ndarray, int]:
     """Send feature vectors in frames of ``frame`` items and classify what arrives.
 
-    Frame ``fi`` draws its realization, then its per-symbol gains and noise,
-    from ``spawn_rng(seed, *tag, fi)``. Quantizing and classifying run once
-    for all frames and give, bit for bit, what per-frame :func:`quantize`
-    and :func:`classify` calls give; items of an erased frame get the
-    uniform distribution. Returns the (n, classes) probabilities and the
-    bits on the air.
+    Frame ``fi`` draws from ``spawn_rng(seed, *tag, fi)`` in
+    :func:`send_over_channel`. Classifying runs once for all frames and
+    gives, bit for bit, what per-frame :func:`classify` calls give; items of
+    an erased frame get the uniform distribution. Returns the (n, classes)
+    probabilities and the bits on the air.
     """
-    n = vectors.shape[0]
-    sent = _frame_by_frame(codebook.nearest, _split_blocks(vectors, blocks), frame * blocks)
-    width = codebook.bits_per_index
-    noise_variance = noise_variance_from_psnr(psnr_db)
-    received = np.empty_like(sent)
-    erased = np.zeros(n, dtype=bool)
-    bits = 0
-    for fi, start in enumerate(range(0, n, frame)):
-        stop = min(start + frame, n)
-        rows = slice(start * blocks, stop * blocks)
-        rng = spawn_rng(seed, *tag, fi)
-        message = QuantizedMessage(sent[rows], width)
-        realization = sample_realization(channel_cfg, noise_variance, rng)
-        arrived = transmit(message, constellation, realization, rng, channel_cfg)
-        received[rows] = arrived.indices
-        erased[start:stop] = arrived.erased
-        bits += frame_bit_count(arrived)
-    codewords = codebook.entries[received].reshape(n, vectors.shape[1])
+    rngs = (spawn_rng(seed, *tag, fi) for fi in range(-(-vectors.shape[0] // frame)))
+    codewords, erased, bits = send_over_channel(
+        vectors, codebook, blocks, constellation, channel_cfg, psnr_db, frame, rngs
+    )
     logits = _frame_by_frame(lambda v: nn.forward(classifier, v), codewords, frame)
     probs = nn.softmax(logits)
     probs[erased] = 1.0 / classifier.output_dim

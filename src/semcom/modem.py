@@ -79,8 +79,8 @@ def build_apsk16(ring_ratio: float = DEFAULT_APSK_RING_RATIO) -> Constellation:
     the segment (01, 10, 11) and the two LSBs Gray-code the position.
     ring_ratio = 1 collapses both rings onto the unit circle.
     """
-    if ring_ratio <= 0:
-        raise ValueError(f"ring ratio must be positive, got {ring_ratio}")
+    if not 0.0 < ring_ratio < math.inf:  # also false for NaN
+        raise ValueError(f"ring ratio must be positive and finite, got {ring_ratio}")
     r1 = 2.0 / math.sqrt(1.0 + 3.0 * ring_ratio**2)
     r2 = ring_ratio * r1
     inner_k = np.arange(4)
@@ -192,17 +192,3 @@ def demodulate_hard(
     indices = nearest[0] if len(nearest) == 1 else np.concatenate(nearest)
     # Labels are 0..M-1, so they fit bits_per_symbol bits: no range check.
     return _msb_bits(constellation.labels[indices], constellation.bits_per_symbol)
-
-
-CONSTELLATION_CSV_HEADER = "index,bits,re,im"
-
-
-def constellation_csv(constellation: Constellation) -> str:
-    """Dump the point table: index, bit label, coordinates."""
-    k = constellation.bits_per_symbol
-    lines = [CONSTELLATION_CSV_HEADER]
-    for i in range(constellation.order):
-        bits = format(int(constellation.labels[i]), f"0{k}b")
-        p = constellation.points[i]
-        lines.append(f"{i},{bits},{float(p.real)!r},{float(p.imag)!r}")
-    return "\n".join(lines) + "\n"

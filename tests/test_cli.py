@@ -100,6 +100,18 @@ class TestConfigErrors:
             ("linkbudget", "atmospheric_loss_db", "inf", "inf"),
             ("linkbudget", "scintillation_loss_db", "-inf", "-inf"),
             ("linkbudget", "shadow_db", "nan", "nan"),
+            ("csa", "lambda", "nan", "nan"),
+            ("csa", "lambda", "inf", "inf"),
+            ("channel", "apsk_ring_ratio", "nan", "nan"),
+            ("channel", "apsk_ring_ratio", "inf", "inf"),
+            ("channel", "apsk_ring_ratio", "0", "0.0"),
+            ("dataset", "class_separation", "nan", "nan"),
+            ("dataset", "class_separation", "inf", "inf"),
+            ("dataset", "class_separation", "0", "0.0"),
+            ("dataset", "texture_amplitude", "nan", "nan"),
+            ("dataset", "texture_amplitude", "-inf", "-inf"),
+            ("dataset", "noise_sigma", "inf", "inf"),
+            ("dataset", "temporal_drift", "inf", "inf"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(

@@ -13,6 +13,8 @@ from semcom.csa import (
     ROUNDLOG_CSV_HEADER,
     RoundLog,
     SAConfig,
+    _covariance_backward,
+    _predict_covariance_cached,
     effective_lambda,
     final_accuracy,
     meta_step,
@@ -77,6 +79,11 @@ class TestSaLossOracle:
         feats, labels, w, b, cov = random_instance(2)
         with pytest.raises(ValueError):
             sa_loss(feats, labels, w, b, cov, lam=-0.1)
+
+    def test_nan_lambda_rejected(self):
+        feats, labels, w, b, cov = random_instance(2)
+        with pytest.raises(ValueError):
+            sa_loss(feats, labels, w, b, cov, lam=float("nan"))
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
     def test_all_gradients_match_finite_differences(self, lam):
@@ -248,6 +255,107 @@ class TestMetaStep:
         cfg = SAConfig(sa_lambda=0.5, inner_steps=1, meta_learning_rate=0.01, inner_learning_rate=0.05)
         with pytest.raises(ValueError):
             meta_step(g, None, stack, ref, (x, y), cfg)
+
+
+def reference_meta_step(g, encoder, classifier, reference, current_batch, cfg):
+    """``meta_step`` as it was with its own inline copy of the augmented-loss algebra.
+
+    The inner step backpropagates the plain logits through ``nn.backward``
+    and adds the penalty's weight gradient afterwards; the outer step takes
+    the loss and covariance gradient of the augmented objective. Returns the
+    inner losses and the outer loss.
+    """
+
+    def quadratic(weights, labels, cov):
+        diffs = weights[None, :, :] - weights[labels][:, None, :]
+        sig_y = cov.per_class_diag[labels]
+        return np.einsum("bca,ba->bc", diffs**2, sig_y), diffs, sig_y
+
+    layer = classifier.layers[0]
+    cov, cov_caches = _predict_covariance_cached(g, reference)
+    cur_x = np.asarray(current_batch[0], dtype=np.float64)
+    cur_y = np.asarray(current_batch[1], dtype=np.int64)
+    lam, lr = cfg.sa_lambda, cfg.inner_learning_rate
+    inner_losses = []
+    first_loss = None
+    for _ in range(cfg.inner_steps):
+        if encoder is not None:
+            feats, caches_f = nn.forward_cached(encoder, cur_x)
+        else:
+            feats, caches_f = cur_x, None
+        logits, caches_l = nn.forward_cached(classifier, feats)
+        quad, diffs, sig_y = quadratic(layer.weights.T, cur_y, cov)
+        loss, grad_logits = nn.softmax_cross_entropy(logits + (lam * 0.5) * quad, cur_y)
+        grads_l = nn.backward(classifier, caches_l, grad_logits)
+        coupling = grad_logits[:, :, None] * sig_y[:, None, :] * diffs
+        extra = coupling.sum(axis=0)
+        np.add.at(extra, cur_y, -coupling.sum(axis=1))
+        grads_l.layers[0] = (grads_l.layers[0][0] + lam * extra.T, grads_l.layers[0][1])
+        if encoder is not None:
+            grads_f = nn.backward(encoder, caches_f, grads_l.wrt_input)
+            nn.sgd_step(encoder, grads_f, lr)
+        nn.sgd_step(classifier, grads_l, lr)
+        inner_losses.append(loss)
+        if first_loss is None:
+            first_loss = loss
+        elif first_loss > 0 and loss > 10.0 * first_loss:
+            raise DivergenceError(f"inner loss {loss:.4f} exceeded 10x initial {first_loss:.4f}")
+
+    labels = reference.labels
+    logits = reference.vectors @ layer.weights + layer.biases
+    quad, diffs, _ = quadratic(layer.weights.T, labels, cov)
+    outer_loss, grad_logits = nn.softmax_cross_entropy(logits + (lam * 0.5) * quad, labels)
+    d_cov = np.zeros_like(cov.per_class_diag)
+    np.add.at(d_cov, labels, (lam * 0.5) * np.einsum("bc,bca->ba", grad_logits, diffs**2))
+    nn.sgd_step(g, _covariance_backward(g, cov_caches, d_cov), cfg.meta_learning_rate)
+    return inner_losses, outer_loss
+
+
+def network_bytes(*nets):
+    return [a.tobytes() for net in nets if net is not None for l in net.layers for a in (l.weights, l.biases)]
+
+
+class TestMetaStepMatchesInlineReference:
+    """``meta_step`` through ``sa_loss`` against the inline algebra it replaced, bit for bit."""
+
+    def networks(self, with_encoder, c=4, a=6):
+        encoder = nn.init_network([a, 10, a], ["relu", "relu"], seed=21) if with_encoder else None
+        clf = nn.init_network([a, c], ["linear"], seed=22)
+        g = nn.init_network([a, 12, c * a], ["relu", "softplus"], seed=23)
+        return encoder, clf, g
+
+    def batches(self, rounds, b=16, c=4, a=6):
+        rng = spawn_rng(24, "rounds")
+        for _ in range(rounds):
+            ref = SemanticFeatures(rng.standard_normal((20, a)), rng.integers(0, c, size=20))
+            yield ref, (rng.standard_normal((b, a)), rng.integers(0, c, size=b))
+
+    @pytest.mark.parametrize("inner_steps", [0, 1, 3])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("with_encoder", [False, True])
+    def test_rounds_are_bit_identical(self, with_encoder, lam, inner_steps):
+        cfg = SAConfig(sa_lambda=lam, inner_steps=inner_steps, meta_learning_rate=0.05, inner_learning_rate=0.1)
+        mine = self.networks(with_encoder)
+        theirs = tuple(net.copy() if net is not None else None for net in mine)
+        for ref, batch in self.batches(4):
+            info = meta_step(mine[2], mine[0], mine[1], ref, batch, cfg)
+            inner, outer = reference_meta_step(theirs[2], theirs[0], theirs[1], ref, batch, cfg)
+            assert np.array(info.inner_losses).tobytes() == np.array(inner).tobytes()
+            assert np.float64(info.outer_loss).tobytes() == np.float64(outer).tobytes()
+            assert network_bytes(*mine) == network_bytes(*theirs)
+
+    @pytest.mark.parametrize("with_encoder", [False, True])
+    def test_divergence_is_raised_at_the_same_step(self, with_encoder):
+        cfg = SAConfig(sa_lambda=0.5, inner_steps=4, meta_learning_rate=0.01, inner_learning_rate=1e4)
+        mine = self.networks(with_encoder)
+        theirs = tuple(net.copy() if net is not None else None for net in mine)
+        ref, (x, y) = next(self.batches(1))
+        with pytest.raises(DivergenceError) as got:
+            meta_step(mine[2], mine[0], mine[1], ref, (x * 5.0, y), cfg)
+        with pytest.raises(DivergenceError) as want:
+            reference_meta_step(theirs[2], theirs[0], theirs[1], ref, (x * 5.0, y), cfg)
+        assert str(got.value) == str(want.value)
+        assert network_bytes(*mine) == network_bytes(*theirs)
 
 
 class TestLambdaSchedule:

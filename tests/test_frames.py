@@ -3,7 +3,9 @@
 ``classify_over_channel`` quantizes a whole set once and classifies it once;
 the references below quantize, send and classify frame by frame, as both
 evaluation functions did before. Every probability, prediction, loss and
-bit count must come out identical.
+bit count must come out identical. The inter-satellite link sends its
+reference batch as one frame through ``send_over_channel``; its reference
+quantizes, sends and dequantizes that frame as the round loop once did.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from semcom.dtjscc import (
     SemanticFeatures,
     classify,
     classify_over_channel,
+    dequantize,
     encode,
     frame_bit_count,
     quantize,
+    send_over_channel,
     train_dtjscc,
     transmit,
 )
@@ -50,6 +54,18 @@ def reference_frames(feats, system, classifier, constellation, channel_cfg, psnr
         bits += frame_bit_count(received)
         probs[start:stop] = classify(received, system.codebook, classifier, system.blocks)
     return probs, bits
+
+
+def reference_isl(features, codebook, blocks, constellation, channel_cfg, psnr_db, rng):
+    """The round loop's former one-frame link: quantize, send, dequantize.
+
+    Returns the received vectors, the bits on the air and whether the frame
+    was erased.
+    """
+    message = quantize(features, codebook, blocks)
+    realization = sample_realization(channel_cfg, noise_variance_from_psnr(psnr_db), rng)
+    received = transmit(message, constellation, realization, rng, channel_cfg)
+    return dequantize(received, codebook, blocks), frame_bit_count(received), received.erased
 
 
 def reference_evaluate(system, dataset, constellation, channel_cfg, psnr_db, seed, repetitions, frame):
@@ -157,27 +173,65 @@ class TestFrameLoopMatchesPerFrameReference:
 
     @pytest.mark.parametrize("fading", sorted(FADING))
     def test_erased_frames_are_identical(self, systems, small_splits, fading, monkeypatch):
-        """Zero gains on roughly every fifth frame force erasures in both paths."""
-        erasures = []
-        if fading == "block":
-            original = channel.sample_rician_gain
-
-            def faded(*args, **kwargs):
-                gain = original(*args, **kwargs)
-                erasures.append(abs(gain) < 0.5)
-                return 0j if erasures[-1] else gain
-
-            monkeypatch.setattr(channel, "sample_rician_gain", faded)
-        else:
-            original = dtjscc.sample_gain_sequence
-
-            def faded(*args, **kwargs):
-                gains = original(*args, **kwargs)
-                erasures.append(abs(gains[0]) < 0.5)
-                if erasures[-1]:
-                    gains[-1] = 0.0
-                return gains
-
-            monkeypatch.setattr(dtjscc, "sample_gain_sequence", faded)
+        erasures = force_erasures(fading, monkeypatch)
         assert_both_paths_match(systems[4], small_splits, fading, 7)
+        assert 0 < sum(erasures) < len(erasures)
+
+
+def force_erasures(fading, monkeypatch):
+    """Zero gains on roughly every fifth frame; returns the per-frame erasure flags."""
+    erasures = []
+    if fading == "block":
+        original = channel.sample_rician_gain
+
+        def faded(*args, **kwargs):
+            gain = original(*args, **kwargs)
+            erasures.append(abs(gain) < 0.5)
+            return 0j if erasures[-1] else gain
+
+        monkeypatch.setattr(channel, "sample_rician_gain", faded)
+    else:
+        original = dtjscc.sample_gain_sequence
+
+        def faded(*args, **kwargs):
+            gains = original(*args, **kwargs)
+            erasures.append(abs(gains[0]) < 0.5)
+            if erasures[-1]:
+                gains[-1] = 0.0
+            return gains
+
+        monkeypatch.setattr(dtjscc, "sample_gain_sequence", faded)
+    return erasures
+
+
+def assert_isl_matches(system, splits, fading, rounds):
+    channel_cfg, modulation = FADING[fading]
+    constellation = build_constellation(modulation)
+    feats = encode(splits.train, system.encoder)
+    for i in range(rounds):
+        batch = SemanticFeatures(feats.vectors[i::rounds], feats.labels[i::rounds])
+        n = batch.vectors.shape[0]
+        vectors, erased, bits = send_over_channel(
+            batch.vectors, system.codebook, system.blocks, constellation,
+            channel_cfg, 6.0, n, [spawn_rng(17, "isl", i)],
+        )
+        want_vectors, want_bits, want_erased = reference_isl(
+            batch, system.codebook, system.blocks, constellation,
+            channel_cfg, 6.0, spawn_rng(17, "isl", i),
+        )
+        assert vectors.tobytes() == want_vectors.tobytes()
+        assert bits == want_bits
+        assert erased.tobytes() == np.full(n, want_erased).tobytes()
+
+
+class TestIslFrameMatchesReference:
+    @pytest.mark.parametrize("blocks", [1, 4])
+    @pytest.mark.parametrize("fading", sorted(FADING))
+    def test_outputs_are_identical(self, systems, small_splits, blocks, fading):
+        assert_isl_matches(systems[blocks], small_splits, fading, 6)
+
+    @pytest.mark.parametrize("fading", sorted(FADING))
+    def test_erased_frames_are_identical(self, systems, small_splits, fading, monkeypatch):
+        erasures = force_erasures(fading, monkeypatch)
+        assert_isl_matches(systems[4], small_splits, fading, 30)
         assert 0 < sum(erasures) < len(erasures)

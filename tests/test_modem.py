@@ -16,7 +16,6 @@ from semcom.modem import (
     build_apsk16,
     build_constellation,
     build_psk,
-    constellation_csv,
     demodulate_hard,
     fits_in_bits,
     ints_to_bits,
@@ -67,16 +66,10 @@ class TestConstellations:
         with pytest.raises(ValueError):
             build_constellation("qam64")
 
-    def test_csv_dump_parses_back(self):
-        c = build_psk(4)
-        lines = constellation_csv(c).strip().splitlines()
-        assert lines[0] == "index,bits,re,im"
-        assert len(lines) == 5
-        for i, line in enumerate(lines[1:]):
-            idx, bits, re_s, im_s = line.split(",")
-            assert int(idx) == i
-            assert int(bits, 2) == int(c.labels[i])
-            assert complex(float(re_s), float(im_s)) == pytest.approx(c.points[i])
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+    def test_apsk_ring_ratio_must_be_positive_and_finite(self, ratio):
+        with pytest.raises(ValueError):
+            build_apsk16(ring_ratio=ratio)
 
 
 class TestBitPacking:
