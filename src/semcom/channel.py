@@ -1,7 +1,8 @@
 """Complex baseband fading channels.
 
-Flat-fading model ``Y = H X + N``. The channel gain H combines a line-of-sight
-phasor and a diffuse complex Gaussian component (Rician); the inter-satellite
+Flat-fading model ``Y = H X + N``. The channel gain H combines a zero-phase
+line-of-sight term and a diffuse complex Gaussian component (Rician) at unit
+large-scale gain, so the PSNR alone sets the noise; the inter-satellite
 variant keeps only the line-of-sight part. Noise is circularly-symmetric
 complex Gaussian, variance split evenly between quadratures, added after
 fading, i.i.d. per symbol. Block fading (one gain per frame) is the default;
@@ -47,46 +48,33 @@ class ChannelConfig:
 
     kind: ChannelKind = ChannelKind.AWGN
     rician_factor: float = 2.8
-    zeta_linear: float = 1.0
-    los_phase_rad: float = 0.0
     per_symbol_fading: bool = False
 
     def __post_init__(self) -> None:
         self.kind = ChannelKind(self.kind)
         if self.rician_factor < 0:
             raise ValueError(f"rician factor must be >= 0, got {self.rician_factor}")
-        if self.zeta_linear <= 0:
-            raise ValueError("large-scale gain must be positive")
 
 
 def sample_rician_gain(
-    rician_factor: float,
-    zeta_linear: float,
-    rng: np.random.Generator,
-    los_phase_rad: float = 0.0,
+    rician_factor: float, zeta_linear: float, rng: np.random.Generator
 ) -> complex:
     """Draw one Rician gain.
 
-    ``sqrt(R z / (R+1)) fbar + sqrt(z / (R+1)) ftilde`` with ``fbar`` the
-    unit-modulus line-of-sight phasor and ``ftilde ~ CN(0, 1)``. R = 0
-    degenerates to Rayleigh. E[|gain|^2] = z for every R >= 0.
+    ``sqrt(R z / (R+1)) + sqrt(z / (R+1)) ftilde`` with a zero-phase
+    line-of-sight term and ``ftilde ~ CN(0, 1)``. R = 0 degenerates to
+    Rayleigh. E[|gain|^2] = z for every R >= 0.
     """
     if rician_factor < 0:
         raise ValueError(f"rician factor must be >= 0, got {rician_factor}")
     if zeta_linear <= 0:
         raise ValueError("large-scale gain must be positive")
-    los = cmath_exp(los_phase_rad)
     diffuse = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
     r = rician_factor
-    return (
-        math.sqrt(r * zeta_linear / (r + 1.0)) * los
-        + math.sqrt(zeta_linear / (r + 1.0)) * diffuse
-    )
+    return math.sqrt(r * zeta_linear / (r + 1.0)) + math.sqrt(zeta_linear / (r + 1.0)) * diffuse
 
 
-def sample_isl_gain(
-    rician_factor: float, zeta_linear: float, los_phase_rad: float = 0.0
-) -> complex:
+def sample_isl_gain(rician_factor: float, zeta_linear: float) -> complex:
     """Deterministic inter-satellite gain, line-of-sight term only.
 
     No diffuse component and no renormalization, so the gain carries just the
@@ -98,12 +86,7 @@ def sample_isl_gain(
     if zeta_linear <= 0:
         raise ValueError("large-scale gain must be positive")
     r = rician_factor
-    return math.sqrt(r * zeta_linear / (r + 1.0)) * cmath_exp(los_phase_rad)
-
-
-def cmath_exp(phase_rad: float) -> complex:
-    """Unit phasor e^{j phase}."""
-    return complex(math.cos(phase_rad), math.sin(phase_rad))
+    return complex(math.sqrt(r * zeta_linear / (r + 1.0)))
 
 
 def psnr_ratio(psnr_db: float) -> float:
@@ -128,15 +111,14 @@ def psnr_ratio(psnr_db: float) -> float:
     return ratio
 
 
-def noise_variance_from_psnr(psnr_db: float, signal_power: float = 1.0) -> float:
+def noise_variance_from_psnr(psnr_db: float) -> float:
     """Total complex noise variance giving the requested peak-SNR in dB.
 
-    ``sigma^2 = P / 10^(psnr/10)``; an infinite PSNR gives exactly zero.
-    PSNR values that :func:`psnr_ratio` rejects raise :class:`ValueError`.
+    ``sigma^2 = 1 / 10^(psnr/10)`` at unit signal power; an infinite PSNR
+    gives exactly zero. PSNR values that :func:`psnr_ratio` rejects raise
+    :class:`ValueError`.
     """
-    if signal_power <= 0:
-        raise ValueError("signal power must be positive")
-    return signal_power / psnr_ratio(psnr_db)
+    return 1.0 / psnr_ratio(psnr_db)
 
 
 def sample_realization(
@@ -146,13 +128,11 @@ def sample_realization(
     if cfg.kind is ChannelKind.AWGN:
         gain = 1.0 + 0.0j
     elif cfg.kind is ChannelKind.LEO_RICIAN:
-        gain = sample_rician_gain(
-            cfg.rician_factor, cfg.zeta_linear, rng, cfg.los_phase_rad
-        )
+        gain = sample_rician_gain(cfg.rician_factor, 1.0, rng)
     elif cfg.kind is ChannelKind.LEO_RAYLEIGH:
-        gain = sample_rician_gain(0.0, cfg.zeta_linear, rng, cfg.los_phase_rad)
+        gain = sample_rician_gain(0.0, 1.0, rng)
     elif cfg.kind is ChannelKind.ISL:
-        gain = sample_isl_gain(cfg.rician_factor, cfg.zeta_linear, cfg.los_phase_rad)
+        gain = sample_isl_gain(cfg.rician_factor, 1.0)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown channel kind {cfg.kind}")
     return ChannelRealization(gain=gain, noise_variance=noise_variance, kind=cfg.kind)
@@ -165,20 +145,12 @@ def sample_gain_sequence(
     if cfg.kind is ChannelKind.AWGN:
         return np.ones(count, dtype=np.complex128)
     if cfg.kind is ChannelKind.ISL:
-        return np.full(
-            count,
-            sample_isl_gain(cfg.rician_factor, cfg.zeta_linear, cfg.los_phase_rad),
-            dtype=np.complex128,
-        )
+        return np.full(count, sample_isl_gain(cfg.rician_factor, 1.0), dtype=np.complex128)
     r = 0.0 if cfg.kind is ChannelKind.LEO_RAYLEIGH else cfg.rician_factor
-    los = cmath_exp(cfg.los_phase_rad)
     diffuse = (
         rng.standard_normal(count) + 1j * rng.standard_normal(count)
     ) / math.sqrt(2.0)
-    return (
-        math.sqrt(r * cfg.zeta_linear / (r + 1.0)) * los
-        + math.sqrt(cfg.zeta_linear / (r + 1.0)) * diffuse
-    )
+    return math.sqrt(r / (r + 1.0)) + math.sqrt(1.0 / (r + 1.0)) * diffuse
 
 
 def apply_channel(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig, ChannelKind, psnr_ratio
 from .csa import FedAvgConfig, SAConfig
-from .dataset import SPLIT_RATIOS, DatasetSpec, split_counts
+from .dataset import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from .dtjscc import DtjsccConfig
 from .geometry import SLANT_RANGE_MODES
 from .modem import build_constellation
@@ -79,6 +79,9 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for k in self.k_presets:
+            if k < 2 or k & (k - 1):
+                raise ValueError(f"k_presets must each be a power of two >= 2, got {k}")
         if not self.rician_factor >= 0:  # also false for NaN
             raise ValueError(f"rician_factor must be >= 0, got {self.rician_factor}")
         kinds = [kind.value for kind in ChannelKind]
@@ -119,7 +122,7 @@ _ALIASES = {
     "psnr_grid": "psnr_grid_db",
 }
 # Fields bound from the master seed or fixed in code, never read from the file.
-_NOT_IN_FILE = {"seed", "master_seed", "catalog"}
+_NOT_IN_FILE = {"seed", "master_seed"}
 # [channel] and [sweep] both fill ExperimentConfig; these keys are [channel]'s.
 _CHANNEL_KEYS = ("kinds", "modulation", "rician_factor", "apsk_ring_ratio", "per_symbol")
 
@@ -226,8 +229,9 @@ def validate(cfg: HarnessConfig) -> HarnessConfig:
     """Return ``cfg`` unchanged, or raise :class:`ConfigError` naming the bad key.
 
     Counts must be at least 1, PSNR values finite with a power ratio a float
-    can hold, and ``dataset.per_class_count`` large enough to give every
-    split at least one image per class. Keys carry their INI names.
+    can hold, ``dataset.per_class_count`` large enough to give every split at
+    least one image per class, and ``fedavg.clients`` small enough to give
+    every client shard a sample. Keys carry their INI names.
     """
     ex, cs = cfg.experiment, cfg.csa
     counts = {
@@ -255,9 +259,21 @@ def validate(cfg: HarnessConfig) -> HarnessConfig:
         if not usable:
             raise ConfigError(f"{key} must be a finite PSNR whose power ratio fits a float, got {value}")
     per_class = cfg.dataset.per_class_count
-    if min(split_counts(per_class, SPLIT_RATIOS)) < 1:
+    per_split = split_counts(per_class, SPLIT_RATIOS)
+    if min(per_split) < 1:
         raise ConfigError(
             "dataset.per_class_count must give every train/val/test split "
             f"at least one image per class, got {per_class}"
         )
+    fa = cfg.fedavg
+    n_classes = len(EUROSAT_CLASS_NAMES)
+    if fa.shards == "disjoint":
+        most, why = n_classes, "disjoint shards give each client at least one class"
+    else:
+        train = per_split[0]
+        if fa.scarce_per_class > 0:
+            train = min(train, fa.scarce_per_class)
+        most, why = n_classes * train, "iid shards give each client a labelled t_1 train image"
+    if fa.clients > most:
+        raise ConfigError(f"fedavg.clients must be at most {most} ({why}), got {fa.clients}")
     return cfg

@@ -54,10 +54,6 @@ class CovarianceMatrix:
         if np.any(self.per_class_diag < 0):
             raise ValueError("covariance entries must be >= 0")
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.per_class_diag.shape[0])
-
 
 @dataclass
 class SAConfig:
@@ -89,6 +85,8 @@ class SAConfig:
             raise ValueError(f"reference_batch must be at least 1, got {self.reference_batch}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
+        if not 0.0 < self.target_accuracy <= 1.0:  # also false for NaN
+            raise ValueError(f"target_accuracy must lie in (0, 1], got {self.target_accuracy}")
         for name in ("meta_learning_rate", "inner_learning_rate"):
             if not 0.0 < getattr(self, name) < math.inf:  # also false for NaN
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
@@ -332,20 +330,18 @@ def top1_and_ce(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
 
 
 def eval_through_downlink(
-    encoder: nn.Network,
+    test_vectors: np.ndarray,
     classifier: nn.Network,
     system: TrainedSystem,
     scenario: CsaScenario,
     round_index: int,
 ) -> tuple[float, float, int]:
-    """Transmit the t_1 test set in frames and classify at the terminal.
+    """Transmit the encoded t_1 test set in frames and classify at the terminal.
 
     Returns Top-1, mean cross-entropy and the bits sent on the downlink.
     """
-    test = scenario.splits_t1.test
-    feats = encode(test, encoder)
     probs, bits_total = classify_over_channel(
-        feats.vectors,
+        test_vectors,
         system.codebook,
         classifier,
         system.blocks,
@@ -357,7 +353,7 @@ def eval_through_downlink(
         "eval",
         round_index,
     )
-    return (*top1_and_ce(probs, test.labels), bits_total)
+    return (*top1_and_ce(probs, scenario.splits_t1.test.labels), bits_total)
 
 
 def terminal_classifier(system: TrainedSystem, sa: SAConfig, seed: int) -> nn.Network:
@@ -376,7 +372,9 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
     adapt on the identically received reference (the satellite also trains on
     its own current t_1 batch); the second satellite then transmits the t_1
     test set down to the terminal for inference. With ``meta_enabled`` off
-    the networks stay frozen and the loop is pure evaluation.
+    the networks stay frozen and the loop is pure evaluation. The validation
+    score and the test features are recomputed only in round 0 and after a
+    round that adapted, since only then can they change.
     """
     system = scenario.system
     f_s1 = system.encoder
@@ -414,7 +412,8 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
         received_ref = SemanticFeatures(ref_vectors, ref_feats.labels)
 
         sat2_sa = ut_sa = float("nan")
-        if scenario.meta_enabled and not erased.any():
+        adapted = scenario.meta_enabled and not erased.any()
+        if adapted:
             cur_rng = spawn_rng(scenario.seed, "cur", i)
             take_cur = min(scenario.sa.reference_batch, len(t1_train))
             cur_idx = cur_rng.choice(len(t1_train), size=take_cur, replace=False)
@@ -430,13 +429,14 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
             sat2_sa = info_s2.inner_losses[-1] if info_s2.inner_losses else info_s2.outer_loss
             ut_sa = info_ut.inner_losses[-1] if info_ut.inner_losses else info_ut.outer_loss
 
-        val_feats = encode(t1_val, f_s2)
-        val_msg = quantize(val_feats, system.codebook, system.blocks)
-        val_probs = classify(val_msg, system.codebook, l_s2, system.blocks)
-        sat2_top1, sat2_ce = top1_and_ce(val_probs, t1_val.labels)
+        if adapted or i == 0:
+            val_msg = quantize(encode(t1_val, f_s2), system.codebook, system.blocks)
+            val_probs = classify(val_msg, system.codebook, l_s2, system.blocks)
+            sat2_top1, sat2_ce = top1_and_ce(val_probs, t1_val.labels)
+            test_vectors = encode(scenario.splits_t1.test, f_s2).vectors
 
         ut_top1, ut_ce, down_bits = eval_through_downlink(
-            f_s2, l_ut, system, scenario, i
+            test_vectors, l_ut, system, scenario, i
         )
         logs.append(
             RoundLog(i, "sat2", sat2_top1, sat2_ce, sat2_sa, isl_bits)

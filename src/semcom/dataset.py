@@ -79,7 +79,6 @@ class DatasetSpec:
     noise_sigma: float = 1.0
     texture_amplitude: float = 0.5
     seed: int = 0
-    catalog: ClassCatalog = field(default_factory=ClassCatalog)
 
     def __post_init__(self) -> None:
         for name in ("per_class_count", "height", "width", "bands"):
@@ -140,7 +139,7 @@ class SplitDatasets:
 
 def _class_signatures(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
     """Signatures with pairwise distance >= class_separation, by rescaling."""
-    c = len(spec.catalog)
+    c = len(EUROSAT_CLASS_NAMES)
     while True:
         sig = rng.normal(0.0, 1.0, size=(c, spec.bands))
         diff = sig[:, None, :] - sig[None, :, :]
@@ -166,9 +165,7 @@ def _texture(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
 SPLIT_RATIOS = (0.70, 0.15, 0.15)
 
 
-def generate_synthetic(
-    spec: DatasetSpec, ratios: tuple[float, float, float] = SPLIT_RATIOS
-) -> tuple[SplitDatasets, SplitDatasets]:
+def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]:
     """Generate the t_0 scenario and its drifted t_1 twin, both split.
 
     Returns (splits at t_0, splits at t_1). The t_1 pixels are the t_0 pixels
@@ -177,7 +174,8 @@ def generate_synthetic(
     """
     rng = spawn_rng(spec.seed, "dataset", "images")
     signatures = _class_signatures(spec, spawn_rng(spec.seed, "dataset", "signatures"))
-    c = len(spec.catalog)
+    catalog = ClassCatalog()
+    c = len(catalog)
     n = c * spec.per_class_count
     pixels = np.empty((n, spec.height, spec.width, spec.bands))
     labels = np.repeat(np.arange(c), spec.per_class_count)
@@ -194,13 +192,9 @@ def generate_synthetic(
     pixels_t1 = pixels + shift[:, None, None, :].astype(np.float64)
     pixels_t1 = pixels_t1.astype(np.float32).astype(np.float64)
 
-    ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64), spec.catalog)
-    ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64), spec.catalog)
-    split_seed = spec.seed
-    return (
-        split(ds_t0, ratios, split_seed),
-        split(ds_t1, ratios, split_seed),
-    )
+    ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64), catalog)
+    ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64), catalog)
+    return split(ds_t0, SPLIT_RATIOS, spec.seed), split(ds_t1, SPLIT_RATIOS, spec.seed)
 
 
 def split_counts(n: int, ratios: tuple[float, float, float]) -> list[int]:
@@ -282,7 +276,7 @@ def save_tensor_file(path: str, dataset: Dataset) -> None:
             fh.write(dataset.pixels[i].astype("<f4").tobytes(order="C"))
 
 
-def load_tensor_file(path: str, catalog: ClassCatalog | None = None) -> Dataset:
+def load_tensor_file(path: str) -> Dataset:
     """Read an MSIT container written by :func:`save_tensor_file`."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -313,12 +307,11 @@ def load_tensor_file(path: str, catalog: ClassCatalog | None = None) -> Dataset:
     if count == 0:
         raise TensorFileError("container holds no records")
     stack = np.stack(pixels)
-    if catalog is None:
-        n_classes = int(labels.max()) + 1
-        if n_classes <= len(EUROSAT_CLASS_NAMES):
-            catalog = ClassCatalog()
-        else:
-            catalog = ClassCatalog(tuple(f"class{i}" for i in range(n_classes)))
+    n_classes = int(labels.max()) + 1
+    if n_classes <= len(EUROSAT_CLASS_NAMES):
+        catalog = ClassCatalog()
+    else:
+        catalog = ClassCatalog(tuple(f"class{i}" for i in range(n_classes)))
     return Dataset(stack, labels, timestamps, catalog)
 
 

@@ -331,11 +331,14 @@ class DtjsccConfig:
     def __post_init__(self) -> None:
         if self.k < 2 or self.k & (self.k - 1):
             raise ValueError(f"k must be a power of two, got {self.k}")
-        for name in ("feature_dim", "encoder_hidden", "epochs", "batch_size"):
+        for name in ("feature_dim", "encoder_hidden", "epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("codebook_weight", "commitment_weight"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if self.blocks < 1 or self.feature_dim % self.blocks != 0:
             raise ValueError(f"blocks must divide feature_dim {self.feature_dim}, got {self.blocks}")
 

@@ -32,7 +32,6 @@ class OrbitGeometry:
 
     altitude_km: float
     elevation_rad: float
-    earth_radius_km: float = EARTH_RADIUS_KM
 
     def __post_init__(self) -> None:
         if self.altitude_km <= 0:
@@ -41,8 +40,6 @@ class OrbitGeometry:
             raise ValueError(
                 f"elevation must lie in (0, pi/2], got {self.elevation_rad}"
             )
-        if self.earth_radius_km <= 0:
-            raise ValueError("earth radius must be positive")
 
 
 @dataclass
@@ -90,7 +87,7 @@ def slant_range(geom: OrbitGeometry, mode: str = "corrected") -> float:
     """
     if mode not in SLANT_RANGE_MODES:
         raise ValueError(f"mode must be one of {SLANT_RANGE_MODES}, got {mode!r}")
-    r_e = geom.earth_radius_km
+    r_e = EARTH_RADIUS_KM
     r_m = geom.altitude_km
     sin_th = math.sin(geom.elevation_rad)
     if mode == "verbatim":
@@ -151,20 +148,15 @@ def large_scale_gain_linear(zeta_db: float) -> float:
     return 10.0 ** (-zeta_db / 10.0)
 
 
-def orbital_velocity_m_s(altitude_km: float, earth_radius_km: float = EARTH_RADIUS_KM) -> float:
+def orbital_velocity_m_s(altitude_km: float) -> float:
     """Circular-orbit speed sqrt(mu / (R + r)), metres per second."""
     if altitude_km <= 0:
         raise ValueError("altitude must be positive")
-    radius_m = (earth_radius_km + altitude_km) * 1e3
+    radius_m = (EARTH_RADIUS_KM + altitude_km) * 1e3
     return math.sqrt(MU_EARTH_M3_S2 / radius_m)
 
 
-def doppler_shift_hz(
-    altitude_km: float,
-    elevation_rad: float,
-    carrier_ghz: float,
-    earth_radius_km: float = EARTH_RADIUS_KM,
-) -> float:
+def doppler_shift_hz(altitude_km: float, elevation_rad: float, carrier_ghz: float) -> float:
     """Doppler shift for a circular-orbit pass, Hz.
 
     Radial projection of the orbital velocity for a terminal at elevation
@@ -175,8 +167,8 @@ def doppler_shift_hz(
         raise ValueError(f"elevation must lie in (0, pi/2], got {elevation_rad}")
     if carrier_ghz <= 0:
         raise ValueError("carrier must be positive")
-    v_orb = orbital_velocity_m_s(altitude_km, earth_radius_km)
-    projection = earth_radius_km / (earth_radius_km + altitude_km)
+    v_orb = orbital_velocity_m_s(altitude_km)
+    projection = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
     return (
         (carrier_ghz * 1e9 / SPEED_OF_LIGHT_M_S)
         * v_orb
@@ -250,9 +242,7 @@ def link_budget_report(
         breakdown=breakdown,
         zeta_db=zeta_db,
         zeta_linear=large_scale_gain_linear(zeta_db),
-        doppler_hz=doppler_shift_hz(
-            geom.altitude_km, geom.elevation_rad, budget.carrier_ghz, geom.earth_radius_km
-        ),
+        doppler_hz=doppler_shift_hz(geom.altitude_km, geom.elevation_rad, budget.carrier_ghz),
     )
 
 

@@ -349,15 +349,13 @@ def run_fedavg_experiment(
     """
     if scenario is None:
         scenario = build_csa_scenario(cfg, meta_enabled=False)
-    fa = cfg.fedavg
-    shards = fedavg_client_shards(
-        scenario.system, scenario.splits_t1.train, fa.clients, fa.shards
-    )
+    fa, system = cfg.fedavg, scenario.system
+    shards = fedavg_client_shards(system, scenario.splits_t1.train, fa.clients, fa.shards)
+    test_vectors = encode(scenario.splits_t1.test, system.encoder).vectors
     rounds = itertools.count()
 
     def eval_fn(net: nn.Network) -> tuple[float, float]:
-        system = scenario.system
-        top1, ce, _ = eval_through_downlink(system.encoder, net, system, scenario, next(rounds))
+        top1, ce, _ = eval_through_downlink(test_vectors, net, system, scenario, next(rounds))
         return top1, ce
 
     return run_fedavg_baseline(shards, fa.rounds, fa, classifier, eval_fn)
@@ -452,7 +450,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _DASHES = ("", "6,3", "2,2", "8,2,2,2")
 
 
-def emit_svg_plot(result: SweepResult, path: str, title: str = "Top-1 vs PSNR") -> None:
+def emit_svg_plot(result: SweepResult, path: str) -> None:
     """Hand-rolled SVG line chart: one series per (channel, K).
 
     Each marker carries its coordinates as data attributes, so the plotted
@@ -481,7 +479,7 @@ def emit_svg_plot(result: SweepResult, path: str, title: str = "Top-1 vs PSNR") 
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{left + plot_w / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-size="14">{escape(title)}</text>',
+        'font-size="14">Top-1 vs PSNR</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = sy(frac)

@@ -53,10 +53,6 @@ class Constellation:
         inverse[self.labels] = np.arange(m)
         self.label_to_index = inverse
 
-    @property
-    def order(self) -> int:
-        return int(self.points.size)
-
 
 def _gray(k: np.ndarray) -> np.ndarray:
     return k ^ (k >> 1)

@@ -112,6 +112,21 @@ class TestConfigErrors:
             ("dataset", "texture_amplitude", "-inf", "-inf"),
             ("dataset", "noise_sigma", "inf", "inf"),
             ("dataset", "temporal_drift", "inf", "inf"),
+            ("sweep", "k_presets", "32,48", "48"),
+            ("sweep", "k_presets", "1", "1"),
+            ("fedavg", "clients", "11", "11"),
+            # The rest of each value is more keys of the same section.
+            ("fedavg", "clients", "30\nshards = iid\nscarce_per_class = 2", "30"),
+            ("fedavg", "clients", "701\nshards = iid", "701"),
+            ("dtjscc", "codebook_weight", "nan", "nan"),
+            ("dtjscc", "codebook_weight", "-1", "-1.0"),
+            ("dtjscc", "commitment_weight", "nan", "nan"),
+            ("dtjscc", "commitment_weight", "-0.5", "-0.5"),
+            ("dtjscc", "patience", "-3", "-3"),
+            ("dtjscc", "patience", "0", "0"),
+            ("csa", "target_accuracy", "nan", "nan"),
+            ("csa", "target_accuracy", "0", "0.0"),
+            ("csa", "target_accuracy", "1.5", "1.5"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(

@@ -43,7 +43,7 @@ class TestGeneration:
     def test_counts_shapes_and_timestamps(self):
         spec = DatasetSpec(per_class_count=20, seed=1)
         t0, t1 = generate_synthetic(spec)
-        n_classes = len(spec.catalog)
+        n_classes = len(t0.train.catalog)
         for splits, stamp in ((t0, 0), (t1, 1)):
             total = combined(splits)
             assert total.pixels.shape == (20 * n_classes, 8, 8, 4)

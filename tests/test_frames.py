@@ -146,7 +146,7 @@ def assert_both_paths_match(system, splits, fading, frame):
 
     for round_index in range(2):
         assert eval_through_downlink(
-            system.encoder, system.classifier, system, scenario, round_index
+            encode(test, system.encoder).vectors, system.classifier, system, scenario, round_index
         ) == reference_downlink(system.encoder, system.classifier, system, scenario, round_index)
 
     feats = encode(test, system.encoder)

@@ -16,6 +16,7 @@ from semcom.cli import main
 from semcom.config import ConfigError, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, run_csa_end_to_end
 from semcom.dataset import ClassCatalog, generate_synthetic
+from semcom.dtjscc import encode
 from semcom.harness import (
     CONFUSION_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -290,6 +291,27 @@ class TestScenario:
         lines = text.strip().splitlines()
         assert lines[0] == ROUNDLOG_CSV_HEADER
         assert len(lines) == 7
+
+    def test_frozen_rounds_encode_the_evaluation_sets_once(
+        self, scenario, scenario_cfg, monkeypatch
+    ):
+        """Round 0 encodes the reference batch, t_1 val and t_1 test; later
+        frozen rounds only the reference batch. Averaging encodes its shards
+        and the test set once."""
+        frozen = dataclasses.replace(scenario, meta_enabled=False)
+        calls = []
+
+        def counting_encode(dataset, encoder):
+            calls.append(len(dataset))
+            return encode(dataset, encoder)
+
+        monkeypatch.setattr("semcom.csa.encode", counting_encode)
+        monkeypatch.setattr("semcom.harness.encode", counting_encode)
+        run_csa_end_to_end(frozen, n_rounds=4)
+        assert len(calls) == 6
+        calls.clear()
+        harness.run_fedavg_experiment(scenario_cfg, frozen)
+        assert len(calls) == 2
 
     def test_evaluation_is_seed_deterministic(self, scenario, scenario_cfg):
         dataset = scenario.splits_t1.test
