@@ -26,10 +26,11 @@ from .geometry import LINK_REPORT_CSV_HEADER
 def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("SEMCOM_SEED")
-    if env is not None:
+    env = os.environ.get("SEMCOM_SEED", "0")
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ConfigError(f"SEMCOM_SEED must be an integer, got {env!r}") from None
 
 
 def _load(args: argparse.Namespace) -> HarnessConfig:

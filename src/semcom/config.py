@@ -231,7 +231,9 @@ def validate(cfg: HarnessConfig) -> HarnessConfig:
     Counts must be at least 1, PSNR values finite with a power ratio a float
     can hold, ``dataset.per_class_count`` large enough to give every split at
     least one image per class, and ``fedavg.clients`` small enough to give
-    every client shard a sample. Keys carry their INI names.
+    every client shard a sample; with iid shards the bound counts at most
+    ``fedavg.scarce_per_class`` per class for every subcommand, though only
+    ``semcom race`` caps the pool. Keys carry their INI names.
     """
     ex, cs = cfg.experiment, cfg.csa
     counts = {

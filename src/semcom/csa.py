@@ -147,60 +147,48 @@ def sa_loss(
 
 
 def _class_means(reference: SemanticFeatures, n_classes: int) -> np.ndarray:
-    """Per-class mean vectors; classes absent from the batch use the global mean."""
+    """Per-class means, summed in batch order as ``mean`` sums; absent classes take the global mean."""
     if reference.labels is None:
         raise ValueError("reference batch must carry labels")
     vectors = reference.vectors
-    fallback = vectors.mean(axis=0)
-    means = np.empty((n_classes, vectors.shape[1]))
-    for cls in range(n_classes):
-        mask = reference.labels == cls
-        means[cls] = vectors[mask].mean(axis=0) if mask.any() else fallback
+    sums = np.zeros((n_classes, vectors.shape[1]))
+    np.add.at(sums, reference.labels, vectors)
+    counts = np.bincount(reference.labels, minlength=n_classes)
+    means = sums / np.maximum(counts, 1)[:, None]
+    means[counts == 0] = vectors.mean(axis=0)
     return means
 
 
-def _covariance_geometry(g: nn.Network) -> tuple[int, int]:
-    a = g.input_dim
-    out = g.output_dim
-    if out % a != 0:
-        raise ValueError(f"predictor output {out} is not a multiple of input {a}")
-    return out // a, a
-
-
-def predict_covariance(g: nn.Network, reference: SemanticFeatures) -> CovarianceMatrix:
-    """Diagonal covariance per class from the reference batch.
+def predict_covariance(
+    g: nn.Network, reference: SemanticFeatures
+) -> tuple[CovarianceMatrix, list[nn.LayerCache]]:
+    """Diagonal covariance per class from the reference batch, and g's caches.
 
     Each class mean goes through g; the class's own slice of the softplus
     output becomes its diagonal. Permuting the reference batch leaves the
     result unchanged (mean pooling). An all-zero g yields ln 2 everywhere.
     """
-    cov, _ = _predict_covariance_cached(g, reference)
-    return cov
-
-
-def _predict_covariance_cached(
-    g: nn.Network, reference: SemanticFeatures
-) -> tuple[CovarianceMatrix, list[nn.LayerCache]]:
-    n_classes, a = _covariance_geometry(g)
+    a, out_dim = g.input_dim, g.output_dim
+    if out_dim % a != 0:
+        raise ValueError(f"predictor output {out_dim} is not a multiple of input {a}")
+    n_classes = out_dim // a
     if reference.labels is not None and reference.labels.size:
         if int(reference.labels.max()) >= n_classes:
             raise ValueError("reference labels exceed predictor class count")
-    means = _class_means(reference, n_classes)
-    out, caches = nn.forward_cached(g, means)
-    diag = np.empty((n_classes, a))
-    for cls in range(n_classes):
-        diag[cls] = out[cls, cls * a : (cls + 1) * a]
-    return CovarianceMatrix(diag), caches
+    out, caches = nn.forward_cached(g, _class_means(reference, n_classes))
+    own = np.arange(n_classes)
+    return CovarianceMatrix(out.reshape(n_classes, n_classes, a)[own, own]), caches
 
 
 def _covariance_backward(
     g: nn.Network, caches: list[nn.LayerCache], d_diag: np.ndarray
 ) -> nn.Gradients:
+    """g's gradients from the diagonal's: each class's slice gets its row, the rest zero."""
     n_classes, a = d_diag.shape
-    upstream = np.zeros((n_classes, n_classes * a))
-    for cls in range(n_classes):
-        upstream[cls, cls * a : (cls + 1) * a] = d_diag[cls]
-    return nn.backward(g, caches, upstream)
+    upstream = np.zeros((n_classes, n_classes, a))
+    own = np.arange(n_classes)
+    upstream[own, own] = d_diag
+    return nn.backward(g, caches, upstream.reshape(n_classes, n_classes * a))
 
 
 def _require_linear_classifier(classifier: nn.Network) -> nn.Layer:
@@ -237,7 +225,7 @@ def meta_step(
     the g update vanishes.
     """
     layer = _require_linear_classifier(classifier)
-    cov, cov_caches = _predict_covariance_cached(g, reference)
+    cov, cov_caches = predict_covariance(g, reference)
     cur_x = np.asarray(current_batch[0], dtype=np.float64)
     cur_y = np.asarray(current_batch[1], dtype=np.int64)
     lam = cfg.sa_lambda
@@ -298,6 +286,13 @@ class RoundLog:
                 str(self.bits_transmitted),
             )
         )
+
+
+def roundlog_csv(logs: list[RoundLog]) -> str:
+    """The round-log file: header line, then one ``csv_row`` per entry."""
+    lines = [ROUNDLOG_CSV_HEADER]
+    lines.extend(entry.csv_row() for entry in logs)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -453,7 +448,8 @@ SHARD_MODES = ("disjoint", "iid")
 class FedAvgConfig:
     """Parameter-averaging baseline: clients, local SGD and the labelled pool.
 
-    ``scarce_per_class`` above zero caps the labelled pool both protocols see.
+    ``scarce_per_class`` above zero caps the labelled t_1 pool in ``semcom race``
+    only, but the loader's iid client bound uses it for every subcommand.
     """
 
     local_epochs: int = 1

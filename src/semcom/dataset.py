@@ -331,14 +331,3 @@ def summary_csv(splits: SplitDatasets) -> str:
         lines.append(f"{name},{counts[0]},{counts[1]},{counts[2]}")
     return "\n".join(lines) + "\n"
 
-
-def nearest_centroid_accuracy(train: Dataset, test: Dataset) -> float:
-    """Accuracy of a per-class mean-pixel-vector classifier; sanity oracle."""
-    c = len(train.catalog)
-    flat_train = train.flattened()
-    centroids = np.stack(
-        [flat_train[train.labels == cls].mean(axis=0) for cls in range(c)]
-    )
-    flat_test = test.flattened()
-    d2 = ((flat_test[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return float(np.mean(np.argmin(d2, axis=1) == test.labels))

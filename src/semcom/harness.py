@@ -9,13 +9,12 @@ Sweep output is therefore byte-identical no matter how many workers ran it.
 
 from __future__ import annotations
 
+import html
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .csa import (
     RoundLog,
     eval_through_downlink,
     rounds_to_target,
+    roundlog_csv,  # noqa: F401 (re-exported: the CLI and perfbench write round logs through it)
     run_csa_end_to_end,
     run_fedavg_baseline,
     terminal_classifier,
@@ -91,19 +91,6 @@ class SweepResult:
         for (channel, k, psnr), vals in sorted(acc.items()):
             out.setdefault((channel, k), []).append((psnr, float(np.mean(vals))))
         return out
-
-
-def parse_sweep_csv(text: str) -> SweepResult:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise ValueError("not a sweep CSV")
-    rows = []
-    for ln in lines[1:]:
-        channel, modulation, k, psnr, seed, top1 = ln.split(",")
-        rows.append(
-            SweepRow(channel, modulation, int(k), float(psnr), int(seed), float(top1))
-        )
-    return SweepResult(rows)
 
 
 @dataclass
@@ -201,6 +188,8 @@ def run_sweep(cfg: HarnessConfig) -> SweepResult:
     if ex.workers <= 1:
         chunks = [_sweep_job(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pool runs only
+
         with ProcessPoolExecutor(max_workers=ex.workers) as pool:
             chunks = list(pool.map(_sweep_job, jobs))
     rows = [row for chunk in chunks for row in chunk]
@@ -395,11 +384,6 @@ class RaceResult:
     csa_rounds: int | None
     fedavg_rounds: int | None
 
-    def csa_wins(self) -> bool:
-        if self.csa_rounds is None:
-            return False
-        return self.fedavg_rounds is None or self.csa_rounds < self.fedavg_rounds
-
 
 @blas.single_thread()
 def run_round_race(cfg: HarnessConfig) -> RaceResult:
@@ -428,14 +412,6 @@ def run_round_race(cfg: HarnessConfig) -> RaceResult:
         rounds_to_target(csa_logs, target, "ut"),
         rounds_to_target(fedavg_logs, target, "server"),
     )
-
-
-def roundlog_csv(logs: list[RoundLog]) -> str:
-    from .csa import ROUNDLOG_CSV_HEADER
-
-    lines = [ROUNDLOG_CSV_HEADER]
-    lines.extend(entry.csv_row() for entry in logs)
-    return "\n".join(lines) + "\n"
 
 
 def write_text(path: str, text: str) -> None:
@@ -535,7 +511,7 @@ def emit_svg_plot(result: SweepResult, path: str) -> None:
         )
         parts.append(
             f'<text x="{left + plot_w + 40}" y="{ly:.1f}">'
-            f"{escape(channel)} K={k}</text>"
+            f"{html.escape(channel, quote=False)} K={k}</text>"
         )
     parts.append("</svg>")
     with open(path, "w", newline="") as fh:

@@ -112,15 +112,6 @@ def init_network(sizes: Sequence[int], activations: Sequence[str], seed: int) ->
     return Network(layers)
 
 
-def zeroed_network(sizes: Sequence[int], activations: Sequence[str]) -> Network:
-    """All-zero parameters; useful as a degenerate reference."""
-    layers = [
-        Layer(np.zeros((fi, fo)), np.zeros(fo), act)
-        for fi, fo, act in zip(sizes, sizes[1:], activations)
-    ]
-    return Network(layers)
-
-
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Batch forward pass; x is (B, input_dim)."""
     out = np.asarray(x, dtype=np.float64)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from semcom import nn
 from semcom.config import HarnessConfig, load_config
 from semcom.dataset import DatasetSpec, generate_synthetic
 from semcom.dtjscc import DtjsccConfig, TrainedSystem, train_dtjscc
@@ -58,3 +60,13 @@ def tiny_harness_cfg(master_seed: int = 0, **sections) -> HarnessConfig:
             cfg, **{name: dataclasses.replace(getattr(cfg, name), **fields)}
         )
     return cfg
+
+
+def zeroed_network(sizes, activations) -> nn.Network:
+    """All-zero parameters; a degenerate reference network for oracles."""
+    return nn.Network(
+        [
+            nn.Layer(np.zeros((fi, fo)), np.zeros(fo), act)
+            for fi, fo, act in zip(sizes, sizes[1:], activations)
+        ]
+    )

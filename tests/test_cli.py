@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import semcom
 from semcom.cli import main
 from semcom.dataset import load_tensor_file
 from semcom.geometry import LINK_REPORT_CSV_HEADER
@@ -141,6 +146,13 @@ class TestConfigErrors:
         assert f"got {shown}\n" in err
         assert not (tmp_path / "out" / "csa_rounds.csv").exists()
 
+    def test_non_integer_seed_variable_exits_one_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SEMCOM_SEED", "abc")
+        out = tmp_path / "out"
+        assert main(["linkbudget", "--out", str(out)]) == 1
+        assert "SEMCOM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_workers_flag_below_one_exits_one(self, tmp_path, tiny_ini, capsys):
         code = main(["sweep", "--config", tiny_ini, "--workers", "0", "--out", str(tmp_path)])
         assert code == 1
@@ -190,3 +202,37 @@ class TestDataCommand:
         main(["gen-data", "--config", tiny_ini, "--seed", "3", "--out", str(out_a)])
         main(["gen-data", "--config", tiny_ini, "--seed", "3", "--out", str(out_b)])
         assert (out_a / "t0_train.msit").read_bytes() == (out_b / "t0_train.msit").read_bytes()
+
+
+class TestScarcePerClass:
+    """Only ``semcom race`` caps the t_1 pool; the other round loops ignore the key."""
+
+    @pytest.mark.parametrize(
+        "command,log", [("csa", "csa_rounds.csv"), ("fedavg", "fedavg_rounds.csv")]
+    )
+    def test_round_log_ignores_the_key(self, tmp_path, tiny_ini, command, log):
+        texts = []
+        for scarce in (0, 2):
+            ini = tmp_path / f"scarce{scarce}.ini"
+            ini.write_text(Path(tiny_ini).read_text() + f"scarce_per_class = {scarce}\n")
+            out = tmp_path / f"{command}{scarce}"
+            assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+            texts.append((out / log).read_bytes())
+        assert texts[0] == texts[1]
+
+
+def test_import_loads_no_network_or_process_modules():
+    """``import semcom`` pulls in neither the XML/HTTP stack nor multiprocessing."""
+    heavy = (
+        "xml.sax", "urllib.request", "http.client", "ssl", "email",
+        "concurrent.futures", "multiprocessing",
+    )
+    probe = (
+        "import sys; before = set(sys.modules); import semcom; "
+        f"print(','.join(m for m in {heavy!r} if m in set(sys.modules) - before))"
+    )
+    src = str(Path(semcom.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src
+    )
+    assert done.stdout.strip() == ""

@@ -13,8 +13,8 @@ from semcom.csa import (
     ROUNDLOG_CSV_HEADER,
     RoundLog,
     SAConfig,
+    _class_means,
     _covariance_backward,
-    _predict_covariance_cached,
     effective_lambda,
     final_accuracy,
     meta_step,
@@ -23,8 +23,12 @@ from semcom.csa import (
     run_fedavg_baseline,
     sa_loss,
 )
-from semcom.dtjscc import SemanticFeatures
+from semcom.channel import ChannelConfig, ChannelKind
+from semcom.dtjscc import SemanticFeatures, encode, send_over_channel
+from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
+
+from conftest import zeroed_network
 
 
 def random_instance(seed, b=8, c=4, a=6):
@@ -119,19 +123,19 @@ class TestCovariancePrediction:
         return nn.init_network([a, 16, 16, c * a], ["relu", "relu", "softplus"], seed)
 
     def test_zero_network_predicts_ln_two(self):
-        g = nn.zeroed_network([6, 24], ["softplus"])
-        cov = predict_covariance(g, self.make_reference())
+        g = zeroed_network([6, 24], ["softplus"])
+        cov, _ = predict_covariance(g, self.make_reference())
         np.testing.assert_allclose(cov.per_class_diag, np.log(2.0), atol=1e-12)
 
     def test_always_non_negative(self):
-        cov = predict_covariance(self.make_predictor(), self.make_reference(seed=5))
+        cov, _ = predict_covariance(self.make_predictor(), self.make_reference(seed=5))
         assert np.all(cov.per_class_diag >= 0)
 
     def test_matches_per_class_slice_oracle(self):
         c, a = 4, 6
         g = self.make_predictor(c, a)
         ref = self.make_reference(seed=6, c=c, a=a)
-        cov = predict_covariance(g, ref)
+        cov, _ = predict_covariance(g, ref)
         means = np.stack(
             [ref.vectors[ref.labels == cls].mean(axis=0) for cls in range(c)]
         )
@@ -145,7 +149,7 @@ class TestCovariancePrediction:
         c, a = 4, 6
         g = self.make_predictor(c, a)
         ref = self.make_reference(seed=7, c=c, a=a, missing=2)
-        cov = predict_covariance(g, ref)
+        cov, _ = predict_covariance(g, ref)
         out = nn.forward(g, ref.vectors.mean(axis=0, keepdims=True))
         np.testing.assert_allclose(
             cov.per_class_diag[2], out[0, 2 * a : 3 * a], atol=1e-12
@@ -157,8 +161,8 @@ class TestCovariancePrediction:
         perm = spawn_rng(9, "perm").permutation(len(ref.labels))
         shuffled = SemanticFeatures(ref.vectors[perm], ref.labels[perm])
         np.testing.assert_allclose(
-            predict_covariance(g, ref).per_class_diag,
-            predict_covariance(g, shuffled).per_class_diag,
+            predict_covariance(g, ref)[0].per_class_diag,
+            predict_covariance(g, shuffled)[0].per_class_diag,
             atol=1e-12,
         )
 
@@ -175,6 +179,121 @@ class TestCovariancePrediction:
             predict_covariance(
                 self.make_predictor(), SemanticFeatures(np.zeros((4, 6)))
             )
+
+
+def loop_class_means(reference, n_classes):
+    """``_class_means`` as the per-class loop it replaced."""
+    vectors = reference.vectors
+    fallback = vectors.mean(axis=0)
+    means = np.empty((n_classes, vectors.shape[1]))
+    for cls in range(n_classes):
+        mask = reference.labels == cls
+        means[cls] = vectors[mask].mean(axis=0) if mask.any() else fallback
+    return means
+
+
+def loop_predict_covariance(g, reference):
+    """``predict_covariance`` with the per-class mean loop and diagonal slices it replaced."""
+    a = g.input_dim
+    n_classes = g.output_dim // a
+    out, caches = nn.forward_cached(g, loop_class_means(reference, n_classes))
+    diag = np.empty((n_classes, a))
+    for cls in range(n_classes):
+        diag[cls] = out[cls, cls * a : (cls + 1) * a]
+    return CovarianceMatrix(diag), caches
+
+
+def loop_covariance_backward(g, caches, d_diag):
+    """``_covariance_backward`` with the per-class scatter loop it replaced."""
+    n_classes, a = d_diag.shape
+    upstream = np.zeros((n_classes, n_classes * a))
+    for cls in range(n_classes):
+        upstream[cls, cls * a : (cls + 1) * a] = d_diag[cls]
+    return nn.backward(g, caches, upstream)
+
+
+def covariance_path_bytes(class_means, predict, backward, g, reference):
+    """Every array the covariance path yields, as bytes: means, diagonal, caches, g's gradients."""
+    n_classes = g.output_dim // g.input_dim
+    means = class_means(reference, n_classes)
+    cov, caches = predict(g, reference)
+    weights = spawn_rng(31, "clf").standard_normal((n_classes, g.input_dim))
+    _, grads = sa_loss(
+        reference.vectors, reference.labels, weights, np.zeros(n_classes), cov, 0.5
+    )
+    g_grads = backward(g, caches, grads.cov)
+    arrays = [means, cov.per_class_diag]
+    arrays += [a for cache in caches for a in (cache.x, cache.preact)]
+    arrays += [a for dw, db in g_grads.layers for a in (dw, db)] + [g_grads.wrt_input]
+    return [a.tobytes() for a in arrays]
+
+
+class TestCovariancePathMatchesLoops:
+    """The vectorized means, diagonal gather and scatter against the loops they replaced, bit for bit."""
+
+    C, A = 5, 6
+
+    def predictor(self):
+        return nn.init_network([self.A, 12, self.C * self.A], ["relu", "softplus"], seed=30)
+
+    def assert_same(self, g, reference):
+        mine = covariance_path_bytes(
+            _class_means, predict_covariance, _covariance_backward, g, reference
+        )
+        theirs = covariance_path_bytes(
+            loop_class_means, loop_predict_covariance, loop_covariance_backward, g, reference
+        )
+        assert mine == theirs
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_batches_with_absent_classes(self, seed):
+        rng = spawn_rng(seed, "absent")
+        present = rng.choice(self.C, size=rng.integers(1, self.C + 1), replace=False)
+        b = int(rng.integers(1, 40))
+        labels = rng.choice(present, size=b)
+        vectors = rng.standard_normal((b, self.A)) * rng.uniform(0.1, 10.0)
+        self.assert_same(self.predictor(), SemanticFeatures(vectors, labels))
+
+    def test_one_sample_classes(self):
+        rng = spawn_rng(0, "single")
+        labels = np.array([0, 1, 1, 1, 3, 4, 4])  # classes 0 and 3 once, class 2 absent
+        self.assert_same(self.predictor(), SemanticFeatures(rng.standard_normal((7, self.A)), labels))
+
+    def test_single_item_batch(self):
+        ref = SemanticFeatures(spawn_rng(1, "one").standard_normal((1, self.A)), np.array([2]))
+        self.assert_same(self.predictor(), ref)
+
+    def test_inter_satellite_link_batch(self, small_system, small_splits):
+        train = small_splits.train
+        idx = spawn_rng(0, "ref", 0).choice(len(train), size=64, replace=False)
+        sent = encode(train.subset(idx), small_system.encoder)
+        vectors, erased, _ = send_over_channel(
+            sent.vectors,
+            small_system.codebook,
+            small_system.blocks,
+            build_constellation("16apsk"),
+            ChannelConfig(kind=ChannelKind.ISL),
+            12.0,
+            64,
+            [spawn_rng(0, "isl", 0)],
+        )
+        assert not erased.any()
+        reference = SemanticFeatures(vectors, sent.labels)
+        self.assert_same(small_system.covariance_net, reference)
+        absent = sent.labels != 3
+        self.assert_same(
+            small_system.covariance_net, SemanticFeatures(vectors[absent], sent.labels[absent])
+        )
+
+    def test_error_messages(self):
+        ref = SemanticFeatures(np.zeros((4, self.A)), np.array([0, 1, 2, 3]))
+        with pytest.raises(ValueError, match=r"^predictor output 9 is not a multiple of input 6$"):
+            predict_covariance(nn.init_network([6, 9], ["softplus"], 0), ref)
+        too_big = SemanticFeatures(np.zeros((2, self.A)), np.array([0, self.C]))
+        with pytest.raises(ValueError, match=r"^reference labels exceed predictor class count$"):
+            predict_covariance(self.predictor(), too_big)
+        with pytest.raises(ValueError, match=r"^reference batch must carry labels$"):
+            predict_covariance(self.predictor(), SemanticFeatures(np.zeros((4, self.A))))
 
 
 def plain_sgd_inner(encoder, classifier, x, y, steps, lr):
@@ -272,7 +391,7 @@ def reference_meta_step(g, encoder, classifier, reference, current_batch, cfg):
         return np.einsum("bca,ba->bc", diffs**2, sig_y), diffs, sig_y
 
     layer = classifier.layers[0]
-    cov, cov_caches = _predict_covariance_cached(g, reference)
+    cov, cov_caches = loop_predict_covariance(g, reference)
     cur_x = np.asarray(current_batch[0], dtype=np.float64)
     cur_y = np.asarray(current_batch[1], dtype=np.int64)
     lam, lr = cfg.sa_lambda, cfg.inner_learning_rate
@@ -307,7 +426,7 @@ def reference_meta_step(g, encoder, classifier, reference, current_batch, cfg):
     outer_loss, grad_logits = nn.softmax_cross_entropy(logits + (lam * 0.5) * quad, labels)
     d_cov = np.zeros_like(cov.per_class_diag)
     np.add.at(d_cov, labels, (lam * 0.5) * np.einsum("bc,bca->ba", grad_logits, diffs**2))
-    nn.sgd_step(g, _covariance_backward(g, cov_caches, d_cov), cfg.meta_learning_rate)
+    nn.sgd_step(g, loop_covariance_backward(g, cov_caches, d_cov), cfg.meta_learning_rate)
     return inner_losses, outer_loss
 
 

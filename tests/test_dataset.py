@@ -18,13 +18,24 @@ from semcom.dataset import (
     TruncatedFileError,
     generate_synthetic,
     load_tensor_file,
-    nearest_centroid_accuracy,
     save_tensor_file,
     SPLIT_RATIOS,
     split,
     split_counts,
     summary_csv,
 )
+
+
+def nearest_centroid_accuracy(train: Dataset, test: Dataset) -> float:
+    """Accuracy of a per-class mean-pixel-vector classifier; sanity oracle."""
+    c = len(train.catalog)
+    flat_train = train.flattened()
+    centroids = np.stack(
+        [flat_train[train.labels == cls].mean(axis=0) for cls in range(c)]
+    )
+    flat_test = test.flattened()
+    d2 = ((flat_test[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return float(np.mean(np.argmin(d2, axis=1) == test.labels))
 
 
 def combined(splits):

@@ -6,6 +6,7 @@ import configparser
 import dataclasses
 import re
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from semcom import config, harness
 from semcom.channel import ChannelConfig, ChannelKind
 from semcom.cli import main
 from semcom.config import ConfigError, load_config
-from semcom.csa import ROUNDLOG_CSV_HEADER, run_csa_end_to_end
+from semcom.csa import ROUNDLOG_CSV_HEADER, rounds_to_target, run_csa_end_to_end
 from semcom.dataset import ClassCatalog, generate_synthetic
 from semcom.dtjscc import encode
 from semcom.harness import (
@@ -28,7 +29,6 @@ from semcom.harness import (
     evaluate_through_channel,
     fedavg_client_shards,
     linkbudget_reports,
-    parse_sweep_csv,
     restrict_t1_train,
     roundlog_csv,
     run_round_race,
@@ -38,6 +38,20 @@ from semcom.harness import (
 from semcom.modem import build_constellation
 
 from conftest import tiny_harness_cfg
+
+
+def parse_sweep_csv(text: str) -> SweepResult:
+    """Read a sweep CSV back into rows; the inverse of ``SweepResult.csv``."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != SWEEP_CSV_HEADER:
+        raise ValueError("not a sweep CSV")
+    rows = []
+    for ln in lines[1:]:
+        channel, modulation, k, psnr, seed, top1 = ln.split(",")
+        rows.append(
+            SweepRow(channel, modulation, int(k), float(psnr), int(seed), float(top1))
+        )
+    return SweepResult(rows)
 
 DEFAULT_INI = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
 
@@ -235,6 +249,16 @@ class TestRunSweep:
         }
         assert embedded == expected
 
+    def test_svg_legend_escapes_markup(self, tmp_path):
+        name = "a&b<c>d"
+        rows = [SweepRow(name, "16apsk", 32, psnr, 0, 0.5) for psnr in (0.0, 8.0)]
+        path = tmp_path / "plot.svg"
+        emit_svg_plot(SweepResult(rows), str(path))
+        text = path.read_text()
+        assert f">{escape(name)} K=32</text>" in text
+        assert ">a&amp;b&lt;c&gt;d K=32</text>" in text
+        assert name not in text
+
 
 class TestConfusionMatrix:
     def test_counts_follow_pair_histogram(self):
@@ -386,8 +410,8 @@ class TestRace:
                 e.top1_accuracy >= 0.3 and e.round_index == race.csa_rounds
                 for e in ut_entries
             )
-        wins = race.csa_wins()
-        assert isinstance(wins, bool)
+        assert race.csa_rounds == rounds_to_target(race.csa_logs, 0.3, "ut")
+        assert race.fedavg_rounds == rounds_to_target(race.fedavg_logs, 0.3, "server")
 
 
 class TestWriteText:

@@ -10,6 +10,8 @@ import pytest
 from semcom import nn
 from semcom.seeding import spawn_rng
 
+from conftest import zeroed_network
+
 
 def make_mlp(seed=0, sizes=(5, 8, 3), activations=("tanh", "linear")):
     return nn.init_network(sizes, activations, seed)
@@ -41,7 +43,7 @@ class TestInitialization:
             nn.init_network([2, 2], ["sigmoidish"], seed=0)
 
     def test_zeroed_network_forward_is_bias_activation(self):
-        net = nn.zeroed_network([4, 6], ["softplus"])
+        net = zeroed_network([4, 6], ["softplus"])
         out = nn.forward(net, np.ones((2, 4)))
         np.testing.assert_allclose(out, math.log(2.0), atol=1e-12)
 
@@ -55,15 +57,15 @@ class TestForward:
 
     def test_activation_tables(self):
         z = np.linspace(-3, 3, 13)[None, :]
-        net_relu = nn.zeroed_network([13, 13], ["relu"])
-        net_tanh = nn.zeroed_network([13, 13], ["tanh"])
+        net_relu = zeroed_network([13, 13], ["relu"])
+        net_tanh = zeroed_network([13, 13], ["tanh"])
         for net in (net_relu, net_tanh):
             net.layers[0].weights = np.eye(13)
         np.testing.assert_allclose(nn.forward(net_relu, z), np.maximum(z, 0))
         np.testing.assert_allclose(nn.forward(net_tanh, z), np.tanh(z))
 
     def test_softplus_matches_log1p_and_stays_stable(self):
-        net = nn.zeroed_network([3, 3], ["softplus"])
+        net = zeroed_network([3, 3], ["softplus"])
         net.layers[0].weights = np.eye(3)
         z = np.array([[-800.0, 0.0, 800.0]])
         out = nn.forward(net, z)
