@@ -6,7 +6,8 @@ for no wall-time gain, and sweep pool workers that each keep their own
 threads oversubscribe the cores. :func:`single_thread` pins each loaded
 OpenBLAS to one thread for the duration of a call and restores the previous
 count afterwards. It overrides ``OPENBLAS_NUM_THREADS`` inside that scope and
-does nothing where numpy uses another BLAS.
+does nothing where numpy uses another BLAS. :func:`core_name` names the
+kernel OpenBLAS picked for this CPU, which fixes how its products round.
 
 The libraries are looked up through ``ctypes`` on first use, never at import.
 """
@@ -71,6 +72,23 @@ def _controls() -> tuple[_Control, ...]:
     """Thread controls of every loaded OpenBLAS; empty when there is none."""
     found = (_control(path) for path in _loaded_openblas_paths())
     return tuple(c for c in found if c is not None)
+
+
+# Run-time kernel name getters of the same builds, in the order of _SYMBOLS.
+_CORE_NAMES = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+
+
+def core_name() -> str | None:
+    """Name of the kernel OpenBLAS picked for this CPU, such as ``SkylakeX``; None without OpenBLAS."""
+    for path in _loaded_openblas_paths():
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(path)
+            for name in _CORE_NAMES:
+                get = getattr(lib, name, None)
+                if get is not None:
+                    get.restype = ctypes.c_char_p
+                    return get().decode()
+    return None
 
 
 @contextlib.contextmanager

@@ -311,10 +311,10 @@ class CsaScenario:
     seed: int = 0
 
 
-def effective_lambda(base: float, round_index: int, n_rounds: int, warmup_fraction: float) -> float:
-    """Linear ramp from 0 to base over the first warmup fraction of rounds."""
-    warm = max(1, int(math.ceil(warmup_fraction * n_rounds)))
-    return base * min(1.0, (round_index + 1) / warm)
+def effective_lambda(sa: SAConfig, round_index: int) -> float:
+    """Linear ramp from 0 to ``sa_lambda`` over the first warmup fraction of ``sa.rounds``."""
+    warm = max(1, int(math.ceil(sa.warmup_fraction * sa.rounds)))
+    return sa.sa_lambda * min(1.0, (round_index + 1) / warm)
 
 
 def top1_and_ce(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -327,7 +327,6 @@ def top1_and_ce(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
 def eval_through_downlink(
     test_vectors: np.ndarray,
     classifier: nn.Network,
-    system: TrainedSystem,
     scenario: CsaScenario,
     round_index: int,
 ) -> tuple[float, float, int]:
@@ -337,13 +336,12 @@ def eval_through_downlink(
     """
     probs, bits_total = classify_over_channel(
         test_vectors,
-        system.codebook,
+        scenario.system.codebook,
         classifier,
-        system.blocks,
         scenario.constellation,
         scenario.downlink_channel,
         scenario.sa.eval_psnr_db,
-        max(1, scenario.eval_frame),
+        scenario.eval_frame,
         scenario.seed,
         "eval",
         round_index,
@@ -351,16 +349,17 @@ def eval_through_downlink(
     return (*top1_and_ce(probs, scenario.splits_t1.test.labels), bits_total)
 
 
-def terminal_classifier(system: TrainedSystem, sa: SAConfig, seed: int) -> nn.Network:
+def terminal_classifier(scenario: CsaScenario) -> nn.Network:
     """The terminal's starting classifier: fresh with ``sa.fresh_ut_classifier``, else a copy."""
-    if not sa.fresh_ut_classifier:
+    system = scenario.system
+    if not scenario.sa.fresh_ut_classifier:
         return system.classifier.copy()
-    rng_seed = spawn_rng(seed, "ut_clf").integers(2**32)
+    rng_seed = spawn_rng(scenario.seed, "ut_clf").integers(2**32)
     return nn.init_network([system.feature_dim, system.n_classes], ["linear"], rng_seed)
 
 
-def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
-    """Full two-satellite loop; two log entries per round (sat2 and ut sides).
+def run_csa_end_to_end(scenario: CsaScenario) -> list[RoundLog]:
+    """Full two-satellite loop over ``sa.rounds``; two log entries per round (sat2 and ut sides).
 
     Per round: the reference satellite encodes a labelled t_0 batch and sends
     it over the inter-satellite link; the second satellite and the terminal
@@ -375,7 +374,7 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
     f_s1 = system.encoder
     f_s2 = system.encoder.copy()
     l_s2 = system.classifier.copy()
-    l_ut = terminal_classifier(system, scenario.sa, scenario.seed)
+    l_ut = terminal_classifier(scenario)
     g_s2 = system.covariance_net.copy()
     g_ut = system.covariance_net.copy()
 
@@ -383,10 +382,8 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
     t1_train = scenario.splits_t1.train
     t1_val = scenario.splits_t1.val if len(scenario.splits_t1.val) else t1_train
     logs: list[RoundLog] = []
-    for i in range(n_rounds):
-        lam_i = effective_lambda(
-            scenario.sa.sa_lambda, i, n_rounds, scenario.sa.warmup_fraction
-        )
+    for i in range(scenario.sa.rounds):
+        lam_i = effective_lambda(scenario.sa, i)
         cfg_i = replace(scenario.sa, sa_lambda=lam_i)
 
         ref_rng = spawn_rng(scenario.seed, "ref", i)
@@ -397,7 +394,6 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
         ref_vectors, erased, isl_bits = send_over_channel(
             ref_feats.vectors,
             system.codebook,
-            system.blocks,
             scenario.constellation,
             scenario.isl_channel,
             scenario.sa.isl_psnr_db,
@@ -425,13 +421,13 @@ def run_csa_end_to_end(scenario: CsaScenario, n_rounds: int) -> list[RoundLog]:
             ut_sa = info_ut.inner_losses[-1] if info_ut.inner_losses else info_ut.outer_loss
 
         if adapted or i == 0:
-            val_msg = quantize(encode(t1_val, f_s2), system.codebook, system.blocks)
-            val_probs = classify(val_msg, system.codebook, l_s2, system.blocks)
+            val_msg = quantize(encode(t1_val, f_s2), system.codebook)
+            val_probs = classify(val_msg, system.codebook, l_s2)
             sat2_top1, sat2_ce = top1_and_ce(val_probs, t1_val.labels)
             test_vectors = encode(scenario.splits_t1.test, f_s2).vectors
 
         ut_top1, ut_ce, down_bits = eval_through_downlink(
-            test_vectors, l_ut, system, scenario, i
+            test_vectors, l_ut, scenario, i
         )
         logs.append(
             RoundLog(i, "sat2", sat2_top1, sat2_ce, sat2_sa, isl_bits)
@@ -473,14 +469,13 @@ class FedAvgConfig:
 
 def run_fedavg_baseline(
     clients: list[SemanticFeatures],
-    n_rounds: int,
     cfg: FedAvgConfig,
     classifier: nn.Network | None = None,
     eval_fn=None,
 ) -> list[RoundLog]:
     """Parameter-averaging baseline over labelled client feature shards.
 
-    Each round every client copies the global classifier, runs
+    Each of ``cfg.rounds`` rounds every client copies the global classifier, runs
     ``local_epochs`` of minibatch cross-entropy SGD on its shard, and the
     server replaces the global model with the shard-size-weighted average.
     Per-round shuffling is seeded identically across clients, so identical
@@ -510,7 +505,7 @@ def run_fedavg_baseline(
     weights = sizes / sizes.sum()
     bits_per_round = classifier.parameter_count * 64 * 2 * len(clients)
     logs: list[RoundLog] = []
-    for r in range(n_rounds):
+    for r in range(cfg.rounds):
         locals_: list[nn.Network] = []
         for shard in clients:
             local = classifier.copy()

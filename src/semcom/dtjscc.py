@@ -16,7 +16,7 @@ import math
 import os
 import struct
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,35 +138,34 @@ def encode(dataset: Dataset, encoder: nn.Network) -> SemanticFeatures:
 
 
 def _split_blocks(vectors: np.ndarray, blocks: int) -> np.ndarray:
+    """One row per block; callers check that ``blocks`` divides the width."""
     b, a = vectors.shape
-    if a % blocks != 0:
-        raise ValueError(f"feature dim {a} not divisible into {blocks} blocks")
     return vectors.reshape(b * blocks, a // blocks)
 
 
-def quantize(
-    features: SemanticFeatures, codebook: Codebook, blocks: int = 1
-) -> QuantizedMessage:
-    """Nearest-codeword index per feature block."""
-    vb = _split_blocks(features.vectors, blocks)
-    if vb.shape[1] != codebook.dim:
-        raise ValueError(
-            f"block dim {vb.shape[1]} does not match codebook dim {codebook.dim}"
-        )
+def _block_count(width: int, codebook: Codebook) -> int:
+    """Codeword blocks in a feature vector of ``width``: one per ``codebook.dim`` values."""
+    if width % codebook.dim != 0:
+        raise ValueError(f"feature width {width} is not a multiple of codebook dim {codebook.dim}")
+    return width // codebook.dim
+
+
+def quantize(features: SemanticFeatures, codebook: Codebook) -> QuantizedMessage:
+    """Nearest-codeword index per feature block; the block count is width over ``codebook.dim``."""
+    blocks = _block_count(features.vectors.shape[1], codebook)
     return QuantizedMessage(
-        indices=codebook.nearest(vb),
+        indices=codebook.nearest(_split_blocks(features.vectors, blocks)),
         bits_per_index=codebook.bits_per_index,
     )
 
 
-def dequantize(
-    message: QuantizedMessage, codebook: Codebook, blocks: int = 1
-) -> np.ndarray:
-    """Look up codewords and reassemble (B, A) feature vectors."""
+def dequantize(message: QuantizedMessage, codebook: Codebook, width: int) -> np.ndarray:
+    """Look up codewords and reassemble (B, ``width``) feature vectors."""
+    blocks = _block_count(width, codebook)
     if message.indices.size % blocks != 0:
         raise ValueError("index count does not divide into blocks")
     rows = codebook.entries[message.indices]
-    return rows.reshape(message.indices.size // blocks, blocks * codebook.dim)
+    return rows.reshape(message.indices.size // blocks, width)
 
 
 def transmit(
@@ -216,7 +215,6 @@ def classify(
     message: QuantizedMessage,
     codebook: Codebook,
     classifier: nn.Network,
-    blocks: int = 1,
 ) -> np.ndarray:
     """Class probabilities from received codewords; rows sum to one.
 
@@ -224,10 +222,9 @@ def classify(
     distribution for every item.
     """
     n_classes = classifier.output_dim
-    n_items = message.indices.size // blocks
+    vectors = dequantize(message, codebook, classifier.input_dim)
     if message.erased:
-        return np.full((n_items, n_classes), 1.0 / n_classes)
-    vectors = dequantize(message, codebook, blocks)
+        return np.full((vectors.shape[0], n_classes), 1.0 / n_classes)
     return nn.softmax(nn.forward(classifier, vectors))
 
 
@@ -247,7 +244,6 @@ def _frame_by_frame(fn, rows: np.ndarray, frame_rows: int) -> np.ndarray:
 def send_over_channel(
     vectors: np.ndarray,
     codebook: Codebook,
-    blocks: int,
     constellation: Constellation,
     channel_cfg: ChannelConfig,
     psnr_db: float,
@@ -263,7 +259,10 @@ def send_over_channel(
     codewords, a mask of the items whose frame was erased (their indices
     arrive as zeros), and the bits on the air.
     """
+    if frame < 1:
+        raise ValueError(f"frame must be at least 1, got {frame}")
     n = vectors.shape[0]
+    blocks = _block_count(vectors.shape[1], codebook)
     sent = _frame_by_frame(codebook.nearest, _split_blocks(vectors, blocks), frame * blocks)
     width = codebook.bits_per_index
     noise_variance = noise_variance_from_psnr(psnr_db)
@@ -286,7 +285,6 @@ def classify_over_channel(
     vectors: np.ndarray,
     codebook: Codebook,
     classifier: nn.Network,
-    blocks: int,
     constellation: Constellation,
     channel_cfg: ChannelConfig,
     psnr_db: float,
@@ -302,9 +300,13 @@ def classify_over_channel(
     an erased frame get the uniform distribution. Returns the (n, classes)
     probabilities and the bits on the air.
     """
-    rngs = (spawn_rng(seed, *tag, fi) for fi in range(-(-vectors.shape[0] // frame)))
+
+    def rngs() -> Iterator[np.random.Generator]:  # lazy: send_over_channel checks frame first
+        for fi in range(-(-vectors.shape[0] // frame)):
+            yield spawn_rng(seed, *tag, fi)
+
     codewords, erased, bits = send_over_channel(
-        vectors, codebook, blocks, constellation, channel_cfg, psnr_db, frame, rngs
+        vectors, codebook, constellation, channel_cfg, psnr_db, frame, rngs()
     )
     logits = _frame_by_frame(lambda v: nn.forward(classifier, v), codewords, frame)
     probs = nn.softmax(logits)
@@ -351,7 +353,6 @@ class TrainedSystem:
     codebook: Codebook
     classifier: nn.Network
     covariance_net: nn.Network
-    blocks: int = 1
     history: list[float] = field(default_factory=list)
     val_accuracy: float = float("nan")
     converged: bool = True
@@ -363,6 +364,11 @@ class TrainedSystem:
     @property
     def n_classes(self) -> int:
         return self.classifier.output_dim
+
+    @property
+    def blocks(self) -> int:
+        """Codeword indices per image: the feature width over the codebook's."""
+        return self.feature_dim // self.codebook.dim
 
 
 def _init_codebook(
@@ -522,9 +528,7 @@ def train_dtjscc(
 
     val = splits.val if len(splits.val) else splits.train
     val_feats = encode(val, encoder)
-    val_probs = classify(
-        quantize(val_feats, codebook, cfg.blocks), codebook, classifier, cfg.blocks
-    )
+    val_probs = classify(quantize(val_feats, codebook), codebook, classifier)
     val_acc = float(np.mean(np.argmax(val_probs, axis=1) == val.labels))
     chance = 1.0 / n_classes
     if val_acc < chance + MIN_ACCURACY_MARGIN:
@@ -537,7 +541,6 @@ def train_dtjscc(
         codebook=codebook,
         classifier=classifier,
         covariance_net=covariance_net,
-        blocks=cfg.blocks,
         history=history,
         val_accuracy=val_acc,
         converged=converged,
@@ -590,13 +593,11 @@ def load_bundle(directory: str) -> TrainedSystem:
         os.path.join(directory, BUNDLE_FILES[2]), ["relu", "relu", "softplus"]
     )
     codebook = load_codebook(os.path.join(directory, BUNDLE_FILES[3]))
-    blocks = encoder.output_dim // codebook.dim
     return TrainedSystem(
         encoder=encoder,
         codebook=codebook,
         classifier=classifier,
         covariance_net=covariance,
-        blocks=blocks,
     )
 
 

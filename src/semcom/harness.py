@@ -118,7 +118,6 @@ def evaluate_through_channel(
     """
     feats = encode(dataset, system.encoder)
     n = len(dataset)
-    frame = max(1, frame)
     preds_all = []
     correct = 0
     for rep in range(repetitions):
@@ -126,7 +125,6 @@ def evaluate_through_channel(
             feats.vectors,
             system.codebook,
             system.classifier,
-            system.blocks,
             constellation,
             channel_cfg,
             psnr_db,
@@ -290,7 +288,7 @@ def run_csa_experiment(
     cfg: HarnessConfig, meta_enabled: bool = True
 ) -> tuple[list[RoundLog], CsaScenario]:
     scenario = build_csa_scenario(cfg, meta_enabled=meta_enabled)
-    logs = run_csa_end_to_end(scenario, cfg.csa.rounds)
+    logs = run_csa_end_to_end(scenario)
     return logs, scenario
 
 
@@ -306,8 +304,8 @@ def fedavg_client_shards(
     if mode not in SHARD_MODES:
         raise ValueError(f"mode must be one of {SHARD_MODES}, got {mode!r}")
     feats = encode(dataset, system.encoder)
-    message = quantize(feats, system.codebook, system.blocks)
-    clean = dequantize(message, system.codebook, system.blocks)
+    message = quantize(feats, system.codebook)
+    clean = dequantize(message, system.codebook, system.feature_dim)
     labels = dataset.labels
     if mode == "disjoint":
         n_classes = len(dataset.catalog.names)
@@ -344,13 +342,13 @@ def run_fedavg_experiment(
     rounds = itertools.count()
 
     def eval_fn(net: nn.Network) -> tuple[float, float]:
-        top1, ce, _ = eval_through_downlink(test_vectors, net, system, scenario, next(rounds))
+        top1, ce, _ = eval_through_downlink(test_vectors, net, scenario, next(rounds))
         return top1, ce
 
-    return run_fedavg_baseline(shards, fa.rounds, fa, classifier, eval_fn)
+    return run_fedavg_baseline(shards, fa, classifier, eval_fn)
 
 
-def restrict_t1_train(scenario: CsaScenario, per_class: int, seed: int) -> CsaScenario:
+def restrict_t1_train(scenario: CsaScenario, per_class: int) -> CsaScenario:
     """Cap the labelled current-epoch pool at ``per_class`` samples per class.
 
     Models the scarce-label regime after an environment change: the archive
@@ -361,7 +359,7 @@ def restrict_t1_train(scenario: CsaScenario, per_class: int, seed: int) -> CsaSc
     if per_class <= 0:
         return scenario
     t1 = scenario.splits_t1.train
-    rng = spawn_rng(seed, "scarce")
+    rng = spawn_rng(scenario.seed, "scarce")
     keep: list[np.ndarray] = []
     for c in range(len(t1.catalog.names)):
         idx = np.flatnonzero(t1.labels == c)
@@ -396,13 +394,12 @@ def run_round_race(cfg: HarnessConfig) -> RaceResult:
     link; the averaging baseline instead exchanges classifier parameters
     between clients holding class-disjoint shards.
     """
-    seed = cfg.experiment.master_seed
     per_class = cfg.fedavg.scarce_per_class
-    scenario = restrict_t1_train(build_csa_scenario(cfg, meta_enabled=True), per_class, seed)
-    csa_logs = run_csa_end_to_end(scenario, cfg.csa.rounds)
+    scenario = restrict_t1_train(build_csa_scenario(cfg, meta_enabled=True), per_class)
+    csa_logs = run_csa_end_to_end(scenario)
     # An identical second build for the averaging side; perfbench's traced adapt run counts two.
-    eval_scenario = restrict_t1_train(build_csa_scenario(cfg, meta_enabled=False), per_class, seed)
-    classifier = terminal_classifier(scenario.system, cfg.csa, seed)
+    eval_scenario = restrict_t1_train(build_csa_scenario(cfg, meta_enabled=False), per_class)
+    classifier = terminal_classifier(scenario)
     fedavg_logs = run_fedavg_experiment(cfg, eval_scenario, classifier)
     target = cfg.csa.target_accuracy
     return RaceResult(

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -88,9 +92,22 @@ class TestScope:
         assert seen and set(seen) == {1}
 
 
+@needs_openblas
+def test_core_name_reports_the_kernel_in_use():
+    """OPENBLAS_CORETYPE forces a kernel at load time; ``core_name`` reports that one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "from semcom import blas; print(blas.core_name())"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "Haswell"
+
+
 def test_lookup_without_openblas_finds_nothing(monkeypatch):
     monkeypatch.setattr(blas, "_loaded_openblas_paths", lambda: ["/nonexistent/libopenblas.so"])
     assert blas._controls.__wrapped__() == ()
+    assert blas.core_name() is None
 
 
 @pytest.mark.parametrize("workers", [1, 2])

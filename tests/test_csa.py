@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -270,7 +272,6 @@ class TestCovariancePathMatchesLoops:
         vectors, erased, _ = send_over_channel(
             sent.vectors,
             small_system.codebook,
-            small_system.blocks,
             build_constellation("16apsk"),
             ChannelConfig(kind=ChannelKind.ISL),
             12.0,
@@ -479,12 +480,13 @@ class TestMetaStepMatchesInlineReference:
 
 class TestLambdaSchedule:
     def test_linear_warmup_then_flat(self):
-        assert effective_lambda(0.8, 0, 30, 0.25) == pytest.approx(0.1)
-        assert effective_lambda(0.8, 7, 30, 0.25) == pytest.approx(0.8)
-        assert effective_lambda(0.8, 29, 30, 0.25) == pytest.approx(0.8)
+        sa = SAConfig(sa_lambda=0.8, rounds=30, warmup_fraction=0.25)
+        assert effective_lambda(sa, 0) == pytest.approx(0.1)
+        assert effective_lambda(sa, 7) == pytest.approx(0.8)
+        assert effective_lambda(sa, 29) == pytest.approx(0.8)
 
     def test_zero_warmup_starts_at_base(self):
-        assert effective_lambda(0.8, 0, 30, 0.0) == 0.8
+        assert effective_lambda(SAConfig(sa_lambda=0.8, rounds=30, warmup_fraction=0.0), 0) == 0.8
 
 
 def make_logs(values, side="ut"):
@@ -543,7 +545,7 @@ class TestFedAvg:
         shard = blob_shard(0)
         start = nn.init_network([8, 4], ["linear"], seed=1)
         fed = start.copy()
-        run_fedavg_baseline([shard], 4, self.CFG, classifier=fed)
+        run_fedavg_baseline([shard], replace(self.CFG, rounds=4), classifier=fed)
         mine = start.copy()
         self.centralized_oracle(shard, mine, 4)
         np.testing.assert_array_equal(fed.layers[0].weights, mine.layers[0].weights)
@@ -553,15 +555,15 @@ class TestFedAvg:
         shard = blob_shard(1)
         start = nn.init_network([8, 4], ["linear"], seed=2)
         solo, duo = start.copy(), start.copy()
-        logs_solo = run_fedavg_baseline([shard], 3, self.CFG, classifier=solo)
-        logs_duo = run_fedavg_baseline([shard, shard], 3, self.CFG, classifier=duo)
+        logs_solo = run_fedavg_baseline([shard], replace(self.CFG, rounds=3), classifier=solo)
+        logs_duo = run_fedavg_baseline([shard, shard], replace(self.CFG, rounds=3), classifier=duo)
         np.testing.assert_array_equal(solo.layers[0].weights, duo.layers[0].weights)
         assert [l.top1_accuracy for l in logs_solo] == [l.top1_accuracy for l in logs_duo]
 
     def test_bits_count_full_exchange_per_round(self):
         shard = blob_shard(2)
         clf = nn.init_network([8, 4], ["linear"], seed=3)
-        logs = run_fedavg_baseline([shard, shard], 2, self.CFG, classifier=clf)
+        logs = run_fedavg_baseline([shard, shard], replace(self.CFG, rounds=2), classifier=clf)
         expected = clf.parameter_count * 64 * 2 * 2
         assert all(l.bits_transmitted == expected for l in logs)
         assert all(l.side == "server" for l in logs)
@@ -573,7 +575,7 @@ class TestFedAvg:
             SemanticFeatures(full.vectors[mask], full.labels[mask]),
             SemanticFeatures(full.vectors[~mask], full.labels[~mask]),
         ]
-        logs = run_fedavg_baseline(clients, 20, self.CFG)
+        logs = run_fedavg_baseline(clients, replace(self.CFG, rounds=20))
         assert logs[-1].top1_accuracy >= 0.8
         assert logs[-1].top1_accuracy > logs[0].top1_accuracy
 
@@ -585,12 +587,12 @@ class TestFedAvg:
             calls.append(1)
             return 0.42, 1.3
 
-        logs = run_fedavg_baseline([shard], 3, self.CFG, eval_fn=eval_fn)
+        logs = run_fedavg_baseline([shard], replace(self.CFG, rounds=3), eval_fn=eval_fn)
         assert len(calls) == 3
         assert all(l.top1_accuracy == 0.42 for l in logs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_fedavg_baseline([], 2, self.CFG)
+            run_fedavg_baseline([], replace(self.CFG, rounds=2))
         with pytest.raises(ValueError):
-            run_fedavg_baseline([SemanticFeatures(np.zeros((2, 3)))], 2, self.CFG)
+            run_fedavg_baseline([SemanticFeatures(np.zeros((2, 3)))], replace(self.CFG, rounds=2))

@@ -20,6 +20,7 @@ from semcom.dtjscc import (
     QuantizedMessage,
     SemanticFeatures,
     classify,
+    classify_over_channel,
     dequantize,
     encode,
     frame_bit_count,
@@ -28,6 +29,7 @@ from semcom.dtjscc import (
     quantize,
     save_bundle,
     save_codebook,
+    send_over_channel,
     train_dtjscc,
     transmit,
 )
@@ -103,16 +105,16 @@ class TestQuantizeRoundTrip:
         msg = quantize(feats, cb)
         assert msg.indices.shape == (10,)
         assert msg.bits_per_index == 5
-        recon = dequantize(msg, cb)
+        recon = dequantize(msg, cb, 16)
         np.testing.assert_array_equal(recon, cb.entries[msg.indices])
 
     def test_multi_block_stitching(self):
         rng = spawn_rng(2, "q")
         cb = Codebook(rng.standard_normal((64, 4)))
         feats = SemanticFeatures(rng.standard_normal((6, 16)))
-        msg = quantize(feats, cb, blocks=4)
+        msg = quantize(feats, cb)
         assert msg.indices.shape == (24,)
-        recon = dequantize(msg, cb, blocks=4)
+        recon = dequantize(msg, cb, 16)
         assert recon.shape == (6, 16)
         np.testing.assert_array_equal(
             recon[0, :4], cb.entries[msg.indices[0]]
@@ -125,7 +127,7 @@ class TestQuantizeRoundTrip:
         cb = Codebook(spawn_rng(3, "q").standard_normal((32, 5)))
         feats = SemanticFeatures(np.zeros((2, 16)))
         with pytest.raises(ValueError):
-            quantize(feats, cb, blocks=4)
+            quantize(feats, cb)
 
     def test_quantization_error_never_exceeds_any_other_codeword(self):
         rng = spawn_rng(4, "q")
@@ -209,8 +211,43 @@ class TestTransmission:
         )
         cb = Codebook(spawn_rng(8, "e").standard_normal((32, 4)))
         clf = nn.init_network([16, 10], ["linear"], seed=0)
-        probs = classify(msg, cb, clf, blocks=4)
+        probs = classify(msg, cb, clf)
         np.testing.assert_allclose(probs, np.full((2, 10), 0.1))
+
+
+class TestBlockCountFromCodebook:
+    """The block count is the feature width over ``codebook.dim``; no call passes it."""
+
+    def test_four_block_system_matches_explicit_block_reshape(self, small_splits):
+        system = train_dtjscc(small_splits, 8.0, DtjsccConfig(k=32, blocks=4, epochs=2, seed=9))
+        assert system.blocks == 4
+        feats = encode(small_splits.test, system.encoder)
+        msg = quantize(feats, system.codebook)
+        probs = classify(msg, system.codebook, system.classifier)
+        # The former explicit-blocks path: (B, A) -> (4B, A/4) rows, and back.
+        b, a = feats.vectors.shape
+        want_indices = system.codebook.nearest(feats.vectors.reshape(b * 4, a // 4))
+        rows = system.codebook.entries[want_indices]
+        want_vectors = rows.reshape(want_indices.size // 4, 4 * system.codebook.dim)
+        want_probs = nn.softmax(nn.forward(system.classifier, want_vectors))
+        assert msg.indices.tobytes() == want_indices.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+
+    def test_width_not_a_multiple_of_the_codebook_dim_is_rejected(self):
+        cb = Codebook(spawn_rng(3, "w").standard_normal((32, 5)))
+        vectors = np.zeros((3, 16))
+        clf = nn.init_network([16, 10], ["linear"], seed=0)
+        msg = QuantizedMessage(np.zeros(3, dtype=np.int64), cb.bits_per_index)
+        channel_args = (build_constellation("4psk"), ChannelConfig(kind=ChannelKind.AWGN), 10.0, 3)
+        match = r"^feature width 16 is not a multiple of codebook dim 5$"
+        with pytest.raises(ValueError, match=match):
+            quantize(SemanticFeatures(vectors), cb)
+        with pytest.raises(ValueError, match=match):
+            classify(msg, cb, clf)
+        with pytest.raises(ValueError, match=match):
+            send_over_channel(vectors, cb, *channel_args, [spawn_rng(0, "w")])
+        with pytest.raises(ValueError, match=match):
+            classify_over_channel(vectors, cb, clf, *channel_args, 0, "w")
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +267,8 @@ class TestTraining:
 
     def test_classification_consistency_on_clean_path(self, trained, small_splits):
         feats = encode(small_splits.test, trained.encoder)
-        msg = quantize(feats, trained.codebook, blocks=trained.blocks)
-        probs = classify(msg, trained.codebook, trained.classifier, blocks=trained.blocks)
+        msg = quantize(feats, trained.codebook)
+        probs = classify(msg, trained.codebook, trained.classifier)
         top1 = float(np.mean(np.argmax(probs, axis=1) == small_splits.test.labels))
         assert top1 >= 0.5
 

@@ -48,24 +48,24 @@ def reference_frames(feats, system, classifier, constellation, channel_cfg, psnr
         stop = min(start + frame, n)
         chunk = SemanticFeatures(feats.vectors[start:stop], feats.labels[start:stop])
         rng = spawn_rng(seed, *tag, fi)
-        message = quantize(chunk, system.codebook, system.blocks)
+        message = quantize(chunk, system.codebook)
         realization = sample_realization(channel_cfg, noise_variance_from_psnr(psnr_db), rng)
         received = transmit(message, constellation, realization, rng, channel_cfg)
         bits += frame_bit_count(received)
-        probs[start:stop] = classify(received, system.codebook, classifier, system.blocks)
+        probs[start:stop] = classify(received, system.codebook, classifier)
     return probs, bits
 
 
-def reference_isl(features, codebook, blocks, constellation, channel_cfg, psnr_db, rng):
+def reference_isl(features, codebook, constellation, channel_cfg, psnr_db, rng):
     """The round loop's former one-frame link: quantize, send, dequantize.
 
     Returns the received vectors, the bits on the air and whether the frame
     was erased.
     """
-    message = quantize(features, codebook, blocks)
+    message = quantize(features, codebook)
     realization = sample_realization(channel_cfg, noise_variance_from_psnr(psnr_db), rng)
     received = transmit(message, constellation, realization, rng, channel_cfg)
-    return dequantize(received, codebook, blocks), frame_bit_count(received), received.erased
+    return dequantize(received, codebook, features.vectors.shape[1]), frame_bit_count(received), received.erased
 
 
 def reference_evaluate(system, dataset, constellation, channel_cfg, psnr_db, seed, repetitions, frame):
@@ -75,7 +75,7 @@ def reference_evaluate(system, dataset, constellation, channel_cfg, psnr_db, see
     for rep in range(repetitions):
         probs, _ = reference_frames(
             feats, system, system.classifier, constellation, channel_cfg, psnr_db,
-            max(1, frame), seed, "rep", rep,
+            frame, seed, "rep", rep,
         )
         preds.append(np.argmax(probs, axis=1))
     predictions = np.concatenate(preds)
@@ -88,7 +88,7 @@ def reference_downlink(encoder, classifier, system, scenario, round_index):
     test = scenario.splits_t1.test
     probs, bits = reference_frames(
         encode(test, encoder), system, classifier, scenario.constellation,
-        scenario.downlink_channel, scenario.sa.eval_psnr_db, max(1, scenario.eval_frame),
+        scenario.downlink_channel, scenario.sa.eval_psnr_db, scenario.eval_frame,
         scenario.seed, "eval", round_index,
     )
     labels = test.labels
@@ -146,12 +146,12 @@ def assert_both_paths_match(system, splits, fading, frame):
 
     for round_index in range(2):
         assert eval_through_downlink(
-            encode(test, system.encoder).vectors, system.classifier, system, scenario, round_index
+            encode(test, system.encoder).vectors, system.classifier, scenario, round_index
         ) == reference_downlink(system.encoder, system.classifier, system, scenario, round_index)
 
     feats = encode(test, system.encoder)
     probs, bits = classify_over_channel(
-        feats.vectors, system.codebook, system.classifier, system.blocks,
+        feats.vectors, system.codebook, system.classifier,
         scenario.constellation, scenario.downlink_channel, 6.0, frame, 31, "rep", 0,
     )
     want_probs, want_bits = reference_frames(
@@ -212,11 +212,11 @@ def assert_isl_matches(system, splits, fading, rounds):
         batch = SemanticFeatures(feats.vectors[i::rounds], feats.labels[i::rounds])
         n = batch.vectors.shape[0]
         vectors, erased, bits = send_over_channel(
-            batch.vectors, system.codebook, system.blocks, constellation,
+            batch.vectors, system.codebook, constellation,
             channel_cfg, 6.0, n, [spawn_rng(17, "isl", i)],
         )
         want_vectors, want_bits, want_erased = reference_isl(
-            batch, system.codebook, system.blocks, constellation,
+            batch, system.codebook, constellation,
             channel_cfg, 6.0, spawn_rng(17, "isl", i),
         )
         assert vectors.tobytes() == want_vectors.tobytes()
@@ -235,3 +235,26 @@ class TestIslFrameMatchesReference:
         erasures = force_erasures(fading, monkeypatch)
         assert_isl_matches(systems[4], small_splits, fading, 30)
         assert 0 < sum(erasures) < len(erasures)
+
+
+class TestFrameSizeBelowOne:
+    """A frame holds at least one item; smaller sizes fail, naming ``frame``."""
+
+    @pytest.mark.parametrize("frame", [0, -5])
+    def test_every_frame_path_rejects_it(self, systems, small_splits, frame):
+        system = systems[4]
+        scenario = scenario_for(system, small_splits, "block", frame)
+        vectors = encode(small_splits.test, system.encoder).vectors
+        match = rf"^frame must be at least 1, got {frame}$"
+        with pytest.raises(ValueError, match=match):
+            send_over_channel(
+                vectors, system.codebook, scenario.constellation,
+                scenario.downlink_channel, 6.0, frame, [spawn_rng(17, "isl", 0)],
+            )
+        with pytest.raises(ValueError, match=match):
+            evaluate_through_channel(
+                system, small_splits.test, scenario.constellation,
+                scenario.downlink_channel, 6.0, 31, 1, frame,
+            )
+        with pytest.raises(ValueError, match=match):
+            eval_through_downlink(vectors, system.classifier, scenario, 0)

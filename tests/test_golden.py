@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from semcom import blas
 from semcom.cli import main
 
 SEED = 5
@@ -84,6 +85,10 @@ RUNS = {
     "race": (ROUNDS_INI, []),
 }
 
+# The OpenBLAS kernel (``blas.core_name()``) the digests were recorded under;
+# the trained products, and so the files, round differently under others.
+RECORDED_CORE = "SkylakeX"
+
 GOLDEN = {
     'confusion': {
         'confusion.csv': '6f48112f12e3ad60b4d2b53210633bdcd4408c3863205c1228c345d12cd549fd',
@@ -139,12 +144,15 @@ def run_digests(name: str, tmp: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_stored_digests(name, tmp_path):
     digests = run_digests(name, tmp_path)
-    assert digests == GOLDEN[name]
+    assert digests == GOLDEN[name], (
+        f"digests recorded under the {RECORDED_CORE} BLAS kernel; this run used {blas.core_name()}"
+    )
 
 
 if __name__ == "__main__":
     import tempfile
 
+    print(f"RECORDED_CORE = {blas.core_name()!r}", file=sys.stderr)
     for run in sorted(RUNS):
         with tempfile.TemporaryDirectory() as tmp:
             found = run_digests(run, Path(tmp))

@@ -306,7 +306,9 @@ class TestScenario:
         assert scenario.sa == scenario_cfg.csa
 
     def test_round_logs_structure(self, scenario, scenario_cfg):
-        logs = run_csa_end_to_end(scenario, n_rounds=3)
+        logs = run_csa_end_to_end(
+            dataclasses.replace(scenario, sa=dataclasses.replace(scenario.sa, rounds=3))
+        )
         assert len(logs) == 6
         assert {entry.side for entry in logs} == {"sat2", "ut"}
         assert all(entry.bits_transmitted > 0 for entry in logs)
@@ -322,7 +324,9 @@ class TestScenario:
         """Round 0 encodes the reference batch, t_1 val and t_1 test; later
         frozen rounds only the reference batch. Averaging encodes its shards
         and the test set once."""
-        frozen = dataclasses.replace(scenario, meta_enabled=False)
+        frozen = dataclasses.replace(
+            scenario, meta_enabled=False, sa=dataclasses.replace(scenario.sa, rounds=4)
+        )
         calls = []
 
         def counting_encode(dataset, encoder):
@@ -331,7 +335,7 @@ class TestScenario:
 
         monkeypatch.setattr("semcom.csa.encode", counting_encode)
         monkeypatch.setattr("semcom.harness.encode", counting_encode)
-        run_csa_end_to_end(frozen, n_rounds=4)
+        run_csa_end_to_end(frozen)
         assert len(calls) == 6
         calls.clear()
         harness.run_fedavg_experiment(scenario_cfg, frozen)
@@ -356,13 +360,13 @@ class TestScenario:
 
     def test_restrict_t1_train_caps_every_class(self, scenario):
         before = scenario.splits_t1.train.pixels.copy()
-        scarce = restrict_t1_train(scenario, per_class=2, seed=0)
+        scarce = restrict_t1_train(scenario, per_class=2)
         assert scenario.splits_t1.train.pixels.tobytes() == before.tobytes()
         counts = np.bincount(scarce.splits_t1.train.labels)
         assert np.all(counts[counts > 0] <= 2)
         assert len(scarce.splits_t1.val) == len(scenario.splits_t1.val)
         assert len(scarce.splits_t1.test) == len(scenario.splits_t1.test)
-        again = restrict_t1_train(scenario, per_class=2, seed=0)
+        again = restrict_t1_train(scenario, per_class=2)
         np.testing.assert_array_equal(
             scarce.splits_t1.train.pixels, again.splits_t1.train.pixels
         )
