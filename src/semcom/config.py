@@ -21,8 +21,7 @@ from .channel import ChannelConfig, ChannelKind, psnr_ratio
 from .csa import FedAvgConfig, SAConfig
 from .dataset import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from .dtjscc import DtjsccConfig
-from .geometry import SLANT_RANGE_MODES
-from .modem import build_constellation
+from .modem import TABLE_BITS, build_constellation
 from .seeding import derive_seed
 
 
@@ -40,7 +39,6 @@ class LinkBudgetSettings:
     scintillation_loss_db: float = 0.5
     shadow_db: float = 0.0
     isl_distance_km: float = 2000.0
-    slant_mode: str = "corrected"
 
     def __post_init__(self) -> None:
         for name in ("carrier_ghz", "altitude_km", "isl_distance_km"):
@@ -48,8 +46,6 @@ class LinkBudgetSettings:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.elevation_deg <= 90.0:
             raise ValueError(f"elevation_deg must lie in (0, 90], got {self.elevation_deg}")
-        if self.slant_mode not in SLANT_RANGE_MODES:
-            raise ValueError(f"slant_mode must be one of {SLANT_RANGE_MODES}, got {self.slant_mode!r}")
         for f in fields(self):
             if f.name.endswith("_db") and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -80,8 +76,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for k in self.k_presets:
-            if k < 2 or k & (k - 1):
-                raise ValueError(f"k_presets must each be a power of two >= 2, got {k}")
+            if k < 2 or k & (k - 1) or k > 1 << TABLE_BITS:
+                raise ValueError(f"k_presets must each be a power of two in [2, {1 << TABLE_BITS}], got {k}")
         if not self.rician_factor >= 0:  # also false for NaN
             raise ValueError(f"rician_factor must be >= 0, got {self.rician_factor}")
         kinds = [kind.value for kind in ChannelKind]

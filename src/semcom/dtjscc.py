@@ -33,6 +33,7 @@ from .channel import (
 )
 from .dataset import Dataset, SplitDatasets
 from .modem import (
+    TABLE_BITS,
     Constellation,
     DeepFadeError,
     bits_to_ints,
@@ -331,8 +332,8 @@ class DtjsccConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 2 or self.k & (self.k - 1):
-            raise ValueError(f"k must be a power of two, got {self.k}")
+        if self.k < 2 or self.k & (self.k - 1) or self.k > 1 << TABLE_BITS:
+            raise ValueError(f"k must be a power of two in [2, {1 << TABLE_BITS}], got {self.k}")
         for name in ("feature_dim", "encoder_hidden", "epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -5,13 +5,11 @@ terms, the combined large-scale gain, and the Doppler shift seen by a ground
 terminal. All angles are radians, distances kilometres unless a name says
 otherwise.
 
-Conventions in force here (kept deliberately, see README model notes):
-
-* FSPL uses frequency in GHz and distance in METRES with additive constant
-  32.45. The usual pairing for 32.45 is km/MHz (km/GHz pairs with 92.45), so
-  this convention reads about 60 dB above the km/MHz one at equal inputs.
-  Every derived figure in this package is self-consistent under it.
-* ``slant_range`` offers two algebraic forms, see its docstring.
+FSPL uses frequency in GHz and distance in METRES with additive constant
+32.45 (kept deliberately, see README model notes). The usual pairing for
+32.45 is km/MHz (km/GHz pairs with 92.45), so this convention reads about
+60 dB above the km/MHz one at equal inputs. Every derived figure in this
+package is self-consistent under it.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from dataclasses import dataclass
 EARTH_RADIUS_KM = 6378.0
 MU_EARTH_M3_S2 = 3.986004418e14
 SPEED_OF_LIGHT_M_S = 299792458.0
-
-SLANT_RANGE_MODES = ("corrected", "verbatim")
 
 
 @dataclass
@@ -71,29 +67,15 @@ class PathLossBreakdown:
         return self.fspl_db + self.shadow_db + self.atmospheric_db + self.scintillation_db
 
 
-def slant_range(geom: OrbitGeometry, mode: str = "corrected") -> float:
+def slant_range(geom: OrbitGeometry) -> float:
     """Terminal-to-satellite distance in km.
 
-    Parameters
-    ----------
-    geom : OrbitGeometry
-    mode : str
-        ``"corrected"`` (default) evaluates the law-of-cosines form
-        ``sqrt(R^2 sin^2 th + r^2 + 2 R r) - R sin th``, which reduces to the
-        altitude at zenith. ``"verbatim"`` evaluates the variant
-        ``sqrt(R^2 sin^2 th + r^2 + 2 R r - 2 R r sin th)`` with the elevation
-        term folded inside the radical; it does not reduce to the altitude at
-        zenith and is kept only for cross-checks against systems that use it.
+    The law-of-cosines form ``sqrt(R^2 sin^2 th + r^2 + 2 R r) - R sin th``,
+    which reduces to the altitude at zenith.
     """
-    if mode not in SLANT_RANGE_MODES:
-        raise ValueError(f"mode must be one of {SLANT_RANGE_MODES}, got {mode!r}")
     r_e = EARTH_RADIUS_KM
     r_m = geom.altitude_km
     sin_th = math.sin(geom.elevation_rad)
-    if mode == "verbatim":
-        return math.sqrt(
-            r_e**2 * sin_th**2 + r_m**2 + 2.0 * r_e * r_m - 2.0 * r_e * r_m * sin_th
-        )
     return math.sqrt(r_e**2 * sin_th**2 + r_m**2 + 2.0 * r_e * r_m) - r_e * sin_th
 
 
@@ -109,43 +91,6 @@ def free_space_path_loss_db(distance_km: float, carrier_ghz: float) -> float:
         raise ValueError(f"carrier must be positive, got {carrier_ghz}")
     distance_m = distance_km * 1e3
     return 32.45 + 20.0 * math.log10(carrier_ghz) + 20.0 * math.log10(distance_m)
-
-
-def total_path_loss(
-    geom: OrbitGeometry,
-    budget: LinkBudget,
-    shadow_db: float = 0.0,
-    mode: str = "corrected",
-) -> PathLossBreakdown:
-    """Ground-link path loss: FSPL + shadowing + gas + scintillation."""
-    d_km = slant_range(geom, mode=mode)
-    fspl = free_space_path_loss_db(d_km, budget.carrier_ghz)
-    return PathLossBreakdown(
-        fspl_db=fspl,
-        shadow_db=shadow_db,
-        atmospheric_db=budget.atmospheric_loss_db,
-        scintillation_db=budget.scintillation_loss_db,
-    )
-
-
-def isl_path_loss(distance_km: float, carrier_ghz: float) -> PathLossBreakdown:
-    """Inter-satellite link loss: FSPL only, no shadowing or atmosphere."""
-    return PathLossBreakdown(
-        fspl_db=free_space_path_loss_db(distance_km, carrier_ghz),
-        shadow_db=0.0,
-        atmospheric_db=0.0,
-        scintillation_db=0.0,
-    )
-
-
-def large_scale_attenuation_db(total_loss_db: float, antenna_gain_db: float) -> float:
-    """Net attenuation zeta in dB: path loss minus receive antenna gain."""
-    return total_loss_db - antenna_gain_db
-
-
-def large_scale_gain_linear(zeta_db: float) -> float:
-    """Linear power gain 10^(-zeta/10); in (0, 1] whenever zeta >= 0."""
-    return 10.0 ** (-zeta_db / 10.0)
 
 
 def orbital_velocity_m_s(altitude_km: float) -> float:
@@ -227,33 +172,29 @@ class LinkReport:
         return "\n".join(lines)
 
 
-def link_budget_report(
-    geom: OrbitGeometry,
+def _report(
+    distance_km: float,
     budget: LinkBudget,
-    shadow_db: float = 0.0,
-    mode: str = "corrected",
+    doppler_hz: float,
+    losses_db: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> LinkReport:
-    """Evaluate the ground-link budget at one geometry."""
-    d_km = slant_range(geom, mode=mode)
-    breakdown = total_path_loss(geom, budget, shadow_db=shadow_db, mode=mode)
-    zeta_db = large_scale_attenuation_db(breakdown.total_db, budget.sat_antenna_gain_db)
-    return LinkReport(
-        distance_km=d_km,
-        breakdown=breakdown,
-        zeta_db=zeta_db,
-        zeta_linear=large_scale_gain_linear(zeta_db),
-        doppler_hz=doppler_shift_hz(geom.altitude_km, geom.elevation_rad, budget.carrier_ghz),
-    )
+    """FSPL at ``distance_km`` plus ``losses_db`` (shadowing, gas, scintillation).
+
+    The slant range or ISL separation is computed once by the caller; zeta is
+    the total loss less the antenna gain, and its linear gain 10^(-zeta/10).
+    """
+    breakdown = PathLossBreakdown(free_space_path_loss_db(distance_km, budget.carrier_ghz), *losses_db)
+    zeta_db = breakdown.total_db - budget.sat_antenna_gain_db
+    return LinkReport(distance_km, breakdown, zeta_db, 10.0 ** (-zeta_db / 10.0), doppler_hz)
+
+
+def link_budget_report(geom: OrbitGeometry, budget: LinkBudget, shadow_db: float = 0.0) -> LinkReport:
+    """Ground link: FSPL at the slant range + shadowing + gas + scintillation, with Doppler."""
+    doppler_hz = doppler_shift_hz(geom.altitude_km, geom.elevation_rad, budget.carrier_ghz)
+    losses_db = (shadow_db, budget.atmospheric_loss_db, budget.scintillation_loss_db)
+    return _report(slant_range(geom), budget, doppler_hz, losses_db)
 
 
 def isl_link_report(distance_km: float, budget: LinkBudget) -> LinkReport:
-    """Evaluate the inter-satellite budget at one separation."""
-    breakdown = isl_path_loss(distance_km, budget.carrier_ghz)
-    zeta_db = large_scale_attenuation_db(breakdown.total_db, budget.sat_antenna_gain_db)
-    return LinkReport(
-        distance_km=distance_km,
-        breakdown=breakdown,
-        zeta_db=zeta_db,
-        zeta_linear=large_scale_gain_linear(zeta_db),
-        doppler_hz=0.0,
-    )
+    """Inter-satellite link: FSPL only, no shadowing, atmosphere or Doppler."""
+    return _report(distance_km, budget, 0.0)

@@ -256,7 +256,7 @@ def linkbudget_reports(lb: LinkBudgetSettings) -> tuple[LinkReport, LinkReport]:
         atmospheric_loss_db=lb.atmospheric_loss_db,
         scintillation_loss_db=lb.scintillation_loss_db,
     )
-    ground = link_budget_report(geom, budget, shadow_db=lb.shadow_db, mode=lb.slant_mode)
+    ground = link_budget_report(geom, budget, shadow_db=lb.shadow_db)
     isl = isl_link_report(lb.isl_distance_km, budget)
     return ground, isl
 

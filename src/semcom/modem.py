@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_APSK_RING_RATIO = 2.57
+# The widest bit width the lookup tables cover; PSK orders and codebook sizes
+# are capped at 2**TABLE_BITS so every index and label fits one table.
+TABLE_BITS = 16
 
 
 class DeepFadeError(Exception):
@@ -60,8 +63,8 @@ def _gray(k: np.ndarray) -> np.ndarray:
 
 def build_psk(order: int) -> Constellation:
     """M-PSK on the unit circle, point k at angle 2 pi k / M, Gray labels."""
-    if order < 2 or (order & (order - 1)) != 0:
-        raise ValueError(f"order must be a power of two >= 2, got {order}")
+    if order < 2 or order & (order - 1) or order > 1 << TABLE_BITS:
+        raise ValueError(f"order must be a power of two in [2, {1 << TABLE_BITS}], got {order}")
     k = np.arange(order)
     points = np.exp(2j * np.pi * k / order)
     return Constellation(name=f"{order}psk", points=points, labels=_gray(k))
@@ -124,8 +127,8 @@ def _bit_table(width: int) -> np.ndarray:
 
 
 def _msb_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """The bits of ``values``, most significant first, flattened; a table lookup up to 16 bits."""
-    if 0 < width <= 16:
+    """The bits of ``values``, most significant first, flattened; a table lookup up to TABLE_BITS."""
+    if 0 < width <= TABLE_BITS:
         return _bit_table(width)[values].view(np.uint8)
     return _shifted_bits(values, width).reshape(-1)
 

@@ -67,6 +67,9 @@ class TestConfigErrors:
             ("dataset", "per_class_count", "0", "0"),
             ("dataset", "height", "0", "0"),
             ("dtjscc", "k", "48", "48"),
+            ("dtjscc", "k", "1099511627776", "1099511627776"),
+            ("sweep", "k_presets", "32,1099511627776", "1099511627776"),
+            ("channel", "modulation", "1099511627776psk", "'1099511627776psk'"),
             ("dtjscc", "blocks", "3", "3"),
             ("csa", "lambda", "-1", "-1.0"),
             ("csa", "warmup_fraction", "2", "2.0"),
@@ -75,7 +78,6 @@ class TestConfigErrors:
             ("channel", "kinds", "leo_rician,leo_rayleig", "'leo_rayleig'"),
             ("csa", "downlink_kind", "leo_rican", "'leo_rican'"),
             ("channel", "modulation", "16qam", "'16qam'"),
-            ("linkbudget", "slant_mode", "corected", "'corected'"),
             ("fedavg", "shards", "iidd", "'iidd'"),
             ("dtjscc", "batch_size", "0", "0"),
             ("dtjscc", "feature_dim", "0", "0"),
@@ -145,6 +147,14 @@ class TestConfigErrors:
         assert f"{section}.{key}" in err
         assert f"got {shown}\n" in err
         assert not (tmp_path / "out" / "csa_rounds.csv").exists()
+
+    def test_removed_slant_mode_is_an_unknown_key(self, tmp_path, capsys):
+        ini = tmp_path / "slant.ini"
+        ini.write_text("[linkbudget]\nslant_mode = corrected\n")
+        out = tmp_path / "out"
+        assert main(["linkbudget", "--config", str(ini), "--out", str(out)]) == 1
+        assert "unknown key linkbudget.slant_mode" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_seed_variable_exits_one_naming_it(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEMCOM_SEED", "abc")

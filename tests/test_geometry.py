@@ -16,13 +16,9 @@ from semcom.geometry import (
     doppler_shift_hz,
     free_space_path_loss_db,
     isl_link_report,
-    isl_path_loss,
-    large_scale_attenuation_db,
-    large_scale_gain_linear,
     link_budget_report,
     orbital_velocity_m_s,
     slant_range,
-    total_path_loss,
 )
 
 TABLE_BUDGET = LinkBudget(carrier_ghz=28.0)
@@ -47,13 +43,6 @@ class TestSlantRange:
             assert slant_range(geom) == pytest.approx(
                 quadratic_slant_km(600.0, geom.elevation_rad), rel=1e-9
             )
-
-    def test_published_form_value_at_zenith(self):
-        assert slant_range(ZENITH, mode="verbatim") == pytest.approx(6406.16, abs=0.01)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            slant_range(ZENITH, mode="fancy")
 
     @given(st.floats(1.0, 89.9), st.floats(200.0, 2000.0))
     def test_positive_and_decreasing_in_elevation(self, deg, alt):
@@ -86,19 +75,31 @@ class TestPathLoss:
         assert free_space_path_loss_db(600.0, 28.0) == pytest.approx(physical, abs=0.01)
 
     def test_total_is_sum_of_parts(self):
-        b = total_path_loss(ZENITH, TABLE_BUDGET, shadow_db=1.7)
+        b = link_budget_report(ZENITH, TABLE_BUDGET, shadow_db=1.7).breakdown
         assert b.total_db == pytest.approx(
             b.fspl_db + b.shadow_db + b.atmospheric_db + b.scintillation_db, abs=1e-12
         )
         assert b.shadow_db == 1.7
         assert b.total_db == pytest.approx(176.956 + 1.7 + 0.8, abs=1e-3)
 
+    def test_ground_fspl_is_taken_at_the_slant_range(self):
+        geom = OrbitGeometry(600.0, math.radians(30.0))
+        rep = link_budget_report(geom, TABLE_BUDGET, shadow_db=1.7)
+        assert rep.distance_km == slant_range(geom)
+        assert rep.breakdown.fspl_db == free_space_path_loss_db(slant_range(geom), 28.0)
+        assert (rep.breakdown.atmospheric_db, rep.breakdown.scintillation_db) == (0.3, 0.5)
+
     def test_attenuation_and_linear_gain(self):
-        zeta = large_scale_attenuation_db(177.756, 35.0)
-        assert zeta == pytest.approx(142.756, abs=1e-9)
-        assert large_scale_gain_linear(zeta) == pytest.approx(10 ** (-14.2756), rel=1e-9)
-        assert large_scale_gain_linear(0.0) == 1.0
-        assert large_scale_gain_linear(10.0) == pytest.approx(0.1)
+        rep = link_budget_report(ZENITH, TABLE_BUDGET, shadow_db=1.7)
+        assert rep.zeta_db == rep.breakdown.total_db - 35.0
+        assert rep.zeta_db == pytest.approx(144.456, abs=1e-3)
+        assert rep.zeta_linear == pytest.approx(10 ** (-rep.zeta_db / 10), rel=1e-12)
+        total = rep.breakdown.total_db
+        unity = link_budget_report(ZENITH, LinkBudget(28.0, sat_antenna_gain_db=total), 1.7)
+        assert unity.zeta_db == 0.0
+        assert unity.zeta_linear == 1.0
+        tenth = link_budget_report(ZENITH, LinkBudget(28.0, sat_antenna_gain_db=total - 10.0), 1.7)
+        assert tenth.zeta_linear == pytest.approx(0.1)
 
 
 class TestReports:
@@ -121,7 +122,8 @@ class TestReports:
         assert rep.doppler_hz == 0.0
 
     def test_isl_path_loss_is_vacuum_only(self):
-        b = isl_path_loss(2000.0, 28.0)
+        b = isl_link_report(2000.0, TABLE_BUDGET).breakdown
+        assert (b.shadow_db, b.atmospheric_db, b.scintillation_db) == (0.0, 0.0, 0.0)
         assert b.total_db == pytest.approx(free_space_path_loss_db(2000.0, 28.0))
 
     def test_csv_row_matches_header(self):
