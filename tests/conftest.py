@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from semcom import nn
+from semcom import dtjscc, nn
 from semcom.config import HarnessConfig, load_config
 from semcom.dataset import DatasetSpec, generate_synthetic
 from semcom.dtjscc import DtjsccConfig, TrainedSystem, train_dtjscc
@@ -20,6 +20,31 @@ settings.load_profile("suite")
 
 EASY_SPEC = DatasetSpec(per_class_count=30, class_separation=3.0, seed=11)
 SMALL_TRAIN = DtjsccConfig(k=32, epochs=8, batch_size=32, seed=7)
+
+
+def forget_training() -> None:
+    """Empty train_dtjscc's memory of its last training, as a new process starts."""
+    dtjscc._last_training = None
+
+
+@pytest.fixture(autouse=True)
+def _empty_training_cache():
+    """Each test starts with no remembered training, so its train_dtjscc calls train."""
+    forget_training()
+
+
+@pytest.fixture
+def trainings(monkeypatch):
+    """One entry per training train_dtjscc really runs, rather than copies."""
+    runs = []
+    real = dtjscc._train_system
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dtjscc, "_train_system", counted)
+    return runs
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,8 @@ from semcom.harness import run_csa_experiment, run_round_race, run_sweep
 from semcom.modem import bits_to_ints, build_constellation, build_psk, demodulate_hard, modulate
 from semcom.seeding import spawn_rng
 
+from conftest import forget_training
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Per-round downlink Top-1 fluctuates with the fading draws, so a run is
@@ -320,6 +322,7 @@ def test_criterion_9_byte_identical_reruns():
     eight = dataclasses.replace(
         small, experiment=dataclasses.replace(small.experiment, workers=8)
     )
+    forget_training()  # each rerun trains, as a new process would
     parallel = run_sweep(eight).csv()
     assert serial == parallel
 
@@ -333,6 +336,7 @@ def test_criterion_9_byte_identical_reruns():
         csa=dataclasses.replace(csa_cfg.csa, rounds=6),
     )
     first, _ = run_csa_experiment(csa_cfg)
+    forget_training()
     second, _ = run_csa_experiment(csa_cfg)
     assert roundlog_csv(first) == roundlog_csv(second)
     elapsed = time.perf_counter() - start

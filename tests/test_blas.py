@@ -14,7 +14,7 @@ import pytest
 from semcom import blas, harness
 from semcom.dataset import generate_synthetic
 
-from conftest import tiny_harness_cfg
+from conftest import forget_training, tiny_harness_cfg
 
 needs_openblas = pytest.mark.skipif(not blas._controls(), reason="numpy does not use OpenBLAS")
 
@@ -116,4 +116,5 @@ def test_sweep_bytes_do_not_depend_on_the_scope(workers, two_threads, monkeypatc
     with monkeypatch.context() as unpinned:
         unpinned.setattr(blas, "_controls", lambda: ())
         reference = harness.run_sweep(cfg).csv()
+    forget_training()  # forked pool workers would copy the unpinned run's last system
     assert harness.run_sweep(cfg).csv() == reference

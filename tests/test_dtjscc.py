@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from semcom import nn
 from semcom.channel import ChannelConfig, ChannelKind, ChannelRealization, noise_variance_from_psnr
-from semcom.dataset import DatasetSpec, generate_synthetic
+from semcom.dataset import Dataset, DatasetSpec, SplitDatasets, generate_synthetic
 from semcom.dtjscc import (
     Codebook,
     _init_codebook,
@@ -35,6 +37,8 @@ from semcom.dtjscc import (
 )
 from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
+
+from conftest import forget_training
 
 
 def brute_force_nearest(entries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -286,6 +290,7 @@ class TestTraining:
     def test_seed_reproducibility(self, small_splits):
         cfg = DtjsccConfig(k=32, epochs=2, batch_size=32, seed=9)
         a = train_dtjscc(small_splits, train_psnr_db=8.0, cfg=cfg)
+        forget_training()  # train again rather than copy
         b = train_dtjscc(small_splits, train_psnr_db=8.0, cfg=cfg)
         np.testing.assert_array_equal(a.codebook.entries, b.codebook.entries)
         np.testing.assert_array_equal(
@@ -405,6 +410,123 @@ class TestLeanStepMatchesReference:
             assert a.base is None
             for b in tensors[i + 1 :]:
                 assert not np.shares_memory(a, b)
+
+
+def system_tensors(system):
+    nets = (system.encoder, system.classifier, system.covariance_net)
+    arrays = [a for net in nets for layer in net.layers for a in (layer.weights, layer.biases)]
+    return arrays + [system.codebook.entries]
+
+
+def assert_same_system(got, want):
+    """Every tensor byte, activation, history entry and flag agree; no memory is shared."""
+    got_arrays, want_arrays = system_tensors(got), system_tensors(want)
+    assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
+    assert not any(np.shares_memory(a, b) for a in got_arrays for b in want_arrays)
+    nets = ("encoder", "classifier", "covariance_net")
+    assert [[layer.activation for layer in getattr(got, net).layers] for net in nets] == [
+        [layer.activation for layer in getattr(want, net).layers] for net in nets
+    ]
+    assert got.history == want.history and got.history is not want.history
+    assert got.val_accuracy == want.val_accuracy
+    assert got.converged == want.converged
+
+
+CACHE_CFG = DtjsccConfig(k=32, blocks=4, epochs=1, batch_size=32, seed=5)
+
+# A valid value other than CACHE_CFG's for every DtjsccConfig field.
+OTHER_SETTING = {
+    "k": 64,
+    "feature_dim": 8,
+    "encoder_hidden": 32,
+    "blocks": 2,
+    "epochs": 2,
+    "batch_size": 50,
+    "learning_rate": 0.04,
+    "codebook_weight": 0.5,
+    "commitment_weight": 0.5,
+    "patience": 5,
+    "seed": 6,
+}
+
+
+def with_train(splits, **changes):
+    return dataclasses.replace(splits, train=dataclasses.replace(splits.train, **changes))
+
+
+def one_pixel_changed(splits):
+    pixels = splits.train.pixels.copy()
+    pixels[3, 2, 1, 0] = np.nextafter(pixels[3, 2, 1, 0], np.inf)
+    return with_train(splits, pixels=pixels)
+
+
+def one_label_changed(splits):
+    labels = splits.train.labels.copy()
+    labels[3] = (labels[3] + 1) % len(splits.train.catalog)
+    return with_train(splits, labels=labels)
+
+
+def split_point_moved(splits):
+    train, val = splits.train, splits.val
+    both = Dataset(
+        np.concatenate([train.pixels, val.pixels]),
+        np.concatenate([train.labels, val.labels]),
+        np.concatenate([train.timestamps, val.timestamps]),
+        train.catalog,
+    )
+    n = len(train) - 1
+    return SplitDatasets(both.subset(slice(0, n)), both.subset(slice(n, len(both))), splits.test)
+
+
+class TestTrainingCache:
+    def test_a_repeat_returns_what_a_fresh_training_gives(self, small_splits, trainings):
+        fresh = train_dtjscc(small_splits, 4.0, CACHE_CFG)
+        repeat = train_dtjscc(small_splits, 4.0, CACHE_CFG)
+        assert len(trainings) == 1
+        assert_same_system(repeat, fresh)
+
+    def test_changing_a_returned_system_leaves_the_next_repeat_as_trained(
+        self, small_splits, trainings
+    ):
+        system = train_dtjscc(small_splits, 4.0, CACHE_CFG)
+        want = copy.deepcopy(system)
+        for _ in range(2):  # change the trained system, then a copy from the cache
+            for array in system_tensors(system):
+                array += 1.0
+            system.history.append(0.0)
+            system.val_accuracy, system.converged = 0.0, False
+            system = train_dtjscc(small_splits, 4.0, CACHE_CFG)
+            assert_same_system(system, want)
+        assert len(trainings) == 1
+
+    @pytest.mark.parametrize(
+        "change, train_psnr_db",
+        [(one_pixel_changed, 4.0), (one_label_changed, 4.0), (split_point_moved, 4.0), (None, 4.5)],
+        ids=["pixel", "label", "split_point", "train_psnr_db"],
+    )
+    def test_other_data_or_psnr_trains_again(self, small_splits, trainings, change, train_psnr_db):
+        train_dtjscc(small_splits, 4.0, CACHE_CFG)
+        train_dtjscc(change(small_splits) if change else small_splits, train_psnr_db, CACHE_CFG)
+        assert len(trainings) == 2
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DtjsccConfig)])
+    def test_any_other_setting_trains_again(self, small_splits, trainings, name):
+        train_dtjscc(small_splits, 4.0, CACHE_CFG)
+        train_dtjscc(small_splits, 4.0, dataclasses.replace(CACHE_CFG, **{name: OTHER_SETTING[name]}))
+        assert len(trainings) == 2
+
+    def test_a_stalled_training_warns_again_on_the_repeat(self, small_splits, trainings):
+        cfg = DtjsccConfig(k=32, blocks=4, epochs=40, batch_size=32, patience=2, seed=22)
+        messages = []
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                system = train_dtjscc(small_splits, 4.0, cfg)
+            messages.append([str(w.message) for w in caught if w.category is UserWarning])
+            assert not system.converged
+        assert len(trainings) == 1
+        assert messages[0] == messages[1]
+        assert any(m.startswith("training stalled") for m in messages[0])
 
 
 class TestPersistence:

@@ -37,7 +37,7 @@ from semcom.harness import (
 )
 from semcom.modem import build_constellation
 
-from conftest import tiny_harness_cfg
+from conftest import forget_training, tiny_harness_cfg
 
 
 def parse_sweep_csv(text: str) -> SweepResult:
@@ -233,6 +233,7 @@ class TestRunSweep:
         parallel = dataclasses.replace(
             sweep_cfg, experiment=dataclasses.replace(sweep_cfg.experiment, workers=2)
         )
+        forget_training()  # pool workers fork with the memory; train as a new process would
         assert run_sweep(parallel).csv() == sweep_result.csv()
 
     def test_svg_plot_embeds_the_series_means(self, sweep_result, tmp_path):
@@ -416,6 +417,18 @@ class TestRace:
             )
         assert race.csa_rounds == rounds_to_target(race.csa_logs, 0.3, "ut")
         assert race.fedavg_rounds == rounds_to_target(race.fedavg_logs, 0.3, "server")
+
+    def test_both_sides_share_one_pretraining(self, monkeypatch, trainings):
+        calls = []
+        real = harness.train_dtjscc
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "train_dtjscc", counted)
+        run_round_race(tiny_harness_cfg())
+        assert (len(calls), len(trainings)) == (2, 1)
 
 
 class TestWriteText:
