@@ -45,7 +45,7 @@ def _outdir(args: argparse.Namespace) -> str:
 
 def cmd_linkbudget(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    ground, isl = harness.linkbudget_reports(cfg.linkbudget)
+    ground, isl = cfg.linkbudget.reports()
     print("ground link")
     print(ground.as_text())
     print()

@@ -21,6 +21,7 @@ from .channel import ChannelConfig, ChannelKind, psnr_ratio
 from .csa import FedAvgConfig, SAConfig
 from .dataset import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from .dtjscc import DtjsccConfig
+from .geometry import LinkBudget, LinkReport, OrbitGeometry, isl_link_report, link_budget_report
 from .modem import TABLE_BITS, build_constellation
 from .seeding import derive_seed
 
@@ -49,6 +50,27 @@ class LinkBudgetSettings:
         for f in fields(self):
             if f.name.endswith("_db") and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        try:
+            fits = all(math.isfinite(report.zeta_db) for report in self.reports())
+        except OverflowError:  # the linear gain 10^(-zeta/10) passed the largest float
+            fits = False
+        if not fits:
+            raise ValueError(
+                "sat_antenna_gain_db must leave the large-scale gain 10^(-zeta/10), zeta being "
+                f"the total path loss less this gain, within float range, got {self.sat_antenna_gain_db}"
+            )
+
+    def reports(self) -> tuple[LinkReport, LinkReport]:
+        """Ground link report and inter-satellite report."""
+        budget = LinkBudget(
+            carrier_ghz=self.carrier_ghz,
+            sat_antenna_gain_db=self.sat_antenna_gain_db,
+            atmospheric_loss_db=self.atmospheric_loss_db,
+            scintillation_loss_db=self.scintillation_loss_db,
+        )
+        geom = OrbitGeometry(self.altitude_km, math.radians(self.elevation_deg))
+        ground = link_budget_report(geom, budget, shadow_db=self.shadow_db)
+        return ground, isl_link_report(self.isl_distance_km, budget)
 
 
 @dataclass
@@ -86,6 +108,11 @@ class ExperimentConfig:
                 raise ValueError(f"channels must each be one of {kinds}, got {kind!r}")
         if not 0.0 < self.apsk_ring_ratio < math.inf:  # also false for NaN
             raise ValueError(f"apsk_ring_ratio must be positive and finite, got {self.apsk_ring_ratio}")
+        for name in ("channels", "k_presets", "psnr_grid_db"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} must not repeat a value, got {repeated[0]!r} twice")
         try:
             build_constellation(self.modulation, self.apsk_ring_ratio)
         except ValueError as exc:

@@ -15,6 +15,7 @@ comparisons.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +24,6 @@ from . import nn
 from .channel import ChannelConfig, ChannelKind
 from .dataset import SplitDatasets
 from .dtjscc import (
-    SemanticFeatures,
     TrainedSystem,
     classify,
     classify_over_channel,
@@ -146,23 +146,21 @@ def sa_loss(
     )
 
 
-def _class_means(reference: SemanticFeatures, n_classes: int) -> np.ndarray:
+def _class_means(reference: tuple[np.ndarray, np.ndarray], n_classes: int) -> np.ndarray:
     """Per-class means, summed in batch order as ``mean`` sums; absent classes take the global mean."""
-    if reference.labels is None:
-        raise ValueError("reference batch must carry labels")
-    vectors = reference.vectors
+    vectors, labels = reference
     sums = np.zeros((n_classes, vectors.shape[1]))
-    np.add.at(sums, reference.labels, vectors)
-    counts = np.bincount(reference.labels, minlength=n_classes)
+    np.add.at(sums, labels, vectors)
+    counts = np.bincount(labels, minlength=n_classes)
     means = sums / np.maximum(counts, 1)[:, None]
     means[counts == 0] = vectors.mean(axis=0)
     return means
 
 
 def predict_covariance(
-    g: nn.Network, reference: SemanticFeatures
+    g: nn.Network, reference: tuple[np.ndarray, np.ndarray]
 ) -> tuple[CovarianceMatrix, list[nn.LayerCache]]:
-    """Diagonal covariance per class from the reference batch, and g's caches.
+    """Diagonal covariance per class from the ``(features, labels)`` reference batch, and g's caches.
 
     Each class mean goes through g; the class's own slice of the softplus
     output becomes its diagonal. Permuting the reference batch leaves the
@@ -172,9 +170,9 @@ def predict_covariance(
     if out_dim % a != 0:
         raise ValueError(f"predictor output {out_dim} is not a multiple of input {a}")
     n_classes = out_dim // a
-    if reference.labels is not None and reference.labels.size:
-        if int(reference.labels.max()) >= n_classes:
-            raise ValueError("reference labels exceed predictor class count")
+    labels = reference[1]
+    if labels.size and int(labels.max()) >= n_classes:
+        raise ValueError("reference labels exceed predictor class count")
     out, caches = nn.forward_cached(g, _class_means(reference, n_classes))
     own = np.arange(n_classes)
     return CovarianceMatrix(out.reshape(n_classes, n_classes, a)[own, own]), caches
@@ -208,19 +206,19 @@ def meta_step(
     g: nn.Network,
     encoder: nn.Network | None,
     classifier: nn.Network,
-    reference: SemanticFeatures,
+    reference: tuple[np.ndarray, np.ndarray],
     current_batch: tuple[np.ndarray, np.ndarray],
     cfg: SAConfig,
 ) -> MetaStepInfo:
     """One bi-level adaptation round. Mutates the networks in place.
 
-    (i) predict the covariance from the reference batch, (ii) run
-    ``inner_steps`` full-batch SGD steps of the augmented loss on the current
-    batch ``(inputs, labels)`` with the covariance fixed (updating encoder and
-    classifier, or the classifier alone when ``encoder`` is None), (iii)
-    update g down the gradient of the post-inner augmented objective on the
-    reference batch, taken through the covariance term only; the inner
-    updates are constants.
+    (i) predict the covariance from the ``(features, labels)`` reference
+    batch, (ii) run ``inner_steps`` full-batch SGD steps of the augmented loss
+    on the current batch ``(inputs, labels)`` with the covariance fixed
+    (updating encoder and classifier, or the classifier alone when
+    ``encoder`` is None), (iii) update g down the gradient of the post-inner
+    augmented objective on the reference batch, taken through the covariance
+    term only; the inner updates are constants.
     With lam = 0 the inner trajectory is exactly plain cross-entropy SGD and
     the g update vanishes.
     """
@@ -250,14 +248,7 @@ def meta_step(
                 f"inner loss {loss:.4f} exceeded 10x initial {first_loss:.4f}"
             )
 
-    outer_loss, outer_grads = sa_loss(
-        reference.vectors,
-        reference.labels,
-        layer.weights.T,
-        layer.biases,
-        cov,
-        lam,
-    )
+    outer_loss, outer_grads = sa_loss(*reference, layer.weights.T, layer.biases, cov, lam)
     g_grads = _covariance_backward(g, cov_caches, outer_grads.cov)
     nn.sgd_step(g, g_grads, cfg.meta_learning_rate)
     return MetaStepInfo(inner_losses=inner_losses, outer_loss=outer_loss, covariance=cov)
@@ -307,7 +298,6 @@ class CsaScenario:
     downlink_channel: ChannelConfig
     sa: SAConfig = field(default_factory=SAConfig)
     eval_frame: int = 32
-    meta_enabled: bool = True
     seed: int = 0
 
 
@@ -358,7 +348,7 @@ def terminal_classifier(scenario: CsaScenario) -> nn.Network:
     return nn.init_network([system.feature_dim, system.n_classes], ["linear"], rng_seed)
 
 
-def run_csa_end_to_end(scenario: CsaScenario) -> list[RoundLog]:
+def run_csa_end_to_end(scenario: CsaScenario, meta_enabled: bool = True) -> list[RoundLog]:
     """Full two-satellite loop over ``sa.rounds``; two log entries per round (sat2 and ut sides).
 
     Per round: the reference satellite encodes a labelled t_0 batch and sends
@@ -390,9 +380,8 @@ def run_csa_end_to_end(scenario: CsaScenario) -> list[RoundLog]:
         take = min(scenario.sa.reference_batch, len(t0_train))
         ref_idx = ref_rng.choice(len(t0_train), size=take, replace=False)
         ref_images = t0_train.subset(ref_idx)
-        ref_feats = encode(ref_images, f_s1)
         ref_vectors, erased, isl_bits = send_over_channel(
-            ref_feats.vectors,
+            encode(ref_images, f_s1),
             system.codebook,
             scenario.constellation,
             scenario.isl_channel,
@@ -400,23 +389,17 @@ def run_csa_end_to_end(scenario: CsaScenario) -> list[RoundLog]:
             take,
             [spawn_rng(scenario.seed, "isl", i)],
         )
-        received_ref = SemanticFeatures(ref_vectors, ref_feats.labels)
+        reference = (ref_vectors, ref_images.labels)
 
         sat2_sa = ut_sa = float("nan")
-        adapted = scenario.meta_enabled and not erased.any()
+        adapted = meta_enabled and not erased.any()
         if adapted:
             cur_rng = spawn_rng(scenario.seed, "cur", i)
             take_cur = min(scenario.sa.reference_batch, len(t1_train))
             cur_idx = cur_rng.choice(len(t1_train), size=take_cur, replace=False)
             cur = t1_train.subset(cur_idx)
-            info_s2 = meta_step(
-                g_s2, f_s2, l_s2, received_ref,
-                (cur.flattened(), cur.labels), cfg_i,
-            )
-            info_ut = meta_step(
-                g_ut, None, l_ut, received_ref,
-                (received_ref.vectors, received_ref.labels), cfg_i,
-            )
+            info_s2 = meta_step(g_s2, f_s2, l_s2, reference, (cur.flattened(), cur.labels), cfg_i)
+            info_ut = meta_step(g_ut, None, l_ut, reference, reference, cfg_i)
             sat2_sa = info_s2.inner_losses[-1] if info_s2.inner_losses else info_s2.outer_loss
             ut_sa = info_ut.inner_losses[-1] if info_ut.inner_losses else info_ut.outer_loss
 
@@ -424,7 +407,7 @@ def run_csa_end_to_end(scenario: CsaScenario) -> list[RoundLog]:
             val_msg = quantize(encode(t1_val, f_s2), system.codebook)
             val_probs = classify(val_msg, system.codebook, l_s2)
             sat2_top1, sat2_ce = top1_and_ce(val_probs, t1_val.labels)
-            test_vectors = encode(scenario.splits_t1.test, f_s2).vectors
+            test_vectors = encode(scenario.splits_t1.test, f_s2)
 
         ut_top1, ut_ce, down_bits = eval_through_downlink(
             test_vectors, l_ut, scenario, i
@@ -458,6 +441,8 @@ class FedAvgConfig:
     scarce_per_class: int = 0
 
     def __post_init__(self) -> None:
+        if self.scarce_per_class < 0:
+            raise ValueError(f"scarce_per_class must be >= 0, got {self.scarce_per_class}")
         if self.shards not in SHARD_MODES:
             raise ValueError(f"shards must be one of {SHARD_MODES}, got {self.shards!r}")
         for name in ("clients", "batch_size", "local_epochs"):
@@ -468,49 +453,35 @@ class FedAvgConfig:
 
 
 def run_fedavg_baseline(
-    clients: list[SemanticFeatures],
+    clients: list[tuple[np.ndarray, np.ndarray]],
     cfg: FedAvgConfig,
+    eval_fn: Callable[[nn.Network], tuple[float, float]],
     classifier: nn.Network | None = None,
-    eval_fn=None,
 ) -> list[RoundLog]:
-    """Parameter-averaging baseline over labelled client feature shards.
+    """Parameter-averaging baseline over ``(features, labels)`` client shards.
 
     Each of ``cfg.rounds`` rounds every client copies the global classifier, runs
     ``local_epochs`` of minibatch cross-entropy SGD on its shard, and the
     server replaces the global model with the shard-size-weighted average.
     Per-round shuffling is seeded identically across clients, so identical
     shards produce identical locals. One client reproduces centralized SGD.
-    ``eval_fn`` maps the aggregated classifier to (top1, ce); when omitted the
-    pooled training shards are scored in the clear.
+    ``eval_fn`` maps the aggregated classifier to (top1, ce) after each round.
     """
     if not clients:
         raise ValueError("need at least one client")
-    for shard in clients:
-        if shard.labels is None:
-            raise ValueError("client shards must carry labels")
-    feature_dim = clients[0].vectors.shape[1]
     if classifier is None:
-        n_classes = int(max(int(s.labels.max()) for s in clients)) + 1
-        classifier = nn.init_network(
-            [feature_dim, n_classes], ["linear"], spawn_rng(cfg.seed, "fed_clf").integers(2**32)
-        )
-    if eval_fn is None:
-        pool_x = np.concatenate([s.vectors for s in clients])
-        pool_y = np.concatenate([s.labels for s in clients])
-
-        def eval_fn(net: nn.Network) -> tuple[float, float]:
-            return top1_and_ce(nn.softmax(nn.forward(net, pool_x)), pool_y)
-
-    sizes = np.array([s.vectors.shape[0] for s in clients], dtype=np.float64)
+        n_classes = max(int(y.max()) for _, y in clients) + 1
+        seed = spawn_rng(cfg.seed, "fed_clf").integers(2**32)
+        classifier = nn.init_network([clients[0][0].shape[1], n_classes], ["linear"], seed)
+    sizes = np.array([x.shape[0] for x, _ in clients], dtype=np.float64)
     weights = sizes / sizes.sum()
     bits_per_round = classifier.parameter_count * 64 * 2 * len(clients)
     logs: list[RoundLog] = []
     for r in range(cfg.rounds):
         locals_: list[nn.Network] = []
-        for shard in clients:
+        for x, y in clients:
             local = classifier.copy()
             rng = spawn_rng(cfg.seed, "fed_round", r)
-            x, y = shard.vectors, shard.labels
             for _ in range(cfg.local_epochs):
                 order = rng.permutation(x.shape[0])
                 for start in range(0, x.shape[0], cfg.batch_size):

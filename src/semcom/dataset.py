@@ -11,7 +11,7 @@ are exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,20 +52,6 @@ class DimensionOverflowError(TensorFileError):
     pass
 
 
-@dataclass(frozen=True)
-class ClassCatalog:
-    names: tuple[str, ...] = EUROSAT_CLASS_NAMES
-
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("class names must be unique")
-        if not self.names:
-            raise ValueError("catalog must not be empty")
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
 @dataclass
 class DatasetSpec:
     """Generation knobs for one synthetic scenario."""
@@ -95,12 +81,12 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    """Columnar batch of images sharing one catalog."""
+    """Columnar batch of images; label ``c`` names the class ``class_names[c]``."""
 
     pixels: np.ndarray  # (N, H, W, D) float64
     labels: np.ndarray  # (N,) int64
     timestamps: np.ndarray  # (N,) int64
-    catalog: ClassCatalog = field(default_factory=ClassCatalog)
+    class_names: tuple[str, ...] = EUROSAT_CLASS_NAMES
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
@@ -111,8 +97,8 @@ class Dataset:
         n = self.pixels.shape[0]
         if self.labels.shape != (n,) or self.timestamps.shape != (n,):
             raise ValueError("labels/timestamps must align with pixels")
-        if n and (self.labels.min() < 0 or self.labels.max() >= len(self.catalog)):
-            raise ValueError("labels out of catalog range")
+        if n and (self.labels.min() < 0 or self.labels.max() >= len(self.class_names)):
+            raise ValueError("labels out of class_names range")
 
     def __len__(self) -> int:
         return int(self.pixels.shape[0])
@@ -126,7 +112,7 @@ class Dataset:
             self.pixels[indices],
             self.labels[indices],
             self.timestamps[indices],
-            self.catalog,
+            self.class_names,
         )
 
 
@@ -174,8 +160,7 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
     """
     rng = spawn_rng(spec.seed, "dataset", "images")
     signatures = _class_signatures(spec, spawn_rng(spec.seed, "dataset", "signatures"))
-    catalog = ClassCatalog()
-    c = len(catalog)
+    c = len(EUROSAT_CLASS_NAMES)
     n = c * spec.per_class_count
     pixels = np.empty((n, spec.height, spec.width, spec.bands))
     labels = np.repeat(np.arange(c), spec.per_class_count)
@@ -192,8 +177,8 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
     pixels_t1 = pixels + shift[:, None, None, :].astype(np.float64)
     pixels_t1 = pixels_t1.astype(np.float32).astype(np.float64)
 
-    ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64), catalog)
-    ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64), catalog)
+    ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64))
+    ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64))
     return split(ds_t0, SPLIT_RATIOS, spec.seed), split(ds_t1, SPLIT_RATIOS, spec.seed)
 
 
@@ -226,7 +211,7 @@ def split(
     """
     rng = spawn_rng(seed, "dataset", "split")
     parts: list[list[np.ndarray]] = [[], [], []]
-    for cls in range(len(dataset.catalog)):
+    for cls in range(len(dataset.class_names)):
         idx = np.flatnonzero(dataset.labels == cls)
         idx = idx[rng.permutation(idx.size)]
         counts = split_counts(idx.size, ratios)
@@ -309,10 +294,8 @@ def load_tensor_file(path: str) -> Dataset:
     stack = np.stack(pixels)
     n_classes = int(labels.max()) + 1
     if n_classes <= len(EUROSAT_CLASS_NAMES):
-        catalog = ClassCatalog()
-    else:
-        catalog = ClassCatalog(tuple(f"class{i}" for i in range(n_classes)))
-    return Dataset(stack, labels, timestamps, catalog)
+        return Dataset(stack, labels, timestamps)
+    return Dataset(stack, labels, timestamps, tuple(f"class{i}" for i in range(n_classes)))
 
 
 SUMMARY_CSV_HEADER = "class,count_train,count_val,count_test"
@@ -320,9 +303,8 @@ SUMMARY_CSV_HEADER = "class,count_train,count_val,count_test"
 
 def summary_csv(splits: SplitDatasets) -> str:
     """Per-class record counts across the three splits."""
-    catalog = splits.train.catalog
     lines = [SUMMARY_CSV_HEADER]
-    for cls, name in enumerate(catalog.names):
+    for cls, name in enumerate(splits.train.class_names):
         counts = (
             int((splits.train.labels == cls).sum()),
             int((splits.val.labels == cls).sum()),

@@ -98,23 +98,6 @@ class Codebook:
 
 
 @dataclass
-class SemanticFeatures:
-    """Batch of feature vectors, optionally labelled."""
-
-    vectors: np.ndarray  # (B, A) float64
-    labels: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise ValueError("vectors must be (B, A)")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.vectors.shape[0],):
-                raise ValueError("labels must align with vectors")
-
-
-@dataclass
 class QuantizedMessage:
     """Codeword indices for one frame, plus transport bookkeeping."""
 
@@ -135,9 +118,9 @@ class QuantizedMessage:
             raise ValueError("pad_bits must be >= 0")
 
 
-def encode(dataset: Dataset, encoder: nn.Network) -> SemanticFeatures:
-    """Run the encoder over every image of ``dataset``; the features keep its labels."""
-    return SemanticFeatures(nn.forward(encoder, dataset.flattened()), dataset.labels.copy())
+def encode(dataset: Dataset, encoder: nn.Network) -> np.ndarray:
+    """(N, A) features: the encoder run over every image of ``dataset``."""
+    return nn.forward(encoder, dataset.flattened())
 
 
 def _split_blocks(vectors: np.ndarray, blocks: int) -> np.ndarray:
@@ -153,11 +136,11 @@ def _block_count(width: int, codebook: Codebook) -> int:
     return width // codebook.dim
 
 
-def quantize(features: SemanticFeatures, codebook: Codebook) -> QuantizedMessage:
+def quantize(vectors: np.ndarray, codebook: Codebook) -> QuantizedMessage:
     """Nearest-codeword index per feature block; the block count is width over ``codebook.dim``."""
-    blocks = _block_count(features.vectors.shape[1], codebook)
+    blocks = _block_count(vectors.shape[1], codebook)
     return QuantizedMessage(
-        indices=codebook.nearest(_split_blocks(features.vectors, blocks)),
+        indices=codebook.nearest(_split_blocks(vectors, blocks)),
         bits_per_index=codebook.bits_per_index,
     )
 
@@ -460,7 +443,7 @@ def _training_key(splits: SplitDatasets, train_psnr_db: float, cfg: DtjsccConfig
     for array in (splits.train.pixels, splits.train.labels, splits.val.pixels, splits.val.labels):
         digest.update(repr((array.shape, array.dtype.str)).encode())
         digest.update(np.ascontiguousarray(array))
-    digest.update(repr((len(splits.train.catalog), train_psnr_db, cfg)).encode())
+    digest.update(repr((len(splits.train.class_names), train_psnr_db, cfg)).encode())
     return digest.digest()
 
 
@@ -503,7 +486,7 @@ def _train_system(
 ) -> tuple[TrainedSystem, list[str]]:
     """The training :func:`train_dtjscc` describes; returns the system and its warning texts."""
     train = splits.train
-    n_classes = len(train.catalog)
+    n_classes = len(train.class_names)
     input_dim = train.flattened().shape[1]
     a = cfg.feature_dim
     encoder = nn.init_network(
@@ -572,8 +555,7 @@ def _train_system(
         raise RuntimeError("duplicate codewords after training")
 
     val = splits.val if len(splits.val) else splits.train
-    val_feats = encode(val, encoder)
-    val_probs = classify(quantize(val_feats, codebook), codebook, classifier)
+    val_probs = classify(quantize(encode(val, encoder), codebook), codebook, classifier)
     val_acc = float(np.mean(np.argmax(val_probs, axis=1) == val.labels))
     chance = 1.0 / n_classes
     if val_acc < chance + MIN_ACCURACY_MARGIN:

@@ -134,6 +134,11 @@ class TestConfigErrors:
             ("csa", "target_accuracy", "nan", "nan"),
             ("csa", "target_accuracy", "0", "0.0"),
             ("csa", "target_accuracy", "1.5", "1.5"),
+            ("fedavg", "scarce_per_class", "-3", "-3"),
+            ("sweep", "k_presets", "32,64,32", "32 twice"),
+            ("sweep", "psnr_grid", "4,8,4.0", "4.0 twice"),
+            ("channel", "kinds", "awgn,awgn", "'awgn' twice"),
+            ("linkbudget", "sat_antenna_gain_db", "1e308", "1e+308"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(
@@ -146,7 +151,7 @@ class TestConfigErrors:
         assert code == 1
         assert f"{section}.{key}" in err
         assert f"got {shown}\n" in err
-        assert not (tmp_path / "out" / "csa_rounds.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_removed_slant_mode_is_an_unknown_key(self, tmp_path, capsys):
         ini = tmp_path / "slant.ini"

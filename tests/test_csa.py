@@ -24,9 +24,10 @@ from semcom.csa import (
     rounds_to_target,
     run_fedavg_baseline,
     sa_loss,
+    top1_and_ce,
 )
 from semcom.channel import ChannelConfig, ChannelKind
-from semcom.dtjscc import SemanticFeatures, encode, send_over_channel
+from semcom.dtjscc import encode, send_over_channel
 from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
 
@@ -119,7 +120,7 @@ class TestCovariancePrediction:
         labels = rng.integers(0, c, size=b)
         if missing is not None:
             labels[labels == missing] = (missing + 1) % c
-        return SemanticFeatures(rng.standard_normal((b, a)), labels)
+        return rng.standard_normal((b, a)), labels
 
     def make_predictor(self, c=4, a=6, seed=3):
         return nn.init_network([a, 16, 16, c * a], ["relu", "relu", "softplus"], seed)
@@ -136,10 +137,10 @@ class TestCovariancePrediction:
     def test_matches_per_class_slice_oracle(self):
         c, a = 4, 6
         g = self.make_predictor(c, a)
-        ref = self.make_reference(seed=6, c=c, a=a)
+        vectors, labels = ref = self.make_reference(seed=6, c=c, a=a)
         cov, _ = predict_covariance(g, ref)
         means = np.stack(
-            [ref.vectors[ref.labels == cls].mean(axis=0) for cls in range(c)]
+            [vectors[labels == cls].mean(axis=0) for cls in range(c)]
         )
         out = nn.forward(g, means)
         for cls in range(c):
@@ -152,16 +153,16 @@ class TestCovariancePrediction:
         g = self.make_predictor(c, a)
         ref = self.make_reference(seed=7, c=c, a=a, missing=2)
         cov, _ = predict_covariance(g, ref)
-        out = nn.forward(g, ref.vectors.mean(axis=0, keepdims=True))
+        out = nn.forward(g, ref[0].mean(axis=0, keepdims=True))
         np.testing.assert_allclose(
             cov.per_class_diag[2], out[0, 2 * a : 3 * a], atol=1e-12
         )
 
     def test_reference_order_does_not_matter(self):
         g = self.make_predictor()
-        ref = self.make_reference(seed=8)
-        perm = spawn_rng(9, "perm").permutation(len(ref.labels))
-        shuffled = SemanticFeatures(ref.vectors[perm], ref.labels[perm])
+        vectors, labels = ref = self.make_reference(seed=8)
+        perm = spawn_rng(9, "perm").permutation(len(labels))
+        shuffled = (vectors[perm], labels[perm])
         np.testing.assert_allclose(
             predict_covariance(g, ref)[0].per_class_diag,
             predict_covariance(g, shuffled)[0].per_class_diag,
@@ -174,22 +175,18 @@ class TestCovariancePrediction:
                 nn.init_network([6, 9], ["softplus"], 0), self.make_reference()
             )
         ref = self.make_reference()
-        ref.labels[0] = 99
+        ref[1][0] = 99
         with pytest.raises(ValueError):
             predict_covariance(self.make_predictor(), ref)
-        with pytest.raises(ValueError):
-            predict_covariance(
-                self.make_predictor(), SemanticFeatures(np.zeros((4, 6)))
-            )
 
 
 def loop_class_means(reference, n_classes):
     """``_class_means`` as the per-class loop it replaced."""
-    vectors = reference.vectors
+    vectors, labels = reference
     fallback = vectors.mean(axis=0)
     means = np.empty((n_classes, vectors.shape[1]))
     for cls in range(n_classes):
-        mask = reference.labels == cls
+        mask = labels == cls
         means[cls] = vectors[mask].mean(axis=0) if mask.any() else fallback
     return means
 
@@ -220,9 +217,7 @@ def covariance_path_bytes(class_means, predict, backward, g, reference):
     means = class_means(reference, n_classes)
     cov, caches = predict(g, reference)
     weights = spawn_rng(31, "clf").standard_normal((n_classes, g.input_dim))
-    _, grads = sa_loss(
-        reference.vectors, reference.labels, weights, np.zeros(n_classes), cov, 0.5
-    )
+    _, grads = sa_loss(*reference, weights, np.zeros(n_classes), cov, 0.5)
     g_grads = backward(g, caches, grads.cov)
     arrays = [means, cov.per_class_diag]
     arrays += [a for cache in caches for a in (cache.x, cache.preact)]
@@ -254,23 +249,22 @@ class TestCovariancePathMatchesLoops:
         b = int(rng.integers(1, 40))
         labels = rng.choice(present, size=b)
         vectors = rng.standard_normal((b, self.A)) * rng.uniform(0.1, 10.0)
-        self.assert_same(self.predictor(), SemanticFeatures(vectors, labels))
+        self.assert_same(self.predictor(), (vectors, labels))
 
     def test_one_sample_classes(self):
         rng = spawn_rng(0, "single")
         labels = np.array([0, 1, 1, 1, 3, 4, 4])  # classes 0 and 3 once, class 2 absent
-        self.assert_same(self.predictor(), SemanticFeatures(rng.standard_normal((7, self.A)), labels))
+        self.assert_same(self.predictor(), (rng.standard_normal((7, self.A)), labels))
 
     def test_single_item_batch(self):
-        ref = SemanticFeatures(spawn_rng(1, "one").standard_normal((1, self.A)), np.array([2]))
+        ref = (spawn_rng(1, "one").standard_normal((1, self.A)), np.array([2]))
         self.assert_same(self.predictor(), ref)
 
     def test_inter_satellite_link_batch(self, small_system, small_splits):
         train = small_splits.train
-        idx = spawn_rng(0, "ref", 0).choice(len(train), size=64, replace=False)
-        sent = encode(train.subset(idx), small_system.encoder)
+        sent = train.subset(spawn_rng(0, "ref", 0).choice(len(train), size=64, replace=False))
         vectors, erased, _ = send_over_channel(
-            sent.vectors,
+            encode(sent, small_system.encoder),
             small_system.codebook,
             build_constellation("16apsk"),
             ChannelConfig(kind=ChannelKind.ISL),
@@ -279,22 +273,17 @@ class TestCovariancePathMatchesLoops:
             [spawn_rng(0, "isl", 0)],
         )
         assert not erased.any()
-        reference = SemanticFeatures(vectors, sent.labels)
-        self.assert_same(small_system.covariance_net, reference)
+        self.assert_same(small_system.covariance_net, (vectors, sent.labels))
         absent = sent.labels != 3
-        self.assert_same(
-            small_system.covariance_net, SemanticFeatures(vectors[absent], sent.labels[absent])
-        )
+        self.assert_same(small_system.covariance_net, (vectors[absent], sent.labels[absent]))
 
     def test_error_messages(self):
-        ref = SemanticFeatures(np.zeros((4, self.A)), np.array([0, 1, 2, 3]))
+        ref = (np.zeros((4, self.A)), np.array([0, 1, 2, 3]))
         with pytest.raises(ValueError, match=r"^predictor output 9 is not a multiple of input 6$"):
             predict_covariance(nn.init_network([6, 9], ["softplus"], 0), ref)
-        too_big = SemanticFeatures(np.zeros((2, self.A)), np.array([0, self.C]))
+        too_big = (np.zeros((2, self.A)), np.array([0, self.C]))
         with pytest.raises(ValueError, match=r"^reference labels exceed predictor class count$"):
             predict_covariance(self.predictor(), too_big)
-        with pytest.raises(ValueError, match=r"^reference batch must carry labels$"):
-            predict_covariance(self.predictor(), SemanticFeatures(np.zeros((4, self.A))))
 
 
 def plain_sgd_inner(encoder, classifier, x, y, steps, lr):
@@ -318,7 +307,7 @@ class TestMetaStep:
         rng = spawn_rng(seed, "ms")
         x = rng.standard_normal((b, a))
         y = rng.integers(0, c, size=b)
-        ref = SemanticFeatures(rng.standard_normal((20, a)), rng.integers(0, c, size=20))
+        ref = (rng.standard_normal((20, a)), rng.integers(0, c, size=20))
         g = nn.init_network([a, 12, c * a], ["relu", "softplus"], seed=seed + 1)
         clf = nn.init_network([a, c], ["linear"], seed=seed + 2)
         return x, y, ref, g, clf
@@ -421,8 +410,8 @@ def reference_meta_step(g, encoder, classifier, reference, current_batch, cfg):
         elif first_loss > 0 and loss > 10.0 * first_loss:
             raise DivergenceError(f"inner loss {loss:.4f} exceeded 10x initial {first_loss:.4f}")
 
-    labels = reference.labels
-    logits = reference.vectors @ layer.weights + layer.biases
+    vectors, labels = reference
+    logits = vectors @ layer.weights + layer.biases
     quad, diffs, _ = quadratic(layer.weights.T, labels, cov)
     outer_loss, grad_logits = nn.softmax_cross_entropy(logits + (lam * 0.5) * quad, labels)
     d_cov = np.zeros_like(cov.per_class_diag)
@@ -447,7 +436,7 @@ class TestMetaStepMatchesInlineReference:
     def batches(self, rounds, b=16, c=4, a=6):
         rng = spawn_rng(24, "rounds")
         for _ in range(rounds):
-            ref = SemanticFeatures(rng.standard_normal((20, a)), rng.integers(0, c, size=20))
+            ref = (rng.standard_normal((20, a)), rng.integers(0, c, size=20))
             yield ref, (rng.standard_normal((b, a)), rng.integers(0, c, size=b))
 
     @pytest.mark.parametrize("inner_steps", [0, 1, 3])
@@ -524,20 +513,28 @@ def blob_shard(seed, n=60, c=4, a=8, spread=3.0):
     rng = spawn_rng(seed, "blob")
     centers = rng.standard_normal((c, a)) * spread
     labels = rng.integers(0, c, size=n)
-    return SemanticFeatures(centers[labels] + rng.standard_normal((n, a)) * 0.5, labels)
+    return centers[labels] + rng.standard_normal((n, a)) * 0.5, labels
+
+
+def pooled_scorer(clients):
+    """Top-1 and cross-entropy of a classifier on the pooled shards, in the clear."""
+    x = np.concatenate([features for features, _ in clients])
+    y = np.concatenate([labels for _, labels in clients])
+    return lambda net: top1_and_ce(nn.softmax(nn.forward(net, x)), y)
 
 
 class TestFedAvg:
     CFG = FedAvgConfig(local_epochs=1, batch_size=16, learning_rate=0.1, seed=5)
 
     def centralized_oracle(self, shard, classifier, n_rounds):
+        x, y = shard
         for r in range(n_rounds):
             rng = spawn_rng(self.CFG.seed, "fed_round", r)
-            order = rng.permutation(shard.vectors.shape[0])
+            order = rng.permutation(x.shape[0])
             for start in range(0, order.size, self.CFG.batch_size):
                 batch = order[start : start + self.CFG.batch_size]
-                logits, caches = nn.forward_cached(classifier, shard.vectors[batch])
-                _, grad = nn.softmax_cross_entropy(logits, shard.labels[batch])
+                logits, caches = nn.forward_cached(classifier, x[batch])
+                _, grad = nn.softmax_cross_entropy(logits, y[batch])
                 grads = nn.backward(classifier, caches, grad)
                 nn.sgd_step(classifier, grads, self.CFG.learning_rate)
 
@@ -545,7 +542,7 @@ class TestFedAvg:
         shard = blob_shard(0)
         start = nn.init_network([8, 4], ["linear"], seed=1)
         fed = start.copy()
-        run_fedavg_baseline([shard], replace(self.CFG, rounds=4), classifier=fed)
+        run_fedavg_baseline([shard], replace(self.CFG, rounds=4), pooled_scorer([shard]), fed)
         mine = start.copy()
         self.centralized_oracle(shard, mine, 4)
         np.testing.assert_array_equal(fed.layers[0].weights, mine.layers[0].weights)
@@ -555,27 +552,25 @@ class TestFedAvg:
         shard = blob_shard(1)
         start = nn.init_network([8, 4], ["linear"], seed=2)
         solo, duo = start.copy(), start.copy()
-        logs_solo = run_fedavg_baseline([shard], replace(self.CFG, rounds=3), classifier=solo)
-        logs_duo = run_fedavg_baseline([shard, shard], replace(self.CFG, rounds=3), classifier=duo)
+        score = pooled_scorer([shard])
+        logs_solo = run_fedavg_baseline([shard], replace(self.CFG, rounds=3), score, solo)
+        logs_duo = run_fedavg_baseline([shard, shard], replace(self.CFG, rounds=3), score, duo)
         np.testing.assert_array_equal(solo.layers[0].weights, duo.layers[0].weights)
         assert [l.top1_accuracy for l in logs_solo] == [l.top1_accuracy for l in logs_duo]
 
     def test_bits_count_full_exchange_per_round(self):
         shard = blob_shard(2)
         clf = nn.init_network([8, 4], ["linear"], seed=3)
-        logs = run_fedavg_baseline([shard, shard], replace(self.CFG, rounds=2), classifier=clf)
+        logs = run_fedavg_baseline([shard, shard], replace(self.CFG, rounds=2), pooled_scorer([shard]), clf)
         expected = clf.parameter_count * 64 * 2 * 2
         assert all(l.bits_transmitted == expected for l in logs)
         assert all(l.side == "server" for l in logs)
 
     def test_disjoint_shards_still_learn_pooled_task(self):
-        full = blob_shard(3, n=200)
-        mask = full.labels < 2
-        clients = [
-            SemanticFeatures(full.vectors[mask], full.labels[mask]),
-            SemanticFeatures(full.vectors[~mask], full.labels[~mask]),
-        ]
-        logs = run_fedavg_baseline(clients, replace(self.CFG, rounds=20))
+        x, y = blob_shard(3, n=200)
+        mask = y < 2
+        clients = [(x[mask], y[mask]), (x[~mask], y[~mask])]
+        logs = run_fedavg_baseline(clients, replace(self.CFG, rounds=20), pooled_scorer(clients))
         assert logs[-1].top1_accuracy >= 0.8
         assert logs[-1].top1_accuracy > logs[0].top1_accuracy
 
@@ -593,6 +588,4 @@ class TestFedAvg:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_fedavg_baseline([], replace(self.CFG, rounds=2))
-        with pytest.raises(ValueError):
-            run_fedavg_baseline([SemanticFeatures(np.zeros((2, 3)))], replace(self.CFG, rounds=2))
+            run_fedavg_baseline([], replace(self.CFG, rounds=2), lambda net: (0.0, 0.0))

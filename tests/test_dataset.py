@@ -10,7 +10,6 @@ import pytest
 
 from semcom.dataset import (
     BadMagicError,
-    ClassCatalog,
     Dataset,
     DatasetSpec,
     DimensionOverflowError,
@@ -28,7 +27,7 @@ from semcom.dataset import (
 
 def nearest_centroid_accuracy(train: Dataset, test: Dataset) -> float:
     """Accuracy of a per-class mean-pixel-vector classifier; sanity oracle."""
-    c = len(train.catalog)
+    c = len(train.class_names)
     flat_train = train.flattened()
     centroids = np.stack(
         [flat_train[train.labels == cls].mean(axis=0) for cls in range(c)]
@@ -46,7 +45,7 @@ def combined(splits):
         np.concatenate(
             [splits.train.timestamps, splits.val.timestamps, splits.test.timestamps]
         ),
-        splits.train.catalog,
+        splits.train.class_names,
     )
 
 
@@ -54,7 +53,7 @@ class TestGeneration:
     def test_counts_shapes_and_timestamps(self):
         spec = DatasetSpec(per_class_count=20, seed=1)
         t0, t1 = generate_synthetic(spec)
-        n_classes = len(t0.train.catalog)
+        n_classes = len(t0.train.class_names)
         for splits, stamp in ((t0, 0), (t1, 1)):
             total = combined(splits)
             assert total.pixels.shape == (20 * n_classes, 8, 8, 4)
@@ -119,7 +118,7 @@ class TestSplit:
             rng.standard_normal((n, 2, 2, 1)),
             np.repeat(np.arange(n_classes), per_class),
             np.zeros(n, dtype=np.int64),
-            ClassCatalog(tuple(f"c{i}" for i in range(n_classes))),
+            tuple(f"c{i}" for i in range(n_classes)),
         )
 
     def test_exact_proportions_when_divisible(self):
@@ -232,7 +231,7 @@ class TestContainerFormat:
             np.zeros((1, 2, 2, 1)),
             np.array([70000]),
             np.zeros(1, dtype=np.int64),
-            ClassCatalog(tuple(f"c{i}" for i in range(70001))),
+            tuple(f"c{i}" for i in range(70001)),
         )
         with pytest.raises(DimensionOverflowError):
             save_tensor_file(str(tmp_path / "o.msit"), ds)
@@ -243,7 +242,7 @@ class TestSummaries:
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=10, seed=1))
         lines = summary_csv(t0).strip().splitlines()
         assert lines[0] == "class,count_train,count_val,count_test"
-        assert len(lines) == 1 + len(t0.train.catalog)
+        assert len(lines) == 1 + len(t0.train.class_names)
         first = lines[1].split(",")
         assert [int(x) for x in first[1:]] == [7, 2, 1] or sum(int(x) for x in first[1:]) == 10
 

@@ -20,7 +20,6 @@ from semcom.dtjscc import (
     CodebookError,
     DtjsccConfig,
     QuantizedMessage,
-    SemanticFeatures,
     classify,
     classify_over_channel,
     dequantize,
@@ -105,7 +104,7 @@ class TestQuantizeRoundTrip:
     def test_single_block(self):
         rng = spawn_rng(1, "q")
         cb = Codebook(rng.standard_normal((32, 16)))
-        feats = SemanticFeatures(rng.standard_normal((10, 16)))
+        feats = rng.standard_normal((10, 16))
         msg = quantize(feats, cb)
         assert msg.indices.shape == (10,)
         assert msg.bits_per_index == 5
@@ -115,7 +114,7 @@ class TestQuantizeRoundTrip:
     def test_multi_block_stitching(self):
         rng = spawn_rng(2, "q")
         cb = Codebook(rng.standard_normal((64, 4)))
-        feats = SemanticFeatures(rng.standard_normal((6, 16)))
+        feats = rng.standard_normal((6, 16))
         msg = quantize(feats, cb)
         assert msg.indices.shape == (24,)
         recon = dequantize(msg, cb, 16)
@@ -129,7 +128,7 @@ class TestQuantizeRoundTrip:
 
     def test_block_dimension_mismatch_rejected(self):
         cb = Codebook(spawn_rng(3, "q").standard_normal((32, 5)))
-        feats = SemanticFeatures(np.zeros((2, 16)))
+        feats = np.zeros((2, 16))
         with pytest.raises(ValueError):
             quantize(feats, cb)
 
@@ -137,7 +136,7 @@ class TestQuantizeRoundTrip:
         rng = spawn_rng(4, "q")
         cb = Codebook(rng.standard_normal((32, 8)))
         vectors = rng.standard_normal((50, 8))
-        msg = quantize(SemanticFeatures(vectors), cb)
+        msg = quantize(vectors, cb)
         chosen = np.linalg.norm(vectors - cb.entries[msg.indices], axis=1)
         for j in range(cb.k):
             other = np.linalg.norm(vectors - cb.entries[j], axis=1)
@@ -229,8 +228,8 @@ class TestBlockCountFromCodebook:
         msg = quantize(feats, system.codebook)
         probs = classify(msg, system.codebook, system.classifier)
         # The former explicit-blocks path: (B, A) -> (4B, A/4) rows, and back.
-        b, a = feats.vectors.shape
-        want_indices = system.codebook.nearest(feats.vectors.reshape(b * 4, a // 4))
+        b, a = feats.shape
+        want_indices = system.codebook.nearest(feats.reshape(b * 4, a // 4))
         rows = system.codebook.entries[want_indices]
         want_vectors = rows.reshape(want_indices.size // 4, 4 * system.codebook.dim)
         want_probs = nn.softmax(nn.forward(system.classifier, want_vectors))
@@ -245,7 +244,7 @@ class TestBlockCountFromCodebook:
         channel_args = (build_constellation("4psk"), ChannelConfig(kind=ChannelKind.AWGN), 10.0, 3)
         match = r"^feature width 16 is not a multiple of codebook dim 5$"
         with pytest.raises(ValueError, match=match):
-            quantize(SemanticFeatures(vectors), cb)
+            quantize(vectors, cb)
         with pytest.raises(ValueError, match=match):
             classify(msg, cb, clf)
         with pytest.raises(ValueError, match=match):
@@ -316,7 +315,7 @@ def reference_train(splits, train_psnr_db, cfg):
         spawn_rng(cfg.seed, "enc").integers(2**32),
     )
     classifier = nn.init_network(
-        [a, len(train.catalog)], ["linear"], spawn_rng(cfg.seed, "clf").integers(2**32)
+        [a, len(train.class_names)], ["linear"], spawn_rng(cfg.seed, "clf").integers(2**32)
     )
     rng = spawn_rng(cfg.seed, "train")
     warm = nn.forward(encoder, x_all[: max(cfg.k * 4, cfg.batch_size)])
@@ -462,7 +461,7 @@ def one_pixel_changed(splits):
 
 def one_label_changed(splits):
     labels = splits.train.labels.copy()
-    labels[3] = (labels[3] + 1) % len(splits.train.catalog)
+    labels[3] = (labels[3] + 1) % len(splits.train.class_names)
     return with_train(splits, labels=labels)
 
 
@@ -472,7 +471,7 @@ def split_point_moved(splits):
         np.concatenate([train.pixels, val.pixels]),
         np.concatenate([train.labels, val.labels]),
         np.concatenate([train.timestamps, val.timestamps]),
-        train.catalog,
+        train.class_names,
     )
     n = len(train) - 1
     return SplitDatasets(both.subset(slice(0, n)), both.subset(slice(n, len(both))), splits.test)

@@ -23,7 +23,6 @@ from semcom.channel import (
 from semcom.csa import CsaScenario, SAConfig, eval_through_downlink
 from semcom.dtjscc import (
     DtjsccConfig,
-    SemanticFeatures,
     classify,
     classify_over_channel,
     dequantize,
@@ -41,14 +40,13 @@ from semcom.seeding import spawn_rng
 
 def reference_frames(feats, system, classifier, constellation, channel_cfg, psnr_db, frame, seed, *tag):
     """Per-frame quantize, transmit and classify; returns probabilities and bits."""
-    n = feats.vectors.shape[0]
+    n = feats.shape[0]
     probs = np.zeros((n, classifier.output_dim))
     bits = 0
     for fi, start in enumerate(range(0, n, frame)):
         stop = min(start + frame, n)
-        chunk = SemanticFeatures(feats.vectors[start:stop], feats.labels[start:stop])
         rng = spawn_rng(seed, *tag, fi)
-        message = quantize(chunk, system.codebook)
+        message = quantize(feats[start:stop], system.codebook)
         realization = sample_realization(channel_cfg, noise_variance_from_psnr(psnr_db), rng)
         received = transmit(message, constellation, realization, rng, channel_cfg)
         bits += frame_bit_count(received)
@@ -65,7 +63,7 @@ def reference_isl(features, codebook, constellation, channel_cfg, psnr_db, rng):
     message = quantize(features, codebook)
     realization = sample_realization(channel_cfg, noise_variance_from_psnr(psnr_db), rng)
     received = transmit(message, constellation, realization, rng, channel_cfg)
-    return dequantize(received, codebook, features.vectors.shape[1]), frame_bit_count(received), received.erased
+    return dequantize(received, codebook, features.shape[1]), frame_bit_count(received), received.erased
 
 
 def reference_evaluate(system, dataset, constellation, channel_cfg, psnr_db, seed, repetitions, frame):
@@ -146,12 +144,12 @@ def assert_both_paths_match(system, splits, fading, frame):
 
     for round_index in range(2):
         assert eval_through_downlink(
-            encode(test, system.encoder).vectors, system.classifier, scenario, round_index
+            encode(test, system.encoder), system.classifier, scenario, round_index
         ) == reference_downlink(system.encoder, system.classifier, system, scenario, round_index)
 
     feats = encode(test, system.encoder)
     probs, bits = classify_over_channel(
-        feats.vectors, system.codebook, system.classifier,
+        feats, system.codebook, system.classifier,
         scenario.constellation, scenario.downlink_channel, 6.0, frame, 31, "rep", 0,
     )
     want_probs, want_bits = reference_frames(
@@ -209,10 +207,10 @@ def assert_isl_matches(system, splits, fading, rounds):
     constellation = build_constellation(modulation)
     feats = encode(splits.train, system.encoder)
     for i in range(rounds):
-        batch = SemanticFeatures(feats.vectors[i::rounds], feats.labels[i::rounds])
-        n = batch.vectors.shape[0]
+        batch = feats[i::rounds]
+        n = batch.shape[0]
         vectors, erased, bits = send_over_channel(
-            batch.vectors, system.codebook, constellation,
+            batch, system.codebook, constellation,
             channel_cfg, 6.0, n, [spawn_rng(17, "isl", i)],
         )
         want_vectors, want_bits, want_erased = reference_isl(
@@ -244,7 +242,7 @@ class TestFrameSizeBelowOne:
     def test_every_frame_path_rejects_it(self, systems, small_splits, frame):
         system = systems[4]
         scenario = scenario_for(system, small_splits, "block", frame)
-        vectors = encode(small_splits.test, system.encoder).vectors
+        vectors = encode(small_splits.test, system.encoder)
         match = rf"^frame must be at least 1, got {frame}$"
         with pytest.raises(ValueError, match=match):
             send_over_channel(

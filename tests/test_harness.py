@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import re
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -16,7 +17,7 @@ from semcom.channel import ChannelConfig, ChannelKind
 from semcom.cli import main
 from semcom.config import ConfigError, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, rounds_to_target, run_csa_end_to_end
-from semcom.dataset import ClassCatalog, generate_synthetic
+from semcom.dataset import generate_synthetic
 from semcom.dtjscc import encode
 from semcom.harness import (
     CONFUSION_CSV_HEADER,
@@ -28,7 +29,6 @@ from semcom.harness import (
     emit_svg_plot,
     evaluate_through_channel,
     fedavg_client_shards,
-    linkbudget_reports,
     restrict_t1_train,
     roundlog_csv,
     run_round_race,
@@ -167,12 +167,22 @@ class TestConfigLayer:
 class TestLinkBudgetReports:
     def test_reference_numbers(self):
         cfg = load_config(None)
-        ground, isl = linkbudget_reports(cfg.linkbudget)
+        ground, isl = cfg.linkbudget.reports()
         assert ground.breakdown.fspl_db == pytest.approx(176.956, abs=1e-3)
         assert ground.breakdown.total_db == pytest.approx(177.756, abs=1e-3)
         assert ground.zeta_db == pytest.approx(142.756, abs=1e-3)
         assert isl.breakdown.fspl_db == pytest.approx(187.414, abs=1e-3)
         assert isl.distance_km == 2000.0
+
+    def test_gain_past_float_range_is_rejected_at_load(self, tmp_path):
+        """10^(-zeta/10) overflows a float near zeta = -3083 dB; the ground total is 177.8 dB."""
+        ini = tmp_path / "gain.ini"
+        ini.write_text("[linkbudget]\nsat_antenna_gain_db = 3000\n")
+        ground, _ = load_config(str(ini)).linkbudget.reports()
+        assert 1e282 < ground.zeta_linear < math.inf
+        ini.write_text("[linkbudget]\nsat_antenna_gain_db = 3300\n")
+        with pytest.raises(ConfigError, match=r"^linkbudget\.sat_antenna_gain_db .* got 3300\.0$"):
+            load_config(str(ini))
 
 
 class TestSweepCsv:
@@ -263,20 +273,16 @@ class TestRunSweep:
 
 class TestConfusionMatrix:
     def test_counts_follow_pair_histogram(self):
-        catalog = ClassCatalog(("a", "b", "c"))
         labels = np.array([0, 0, 1, 2, 2, 2])
         preds = np.array([0, 1, 1, 2, 0, 2])
-        m = ConfusionMatrix.from_predictions(labels, preds, catalog)
+        m = ConfusionMatrix.from_predictions(labels, preds, ("a", "b", "c"))
         np.testing.assert_array_equal(
             m.counts, [[1, 1, 0], [0, 1, 0], [1, 0, 2]]
         )
         assert m.top1() == pytest.approx(4 / 6)
 
     def test_csv_percentages_sum_per_row(self):
-        catalog = ClassCatalog(("x", "y"))
-        m = ConfusionMatrix.from_predictions(
-            np.array([0, 0, 1]), np.array([0, 1, 1]), catalog
-        )
+        m = ConfusionMatrix.from_predictions(np.array([0, 0, 1]), np.array([0, 1, 1]), ("x", "y"))
         lines = m.csv().strip().splitlines()
         assert lines[0] == CONFUSION_CSV_HEADER
         pct = [float(ln.split(",")[3]) for ln in lines[1:]]
@@ -295,7 +301,7 @@ def scenario_cfg():
 
 @pytest.fixture(scope="module")
 def scenario(scenario_cfg):
-    return build_csa_scenario(scenario_cfg, meta_enabled=True)
+    return build_csa_scenario(scenario_cfg)
 
 
 class TestScenario:
@@ -303,7 +309,6 @@ class TestScenario:
         assert scenario.isl_channel.kind is ChannelKind.ISL
         assert scenario.downlink_channel.kind is ChannelKind.LEO_RICIAN
         assert scenario.system.converged
-        assert scenario.meta_enabled
         assert scenario.sa == scenario_cfg.csa
 
     def test_round_logs_structure(self, scenario, scenario_cfg):
@@ -325,9 +330,7 @@ class TestScenario:
         """Round 0 encodes the reference batch, t_1 val and t_1 test; later
         frozen rounds only the reference batch. Averaging encodes its shards
         and the test set once."""
-        frozen = dataclasses.replace(
-            scenario, meta_enabled=False, sa=dataclasses.replace(scenario.sa, rounds=4)
-        )
+        frozen = dataclasses.replace(scenario, sa=dataclasses.replace(scenario.sa, rounds=4))
         calls = []
 
         def counting_encode(dataset, encoder):
@@ -336,7 +339,7 @@ class TestScenario:
 
         monkeypatch.setattr("semcom.csa.encode", counting_encode)
         monkeypatch.setattr("semcom.harness.encode", counting_encode)
-        run_csa_end_to_end(frozen)
+        run_csa_end_to_end(frozen, meta_enabled=False)
         assert len(calls) == 6
         calls.clear()
         harness.run_fedavg_experiment(scenario_cfg, frozen)
@@ -374,25 +377,24 @@ class TestScenario:
 
     def test_fedavg_shards_modes(self, scenario):
         disjoint = fedavg_client_shards(scenario.system, scenario.splits_t1.train, 2)
-        labels0 = set(disjoint[0].labels.tolist())
-        labels1 = set(disjoint[1].labels.tolist())
+        labels0 = set(disjoint[0][1].tolist())
+        labels1 = set(disjoint[1][1].tolist())
         assert labels0.isdisjoint(labels1)
-        total = len(disjoint[0].labels) + len(disjoint[1].labels)
+        total = len(disjoint[0][1]) + len(disjoint[1][1])
         assert total == len(scenario.splits_t1.train)
         iid = fedavg_client_shards(scenario.system, scenario.splits_t1.train, 2, mode="iid")
-        spread0 = np.bincount(iid[0].labels, minlength=10)
-        spread1 = np.bincount(iid[1].labels, minlength=10)
+        spread0 = np.bincount(iid[0][1], minlength=10)
+        spread1 = np.bincount(iid[1][1], minlength=10)
         assert np.all(np.abs(spread0 - spread1) <= 1)
         with pytest.raises(ValueError):
             fedavg_client_shards(scenario.system, scenario.splits_t1.train, 2, mode="sorted")
 
     def test_shard_features_live_on_the_codebook_grid(self, scenario):
-        shard = fedavg_client_shards(scenario.system, scenario.splits_t1.train, 2)[0]
+        vectors, _ = fedavg_client_shards(scenario.system, scenario.splits_t1.train, 2)[0]
         blocks = scenario.system.blocks
         dim = scenario.system.codebook.dim
         entries = {tuple(np.round(e, 9)) for e in scenario.system.codebook.entries}
-        sample = shard.vectors[:5]
-        for row in sample:
+        for row in vectors[:5]:
             for b in range(blocks):
                 assert tuple(np.round(row[b * dim : (b + 1) * dim], 9)) in entries
 
