@@ -9,7 +9,7 @@ from .csa import CsaScenario, SAConfig, meta_step, run_csa_end_to_end, sa_loss
 from .dataset import DatasetSpec, generate_synthetic
 from .dtjscc import Codebook, DtjsccConfig, TrainedSystem, train_dtjscc
 from .config import ExperimentConfig, HarnessConfig, load_config
-from .geometry import LinkBudget, OrbitGeometry, link_budget_report, slant_range
+from .geometry import LinkBudget, slant_range
 from .harness import run_sweep
 from .modem import Constellation, build_constellation
 from .seeding import derive_seed, spawn_rng
@@ -31,8 +31,6 @@ __all__ = [
     "TrainedSystem",
     "train_dtjscc",
     "LinkBudget",
-    "OrbitGeometry",
-    "link_budget_report",
     "slant_range",
     "ExperimentConfig",
     "HarnessConfig",

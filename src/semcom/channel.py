@@ -52,7 +52,7 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         self.kind = ChannelKind(self.kind)
-        if self.rician_factor < 0:
+        if not self.rician_factor >= 0:  # also false for NaN
             raise ValueError(f"rician factor must be >= 0, got {self.rician_factor}")
 
 
@@ -65,9 +65,9 @@ def sample_rician_gain(
     line-of-sight term and ``ftilde ~ CN(0, 1)``. R = 0 degenerates to
     Rayleigh. E[|gain|^2] = z for every R >= 0.
     """
-    if rician_factor < 0:
+    if not rician_factor >= 0:  # also false for NaN
         raise ValueError(f"rician factor must be >= 0, got {rician_factor}")
-    if zeta_linear <= 0:
+    if not zeta_linear > 0:
         raise ValueError("large-scale gain must be positive")
     diffuse = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
     r = rician_factor
@@ -81,9 +81,9 @@ def sample_isl_gain(rician_factor: float, zeta_linear: float) -> complex:
     R/(R+1) fraction of the large-scale power: |gain|^2 = z R/(R+1) < z for
     every finite R.
     """
-    if rician_factor < 0:
+    if not rician_factor >= 0:  # also false for NaN
         raise ValueError(f"rician factor must be >= 0, got {rician_factor}")
-    if zeta_linear <= 0:
+    if not zeta_linear > 0:
         raise ValueError("large-scale gain must be positive")
     r = rician_factor
     return complex(math.sqrt(r * zeta_linear / (r + 1.0)))

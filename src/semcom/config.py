@@ -21,56 +21,13 @@ from .channel import ChannelConfig, ChannelKind, psnr_ratio
 from .csa import FedAvgConfig, SAConfig
 from .dataset import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from .dtjscc import DtjsccConfig
-from .geometry import LinkBudget, LinkReport, OrbitGeometry, isl_link_report, link_budget_report
+from .geometry import LinkBudget
 from .modem import TABLE_BITS, build_constellation
 from .seeding import derive_seed
 
 
 class ConfigError(ValueError):
     """A configuration value no run can use; the message names ``section.key``."""
-
-
-@dataclass
-class LinkBudgetSettings:
-    carrier_ghz: float = 28.0
-    altitude_km: float = 600.0
-    elevation_deg: float = 90.0
-    sat_antenna_gain_db: float = 35.0
-    atmospheric_loss_db: float = 0.3
-    scintillation_loss_db: float = 0.5
-    shadow_db: float = 0.0
-    isl_distance_km: float = 2000.0
-
-    def __post_init__(self) -> None:
-        for name in ("carrier_ghz", "altitude_km", "isl_distance_km"):
-            if not getattr(self, name) > 0:  # also false for NaN
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.elevation_deg <= 90.0:
-            raise ValueError(f"elevation_deg must lie in (0, 90], got {self.elevation_deg}")
-        for f in fields(self):
-            if f.name.endswith("_db") and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        try:
-            fits = all(math.isfinite(report.zeta_db) for report in self.reports())
-        except OverflowError:  # the linear gain 10^(-zeta/10) passed the largest float
-            fits = False
-        if not fits:
-            raise ValueError(
-                "sat_antenna_gain_db must leave the large-scale gain 10^(-zeta/10), zeta being "
-                f"the total path loss less this gain, within float range, got {self.sat_antenna_gain_db}"
-            )
-
-    def reports(self) -> tuple[LinkReport, LinkReport]:
-        """Ground link report and inter-satellite report."""
-        budget = LinkBudget(
-            carrier_ghz=self.carrier_ghz,
-            sat_antenna_gain_db=self.sat_antenna_gain_db,
-            atmospheric_loss_db=self.atmospheric_loss_db,
-            scintillation_loss_db=self.scintillation_loss_db,
-        )
-        geom = OrbitGeometry(self.altitude_km, math.radians(self.elevation_deg))
-        ground = link_budget_report(geom, budget, shadow_db=self.shadow_db)
-        return ground, isl_link_report(self.isl_distance_km, budget)
 
 
 @dataclass
@@ -127,7 +84,7 @@ class ExperimentConfig:
 
 @dataclass
 class HarnessConfig:
-    linkbudget: LinkBudgetSettings = field(default_factory=LinkBudgetSettings)
+    linkbudget: LinkBudget = field(default_factory=LinkBudget)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     dtjscc: DtjsccConfig = field(default_factory=DtjsccConfig)

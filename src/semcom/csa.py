@@ -38,7 +38,7 @@ from .seeding import spawn_rng
 
 
 class DivergenceError(Exception):
-    """Inner optimization blew up; the round is aborted."""
+    """An inner loss rose past 10x the first; nothing catches it, so the whole run stops."""
 
 
 @dataclass

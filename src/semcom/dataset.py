@@ -281,6 +281,8 @@ def load_tensor_file(path: str) -> Dataset:
             if len(rec) < 12:
                 raise TruncatedFileError(f"truncated record header at {i}")
             h, w, d, label, ts = struct.unpack("<HHHHI", rec)
+            if pixels and (h, w, d) != pixels[0].shape:
+                raise TensorFileError(f"record {i} has shape {(h, w, d)}, record 0 has {pixels[0].shape}")
             payload = fh.read(h * w * d * 4)
             if len(payload) < h * w * d * 4:
                 raise TruncatedFileError(f"truncated pixel payload at {i}")

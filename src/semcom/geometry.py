@@ -15,41 +15,11 @@ package is self-consistent under it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 EARTH_RADIUS_KM = 6378.0
 MU_EARTH_M3_S2 = 3.986004418e14
 SPEED_OF_LIGHT_M_S = 299792458.0
-
-
-@dataclass
-class OrbitGeometry:
-    """Single satellite-terminal geometry snapshot."""
-
-    altitude_km: float
-    elevation_rad: float
-
-    def __post_init__(self) -> None:
-        if self.altitude_km <= 0:
-            raise ValueError(f"altitude must be positive, got {self.altitude_km}")
-        if not 0.0 < self.elevation_rad <= math.pi / 2:
-            raise ValueError(
-                f"elevation must lie in (0, pi/2], got {self.elevation_rad}"
-            )
-
-
-@dataclass
-class LinkBudget:
-    """Carrier and loss terms for one link."""
-
-    carrier_ghz: float
-    sat_antenna_gain_db: float = 35.0
-    atmospheric_loss_db: float = 0.3
-    scintillation_loss_db: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.carrier_ghz <= 0:
-            raise ValueError(f"carrier must be positive, got {self.carrier_ghz}")
 
 
 @dataclass
@@ -67,15 +37,15 @@ class PathLossBreakdown:
         return self.fspl_db + self.shadow_db + self.atmospheric_db + self.scintillation_db
 
 
-def slant_range(geom: OrbitGeometry) -> float:
+def slant_range(altitude_km: float, elevation_rad: float) -> float:
     """Terminal-to-satellite distance in km.
 
     The law-of-cosines form ``sqrt(R^2 sin^2 th + r^2 + 2 R r) - R sin th``,
     which reduces to the altitude at zenith.
     """
     r_e = EARTH_RADIUS_KM
-    r_m = geom.altitude_km
-    sin_th = math.sin(geom.elevation_rad)
+    r_m = altitude_km
+    sin_th = math.sin(elevation_rad)
     return math.sqrt(r_e**2 * sin_th**2 + r_m**2 + 2.0 * r_e * r_m) - r_e * sin_th
 
 
@@ -135,9 +105,10 @@ class LinkReport:
     zeta_linear: float
     doppler_hz: float
 
-    def csv_row(self) -> str:
+    def figures(self) -> tuple[float, ...]:
+        """The CSV cells, in header order."""
         b = self.breakdown
-        cells = (
+        return (
             self.distance_km,
             b.fspl_db,
             b.shadow_db,
@@ -147,7 +118,9 @@ class LinkReport:
             self.zeta_db,
             self.doppler_hz,
         )
-        return ",".join(repr(float(c)) for c in cells)
+
+    def csv_row(self) -> str:
+        return ",".join(repr(float(c)) for c in self.figures())
 
     def as_text(self) -> str:
         b = self.breakdown
@@ -172,29 +145,74 @@ class LinkReport:
         return "\n".join(lines)
 
 
-def _report(
-    distance_km: float,
-    budget: LinkBudget,
-    doppler_hz: float,
-    losses_db: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> LinkReport:
-    """FSPL at ``distance_km`` plus ``losses_db`` (shadowing, gas, scintillation).
+@dataclass
+class LinkBudget:
+    """The ``[linkbudget]`` settings: one ground link and one inter-satellite link.
 
-    The slant range or ISL separation is computed once by the caller; zeta is
-    the total loss less the antenna gain, and its linear gain 10^(-zeta/10).
+    Each check's message starts with its field, which the config loader
+    reports as ``linkbudget.<field>``.
     """
-    breakdown = PathLossBreakdown(free_space_path_loss_db(distance_km, budget.carrier_ghz), *losses_db)
-    zeta_db = breakdown.total_db - budget.sat_antenna_gain_db
-    return LinkReport(distance_km, breakdown, zeta_db, 10.0 ** (-zeta_db / 10.0), doppler_hz)
 
+    carrier_ghz: float = 28.0
+    altitude_km: float = 600.0
+    elevation_deg: float = 90.0
+    sat_antenna_gain_db: float = 35.0
+    atmospheric_loss_db: float = 0.3
+    scintillation_loss_db: float = 0.5
+    shadow_db: float = 0.0
+    isl_distance_km: float = 2000.0
 
-def link_budget_report(geom: OrbitGeometry, budget: LinkBudget, shadow_db: float = 0.0) -> LinkReport:
-    """Ground link: FSPL at the slant range + shadowing + gas + scintillation, with Doppler."""
-    doppler_hz = doppler_shift_hz(geom.altitude_km, geom.elevation_rad, budget.carrier_ghz)
-    losses_db = (shadow_db, budget.atmospheric_loss_db, budget.scintillation_loss_db)
-    return _report(slant_range(geom), budget, doppler_hz, losses_db)
+    def __post_init__(self) -> None:
+        for name in ("carrier_ghz", "altitude_km", "isl_distance_km"):
+            if not getattr(self, name) > 0:  # also false for NaN
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.elevation_deg <= 90.0:
+            raise ValueError(f"elevation_deg must lie in (0, 90], got {self.elevation_deg}")
+        for f in fields(self):
+            if f.name.endswith("_db") and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        try:
+            fits = all(math.isfinite(x) for report in self.reports() for x in report.figures())
+        except (OverflowError, ValueError):  # 10^(-zeta/10) past the largest float, or a zero slant range
+            fits = False
+        if not fits:
+            # Blame the key whose dB term of zeta is largest in magnitude; a
+            # distance counts in metres, as in the FSPL.
+            terms = {
+                "carrier_ghz": 20.0 * math.log10(self.carrier_ghz),
+                "altitude_km": 20.0 * math.log10(self.altitude_km * 1e3),
+                "isl_distance_km": 20.0 * math.log10(self.isl_distance_km * 1e3),
+                "shadow_db": self.shadow_db,
+                "atmospheric_loss_db": self.atmospheric_loss_db,
+                "scintillation_loss_db": self.scintillation_loss_db,
+                "sat_antenna_gain_db": -self.sat_antenna_gain_db,
+            }
+            key = max(terms, key=lambda name: abs(terms[name]))
+            raise ValueError(
+                f"{key} must leave every link-budget figure finite, the large-scale gain "
+                f"10^(-zeta/10) included, got {getattr(self, key)}"
+            )
 
+    def reports(self) -> tuple[LinkReport, LinkReport]:
+        """Ground link report and inter-satellite report.
 
-def isl_link_report(distance_km: float, budget: LinkBudget) -> LinkReport:
-    """Inter-satellite link: FSPL only, no shadowing, atmosphere or Doppler."""
-    return _report(distance_km, budget, 0.0)
+        Ground: FSPL at the slant range plus shadowing, gas and scintillation,
+        with the Doppler shift. Inter-satellite: FSPL only, no shadowing,
+        atmosphere or Doppler.
+        """
+        elevation_rad = math.radians(self.elevation_deg)
+        doppler_hz = doppler_shift_hz(self.altitude_km, elevation_rad, self.carrier_ghz)
+        losses_db = (self.shadow_db, self.atmospheric_loss_db, self.scintillation_loss_db)
+        ground = self._report(slant_range(self.altitude_km, elevation_rad), doppler_hz, losses_db)
+        return ground, self._report(self.isl_distance_km, 0.0)
+
+    def _report(
+        self, distance_km: float, doppler_hz: float, losses_db: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    ) -> LinkReport:
+        """FSPL at ``distance_km`` plus ``losses_db`` (shadowing, gas, scintillation).
+
+        Zeta is the total loss less the antenna gain, its linear gain 10^(-zeta/10).
+        """
+        breakdown = PathLossBreakdown(free_space_path_loss_db(distance_km, self.carrier_ghz), *losses_db)
+        zeta_db = breakdown.total_db - self.sat_antenna_gain_db
+        return LinkReport(distance_km, breakdown, zeta_db, 10.0 ** (-zeta_db / 10.0), doppler_hz)

@@ -18,6 +18,9 @@ DEFAULT_APSK_RING_RATIO = 2.57
 # The widest bit width the lookup tables cover; PSK orders and codebook sizes
 # are capped at 2**TABLE_BITS so every index and label fits one table.
 TABLE_BITS = 16
+# The most symbol-to-point distances demodulate_hard holds at once (16 MiB of
+# complex128); a block takes as many symbols as fit, at least one.
+DEMOD_BLOCK_DISTANCES = 1 << 20
 
 
 class DeepFadeError(Exception):
@@ -166,11 +169,13 @@ def modulate(bits: np.ndarray, constellation: Constellation) -> tuple[np.ndarray
     return constellation.points[indices], pad
 
 
+def _block_rows(order: int) -> int:
+    """Symbols per ``demodulate_hard`` block for an ``order``-point constellation."""
+    return max(1, DEMOD_BLOCK_DISTANCES // order)
+
+
 def demodulate_hard(
-    received: np.ndarray,
-    gain: complex | np.ndarray,
-    constellation: Constellation,
-    chunk: int = 65536,
+    received: np.ndarray, gain: complex | np.ndarray, constellation: Constellation
 ) -> np.ndarray:
     """Equalize by the known gain and hard-slice to the nearest point's bits.
 
@@ -184,9 +189,10 @@ def demodulate_hard(
         raise DeepFadeError("zero channel gain")
     flat = (received / gain_arr).reshape(-1)
     points = constellation.points
-    nearest = [  # one block when the frame fits in a chunk, or is empty
-        (np.abs(flat[start : start + chunk, None] - points[None, :]) ** 2).argmin(axis=1)
-        for start in range(0, max(flat.size, 1), chunk)
+    rows = _block_rows(points.size)
+    nearest = [  # one block when the frame fits, or is empty
+        (np.abs(flat[start : start + rows, None] - points[None, :]) ** 2).argmin(axis=1)
+        for start in range(0, max(flat.size, 1), rows)
     ]
     indices = nearest[0] if len(nearest) == 1 else np.concatenate(nearest)
     # Labels are 0..M-1, so they fit bits_per_symbol bits: no range check.

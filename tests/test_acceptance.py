@@ -22,7 +22,7 @@ from semcom.channel import ChannelRealization, apply_channel, noise_variance_fro
 from semcom.config import load_config
 from semcom.csa import CovarianceMatrix, final_accuracy, sa_loss
 from semcom.dtjscc import Codebook
-from semcom.geometry import LinkBudget, OrbitGeometry, link_budget_report
+from semcom.geometry import LinkBudget
 from semcom.harness import run_csa_experiment, run_round_race, run_sweep
 from semcom.modem import bits_to_ints, build_constellation, build_psk, demodulate_hard, modulate
 from semcom.seeding import spawn_rng
@@ -42,9 +42,8 @@ def report(criterion: str, elapsed: float, detail: str) -> None:
 
 def test_criterion_1_link_budget():
     start = time.perf_counter()
-    budget = LinkBudget(carrier_ghz=28.0, sat_antenna_gain_db=35.0)
-    geom = OrbitGeometry(altitude_km=600.0, elevation_rad=math.pi / 2)
-    rep = link_budget_report(geom, budget)
+    budget = LinkBudget(carrier_ghz=28.0, altitude_km=600.0, elevation_deg=90.0, sat_antenna_gain_db=35.0)
+    rep, _ = budget.reports()
 
     # Independent calculator: tabulated free-space constant, then the loss sum.
     fspl_reference = 32.45 + 20 * math.log10(28.0) + 20 * math.log10(600e3)

@@ -50,10 +50,12 @@ class TestRicianGain:
 
     def test_invalid_parameters(self):
         rng = spawn_rng(0, "chan", "bad")
-        with pytest.raises(ValueError):
-            sample_rician_gain(-0.1, 1.0, rng)
-        with pytest.raises(ValueError):
-            sample_rician_gain(1.0, 0.0, rng)
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError, match=f"rician factor must be >= 0, got {bad}"):
+                sample_rician_gain(bad, 1.0, rng)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="large-scale gain must be positive"):
+                sample_rician_gain(1.0, bad, rng)
 
 
 class TestIslGain:
@@ -65,6 +67,14 @@ class TestIslGain:
 
     def test_power_strictly_below_large_scale_budget(self):
         assert abs(sample_isl_gain(2.8, 1.0)) ** 2 < 1.0
+
+    def test_invalid_parameters(self):
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError, match=f"rician factor must be >= 0, got {bad}"):
+                sample_isl_gain(bad, 1.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="large-scale gain must be positive"):
+                sample_isl_gain(1.0, bad)
 
 
 class TestNoiseVariance:
@@ -102,6 +112,12 @@ class TestRealizations:
         assert real.gain == 1.0 + 0.0j
         assert real.noise_variance == 0.3
         assert real.kind is ChannelKind.AWGN
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_config_rejects_negative_and_nan_factor(self, kind, bad):
+        with pytest.raises(ValueError, match=f"rician factor must be >= 0, got {bad}"):
+            ChannelConfig(kind=kind, rician_factor=bad)
 
     def test_rayleigh_kind_ignores_configured_factor(self):
         cfg_ray = ChannelConfig(kind=ChannelKind.LEO_RAYLEIGH, rician_factor=2.8)

@@ -139,6 +139,11 @@ class TestConfigErrors:
             ("sweep", "psnr_grid", "4,8,4.0", "4.0 twice"),
             ("channel", "kinds", "awgn,awgn", "'awgn' twice"),
             ("linkbudget", "sat_antenna_gain_db", "1e308", "1e+308"),
+            ("linkbudget", "shadow_db", "-1e308", "-1e+308"),
+            ("linkbudget", "carrier_ghz", "1e-300", "1e-300"),
+            ("linkbudget", "isl_distance_km", "1e-300", "1e-300"),
+            ("linkbudget", "altitude_km", "1e-300", "1e-300"),
+            ("linkbudget", "carrier_ghz", "1e300", "1e+300"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(

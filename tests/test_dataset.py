@@ -210,6 +210,17 @@ class TestContainerFormat:
         with pytest.raises(TruncatedFileError):
             load_tensor_file(str(path))
 
+    def test_mixed_record_shapes_name_the_first_odd_record(self, tmp_path):
+        def record(h, w, d):
+            return struct.pack("<HHHHI", h, w, d, 0, 0) + np.zeros(h * w * d, dtype="<f4").tobytes()
+
+        path = tmp_path / "mixed.msit"
+        records = record(2, 2, 3) + record(2, 2, 3) + record(2, 3, 3) + record(1, 1, 1)
+        path.write_bytes(b"MSIT" + struct.pack("<II", 1, 4) + records)
+        want = r"^record 2 has shape \(2, 3, 3\), record 0 has \(2, 2, 3\)$"
+        with pytest.raises(TensorFileError, match=want):
+            load_tensor_file(str(path))
+
     def test_unsupported_version(self, tmp_path):
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=2, seed=8))
         path = tmp_path / "v9.msit"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,17 +13,13 @@ from hypothesis import strategies as st
 from semcom.geometry import (
     LINK_REPORT_CSV_HEADER,
     LinkBudget,
-    OrbitGeometry,
     doppler_shift_hz,
     free_space_path_loss_db,
-    isl_link_report,
-    link_budget_report,
     orbital_velocity_m_s,
     slant_range,
 )
 
-TABLE_BUDGET = LinkBudget(carrier_ghz=28.0)
-ZENITH = OrbitGeometry(altitude_km=600.0, elevation_rad=math.pi / 2)
+TABLE_BUDGET = LinkBudget(carrier_ghz=28.0, altitude_km=600.0, elevation_deg=90.0, isl_distance_km=2000.0)
 
 
 def quadratic_slant_km(altitude_km: float, elevation_rad: float, re_km: float = 6378.0) -> float:
@@ -35,28 +32,27 @@ def quadratic_slant_km(altitude_km: float, elevation_rad: float, re_km: float = 
 
 class TestSlantRange:
     def test_zenith_equals_altitude(self):
-        assert slant_range(ZENITH) == pytest.approx(600.0, abs=1e-9)
+        assert slant_range(600.0, math.pi / 2) == pytest.approx(600.0, abs=1e-9)
 
     def test_matches_quadratic_root_solver(self):
         for deg in (5.0, 17.0, 30.0, 45.0, 60.0, 89.0):
-            geom = OrbitGeometry(600.0, math.radians(deg))
-            assert slant_range(geom) == pytest.approx(
-                quadratic_slant_km(600.0, geom.elevation_rad), rel=1e-9
+            assert slant_range(600.0, math.radians(deg)) == pytest.approx(
+                quadratic_slant_km(600.0, math.radians(deg)), rel=1e-9
             )
 
     @given(st.floats(1.0, 89.9), st.floats(200.0, 2000.0))
     def test_positive_and_decreasing_in_elevation(self, deg, alt):
-        lo = slant_range(OrbitGeometry(alt, math.radians(deg)))
-        hi = slant_range(OrbitGeometry(alt, math.radians(min(deg + 1.0, 90.0))))
+        lo = slant_range(alt, math.radians(deg))
+        hi = slant_range(alt, math.radians(min(deg + 1.0, 90.0)))
         assert 0 < hi <= lo
 
     def test_elevation_domain(self):
-        with pytest.raises(ValueError):
-            OrbitGeometry(600.0, 0.0)
-        with pytest.raises(ValueError):
-            OrbitGeometry(600.0, math.pi / 2 + 0.01)
-        with pytest.raises(ValueError):
-            OrbitGeometry(-1.0, math.pi / 4)
+        with pytest.raises(ValueError, match="^elevation_deg "):
+            LinkBudget(elevation_deg=0.0)
+        with pytest.raises(ValueError, match="^elevation_deg "):
+            LinkBudget(elevation_deg=90.5)
+        with pytest.raises(ValueError, match="^altitude_km "):
+            LinkBudget(altitude_km=-1.0, elevation_deg=45.0)
 
 
 class TestPathLoss:
@@ -75,7 +71,7 @@ class TestPathLoss:
         assert free_space_path_loss_db(600.0, 28.0) == pytest.approx(physical, abs=0.01)
 
     def test_total_is_sum_of_parts(self):
-        b = link_budget_report(ZENITH, TABLE_BUDGET, shadow_db=1.7).breakdown
+        b = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7).reports()[0].breakdown
         assert b.total_db == pytest.approx(
             b.fspl_db + b.shadow_db + b.atmospheric_db + b.scintillation_db, abs=1e-12
         )
@@ -83,28 +79,29 @@ class TestPathLoss:
         assert b.total_db == pytest.approx(176.956 + 1.7 + 0.8, abs=1e-3)
 
     def test_ground_fspl_is_taken_at_the_slant_range(self):
-        geom = OrbitGeometry(600.0, math.radians(30.0))
-        rep = link_budget_report(geom, TABLE_BUDGET, shadow_db=1.7)
-        assert rep.distance_km == slant_range(geom)
-        assert rep.breakdown.fspl_db == free_space_path_loss_db(slant_range(geom), 28.0)
+        rep, _ = dataclasses.replace(TABLE_BUDGET, elevation_deg=30.0, shadow_db=1.7).reports()
+        slant_km = slant_range(600.0, math.radians(30.0))
+        assert rep.distance_km == slant_km
+        assert rep.breakdown.fspl_db == free_space_path_loss_db(slant_km, 28.0)
         assert (rep.breakdown.atmospheric_db, rep.breakdown.scintillation_db) == (0.3, 0.5)
 
     def test_attenuation_and_linear_gain(self):
-        rep = link_budget_report(ZENITH, TABLE_BUDGET, shadow_db=1.7)
+        shadowed = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7)
+        rep, _ = shadowed.reports()
         assert rep.zeta_db == rep.breakdown.total_db - 35.0
         assert rep.zeta_db == pytest.approx(144.456, abs=1e-3)
         assert rep.zeta_linear == pytest.approx(10 ** (-rep.zeta_db / 10), rel=1e-12)
         total = rep.breakdown.total_db
-        unity = link_budget_report(ZENITH, LinkBudget(28.0, sat_antenna_gain_db=total), 1.7)
+        unity, _ = dataclasses.replace(shadowed, sat_antenna_gain_db=total).reports()
         assert unity.zeta_db == 0.0
         assert unity.zeta_linear == 1.0
-        tenth = link_budget_report(ZENITH, LinkBudget(28.0, sat_antenna_gain_db=total - 10.0), 1.7)
+        tenth, _ = dataclasses.replace(shadowed, sat_antenna_gain_db=total - 10.0).reports()
         assert tenth.zeta_linear == pytest.approx(0.1)
 
 
 class TestReports:
     def test_ground_report_reference_numbers(self):
-        rep = link_budget_report(ZENITH, TABLE_BUDGET)
+        rep, _ = TABLE_BUDGET.reports()
         assert rep.distance_km == pytest.approx(600.0)
         assert rep.breakdown.fspl_db == pytest.approx(176.956, abs=1e-3)
         assert rep.breakdown.total_db == pytest.approx(177.756, abs=1e-3)
@@ -113,7 +110,7 @@ class TestReports:
         assert abs(rep.doppler_hz) < 1e-6
 
     def test_isl_report_reference_numbers(self):
-        rep = isl_link_report(2000.0, TABLE_BUDGET)
+        _, rep = TABLE_BUDGET.reports()
         assert rep.breakdown.fspl_db == pytest.approx(187.414, abs=1e-3)
         assert rep.breakdown.total_db == rep.breakdown.fspl_db
         assert rep.breakdown.atmospheric_db == 0.0
@@ -122,12 +119,12 @@ class TestReports:
         assert rep.doppler_hz == 0.0
 
     def test_isl_path_loss_is_vacuum_only(self):
-        b = isl_link_report(2000.0, TABLE_BUDGET).breakdown
+        b = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7).reports()[1].breakdown
         assert (b.shadow_db, b.atmospheric_db, b.scintillation_db) == (0.0, 0.0, 0.0)
         assert b.total_db == pytest.approx(free_space_path_loss_db(2000.0, 28.0))
 
     def test_csv_row_matches_header(self):
-        rep = link_budget_report(ZENITH, TABLE_BUDGET)
+        rep, _ = TABLE_BUDGET.reports()
         row = rep.csv_row().split(",")
         assert len(row) == len(LINK_REPORT_CSV_HEADER.split(","))
         assert float(row[0]) == 600.0

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semcom import modem
 from semcom.channel import ChannelRealization, apply_channel, noise_variance_from_psnr
 from semcom.modem import (
+    DEMOD_BLOCK_DISTANCES,
     DeepFadeError,
+    _block_rows,
     bits_to_ints,
     build_apsk16,
     build_constellation,
@@ -249,13 +253,15 @@ class TestKernelsMatchTheReference:
     @pytest.mark.parametrize("n", [0, 1, 7, 37, 999])
     @pytest.mark.parametrize("chunk", [7, 37, 65536])
     @pytest.mark.parametrize("per_symbol", [False, True])
-    def test_demodulate_hard(self, name, n, chunk, per_symbol):
+    def test_demodulate_hard(self, name, n, chunk, per_symbol, monkeypatch):
         c = build_constellation(name)
+        monkeypatch.setattr(modem, "DEMOD_BLOCK_DISTANCES", chunk * c.points.size)
+        assert _block_rows(c.points.size) == chunk
         rng = spawn_rng(2, "kernels", name, n)
         received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         gain = rng.standard_normal(n) + 1j * rng.standard_normal(n) if per_symbol else 0.3 - 0.8j
         want = outcome(reference_demodulate_hard, received, gain, c, chunk=chunk)
-        assert outcome(demodulate_hard, received, gain, c, chunk=chunk) == want
+        assert outcome(demodulate_hard, received, gain, c) == want
 
     @pytest.mark.parametrize(
         "gain",
@@ -334,14 +340,44 @@ class TestModulateDemodulate:
         expected = ints_to_bits(np.array([int(c.labels[0])]), 2)
         np.testing.assert_array_equal(out, expected)
 
-    def test_chunked_search_matches_unchunked(self):
+    def test_chunked_search_matches_unchunked(self, monkeypatch):
         c = build_constellation("16apsk")
         rng = spawn_rng(4, "chunk")
         received = rng.standard_normal(999) + 1j * rng.standard_normal(999)
-        np.testing.assert_array_equal(
-            demodulate_hard(received, 1.0 + 0j, c, chunk=7),
-            demodulate_hard(received, 1.0 + 0j, c),
-        )
+        whole = demodulate_hard(received, 1.0 + 0j, c)
+        monkeypatch.setattr(modem, "DEMOD_BLOCK_DISTANCES", 7 * 16)
+        np.testing.assert_array_equal(demodulate_hard(received, 1.0 + 0j, c), whole)
+
+    def test_block_size_follows_the_order(self):
+        """At most 2^20 distances per block, whatever the order; shipped frames stay one block."""
+        assert DEMOD_BLOCK_DISTANCES == 1 << 20
+        for bits in range(1, 17):
+            order = 1 << bits
+            assert _block_rows(order) * order == DEMOD_BLOCK_DISTANCES
+        assert _block_rows(1 << 16) == 16  # 16 x 65,536 distances, 16 MiB of complex128
+        assert _block_rows(1 << 21) == 1  # never an empty block
+        assert _block_rows(4) == 262_144 and _block_rows(16) == 65_536
+
+    def test_blocks_bound_the_memory(self, monkeypatch):
+        """A 20,000-symbol 16APSK frame: the whole 5.1 MB distance matrix, or 64-row blocks."""
+        c = build_constellation("16apsk")
+        rng = spawn_rng(5, "chunk")
+        received = rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                bits = demodulate_hard(received, 1.0 + 0j, c)
+                return tracemalloc.get_traced_memory()[1], bits
+            finally:
+                tracemalloc.stop()
+
+        whole_peak, whole = peak_bytes()
+        monkeypatch.setattr(modem, "DEMOD_BLOCK_DISTANCES", 64 * 16)
+        blocked_peak, blocked = peak_bytes()
+        np.testing.assert_array_equal(blocked, whole)
+        assert whole_peak > 20_000 * 16 * 16
+        assert blocked_peak < 20_000 * 16 * 16 / 2
 
 
 class TestSymbolErrorRate:
