@@ -4,7 +4,7 @@ source-channel pipeline, and covariance-guided cross-node adaptation."""
 
 __version__ = "0.1.0"
 
-from .channel import ChannelConfig, ChannelKind, ChannelRealization
+from .channel import ChannelConfig, ChannelKind
 from .csa import CsaScenario, SAConfig, meta_step, run_csa_end_to_end, sa_loss
 from .dataset import DatasetSpec, generate_synthetic
 from .dtjscc import Codebook, DtjsccConfig, TrainedSystem, train_dtjscc
@@ -18,7 +18,6 @@ __all__ = [
     "__version__",
     "ChannelConfig",
     "ChannelKind",
-    "ChannelRealization",
     "CsaScenario",
     "SAConfig",
     "meta_step",

@@ -26,25 +26,8 @@ class ChannelKind(str, enum.Enum):
 
 
 @dataclass
-class ChannelRealization:
-    """One drawn channel state, applied to a whole frame under block fading."""
-
-    gain: complex
-    noise_variance: float
-    kind: ChannelKind = ChannelKind.AWGN
-
-    def __post_init__(self) -> None:
-        self.kind = ChannelKind(self.kind)
-        self.gain = complex(self.gain)
-        if not self.noise_variance >= 0:  # also false for NaN
-            raise ValueError(f"noise variance must be >= 0, got {self.noise_variance}")
-        if self.kind is ChannelKind.AWGN and self.gain != 1.0 + 0.0j:
-            raise ValueError("awgn realizations must have unit gain")
-
-
-@dataclass
 class ChannelConfig:
-    """Static parameters from which realizations are drawn."""
+    """Static parameters from which a frame's gains are drawn."""
 
     kind: ChannelKind = ChannelKind.AWGN
     rician_factor: float = 2.8
@@ -121,21 +104,14 @@ def noise_variance_from_psnr(psnr_db: float) -> float:
     return 1.0 / psnr_ratio(psnr_db)
 
 
-def sample_realization(
-    cfg: ChannelConfig, noise_variance: float, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw one channel state according to the configured kind."""
+def sample_realization(cfg: ChannelConfig, rng: np.random.Generator) -> complex:
+    """Draw one block gain according to the configured kind; AWGN gives exactly ``1+0j``."""
     if cfg.kind is ChannelKind.AWGN:
-        gain = 1.0 + 0.0j
-    elif cfg.kind is ChannelKind.LEO_RICIAN:
-        gain = sample_rician_gain(cfg.rician_factor, 1.0, rng)
-    elif cfg.kind is ChannelKind.LEO_RAYLEIGH:
-        gain = sample_rician_gain(0.0, 1.0, rng)
-    elif cfg.kind is ChannelKind.ISL:
-        gain = sample_isl_gain(cfg.rician_factor, 1.0)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown channel kind {cfg.kind}")
-    return ChannelRealization(gain=gain, noise_variance=noise_variance, kind=cfg.kind)
+        return 1.0 + 0.0j
+    if cfg.kind is ChannelKind.ISL:
+        return sample_isl_gain(cfg.rician_factor, 1.0)
+    r = 0.0 if cfg.kind is ChannelKind.LEO_RAYLEIGH else cfg.rician_factor
+    return sample_rician_gain(r, 1.0, rng)
 
 
 def sample_gain_sequence(
@@ -155,31 +131,26 @@ def sample_gain_sequence(
 
 def apply_channel(
     symbols: np.ndarray,
-    realization: ChannelRealization,
+    gain: complex | np.ndarray,
+    noise_variance: float,
     rng: np.random.Generator,
-    gains: np.ndarray | None = None,
 ) -> np.ndarray:
     """Propagate a symbol frame: ``Y = H X + N``.
 
-    ``gains`` overrides the block gain with a per-symbol sequence (same
-    length as the frame). Noise draws are i.i.d. per symbol with the
-    realization's total variance, half per quadrature.
+    ``gain`` is one block gain or a per-symbol sequence of the frame's shape.
+    Noise draws are i.i.d. per symbol with total variance ``noise_variance``,
+    half per quadrature.
     """
+    if not noise_variance >= 0:  # also false for NaN
+        raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
     symbols = np.asarray(symbols, dtype=np.complex128)
-    h: np.ndarray | complex
-    if gains is not None:
-        gains = np.asarray(gains, dtype=np.complex128)
-        if gains.shape != symbols.shape:
-            raise ValueError("per-symbol gains must match the frame shape")
-        h = gains
-    else:
-        h = realization.gain
-    sigma2 = realization.noise_variance
-    if sigma2 == 0.0:
+    if np.ndim(gain) and np.shape(gain) != symbols.shape:
+        raise ValueError("per-symbol gains must match the frame shape")
+    if noise_variance == 0.0:
         noise = 0.0
     else:
-        scale = math.sqrt(sigma2 / 2.0)
+        scale = math.sqrt(noise_variance / 2.0)
         noise = scale * (
             rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape)
         )
-    return h * symbols + noise
+    return gain * symbols + noise

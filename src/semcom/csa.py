@@ -38,7 +38,7 @@ from .seeding import spawn_rng
 
 
 class DivergenceError(Exception):
-    """An inner loss rose past 10x the first; nothing catches it, so the whole run stops."""
+    """An inner loss rose past 10x the first; the round loop names its round and step size."""
 
 
 @dataclass
@@ -398,8 +398,13 @@ def run_csa_end_to_end(scenario: CsaScenario, meta_enabled: bool = True) -> list
             take_cur = min(scenario.sa.reference_batch, len(t1_train))
             cur_idx = cur_rng.choice(len(t1_train), size=take_cur, replace=False)
             cur = t1_train.subset(cur_idx)
-            info_s2 = meta_step(g_s2, f_s2, l_s2, reference, (cur.flattened(), cur.labels), cfg_i)
-            info_ut = meta_step(g_ut, None, l_ut, reference, reference, cfg_i)
+            try:
+                info_s2 = meta_step(g_s2, f_s2, l_s2, reference, (cur.flattened(), cur.labels), cfg_i)
+                info_ut = meta_step(g_ut, None, l_ut, reference, reference, cfg_i)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"round {i}: {exc} at csa.inner_lr = {cfg_i.inner_learning_rate}"
+                ) from exc
             sat2_sa = info_s2.inner_losses[-1] if info_s2.inner_losses else info_s2.outer_loss
             ut_sa = info_ut.inner_losses[-1] if info_ut.inner_losses else info_ut.outer_loss
 

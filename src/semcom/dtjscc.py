@@ -26,7 +26,6 @@ import numpy as np
 from . import nn
 from .channel import (
     ChannelConfig,
-    ChannelRealization,
     apply_channel,
     noise_variance_from_psnr,
     psnr_ratio,
@@ -157,28 +156,28 @@ def dequantize(message: QuantizedMessage, codebook: Codebook, width: int) -> np.
 def transmit(
     message: QuantizedMessage,
     constellation: Constellation,
-    realization: ChannelRealization,
+    channel_cfg: ChannelConfig,
+    noise_variance: float,
     rng: np.random.Generator,
-    channel_cfg: ChannelConfig | None = None,
 ) -> QuantizedMessage:
     """Push a frame of indices through modem and channel, return what arrived.
 
-    Block fading applies the single realization gain to the whole frame;
-    passing a ``channel_cfg`` with ``per_symbol_fading`` set draws a fresh
-    gain per symbol instead. A deep fade (zero gain) returns the frame marked
-    erased with all indices zeroed.
+    The frame draws its channel from ``rng``: one block gain for the whole
+    frame, or with ``per_symbol_fading`` set a fresh gain per symbol, then
+    the noise. A deep fade (zero gain) returns the frame marked erased with
+    all indices zeroed.
     """
     width = message.bits_per_index
     bits = ints_to_bits(message.indices, width)
     symbols, pad = modulate(bits, constellation)
-    gains = None
-    if channel_cfg is not None and channel_cfg.per_symbol_fading:
-        gains = sample_gain_sequence(channel_cfg, symbols.size, rng)
-    received = apply_channel(symbols, realization, rng, gains=gains)
+    # A per-symbol frame still draws the block gain and discards it, so every
+    # stream keeps its order: block gain, per-symbol gains, noise.
+    gain = sample_realization(channel_cfg, rng)
+    if channel_cfg.per_symbol_fading:
+        gain = sample_gain_sequence(channel_cfg, symbols.size, rng)
+    received = apply_channel(symbols, gain, noise_variance, rng)
     try:
-        rx_bits = demodulate_hard(
-            received, gains if gains is not None else realization.gain, constellation
-        )
+        rx_bits = demodulate_hard(received, gain, constellation)
     except DeepFadeError:
         return QuantizedMessage(
             indices=np.zeros_like(message.indices),
@@ -238,8 +237,8 @@ def send_over_channel(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Send feature vectors in frames of ``frame`` items and return what arrives.
 
-    Frame ``fi`` draws its realization, then its per-symbol gains and noise,
-    from the ``fi``-th generator of ``rngs``, which holds one per frame.
+    Frame ``fi`` draws its channel in :func:`transmit` from the ``fi``-th
+    generator of ``rngs``, which holds one per frame.
     Quantizing runs once for all frames and gives, bit for bit, what
     per-frame :func:`quantize` calls give. Returns the received (n, A)
     codewords, a mask of the items whose frame was erased (their indices
@@ -259,8 +258,7 @@ def send_over_channel(
         stop = min(start + frame, n)
         rows = slice(start * blocks, stop * blocks)
         message = QuantizedMessage(sent[rows], width)
-        realization = sample_realization(channel_cfg, noise_variance, rng)
-        arrived = transmit(message, constellation, realization, rng, channel_cfg)
+        arrived = transmit(message, constellation, channel_cfg, noise_variance, rng)
         received[rows] = arrived.indices
         erased[start:stop] = arrived.erased
         bits += frame_bit_count(arrived)

@@ -43,6 +43,8 @@ def slant_range(altitude_km: float, elevation_rad: float) -> float:
     The law-of-cosines form ``sqrt(R^2 sin^2 th + r^2 + 2 R r) - R sin th``,
     which reduces to the altitude at zenith.
     """
+    if not altitude_km > 0:  # also false for NaN
+        raise ValueError(f"altitude must be positive, got {altitude_km}")
     r_e = EARTH_RADIUS_KM
     r_m = altitude_km
     sin_th = math.sin(elevation_rad)
@@ -55,9 +57,9 @@ def free_space_path_loss_db(distance_km: float, carrier_ghz: float) -> float:
     ``32.45 + 20 log10(f_GHz) + 20 log10(d_m)``. Strictly increasing in both
     arguments; doubling the distance adds 20 log10(2) ~ 6.0206 dB.
     """
-    if distance_km <= 0:
+    if not distance_km > 0:  # also false for NaN
         raise ValueError(f"distance must be positive, got {distance_km}")
-    if carrier_ghz <= 0:
+    if not carrier_ghz > 0:
         raise ValueError(f"carrier must be positive, got {carrier_ghz}")
     distance_m = distance_km * 1e3
     return 32.45 + 20.0 * math.log10(carrier_ghz) + 20.0 * math.log10(distance_m)
@@ -65,8 +67,8 @@ def free_space_path_loss_db(distance_km: float, carrier_ghz: float) -> float:
 
 def orbital_velocity_m_s(altitude_km: float) -> float:
     """Circular-orbit speed sqrt(mu / (R + r)), metres per second."""
-    if altitude_km <= 0:
-        raise ValueError("altitude must be positive")
+    if not altitude_km > 0:  # also false for NaN
+        raise ValueError(f"altitude must be positive, got {altitude_km}")
     radius_m = (EARTH_RADIUS_KM + altitude_km) * 1e3
     return math.sqrt(MU_EARTH_M3_S2 / radius_m)
 
@@ -80,8 +82,8 @@ def doppler_shift_hz(altitude_km: float, elevation_rad: float, carrier_ghz: floa
     """
     if not 0.0 < elevation_rad <= math.pi / 2:
         raise ValueError(f"elevation must lie in (0, pi/2], got {elevation_rad}")
-    if carrier_ghz <= 0:
-        raise ValueError("carrier must be positive")
+    if not carrier_ghz > 0:  # also false for NaN
+        raise ValueError(f"carrier must be positive, got {carrier_ghz}")
     v_orb = orbital_velocity_m_s(altitude_km)
     projection = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
     return (

@@ -18,7 +18,7 @@ import pytest
 from scipy import stats
 
 from semcom import nn
-from semcom.channel import ChannelRealization, apply_channel, noise_variance_from_psnr, sample_rician_gain
+from semcom.channel import apply_channel, noise_variance_from_psnr, sample_rician_gain
 from semcom.config import load_config
 from semcom.csa import CovarianceMatrix, final_accuracy, sa_loss
 from semcom.dtjscc import Codebook
@@ -114,8 +114,8 @@ def test_criterion_3_modem_fidelity():
     tx = bits_to_ints(bits, 4)
     observed = {}
     for es_n0_db in (10.0, 15.0):
-        real = ChannelRealization(gain=1.0, noise_variance=noise_variance_from_psnr(es_n0_db))
-        received = apply_channel(symbols, real, spawn_rng(2, "acc", "ser", es_n0_db))
+        noise_variance = noise_variance_from_psnr(es_n0_db)
+        received = apply_channel(symbols, 1.0, noise_variance, spawn_rng(2, "acc", "ser", es_n0_db))
         rx = bits_to_ints(demodulate_hard(received, 1.0 + 0j, c), 4)
         ser = float(np.mean(tx != rx))
         arg = math.sqrt(2 * 10 ** (es_n0_db / 10)) * math.sin(math.pi / 16)

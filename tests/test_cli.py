@@ -46,6 +46,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() != ""
 
 
+class TestDivergence:
+    """A diverged adaptation exits 2 naming the round and the step-size key, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["csa", "race"])
+    def test_exit_two_names_round_and_key(self, tmp_path, tiny_ini, command, capsys):
+        ini = tmp_path / "diverge.ini"
+        ini.write_text(Path(tiny_ini).read_text().replace("[csa]\n", "[csa]\ninner_lr = 10000\n"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: round 0: inner loss ")
+        assert err.rstrip().endswith("at csa.inner_lr = 10000.0")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "section,key,value,shown",

@@ -10,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from semcom import nn
-from semcom.channel import ChannelConfig, ChannelKind, ChannelRealization, noise_variance_from_psnr
+from semcom import dtjscc, nn
+from semcom.channel import ChannelConfig, ChannelKind, noise_variance_from_psnr
 from semcom.dataset import Dataset, DatasetSpec, SplitDatasets, generate_synthetic
 from semcom.dtjscc import (
     Codebook,
@@ -155,10 +155,11 @@ class TestMessageValidation:
         assert frame_bit_count(msg) == 16
 
 
-def transmit_like(msg, constellation, realization, rng_tag="t", channel_cfg=None):
-    return transmit(
-        msg, constellation, realization, spawn_rng(0, "txrng", rng_tag), channel_cfg=channel_cfg
-    )
+AWGN = ChannelConfig(kind=ChannelKind.AWGN)
+
+
+def transmit_like(msg, constellation, channel_cfg, noise_variance, rng_tag="t"):
+    return transmit(msg, constellation, channel_cfg, noise_variance, spawn_rng(0, "txrng", rng_tag))
 
 
 class TestTransmission:
@@ -171,8 +172,7 @@ class TestTransmission:
     def test_noiseless_transmission_is_identity(self):
         msg = self.make_message()
         c = build_constellation("16apsk")
-        real = ChannelRealization(gain=1.0, noise_variance=0.0)
-        out = transmit_like(msg, c, real)
+        out = transmit_like(msg, c, AWGN, 0.0)
         np.testing.assert_array_equal(out.indices, msg.indices)
         assert not out.erased
         assert out.pad_bits == (-msg.indices.size * 5) % 4
@@ -180,19 +180,14 @@ class TestTransmission:
     def test_high_psnr_preserves_most_indices(self):
         msg = self.make_message(count=400, seed=6)
         c = build_constellation("16apsk")
-        real = ChannelRealization(
-            gain=1.0, noise_variance=noise_variance_from_psnr(30.0)
-        )
-        out = transmit_like(msg, c, real, rng_tag="hi")
+        out = transmit_like(msg, c, AWGN, noise_variance_from_psnr(30.0), rng_tag="hi")
         assert np.mean(out.indices == msg.indices) >= 0.99
 
-    def test_deep_fade_marks_frame_erased(self):
+    def test_deep_fade_marks_frame_erased(self, monkeypatch):
         msg = self.make_message()
         c = build_constellation("16psk")
-        real = ChannelRealization(
-            gain=0.0, noise_variance=0.1, kind=ChannelKind.LEO_RAYLEIGH
-        )
-        out = transmit_like(msg, c, real)
+        monkeypatch.setattr(dtjscc, "sample_realization", lambda cfg, rng: 0j)
+        out = transmit_like(msg, c, ChannelConfig(kind=ChannelKind.LEO_RAYLEIGH), 0.1)
         assert out.erased
         assert np.all(out.indices == 0)
 
@@ -202,10 +197,7 @@ class TestTransmission:
         cfg = ChannelConfig(
             kind=ChannelKind.LEO_RICIAN, rician_factor=50.0, per_symbol_fading=True
         )
-        real = ChannelRealization(
-            gain=1.0, noise_variance=0.0, kind=ChannelKind.LEO_RICIAN
-        )
-        out = transmit_like(msg, c, real, channel_cfg=cfg)
+        out = transmit_like(msg, c, cfg, 0.0)
         assert np.mean(out.indices == msg.indices) >= 0.95
 
     def test_erased_frame_classifies_as_uniform(self):

@@ -6,23 +6,22 @@ evaluation functions did before. Every probability, prediction, loss and
 bit count must come out identical. The inter-satellite link sends its
 reference batch as one frame through ``send_over_channel``; its reference
 quantizes, sends and dequantizes that frame as the round loop once did.
+A hand-built frame pins the order in which ``transmit`` draws a channel.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from semcom import channel, dtjscc
-from semcom.channel import (
-    ChannelConfig,
-    ChannelKind,
-    noise_variance_from_psnr,
-    sample_realization,
-)
+from semcom.channel import ChannelConfig, ChannelKind, noise_variance_from_psnr
 from semcom.csa import CsaScenario, SAConfig, eval_through_downlink
 from semcom.dtjscc import (
     DtjsccConfig,
+    QuantizedMessage,
     classify,
     classify_over_channel,
     dequantize,
@@ -34,7 +33,7 @@ from semcom.dtjscc import (
     transmit,
 )
 from semcom.harness import evaluate_through_channel
-from semcom.modem import build_constellation
+from semcom.modem import bits_to_ints, build_constellation, demodulate_hard, ints_to_bits, modulate
 from semcom.seeding import spawn_rng
 
 
@@ -47,8 +46,7 @@ def reference_frames(feats, system, classifier, constellation, channel_cfg, psnr
         stop = min(start + frame, n)
         rng = spawn_rng(seed, *tag, fi)
         message = quantize(feats[start:stop], system.codebook)
-        realization = sample_realization(channel_cfg, noise_variance_from_psnr(psnr_db), rng)
-        received = transmit(message, constellation, realization, rng, channel_cfg)
+        received = transmit(message, constellation, channel_cfg, noise_variance_from_psnr(psnr_db), rng)
         bits += frame_bit_count(received)
         probs[start:stop] = classify(received, system.codebook, classifier)
     return probs, bits
@@ -61,8 +59,7 @@ def reference_isl(features, codebook, constellation, channel_cfg, psnr_db, rng):
     was erased.
     """
     message = quantize(features, codebook)
-    realization = sample_realization(channel_cfg, noise_variance_from_psnr(psnr_db), rng)
-    received = transmit(message, constellation, realization, rng, channel_cfg)
+    received = transmit(message, constellation, channel_cfg, noise_variance_from_psnr(psnr_db), rng)
     return dequantize(received, codebook, features.shape[1]), frame_bit_count(received), received.erased
 
 
@@ -233,6 +230,42 @@ class TestIslFrameMatchesReference:
         erasures = force_erasures(fading, monkeypatch)
         assert_isl_matches(systems[4], small_splits, fading, 30)
         assert 0 < sum(erasures) < len(erasures)
+
+
+def hand_built_frame(indices, width, channel_cfg, constellation, noise_variance, rng):
+    """One frame sent by hand: block gain, then per-symbol gains, then noise, all from ``rng``."""
+    symbols, pad = modulate(ints_to_bits(indices, width), constellation)
+    r = 0.0 if channel_cfg.kind is ChannelKind.LEO_RAYLEIGH else channel_cfg.rician_factor
+    los, diffuse = math.sqrt(r / (r + 1.0)), math.sqrt(1.0 / (r + 1.0))
+    gain = los + diffuse * complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
+    if channel_cfg.per_symbol_fading:
+        n = symbols.size
+        gain = los + diffuse * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    scale = math.sqrt(noise_variance / 2.0)
+    noise = scale * (rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape))
+    bits = demodulate_hard(gain * symbols + noise, gain, constellation)
+    return bits_to_ints(bits[: bits.size - pad], width)
+
+
+class TestTransmitDrawOrder:
+    """``transmit`` draws its frame's channel from the frame's generator in one fixed order."""
+
+    @pytest.mark.parametrize("fading", sorted(FADING))
+    def test_matches_a_hand_built_frame(self, fading):
+        channel_cfg, modulation = FADING[fading]
+        constellation = build_constellation(modulation)
+        sent = spawn_rng(5, "order", "sent").integers(0, 32, size=30)
+        noise_variance = noise_variance_from_psnr(6.0)
+        got = transmit(
+            QuantizedMessage(sent, 5), constellation, channel_cfg, noise_variance,
+            spawn_rng(5, "order", fading),
+        )
+        want = hand_built_frame(
+            sent, 5, channel_cfg, constellation, noise_variance, spawn_rng(5, "order", fading)
+        )
+        assert not got.erased
+        np.testing.assert_array_equal(got.indices, want)
+        assert not np.array_equal(got.indices, sent)  # the channel made errors to match
 
 
 class TestFrameSizeBelowOne:

@@ -54,6 +54,11 @@ class TestSlantRange:
         with pytest.raises(ValueError, match="^altitude_km "):
             LinkBudget(altitude_km=-1.0, elevation_deg=45.0)
 
+    @pytest.mark.parametrize("altitude_km", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_and_nan_altitude(self, altitude_km):
+        with pytest.raises(ValueError, match=f"^altitude must be positive, got {altitude_km}$"):
+            slant_range(altitude_km, 0.5)
+
 
 class TestPathLoss:
     def test_fspl_reference_value(self):
@@ -69,6 +74,13 @@ class TestPathLoss:
         c = 299_792_458.0
         physical = 20 * math.log10(4 * math.pi * 600e3 * 28e9 / c)
         assert free_space_path_loss_db(600.0, 28.0) == pytest.approx(physical, abs=0.01)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_and_nan_arguments(self, bad):
+        with pytest.raises(ValueError, match=f"^distance must be positive, got {bad}$"):
+            free_space_path_loss_db(bad, 28.0)
+        with pytest.raises(ValueError, match=f"^carrier must be positive, got {bad}$"):
+            free_space_path_loss_db(600.0, bad)
 
     def test_total_is_sum_of_parts(self):
         b = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7).reports()[0].breakdown
@@ -152,3 +164,12 @@ class TestDoppler:
 
     def test_vanishes_at_zenith(self):
         assert abs(doppler_shift_hz(600.0, math.pi / 2, 28.0)) < 1e-6
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_and_nan_arguments(self, bad):
+        with pytest.raises(ValueError, match=f"^altitude must be positive, got {bad}$"):
+            orbital_velocity_m_s(bad)
+        with pytest.raises(ValueError, match=f"^altitude must be positive, got {bad}$"):
+            doppler_shift_hz(bad, 0.5, 28.0)
+        with pytest.raises(ValueError, match=f"^carrier must be positive, got {bad}$"):
+            doppler_shift_hz(600.0, 0.5, bad)

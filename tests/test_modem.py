@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semcom import modem
-from semcom.channel import ChannelRealization, apply_channel, noise_variance_from_psnr
+from semcom.channel import apply_channel, noise_variance_from_psnr
 from semcom.modem import (
     DEMOD_BLOCK_DISTANCES,
     DeepFadeError,
@@ -388,10 +388,8 @@ class TestSymbolErrorRate:
         bits = rng.integers(0, 2, size=n * 4).astype(np.uint8)
         symbols, _ = modulate(bits, c)
         for es_n0_db in (10.0, 13.0):
-            real = ChannelRealization(
-                gain=1.0, noise_variance=noise_variance_from_psnr(es_n0_db)
-            )
-            received = apply_channel(symbols, real, spawn_rng(1, "ser", es_n0_db))
+            noise_variance = noise_variance_from_psnr(es_n0_db)
+            received = apply_channel(symbols, 1.0, noise_variance, spawn_rng(1, "ser", es_n0_db))
             out = demodulate_hard(received, 1.0 + 0j, c)
             sym_tx = bits_to_ints(bits, 4)
             sym_rx = bits_to_ints(out, 4)
