@@ -199,7 +199,6 @@ def _require_linear_classifier(classifier: nn.Network) -> nn.Layer:
 class MetaStepInfo:
     inner_losses: list[float]
     outer_loss: float
-    covariance: CovarianceMatrix
 
 
 def meta_step(
@@ -251,7 +250,7 @@ def meta_step(
     outer_loss, outer_grads = sa_loss(*reference, layer.weights.T, layer.biases, cov, lam)
     g_grads = _covariance_backward(g, cov_caches, outer_grads.cov)
     nn.sgd_step(g, g_grads, cfg.meta_learning_rate)
-    return MetaStepInfo(inner_losses=inner_losses, outer_loss=outer_loss, covariance=cov)
+    return MetaStepInfo(inner_losses=inner_losses, outer_loss=outer_loss)
 
 
 ROUNDLOG_CSV_HEADER = "round,side,top1,ce_loss,sa_loss,bits_tx"

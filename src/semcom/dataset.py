@@ -130,22 +130,9 @@ def _class_signatures(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray
         sig = rng.normal(0.0, 1.0, size=(c, spec.bands))
         diff = sig[:, None, :] - sig[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
-        dmin = dist[~np.eye(c, dtype=bool)].min() if c > 1 else np.inf
+        dmin = dist[~np.eye(c, dtype=bool)].min()
         if dmin > 1e-9:
-            break
-    if c == 1:
-        return sig
-    return sig * (spec.class_separation / dmin)
-
-
-def _texture(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
-    """Smooth per-image plane-wave pattern, shared across bands."""
-    u = rng.uniform(0.5, 2.0)
-    v = rng.uniform(0.5, 2.0)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    ii = np.arange(spec.height)[:, None] / spec.height
-    jj = np.arange(spec.width)[None, :] / spec.width
-    return spec.texture_amplitude * np.cos(2.0 * np.pi * (u * ii + v * jj) + phase)
+            return sig * (spec.class_separation / dmin)
 
 
 SPLIT_RATIOS = (0.70, 0.15, 0.15)
@@ -164,18 +151,30 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
     n = c * spec.per_class_count
     pixels = np.empty((n, spec.height, spec.width, spec.bands))
     labels = np.repeat(np.arange(c), spec.per_class_count)
+    # Draws only, image by image: two wave numbers and a phase, then the noise.
+    waves = np.empty((n, 3))
     for i in range(n):
-        tex = _texture(spec, rng)
-        noise = rng.normal(0.0, spec.noise_sigma, size=pixels.shape[1:])
-        pixels[i] = signatures[labels[i]][None, None, :] + tex[:, :, None] + noise
-    pixels = pixels.astype(np.float32).astype(np.float64)
+        waves[i] = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * np.pi)
+        pixels[i] = rng.normal(0.0, spec.noise_sigma, size=pixels.shape[1:])
+    # Each image's smooth plane wave, shared across bands, composed one class
+    # at a time so no temporary outgrows a class's images. One sum, noise +
+    # (signature + texture); two in-place adds would reassociate it.
+    u, v, phase = waves.T[:, :, None, None, None]
+    ii = np.arange(spec.height)[:, None, None] / spec.height
+    jj = np.arange(spec.width)[:, None] / spec.width
+    for cls, signature in enumerate(signatures):
+        rows = slice(cls * spec.per_class_count, (cls + 1) * spec.per_class_count)
+        wave = u[rows] * ii + v[rows] * jj
+        texture = spec.texture_amplitude * np.cos(2.0 * np.pi * wave + phase[rows])
+        pixels[rows] += signature + texture
+    pixels[...] = pixels.astype(np.float32)
 
     drift_rng = spawn_rng(spec.seed, "dataset", "drift")
     directions = drift_rng.normal(size=(c, spec.bands))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     shift = (spec.temporal_drift * directions[labels]).astype(np.float32)
     pixels_t1 = pixels + shift[:, None, None, :].astype(np.float64)
-    pixels_t1 = pixels_t1.astype(np.float32).astype(np.float64)
+    pixels_t1[...] = pixels_t1.astype(np.float32)
 
     ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64))
     ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64))

@@ -35,7 +35,6 @@ class Constellation:
     integer bit pattern assigned to it. Mean energy is validated to 1.
     """
 
-    name: str
     points: np.ndarray
     labels: np.ndarray
     bits_per_symbol: int = field(init=False)
@@ -70,7 +69,7 @@ def build_psk(order: int) -> Constellation:
         raise ValueError(f"order must be a power of two in [2, {1 << TABLE_BITS}], got {order}")
     k = np.arange(order)
     points = np.exp(2j * np.pi * k / order)
-    return Constellation(name=f"{order}psk", points=points, labels=_gray(k))
+    return Constellation(points=points, labels=_gray(k))
 
 
 def build_apsk16(ring_ratio: float = DEFAULT_APSK_RING_RATIO) -> Constellation:
@@ -94,7 +93,7 @@ def build_apsk16(ring_ratio: float = DEFAULT_APSK_RING_RATIO) -> Constellation:
     labels[:4] = _gray(inner_k)
     segment = outer_k // 4 + 1
     labels[4:] = (segment << 2) | _gray(outer_k % 4)
-    return Constellation(name="16apsk", points=points, labels=labels)
+    return Constellation(points=points, labels=labels)
 
 
 def build_constellation(name: str, ring_ratio: float = DEFAULT_APSK_RING_RATIO) -> Constellation:

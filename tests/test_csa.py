@@ -339,9 +339,9 @@ class TestMetaStep:
         x, y, ref, g, clf = self.setup_instances(5)
         cfg = SAConfig(sa_lambda=1.0, inner_steps=2, meta_learning_rate=0.1, inner_learning_rate=0.05)
         before = [layer.weights.copy() for layer in g.layers]
+        assert predict_covariance(g, ref)[0].per_class_diag.shape == (4, 6)
         info = meta_step(g, None, clf, ref, (x, y), cfg)
         assert len(info.inner_losses) == 2
-        assert info.covariance.per_class_diag.shape == (4, 6)
         assert any(
             not np.array_equal(b_, layer.weights) for b_, layer in zip(before, g.layers)
         )

@@ -7,14 +7,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semcom.dataset import (
+    EUROSAT_CLASS_NAMES,
     BadMagicError,
     Dataset,
     DatasetSpec,
     DimensionOverflowError,
     TensorFileError,
     TruncatedFileError,
+    _class_signatures,
     generate_synthetic,
     load_tensor_file,
     save_tensor_file,
@@ -23,6 +27,7 @@ from semcom.dataset import (
     split_counts,
     summary_csv,
 )
+from semcom.seeding import spawn_rng
 
 
 def nearest_centroid_accuracy(train: Dataset, test: Dataset) -> float:
@@ -47,6 +52,68 @@ def combined(splits):
         ),
         splits.train.class_names,
     )
+
+
+def reference_texture(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
+    """One image's plane-wave pattern, shared across bands, drawn on its own."""
+    u = rng.uniform(0.5, 2.0)
+    v = rng.uniform(0.5, 2.0)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    ii = np.arange(spec.height)[:, None] / spec.height
+    jj = np.arange(spec.width)[None, :] / spec.width
+    return spec.texture_amplitude * np.cos(2.0 * np.pi * (u * ii + v * jj) + phase)
+
+
+def reference_generate(spec: DatasetSpec):
+    """generate_synthetic assembled image by image: the slow reference."""
+    rng = spawn_rng(spec.seed, "dataset", "images")
+    signatures = _class_signatures(spec, spawn_rng(spec.seed, "dataset", "signatures"))
+    c = len(EUROSAT_CLASS_NAMES)
+    n = c * spec.per_class_count
+    pixels = np.empty((n, spec.height, spec.width, spec.bands))
+    labels = np.repeat(np.arange(c), spec.per_class_count)
+    for i in range(n):
+        tex = reference_texture(spec, rng)
+        noise = rng.normal(0.0, spec.noise_sigma, size=pixels.shape[1:])
+        pixels[i] = signatures[labels[i]][None, None, :] + tex[:, :, None] + noise
+    pixels = pixels.astype(np.float32).astype(np.float64)
+
+    drift_rng = spawn_rng(spec.seed, "dataset", "drift")
+    directions = drift_rng.normal(size=(c, spec.bands))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    shift = (spec.temporal_drift * directions[labels]).astype(np.float32)
+    pixels_t1 = pixels + shift[:, None, None, :].astype(np.float64)
+    pixels_t1 = pixels_t1.astype(np.float32).astype(np.float64)
+
+    ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64))
+    ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64))
+    return split(ds_t0, SPLIT_RATIOS, spec.seed), split(ds_t1, SPLIT_RATIOS, spec.seed)
+
+
+side = st.integers(1, 9)
+magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
+
+
+class TestGenerationMatchesReference:
+    @given(
+        per_class_count=st.integers(1, 6),
+        height=side,
+        width=side,
+        bands=side,
+        noise_sigma=magnitude,
+        texture_amplitude=st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+        temporal_drift=magnitude,
+        class_separation=st.floats(1e-3, 6.0),
+        seed=st.integers(-(2**40), 2**40),
+    )
+    def test_every_split_has_the_reference_bytes(self, **fields):
+        spec = DatasetSpec(**fields)
+        for got, want in zip(generate_synthetic(spec), reference_generate(spec)):
+            for part in ("train", "val", "test"):
+                g, w = getattr(got, part), getattr(want, part)
+                assert g.pixels.tobytes() == w.pixels.tobytes()
+                np.testing.assert_array_equal(g.labels, w.labels)
+                np.testing.assert_array_equal(g.timestamps, w.timestamps)
 
 
 class TestGeneration:

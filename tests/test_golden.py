@@ -1,4 +1,4 @@
-"""Golden digests: the exact bytes every CSV-writing subcommand produces.
+"""Golden digests: the exact bytes every file-writing subcommand produces.
 
 Reruns are checked against each other elsewhere; this file checks them
 against stored answers, so a change that shifts a random stream or the order
@@ -73,16 +73,32 @@ rounds = 3
 scarce_per_class = 2
 """
 
-# Run name -> (config, extra arguments); the name's first word is the subcommand.
+# Seventy scenes of an odd shape with negative texture, drift and a
+# non-default noise level; gen-data reads it. No trained product enters
+# these bytes, so they do not depend on the BLAS kernel.
+GEN_DATA_INI = """
+[dataset]
+per_class_count = 7
+height = 5
+width = 3
+bands = 6
+noise_sigma = 0.37
+texture_amplitude = -1.7
+temporal_drift = 0.9
+class_separation = 2.2
+"""
+
+# Run name -> (subcommand, config, extra arguments).
 RUNS = {
-    "linkbudget": (None, []),
-    "sweep": (SWEEP_INI, []),
-    "confusion": (CONFUSION_INI, []),
-    "train": (CONFUSION_INI, []),
-    "csa": (ROUNDS_INI, []),
-    "csa-static": (ROUNDS_INI, ["--no-meta"]),
-    "fedavg": (ROUNDS_INI, []),
-    "race": (ROUNDS_INI, []),
+    "gen-data": ("gen-data", GEN_DATA_INI, []),
+    "linkbudget": ("linkbudget", None, []),
+    "sweep": ("sweep", SWEEP_INI, []),
+    "confusion": ("confusion", CONFUSION_INI, []),
+    "train": ("train", CONFUSION_INI, []),
+    "csa": ("csa", ROUNDS_INI, []),
+    "csa-static": ("csa", ROUNDS_INI, ["--no-meta"]),
+    "fedavg": ("fedavg", ROUNDS_INI, []),
+    "race": ("race", ROUNDS_INI, []),
 }
 
 # The OpenBLAS kernel (``blas.core_name()``) the digests were recorded under;
@@ -101,6 +117,15 @@ GOLDEN = {
     },
     'fedavg': {
         'fedavg_rounds.csv': '67f1c91b6f23c141cc785072c28b408e2abff35afe4ab80b781752ef0b65b434',
+    },
+    'gen-data': {
+        'summary.csv': 'bc357c87905b1a0ef3df333a5974f108491722549a98599219b3ab5a5eb9636f',
+        't0_test.msit': 'ad0efb4d7a334cedcf43c248bd87532ccd33d78383da82d72fb07fc2d458bcdc',
+        't0_train.msit': '915a5b685dd478be773c277bd9252c61893ff9605149a0be6a7b30aed00b6087',
+        't0_val.msit': '715a2e0e99ea404315c0998e9fef470223c09f5e4d704efe023d1abe8afb8457',
+        't1_test.msit': '52b966ce4d8d641e5d89f622fed0d155a01036092c0106eac791b70081b9d703',
+        't1_train.msit': '2d5abd985a9ca91995b19c04bdec6d25edea07f7d2b67b7fa959670deb71fc81',
+        't1_val.msit': 'cc9161559d463b6334b82bd5e539bd64db117c200e80daaff40d2b090c71215c',
     },
     'linkbudget': {
         'isl_linkbudget.csv': '7c7d0128e28e0420ff010bf96a4f443bf1d1fc748c4c18504dd6071d4f6aa7fc',
@@ -124,10 +149,10 @@ GOLDEN = {
 
 
 def run_digests(name: str, tmp: Path) -> dict[str, str]:
-    """Run one subcommand and hash every CSV and model file it wrote."""
-    ini, extra = RUNS[name]
+    """Run one subcommand and hash every data, CSV and model file it wrote."""
+    command, ini, extra = RUNS[name]
     out = tmp / "out"
-    argv = [name.split("-")[0], "--seed", str(SEED), "--out", str(out)] + extra
+    argv = [command, "--seed", str(SEED), "--out", str(out)] + extra
     if ini is not None:
         path = tmp / "golden.ini"
         path.write_text(ini)
