@@ -94,6 +94,18 @@ def psnr_ratio(psnr_db: float) -> float:
     return ratio
 
 
+def check_psnr(name: str, *psnrs_db: float) -> None:
+    """Raise :class:`ValueError` naming ``name`` at the first PSNR that is not
+    finite with a power ratio a float holds."""
+    for psnr_db in psnrs_db:
+        try:
+            usable = math.isfinite(psnr_ratio(psnr_db))
+        except ValueError:
+            usable = False
+        if not usable:
+            raise ValueError(f"{name} must be a finite PSNR whose power ratio fits a float, got {psnr_db}")
+
+
 def noise_variance_from_psnr(psnr_db: float) -> float:
     """Total complex noise variance giving the requested peak-SNR in dB.
 

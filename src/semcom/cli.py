@@ -5,7 +5,8 @@ trained model bundle, the accuracy sweep (CSV + SVG), the two round loops,
 and a confusion matrix. All randomness flows from ``--seed`` (or the
 ``SEMCOM_SEED`` environment variable), so reruns reproduce files exactly.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure,
+3 a ``train`` run that did not converge (its bundle and history are written).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import blas, harness
-from .config import ConfigError, HarnessConfig, load_config, validate
+from .config import ConfigError, HarnessConfig, load_config
 from .csa import rounds_to_target
 from .dataset import generate_synthetic, save_tensor_file, summary_csv
 from .dtjscc import save_bundle, train_dtjscc
@@ -92,13 +93,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     harness.write_text(os.path.join(out, "history.csv"), "\n".join(lines) + "\n")
     status = "converged" if system.converged else "did not converge"
     print(f"val top1 {system.val_accuracy:.4f} ({status}); bundle in {bundle_dir}")
-    return 0
+    return 0 if system.converged else 3
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if args.workers is not None:
-        cfg = validate(replace(cfg, experiment=replace(cfg.experiment, workers=args.workers)))
+        try:
+            experiment = replace(cfg.experiment, workers=args.workers)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.{exc}") from None
+        cfg = replace(cfg, experiment=experiment)
     result = harness.run_sweep(cfg)
     out = _outdir(args)
     csv_path = os.path.join(out, "sweep.csv")

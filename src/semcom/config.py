@@ -17,7 +17,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .channel import ChannelConfig, ChannelKind, psnr_ratio
+from .channel import ChannelConfig, ChannelKind, check_psnr
 from .csa import FedAvgConfig, SAConfig
 from .dataset import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from .dtjscc import DtjsccConfig
@@ -30,7 +30,7 @@ class ConfigError(ValueError):
     """A configuration value no run can use; the message names ``section.key``."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep-facing settings: grid axes plus the shared evaluation knobs.
 
@@ -54,6 +54,12 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("trials", "workers", "eval_frame", "eval_repetitions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_psnr("psnr_grid_db", *self.psnr_grid_db)
+        check_psnr("train_psnr_db", self.train_psnr_db)
+        check_psnr("eval_psnr_db", self.eval_psnr_db)
         for k in self.k_presets:
             if k < 2 or k & (k - 1) or k > 1 << TABLE_BITS:
                 raise ValueError(f"k_presets must each be a power of two in [2, {1 << TABLE_BITS}], got {k}")
@@ -82,14 +88,40 @@ class ExperimentConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarnessConfig:
+    """One run's settings. Each section checks its own fields; this class
+    checks the bounds that span sections, raising :class:`ConfigError`.
+
+    ``dataset.per_class_count`` must give every split an image per class, and
+    ``fedavg.clients`` must leave every client shard a sample; with iid shards
+    the bound counts at most ``fedavg.scarce_per_class`` per class for every
+    subcommand, though only ``semcom race`` caps the pool.
+    """
+
     linkbudget: LinkBudget = field(default_factory=LinkBudget)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     dtjscc: DtjsccConfig = field(default_factory=DtjsccConfig)
     csa: SAConfig = field(default_factory=SAConfig)
     fedavg: FedAvgConfig = field(default_factory=FedAvgConfig)
+
+    def __post_init__(self) -> None:
+        per_class = self.dataset.per_class_count
+        per_split = split_counts(per_class, SPLIT_RATIOS)
+        if min(per_split) < 1:
+            raise ConfigError(
+                "dataset.per_class_count must give every train/val/test split "
+                f"at least one image per class, got {per_class}"
+            )
+        fa, n_classes = self.fedavg, len(EUROSAT_CLASS_NAMES)
+        if fa.shards == "disjoint":
+            most, why = n_classes, "disjoint shards give each client at least one class"
+        else:
+            train = min(per_split[0], fa.scarce_per_class or per_split[0])
+            most, why = n_classes * train, "iid shards give each client a labelled t_1 train image"
+        if fa.clients > most:
+            raise ConfigError(f"fedavg.clients must be at most {most} ({why}), got {fa.clients}")
 
 
 # INI key -> settings field, where the two names differ.
@@ -202,60 +234,4 @@ def load_config(path: str | None, master_seed: int = 0) -> HarnessConfig:
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
             raise ConfigError(f"{_WHERE.get((part.name, name), name)} {rest}") from None
-    return validate(HarnessConfig(**built))
-
-
-def validate(cfg: HarnessConfig) -> HarnessConfig:
-    """Return ``cfg`` unchanged, or raise :class:`ConfigError` naming the bad key.
-
-    Counts must be at least 1, PSNR values finite with a power ratio a float
-    can hold, ``dataset.per_class_count`` large enough to give every split at
-    least one image per class, and ``fedavg.clients`` small enough to give
-    every client shard a sample; with iid shards the bound counts at most
-    ``fedavg.scarce_per_class`` per class for every subcommand, though only
-    ``semcom race`` caps the pool. Keys carry their INI names.
-    """
-    ex, cs = cfg.experiment, cfg.csa
-    counts = {
-        "sweep.trials": ex.trials,
-        "sweep.workers": ex.workers,
-        "sweep.eval_frame": ex.eval_frame,
-        "sweep.eval_repetitions": ex.eval_repetitions,
-        "csa.rounds": cs.rounds,
-        "fedavg.rounds": cfg.fedavg.rounds,
-    }
-    for key, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"{key} must be at least 1, got {value}")
-    psnrs = [("sweep.psnr_grid", p) for p in ex.psnr_grid_db] + [
-        ("sweep.train_psnr_db", ex.train_psnr_db),
-        ("sweep.eval_psnr_db", ex.eval_psnr_db),
-        ("csa.isl_psnr_db", cs.isl_psnr_db),
-        ("csa.eval_psnr_db", cs.eval_psnr_db),
-    ]
-    for key, value in psnrs:
-        try:
-            usable = math.isfinite(psnr_ratio(value))
-        except ValueError:
-            usable = False
-        if not usable:
-            raise ConfigError(f"{key} must be a finite PSNR whose power ratio fits a float, got {value}")
-    per_class = cfg.dataset.per_class_count
-    per_split = split_counts(per_class, SPLIT_RATIOS)
-    if min(per_split) < 1:
-        raise ConfigError(
-            "dataset.per_class_count must give every train/val/test split "
-            f"at least one image per class, got {per_class}"
-        )
-    fa = cfg.fedavg
-    n_classes = len(EUROSAT_CLASS_NAMES)
-    if fa.shards == "disjoint":
-        most, why = n_classes, "disjoint shards give each client at least one class"
-    else:
-        train = per_split[0]
-        if fa.scarce_per_class > 0:
-            train = min(train, fa.scarce_per_class)
-        most, why = n_classes * train, "iid shards give each client a labelled t_1 train image"
-    if fa.clients > most:
-        raise ConfigError(f"fedavg.clients must be at most {most} ({why}), got {fa.clients}")
-    return cfg
+    return HarnessConfig(**built)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .channel import ChannelConfig, ChannelKind
+from .channel import ChannelConfig, ChannelKind, check_psnr
 from .dataset import SplitDatasets
 from .dtjscc import (
     TrainedSystem,
@@ -55,7 +55,7 @@ class CovarianceMatrix:
             raise ValueError("covariance entries must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SAConfig:
     """Augmentation strength, the two-level step sizes and the round loop's links.
 
@@ -81,8 +81,11 @@ class SAConfig:
             raise ValueError(f"sa_lambda must be >= 0 and finite, got {self.sa_lambda}")
         if self.inner_steps < 0:
             raise ValueError(f"inner_steps must be >= 0, got {self.inner_steps}")
-        if self.reference_batch < 1:
-            raise ValueError(f"reference_batch must be at least 1, got {self.reference_batch}")
+        for name in ("rounds", "reference_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_psnr("isl_psnr_db", self.isl_psnr_db)
+        check_psnr("eval_psnr_db", self.eval_psnr_db)
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
         if not 0.0 < self.target_accuracy <= 1.0:  # also false for NaN
@@ -427,12 +430,12 @@ def run_csa_end_to_end(scenario: CsaScenario, meta_enabled: bool = True) -> list
 SHARD_MODES = ("disjoint", "iid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FedAvgConfig:
     """Parameter-averaging baseline: clients, local SGD and the labelled pool.
 
     ``scarce_per_class`` above zero caps the labelled t_1 pool in ``semcom race``
-    only, but the loader's iid client bound uses it for every subcommand.
+    only, but ``HarnessConfig``'s iid client bound uses it for every subcommand.
     """
 
     local_epochs: int = 1
@@ -449,7 +452,7 @@ class FedAvgConfig:
             raise ValueError(f"scarce_per_class must be >= 0, got {self.scarce_per_class}")
         if self.shards not in SHARD_MODES:
             raise ValueError(f"shards must be one of {SHARD_MODES}, got {self.shards!r}")
-        for name in ("clients", "batch_size", "local_epochs"):
+        for name in ("clients", "rounds", "batch_size", "local_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < math.inf:  # also false for NaN

@@ -52,7 +52,7 @@ class DimensionOverflowError(TensorFileError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
     """Generation knobs for one synthetic scenario."""
 

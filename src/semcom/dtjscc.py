@@ -298,7 +298,7 @@ def classify_over_channel(
     return probs, bits
 
 
-@dataclass
+@dataclass(frozen=True)
 class DtjsccConfig:
     """Architecture and training knobs for one system."""
 

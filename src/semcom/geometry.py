@@ -147,7 +147,7 @@ class LinkReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkBudget:
     """The ``[linkbudget]`` settings: one ground link and one inter-satellite link.
 

@@ -196,6 +196,28 @@ class TestConfigErrors:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+class TestTrainCommand:
+    # Trains to chance under every recorded BLAS kernel: the step size blows
+    # the epoch-0 loss up and the codebook collapses.
+    CHANCE_INI = "[dataset]\nper_class_count = 20\n[dtjscc]\nepochs = 15\nlearning_rate = 5\n"
+
+    def test_no_convergence_exits_three_after_writing_the_bundle(self, tmp_path, capsys):
+        ini = tmp_path / "chance.ini"
+        ini.write_text(self.CHANCE_INI)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="within margin of chance"):
+            code = main(["train", "--config", str(ini), "--out", str(out)])
+        assert code == 3
+        assert "val top1 0.1000 (did not converge)" in capsys.readouterr().out
+        assert (out / "history.csv").is_file()
+        assert sorted(p.name for p in (out / "bundle").iterdir()) == [
+            "classifier.mnn1",
+            "codebook.mcb1",
+            "covariance.mnn1",
+            "encoder.mnn1",
+        ]
+
+
 class TestLinkBudgetCommand:
     def test_writes_parseable_tables(self, tmp_path, capsys):
         out = str(tmp_path / "lb")

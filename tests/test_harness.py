@@ -15,7 +15,7 @@ import pytest
 from semcom import config, harness
 from semcom.channel import ChannelConfig, ChannelKind
 from semcom.cli import main
-from semcom.config import ConfigError, load_config
+from semcom.config import ConfigError, HarnessConfig, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, rounds_to_target, run_csa_end_to_end
 from semcom.dataset import generate_synthetic
 from semcom.dtjscc import encode
@@ -54,6 +54,26 @@ def parse_sweep_csv(text: str) -> SweepResult:
     return SweepResult(rows)
 
 DEFAULT_INI = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+
+# (section, field) of every count and PSNR its settings class checks, and the
+# values each must reject: 1e400 parses to inf, and +-4000 dB give a power
+# ratio past a float's range.
+COUNT_FIELDS = [
+    ("experiment", "trials"),
+    ("experiment", "workers"),
+    ("experiment", "eval_frame"),
+    ("experiment", "eval_repetitions"),
+    ("csa", "rounds"),
+    ("fedavg", "rounds"),
+]
+PSNR_FIELDS = [
+    ("experiment", "psnr_grid_db"),
+    ("experiment", "train_psnr_db"),
+    ("experiment", "eval_psnr_db"),
+    ("csa", "isl_psnr_db"),
+    ("csa", "eval_psnr_db"),
+]
+BAD_PSNRS = [math.nan, -math.inf, math.inf, 1e400, 4000.0, -4000.0]
 
 
 class TestConfigLayer:
@@ -162,6 +182,48 @@ class TestConfigLayer:
         cfg = load_config(str(ini))
         assert cfg.experiment.per_symbol_fading is value
         assert cfg.csa.fresh_ut_classifier is value
+
+    @pytest.mark.parametrize(
+        "section,name,bad",
+        [(section, name, 0) for section, name in COUNT_FIELDS]
+        + [(section, name, psnr) for section, name in PSNR_FIELDS for psnr in BAD_PSNRS],
+    )
+    def test_replace_checks_the_field_and_names_it(self, section, name, bad):
+        cfg = load_config(None)
+        value = (0.0, bad) if name == "psnr_grid_db" else bad
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **{name: value})})
+        assert str(info.value).startswith(f"{name} must be ")
+
+    def test_replace_checks_the_bounds_that_span_sections(self):
+        cfg = load_config(None)
+        with pytest.raises(ConfigError, match=r"^dataset\.per_class_count must give every"):
+            dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, per_class_count=4))
+        with pytest.raises(ConfigError, match=r"^fedavg\.clients must be at most 10 "):
+            dataclasses.replace(cfg, fedavg=dataclasses.replace(cfg.fedavg, clients=11))
+
+    @pytest.mark.parametrize("section", [f.name for f in dataclasses.fields(HarnessConfig)])
+    def test_loaded_config_is_frozen(self, section):
+        cfg = load_config(None)
+        part = getattr(cfg, section)
+        name = dataclasses.fields(part)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, name, getattr(part, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, section, part)
+
+    @pytest.mark.parametrize(
+        "sections,message",
+        [
+            ({"experiment": {"eval_repetitions": 0}}, "eval_repetitions must be at least 1, got 0"),
+            ({"experiment": {"trials": 0}}, "trials must be at least 1, got 0"),
+            ({"csa": {"rounds": 0}}, "rounds must be at least 1, got 0"),
+        ],
+        ids=["eval_repetitions", "trials", "csa-rounds"],
+    )
+    def test_unusable_counts_raise_when_built(self, sections, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_harness_cfg(**sections)
 
 
 class TestLinkBudgetReports:
