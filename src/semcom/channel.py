@@ -11,32 +11,11 @@ per-symbol fading is available through :class:`ChannelConfig`.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-class ChannelKind(str, enum.Enum):
-    AWGN = "awgn"
-    LEO_RICIAN = "leo_rician"
-    LEO_RAYLEIGH = "leo_rayleigh"
-    ISL = "isl"
-
-
-@dataclass
-class ChannelConfig:
-    """Static parameters from which a frame's gains are drawn."""
-
-    kind: ChannelKind = ChannelKind.AWGN
-    rician_factor: float = 2.8
-    per_symbol_fading: bool = False
-
-    def __post_init__(self) -> None:
-        self.kind = ChannelKind(self.kind)
-        if not self.rician_factor >= 0:  # also false for NaN
-            raise ValueError(f"rician factor must be >= 0, got {self.rician_factor}")
+from .config import ChannelConfig, ChannelKind, psnr_ratio
 
 
 def sample_rician_gain(
@@ -70,40 +49,6 @@ def sample_isl_gain(rician_factor: float, zeta_linear: float) -> complex:
         raise ValueError("large-scale gain must be positive")
     r = rician_factor
     return complex(math.sqrt(r * zeta_linear / (r + 1.0)))
-
-
-def psnr_ratio(psnr_db: float) -> float:
-    """Linear power ratio ``10^(psnr/10)`` of a PSNR in dB; +inf gives inf.
-
-    NaN and minus infinity name no noise level, and a finite PSNR so far
-    from 0 dB that its ratio underflows to 0 or overflows a float names
-    none either; all three raise :class:`ValueError` naming the value.
-    """
-    if psnr_db == math.inf:
-        return math.inf
-    if math.isnan(psnr_db) or psnr_db == -math.inf:
-        raise ValueError(f"PSNR must be finite or +inf dB, got {psnr_db}")
-    try:
-        ratio = 10.0 ** (float(psnr_db) / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if not 0.0 < ratio < math.inf:
-        raise ValueError(
-            f"PSNR {psnr_db} dB is out of range: its power ratio does not fit a float"
-        )
-    return ratio
-
-
-def check_psnr(name: str, *psnrs_db: float) -> None:
-    """Raise :class:`ValueError` naming ``name`` at the first PSNR that is not
-    finite with a power ratio a float holds."""
-    for psnr_db in psnrs_db:
-        try:
-            usable = math.isfinite(psnr_ratio(psnr_db))
-        except ValueError:
-            usable = False
-        if not usable:
-            raise ValueError(f"{name} must be a finite PSNR whose power ratio fits a float, got {psnr_db}")
 
 
 def noise_variance_from_psnr(psnr_db: float) -> float:

@@ -7,6 +7,10 @@ and a confusion matrix. All randomness flows from ``--seed`` (or the
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure,
 3 a ``train`` run that did not converge (its bundle and history are written).
+
+Help, usage errors, configuration errors and ``linkbudget`` never import
+numpy. The commands that compute import the numeric modules once their
+config has loaded, and run with OpenBLAS pinned to one thread.
 """
 
 from __future__ import annotations
@@ -14,13 +18,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 
-from . import blas, harness
 from .config import ConfigError, HarnessConfig, load_config
-from .csa import rounds_to_target
-from .dataset import generate_synthetic, save_tensor_file, summary_csv
-from .dtjscc import save_bundle, train_dtjscc
 from .geometry import LINK_REPORT_CSV_HEADER
 
 
@@ -44,6 +45,27 @@ def _outdir(args: argparse.Namespace) -> str:
     return out
 
 
+def write_text(path: str, text: str) -> None:
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def _computes(command: Callable[..., int]) -> Callable[[argparse.Namespace], int]:
+    """Load the config, then numpy, and run ``command`` with OpenBLAS on one thread."""
+
+    def run(args: argparse.Namespace) -> int:
+        cfg = _load(args)
+        from . import blas  # imports numpy, so single_thread finds its OpenBLAS mapped
+
+        with blas.single_thread():
+            return command(args, cfg)
+
+    return run
+
+
 def cmd_linkbudget(args: argparse.Namespace) -> int:
     cfg = _load(args)
     ground, isl = cfg.linkbudget.reports()
@@ -53,26 +75,22 @@ def cmd_linkbudget(args: argparse.Namespace) -> int:
     print("inter-satellite link")
     print(isl.as_text())
     out = _outdir(args)
-    harness.write_text(
-        os.path.join(out, "linkbudget.csv"),
-        LINK_REPORT_CSV_HEADER + "\n" + ground.csv_row() + "\n",
-    )
-    harness.write_text(
-        os.path.join(out, "isl_linkbudget.csv"),
-        LINK_REPORT_CSV_HEADER + "\n" + isl.csv_row() + "\n",
-    )
+    for name, report in (("linkbudget.csv", ground), ("isl_linkbudget.csv", isl)):
+        write_text(os.path.join(out, name), LINK_REPORT_CSV_HEADER + "\n" + report.csv_row() + "\n")
     return 0
 
 
-def cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+@_computes
+def cmd_gen_data(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+    from .dataset import generate_synthetic, save_tensor_file, summary_csv
+
     splits_t0, splits_t1 = generate_synthetic(cfg.dataset)
     out = _outdir(args)
     for tag, splits in (("t0", splits_t0), ("t1", splits_t1)):
         for part in ("train", "val", "test"):
             path = os.path.join(out, f"{tag}_{part}.msit")
             save_tensor_file(path, getattr(splits, part))
-    harness.write_text(os.path.join(out, "summary.csv"), summary_csv(splits_t0))
+    write_text(os.path.join(out, "summary.csv"), summary_csv(splits_t0))
     print(
         f"wrote {len(splits_t0.train)}/{len(splits_t0.val)}/{len(splits_t0.test)} "
         f"train/val/test images per epoch to {out}"
@@ -80,8 +98,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+@_computes
+def cmd_train(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+    from .dataset import generate_synthetic
+    from .dtjscc import save_bundle, train_dtjscc
+
     splits, _ = generate_synthetic(cfg.dataset)
     system = train_dtjscc(splits, cfg.experiment.train_psnr_db, cfg.dtjscc)
     out = _outdir(args)
@@ -90,14 +111,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_bundle(bundle_dir, system)
     lines = ["epoch,loss"]
     lines.extend(f"{i},{repr(loss)}" for i, loss in enumerate(system.history))
-    harness.write_text(os.path.join(out, "history.csv"), "\n".join(lines) + "\n")
+    write_text(os.path.join(out, "history.csv"), "\n".join(lines) + "\n")
     status = "converged" if system.converged else "did not converge"
     print(f"val top1 {system.val_accuracy:.4f} ({status}); bundle in {bundle_dir}")
     return 0 if system.converged else 3
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+@_computes
+def cmd_sweep(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+    from . import harness
+
     if args.workers is not None:
         try:
             experiment = replace(cfg.experiment, workers=args.workers)
@@ -107,19 +130,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     result = harness.run_sweep(cfg)
     out = _outdir(args)
     csv_path = os.path.join(out, "sweep.csv")
-    harness.write_text(csv_path, result.csv())
+    write_text(csv_path, result.csv())
     harness.emit_svg_plot(result, os.path.join(out, "sweep.svg"))
     print(f"{len(result.rows)} cells -> {csv_path}")
     return 0
 
 
-def cmd_csa(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+@_computes
+def cmd_csa(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+    from . import harness
+    from .csa import rounds_to_target
+
     logs, _ = harness.run_csa_experiment(cfg, meta_enabled=not args.no_meta)
     out = _outdir(args)
     name = "csa_rounds.csv" if not args.no_meta else "csa_static_rounds.csv"
     path = os.path.join(out, name)
-    harness.write_text(path, harness.roundlog_csv(logs))
+    write_text(path, harness.roundlog_csv(logs))
     final = [e for e in logs if e.side == "ut"][-1]
     hit = rounds_to_target(logs, cfg.csa.target_accuracy, "ut")
     reach = f"reached {cfg.csa.target_accuracy:.2f} at round {hit}" if hit is not None else (
@@ -129,27 +155,27 @@ def cmd_csa(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fedavg(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+@_computes
+def cmd_fedavg(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+    from . import harness
+
     logs = harness.run_fedavg_experiment(cfg)
     out = _outdir(args)
     path = os.path.join(out, "fedavg_rounds.csv")
-    harness.write_text(path, harness.roundlog_csv(logs))
+    write_text(path, harness.roundlog_csv(logs))
     final = logs[-1]
     print(f"final server top1 {final.top1_accuracy:.4f}; log in {path}")
     return 0
 
 
-def cmd_race(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+@_computes
+def cmd_race(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+    from . import harness
+
     race = harness.run_round_race(cfg)
     out = _outdir(args)
-    harness.write_text(
-        os.path.join(out, "csa_rounds.csv"), harness.roundlog_csv(race.csa_logs)
-    )
-    harness.write_text(
-        os.path.join(out, "fedavg_rounds.csv"), harness.roundlog_csv(race.fedavg_logs)
-    )
+    write_text(os.path.join(out, "csa_rounds.csv"), harness.roundlog_csv(race.csa_logs))
+    write_text(os.path.join(out, "fedavg_rounds.csv"), harness.roundlog_csv(race.fedavg_logs))
 
     def fmt(rounds: int | None) -> str:
         return f"round {rounds}" if rounds is not None else "never"
@@ -161,12 +187,14 @@ def cmd_race(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_confusion(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+@_computes
+def cmd_confusion(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+    from . import harness
+
     matrix = harness.run_confusion(cfg)
     out = _outdir(args)
     path = os.path.join(out, "confusion.csv")
-    harness.write_text(path, matrix.csv())
+    write_text(path, matrix.csv())
     print(f"top1 {matrix.top1():.4f}; matrix in {path}")
     return 0
 
@@ -177,63 +205,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Satellite semantic-communication simulator.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, func, text in (
+        ("linkbudget", cmd_linkbudget, "print and save link-budget tables"),
+        ("gen-data", cmd_gen_data, "generate the synthetic image files"),
+        ("train", cmd_train, "train the transmission pipeline"),
+        ("sweep", cmd_sweep, "accuracy vs PSNR grid, CSV and SVG"),
+        ("csa", cmd_csa, "two-satellite adaptation round loop"),
+        ("fedavg", cmd_fedavg, "parameter-averaging baseline rounds"),
+        ("race", cmd_race, "adaptation vs parameter averaging to a target"),
+        ("confusion", cmd_confusion, "test-set confusion matrix over the channel"),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="INI file; defaults apply when omitted")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="master seed (default: SEMCOM_SEED or 0)",
-        )
+        p.add_argument("--seed", type=int, help="master seed (default: SEMCOM_SEED or 0)")
         p.add_argument("--out", default="semcom_out", help="output directory")
-
-    p = sub.add_parser("linkbudget", help="print and save link-budget tables")
-    common(p)
-    p.set_defaults(func=cmd_linkbudget)
-
-    p = sub.add_parser("gen-data", help="generate the synthetic image files")
-    common(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the transmission pipeline")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sweep", help="accuracy vs PSNR grid, CSV and SVG")
-    common(p)
-    p.add_argument("--workers", type=int, default=None, help="parallel trainers")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("csa", help="two-satellite adaptation round loop")
-    common(p)
-    p.add_argument(
-        "--no-meta", action="store_true", help="freeze networks (static baseline)"
-    )
-    p.set_defaults(func=cmd_csa)
-
-    p = sub.add_parser("fedavg", help="parameter-averaging baseline rounds")
-    common(p)
-    p.set_defaults(func=cmd_fedavg)
-
-    p = sub.add_parser("race", help="adaptation vs parameter averaging to a target")
-    common(p)
-    p.set_defaults(func=cmd_race)
-
-    p = sub.add_parser("confusion", help="test-set confusion matrix over the channel")
-    common(p)
-    p.set_defaults(func=cmd_confusion)
+        p.set_defaults(func=func)
+    sub.choices["sweep"].add_argument("--workers", type=int, help="parallel trainers")
+    sub.choices["csa"].add_argument("--no-meta", action="store_true", help="freeze networks (static baseline)")
     return parser
 
 
-@blas.single_thread()
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -243,12 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except Exception as exc:  # a one-line diagnostic: code 1 for a bad config, else 2
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # surfaced as a one-line diagnostic, code 2
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""INI configuration for the experiment harness.
+"""INI configuration for the experiment harness, and every settings class.
 
 One file drives every subcommand. Sections: ``[linkbudget]``, ``[dataset]``,
 ``[channel]``, ``[dtjscc]``, ``[sweep]``, ``[csa]``, ``[fedavg]``. Every key
@@ -9,25 +9,277 @@ section or key, a value that does not parse and a value the settings class
 rejects each raise :class:`ConfigError`. Seeds are never read from the file;
 the master seed comes from the command line or the ``SEMCOM_SEED``
 environment variable and every component seed is derived from it.
+
+This module needs only the standard library (``geometry`` and ``seeding``
+import no numpy either), so reading and checking settings loads no numpy:
+the numeric modules import their settings from here, never the reverse.
 """
 
 from __future__ import annotations
 
 import configparser
+import enum
 import math
 from dataclasses import dataclass, field, fields
 
-from .channel import ChannelConfig, ChannelKind, check_psnr
-from .csa import FedAvgConfig, SAConfig
-from .dataset import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
-from .dtjscc import DtjsccConfig
 from .geometry import LinkBudget
-from .modem import TABLE_BITS, build_constellation
 from .seeding import derive_seed
+
+# The widest bit width the modem's lookup tables cover; PSK orders and
+# codebook sizes are capped at 2**TABLE_BITS so every index and label fits one table.
+TABLE_BITS = 16
+# Client shard modes: class-disjoint blocks (the non-iid regime) or round robin.
+SHARD_MODES = ("disjoint", "iid")
+SPLIT_RATIOS = (0.70, 0.15, 0.15)
+EUROSAT_CLASS_NAMES = (
+    "AnnualCrop",
+    "Forest",
+    "HerbaceousVegetation",
+    "Highway",
+    "Industrial",
+    "Pasture",
+    "PermanentCrop",
+    "Residential",
+    "River",
+    "SeaLake",
+)
 
 
 class ConfigError(ValueError):
     """A configuration value no run can use; the message names ``section.key``."""
+
+
+class ChannelKind(str, enum.Enum):
+    AWGN = "awgn"
+    LEO_RICIAN = "leo_rician"
+    LEO_RAYLEIGH = "leo_rayleigh"
+    ISL = "isl"
+
+
+@dataclass
+class ChannelConfig:
+    """Static parameters from which a frame's gains are drawn."""
+
+    kind: ChannelKind = ChannelKind.AWGN
+    rician_factor: float = 2.8
+    per_symbol_fading: bool = False
+
+    def __post_init__(self) -> None:
+        self.kind = ChannelKind(self.kind)
+        if not self.rician_factor >= 0:  # also false for NaN
+            raise ValueError(f"rician factor must be >= 0, got {self.rician_factor}")
+
+
+def psnr_ratio(psnr_db: float) -> float:
+    """Linear power ratio ``10^(psnr/10)`` of a PSNR in dB; +inf gives inf.
+
+    NaN and minus infinity name no noise level, and a finite PSNR so far
+    from 0 dB that its ratio underflows to 0 or overflows a float names
+    none either; all three raise :class:`ValueError` naming the value.
+    """
+    if psnr_db == math.inf:
+        return math.inf
+    if math.isnan(psnr_db) or psnr_db == -math.inf:
+        raise ValueError(f"PSNR must be finite or +inf dB, got {psnr_db}")
+    try:
+        ratio = 10.0 ** (float(psnr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"PSNR {psnr_db} dB is out of range: its power ratio does not fit a float"
+        )
+    return ratio
+
+
+def check_psnr(name: str, *psnrs_db: float) -> None:
+    """Raise :class:`ValueError` naming ``name`` at the first PSNR that is not
+    finite with a power ratio a float holds."""
+    for psnr_db in psnrs_db:
+        try:
+            usable = math.isfinite(psnr_ratio(psnr_db))
+        except ValueError:
+            usable = False
+        if not usable:
+            raise ValueError(f"{name} must be a finite PSNR whose power ratio fits a float, got {psnr_db}")
+
+
+def parse_modulation(name: str) -> tuple[str, int]:
+    """``("apsk", 16)`` for '16apsk', ``("psk", M)`` for '<M>psk', in any case.
+
+    Any other name, and an M that is not a power of two in
+    ``[2, 2**TABLE_BITS]``, raises :class:`ValueError`.
+    """
+    name = name.lower()
+    if name == "16apsk":
+        return "apsk", 16
+    if name.endswith("psk") and name[:-3].isdigit():
+        order = int(name[:-3])
+        if order < 2 or order & (order - 1) or order > 1 << TABLE_BITS:
+            raise ValueError(f"order must be a power of two in [2, {1 << TABLE_BITS}], got {order}")
+        return "psk", order
+    raise ValueError(f"unknown constellation {name!r}")
+
+
+def apsk16_radii(ring_ratio: float) -> tuple[float, float]:
+    """Inner and outer ring radius of unit-mean-energy 4+12 APSK, outer = ring_ratio * inner.
+
+    Where ``3 * ring_ratio**2`` overflows a float both radii round to zero,
+    so no ring pair has unit energy, and that raises :class:`ValueError`.
+    """
+    r1 = 2.0 / math.sqrt(1.0 + 3.0 * ring_ratio**2)
+    if not r1:
+        raise ValueError("mean symbol energy must be 1, got 0.0")
+    return r1, ring_ratio * r1
+
+
+def split_counts(n: int, ratios: tuple[float, float, float]) -> list[int]:
+    """Records per part when ``n`` records are split in ``ratios``.
+
+    Largest-remainder rounding: each part gets within one record of its
+    exact share, and the counts sum to ``n``.
+    """
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
+        raise ValueError("ratios must be three non-negative numbers")
+    total = float(sum(ratios))
+    raw = [r / total * n for r in ratios]
+    counts = [math.floor(r) for r in raw]
+    remainders = [r - c for r, c in zip(raw, counts)]
+    for _ in range(n - sum(counts)):
+        j = remainders.index(max(remainders))
+        counts[j] += 1
+        remainders[j] = -1.0
+    return counts
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Generation knobs for one synthetic scenario."""
+
+    per_class_count: int = 100
+    height: int = 8
+    width: int = 8
+    bands: int = 4
+    class_separation: float = 3.0
+    temporal_drift: float = 0.0
+    noise_sigma: float = 1.0
+    texture_amplitude: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("per_class_count", "height", "width", "bands"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.class_separation < math.inf:  # also false for NaN
+            raise ValueError(f"class_separation must be positive and finite, got {self.class_separation}")
+        for name in ("temporal_drift", "noise_sigma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not math.isfinite(self.texture_amplitude):
+            raise ValueError(f"texture_amplitude must be finite, got {self.texture_amplitude}")
+
+
+@dataclass(frozen=True)
+class DtjsccConfig:
+    """Architecture and training knobs for one system."""
+
+    k: int = 32
+    feature_dim: int = 16
+    encoder_hidden: int = 64
+    blocks: int = 1
+    epochs: int = 40
+    batch_size: int = 32
+    learning_rate: float = 0.05
+    codebook_weight: float = 1.0
+    commitment_weight: float = 0.25
+    patience: int = 12
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.k < 2 or self.k & (self.k - 1) or self.k > 1 << TABLE_BITS:
+            raise ValueError(f"k must be a power of two in [2, {1 << TABLE_BITS}], got {self.k}")
+        for name in ("feature_dim", "encoder_hidden", "epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("codebook_weight", "commitment_weight"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if self.blocks < 1 or self.feature_dim % self.blocks != 0:
+            raise ValueError(f"blocks must divide feature_dim {self.feature_dim}, got {self.blocks}")
+
+
+@dataclass(frozen=True)
+class SAConfig:
+    """Augmentation strength, the two-level step sizes and the round loop's links.
+
+    ``sa_lambda`` ramps linearly from zero over the first ``warmup_fraction``
+    of a run's rounds.
+    """
+
+    sa_lambda: float = 0.5
+    inner_steps: int = 3
+    meta_learning_rate: float = 0.05
+    inner_learning_rate: float = 0.05
+    warmup_fraction: float = 0.25
+    rounds: int = 30
+    reference_batch: int = 64
+    downlink_kind: str = "leo_rician"
+    isl_psnr_db: float = 12.0
+    eval_psnr_db: float = 12.0
+    fresh_ut_classifier: bool = False
+    target_accuracy: float = 0.75
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.sa_lambda < math.inf:  # also false for NaN
+            raise ValueError(f"sa_lambda must be >= 0 and finite, got {self.sa_lambda}")
+        if self.inner_steps < 0:
+            raise ValueError(f"inner_steps must be >= 0, got {self.inner_steps}")
+        for name in ("rounds", "reference_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_psnr("isl_psnr_db", self.isl_psnr_db)
+        check_psnr("eval_psnr_db", self.eval_psnr_db)
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
+        if not 0.0 < self.target_accuracy <= 1.0:  # also false for NaN
+            raise ValueError(f"target_accuracy must lie in (0, 1], got {self.target_accuracy}")
+        for name in ("meta_learning_rate", "inner_learning_rate"):
+            if not 0.0 < getattr(self, name) < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        kinds = [kind.value for kind in ChannelKind]
+        if self.downlink_kind not in kinds:
+            raise ValueError(f"downlink_kind must be one of {kinds}, got {self.downlink_kind!r}")
+
+
+@dataclass(frozen=True)
+class FedAvgConfig:
+    """Parameter-averaging baseline: clients, local SGD and the labelled pool.
+
+    ``scarce_per_class`` above zero caps the labelled t_1 pool in ``semcom race``
+    only, but ``HarnessConfig``'s iid client bound uses it for every subcommand.
+    """
+
+    local_epochs: int = 1
+    batch_size: int = 32
+    learning_rate: float = 0.05
+    seed: int = 0
+    clients: int = 2
+    rounds: int = 30
+    shards: str = "disjoint"
+    scarce_per_class: int = 0
+
+    def __post_init__(self) -> None:
+        if self.scarce_per_class < 0:
+            raise ValueError(f"scarce_per_class must be >= 0, got {self.scarce_per_class}")
+        if self.shards not in SHARD_MODES:
+            raise ValueError(f"shards must be one of {SHARD_MODES}, got {self.shards!r}")
+        for name in ("clients", "rounds", "batch_size", "local_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:  # also false for NaN
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +329,8 @@ class ExperimentConfig:
             if repeated:
                 raise ValueError(f"{name} must not repeat a value, got {repeated[0]!r} twice")
         try:
-            build_constellation(self.modulation, self.apsk_ring_ratio)
+            if parse_modulation(self.modulation)[0] == "apsk":
+                apsk16_radii(self.apsk_ring_ratio)
         except ValueError as exc:
             raise ValueError(f"modulation is not usable ({exc}), got {self.modulation!r}") from None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .channel import ChannelConfig, ChannelKind, check_psnr
+from .config import ChannelConfig, FedAvgConfig, SAConfig
 from .dataset import SplitDatasets
 from .dtjscc import (
     TrainedSystem,
@@ -53,49 +53,6 @@ class CovarianceMatrix:
             raise ValueError("per_class_diag must be (C, A)")
         if np.any(self.per_class_diag < 0):
             raise ValueError("covariance entries must be >= 0")
-
-
-@dataclass(frozen=True)
-class SAConfig:
-    """Augmentation strength, the two-level step sizes and the round loop's links.
-
-    ``sa_lambda`` ramps linearly from zero over the first ``warmup_fraction``
-    of a run's rounds.
-    """
-
-    sa_lambda: float = 0.5
-    inner_steps: int = 3
-    meta_learning_rate: float = 0.05
-    inner_learning_rate: float = 0.05
-    warmup_fraction: float = 0.25
-    rounds: int = 30
-    reference_batch: int = 64
-    downlink_kind: str = "leo_rician"
-    isl_psnr_db: float = 12.0
-    eval_psnr_db: float = 12.0
-    fresh_ut_classifier: bool = False
-    target_accuracy: float = 0.75
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sa_lambda < math.inf:  # also false for NaN
-            raise ValueError(f"sa_lambda must be >= 0 and finite, got {self.sa_lambda}")
-        if self.inner_steps < 0:
-            raise ValueError(f"inner_steps must be >= 0, got {self.inner_steps}")
-        for name in ("rounds", "reference_batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        check_psnr("isl_psnr_db", self.isl_psnr_db)
-        check_psnr("eval_psnr_db", self.eval_psnr_db)
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
-        if not 0.0 < self.target_accuracy <= 1.0:  # also false for NaN
-            raise ValueError(f"target_accuracy must lie in (0, 1], got {self.target_accuracy}")
-        for name in ("meta_learning_rate", "inner_learning_rate"):
-            if not 0.0 < getattr(self, name) < math.inf:  # also false for NaN
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        kinds = [kind.value for kind in ChannelKind]
-        if self.downlink_kind not in kinds:
-            raise ValueError(f"downlink_kind must be one of {kinds}, got {self.downlink_kind!r}")
 
 
 @dataclass
@@ -424,39 +381,6 @@ def run_csa_end_to_end(scenario: CsaScenario, meta_enabled: bool = True) -> list
         )
         logs.append(RoundLog(i, "ut", ut_top1, ut_ce, ut_sa, down_bits))
     return logs
-
-
-# Client shard modes: class-disjoint blocks (the non-iid regime) or round robin.
-SHARD_MODES = ("disjoint", "iid")
-
-
-@dataclass(frozen=True)
-class FedAvgConfig:
-    """Parameter-averaging baseline: clients, local SGD and the labelled pool.
-
-    ``scarce_per_class`` above zero caps the labelled t_1 pool in ``semcom race``
-    only, but ``HarnessConfig``'s iid client bound uses it for every subcommand.
-    """
-
-    local_epochs: int = 1
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    seed: int = 0
-    clients: int = 2
-    rounds: int = 30
-    shards: str = "disjoint"
-    scarce_per_class: int = 0
-
-    def __post_init__(self) -> None:
-        if self.scarce_per_class < 0:
-            raise ValueError(f"scarce_per_class must be >= 0, got {self.scarce_per_class}")
-        if self.shards not in SHARD_MODES:
-            raise ValueError(f"shards must be one of {SHARD_MODES}, got {self.shards!r}")
-        for name in ("clients", "rounds", "batch_size", "local_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0.0 < self.learning_rate < math.inf:  # also false for NaN
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 def run_fedavg_baseline(

@@ -15,25 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from .seeding import spawn_rng
 
 MAGIC = b"MSIT"
 FORMAT_VERSION = 1
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
-
-EUROSAT_CLASS_NAMES = (
-    "AnnualCrop",
-    "Forest",
-    "HerbaceousVegetation",
-    "Highway",
-    "Industrial",
-    "Pasture",
-    "PermanentCrop",
-    "Residential",
-    "River",
-    "SeaLake",
-)
 
 
 class TensorFileError(Exception):
@@ -50,33 +38,6 @@ class TruncatedFileError(TensorFileError):
 
 class DimensionOverflowError(TensorFileError):
     pass
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Generation knobs for one synthetic scenario."""
-
-    per_class_count: int = 100
-    height: int = 8
-    width: int = 8
-    bands: int = 4
-    class_separation: float = 3.0
-    temporal_drift: float = 0.0
-    noise_sigma: float = 1.0
-    texture_amplitude: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("per_class_count", "height", "width", "bands"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.class_separation < np.inf:  # also false for NaN
-            raise ValueError(f"class_separation must be positive and finite, got {self.class_separation}")
-        for name in ("temporal_drift", "noise_sigma"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if not np.isfinite(self.texture_amplitude):
-            raise ValueError(f"texture_amplitude must be finite, got {self.texture_amplitude}")
 
 
 @dataclass
@@ -135,9 +96,6 @@ def _class_signatures(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray
             return sig * (spec.class_separation / dmin)
 
 
-SPLIT_RATIOS = (0.70, 0.15, 0.15)
-
-
 def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]:
     """Generate the t_0 scenario and its drifted t_1 twin, both split.
 
@@ -179,25 +137,6 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
     ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64))
     ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64))
     return split(ds_t0, SPLIT_RATIOS, spec.seed), split(ds_t1, SPLIT_RATIOS, spec.seed)
-
-
-def split_counts(n: int, ratios: tuple[float, float, float]) -> list[int]:
-    """Records per part when ``n`` records are split in ``ratios``.
-
-    Largest-remainder rounding: each part gets within one record of its
-    exact share, and the counts sum to ``n``.
-    """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
-        raise ValueError("ratios must be three non-negative numbers")
-    total = float(sum(ratios))
-    raw = [r / total * n for r in ratios]
-    counts = [int(np.floor(r)) for r in raw]
-    remainders = [r - c for r, c in zip(raw, counts)]
-    for _ in range(n - sum(counts)):
-        j = int(np.argmax(remainders))
-        counts[j] += 1
-        remainders[j] = -1.0
-    return counts
 
 
 def split(

@@ -24,17 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .channel import (
-    ChannelConfig,
-    apply_channel,
-    noise_variance_from_psnr,
-    psnr_ratio,
-    sample_gain_sequence,
-    sample_realization,
-)
+from .channel import apply_channel, noise_variance_from_psnr, sample_gain_sequence, sample_realization
+from .config import ChannelConfig, DtjsccConfig, psnr_ratio
 from .dataset import Dataset, SplitDatasets
 from .modem import (
-    TABLE_BITS,
     Constellation,
     DeepFadeError,
     bits_to_ints,
@@ -296,37 +289,6 @@ def classify_over_channel(
     probs = nn.softmax(logits)
     probs[erased] = 1.0 / classifier.output_dim
     return probs, bits
-
-
-@dataclass(frozen=True)
-class DtjsccConfig:
-    """Architecture and training knobs for one system."""
-
-    k: int = 32
-    feature_dim: int = 16
-    encoder_hidden: int = 64
-    blocks: int = 1
-    epochs: int = 40
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    codebook_weight: float = 1.0
-    commitment_weight: float = 0.25
-    patience: int = 12
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 2 or self.k & (self.k - 1) or self.k > 1 << TABLE_BITS:
-            raise ValueError(f"k must be a power of two in [2, {1 << TABLE_BITS}], got {self.k}")
-        for name in ("feature_dim", "encoder_hidden", "epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for name in ("codebook_weight", "commitment_weight"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # also false for NaN
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if self.blocks < 1 or self.feature_dim % self.blocks != 0:
-            raise ValueError(f"blocks must divide feature_dim {self.feature_dim}, got {self.blocks}")
 
 
 @dataclass

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import html
 import itertools
-import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import blas, nn
-from .channel import ChannelConfig, ChannelKind
-from .config import HarnessConfig
+from .config import SHARD_MODES, ChannelConfig, ChannelKind, HarnessConfig
 from .csa import (
-    SHARD_MODES,
     CsaScenario,
     RoundLog,
     eval_through_downlink,
@@ -391,14 +388,6 @@ def run_round_race(cfg: HarnessConfig) -> RaceResult:
         rounds_to_target(csa_logs, target, "ut"),
         rounds_to_target(fedavg_logs, target, "server"),
     )
-
-
-def write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

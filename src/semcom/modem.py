@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TABLE_BITS, apsk16_radii, parse_modulation
+
 DEFAULT_APSK_RING_RATIO = 2.57
-# The widest bit width the lookup tables cover; PSK orders and codebook sizes
-# are capped at 2**TABLE_BITS so every index and label fits one table.
-TABLE_BITS = 16
 # The most symbol-to-point distances demodulate_hard holds at once (16 MiB of
 # complex128); a block takes as many symbols as fit, at least one.
 DEMOD_BLOCK_DISTANCES = 1 << 20
@@ -82,8 +81,7 @@ def build_apsk16(ring_ratio: float = DEFAULT_APSK_RING_RATIO) -> Constellation:
     """
     if not 0.0 < ring_ratio < math.inf:  # also false for NaN
         raise ValueError(f"ring ratio must be positive and finite, got {ring_ratio}")
-    r1 = 2.0 / math.sqrt(1.0 + 3.0 * ring_ratio**2)
-    r2 = ring_ratio * r1
+    r1, r2 = apsk16_radii(ring_ratio)
     inner_k = np.arange(4)
     inner = r1 * np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * inner_k))
     outer_k = np.arange(12)
@@ -97,13 +95,9 @@ def build_apsk16(ring_ratio: float = DEFAULT_APSK_RING_RATIO) -> Constellation:
 
 
 def build_constellation(name: str, ring_ratio: float = DEFAULT_APSK_RING_RATIO) -> Constellation:
-    """Constellation by name: '16psk' or '16apsk' (any Mpsk works)."""
-    name = name.lower()
-    if name == "16apsk":
-        return build_apsk16(ring_ratio)
-    if name.endswith("psk") and name[:-3].isdigit():
-        return build_psk(int(name[:-3]))
-    raise ValueError(f"unknown constellation {name!r}")
+    """Constellation by name, '16apsk' or '<M>psk', as :func:`~semcom.config.parse_modulation` reads it."""
+    family, order = parse_modulation(name)
+    return build_apsk16(ring_ratio) if family == "apsk" else build_psk(order)
 
 
 def fits_in_bits(values: np.ndarray, width: int) -> bool:

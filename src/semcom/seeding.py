@@ -9,8 +9,10 @@ salted per process and must not be used here.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -29,4 +31,6 @@ def derive_seed(master_seed: int, *parts: object) -> int:
 
 def spawn_rng(master_seed: int, *parts: object) -> np.random.Generator:
     """Independent Generator for the work unit identified by ``parts``."""
+    import numpy as np  # here, not at the top, so that settings load without numpy
+
     return np.random.default_rng(derive_seed(master_seed, *parts))

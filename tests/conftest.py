@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from semcom import dtjscc, nn
-from semcom.config import HarnessConfig, load_config
-from semcom.dataset import DatasetSpec, generate_synthetic
-from semcom.dtjscc import DtjsccConfig, TrainedSystem, train_dtjscc
+from semcom.config import DatasetSpec, DtjsccConfig, HarnessConfig, load_config
+from semcom.dataset import generate_synthetic
+from semcom.dtjscc import TrainedSystem, train_dtjscc
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]

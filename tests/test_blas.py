@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from semcom import blas, harness
+from semcom import blas, dataset, dtjscc, harness
+from semcom.cli import main
 from semcom.dataset import generate_synthetic
 
 from conftest import forget_training, tiny_harness_cfg
@@ -118,3 +119,26 @@ def test_sweep_bytes_do_not_depend_on_the_scope(workers, two_threads, monkeypatc
         reference = harness.run_sweep(cfg).csv()
     forget_training()  # forked pool workers would copy the unpinned run's last system
     assert harness.run_sweep(cfg).csv() == reference
+
+
+@needs_openblas
+@pytest.mark.parametrize(
+    "command,module,function", [("train", dtjscc, "train_dtjscc"), ("gen-data", dataset, "generate_synthetic")]
+)
+def test_commands_outside_the_harness_compute_on_one_thread(
+    command, module, function, two_threads, tmp_path, monkeypatch
+):
+    """``semcom train`` and ``gen-data`` call no pinned harness entry point; the CLI pins them."""
+    seen = []
+    real = getattr(module, function)
+
+    def probe(*args, **kwargs):
+        seen.append(thread_counts())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, probe)
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[dataset]\nper_class_count = 8\n[dtjscc]\nepochs = 2\n")
+    assert main([command, "--config", str(ini), "--out", str(tmp_path / "out")]) in (0, 3)
+    assert seen and all(set(counts) == {1} for counts in seen)
+    assert set(thread_counts()) == {2}

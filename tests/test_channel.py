@@ -9,16 +9,14 @@ import pytest
 from scipy import stats
 
 from semcom.channel import (
-    ChannelConfig,
-    ChannelKind,
     apply_channel,
     noise_variance_from_psnr,
-    psnr_ratio,
     sample_gain_sequence,
     sample_isl_gain,
     sample_realization,
     sample_rician_gain,
 )
+from semcom.config import ChannelConfig, ChannelKind, psnr_ratio
 from semcom.seeding import spawn_rng
 
 

@@ -279,6 +279,15 @@ class TestScarcePerClass:
         assert texts[0] == texts[1]
 
 
+def run_fresh(code: str, *argv: str) -> str:
+    """Run ``code`` in a fresh interpreter from the source tree; its stdout."""
+    src = str(Path(semcom.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True, cwd=src, timeout=120
+    )
+    return done.stdout
+
+
 def test_import_loads_no_network_or_process_modules():
     """``import semcom`` pulls in neither the XML/HTTP stack nor multiprocessing."""
     heavy = (
@@ -289,8 +298,36 @@ def test_import_loads_no_network_or_process_modules():
         "import sys; before = set(sys.modules); import semcom; "
         f"print(','.join(m for m in {heavy!r} if m in set(sys.modules) - before))"
     )
-    src = str(Path(semcom.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src
+    assert run_fresh(probe).strip() == ""
+
+
+def test_settings_load_without_numpy():
+    """``semcom.config`` and every shipped config load on the standard library alone."""
+    configs = sorted(str(p) for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+    probe = (
+        "import sys; from semcom.config import load_config\n"
+        "for path in sys.argv[1:]: load_config(path, 5)\n"
+        "print(len(sys.argv) - 1, 'numpy' in sys.modules)"
     )
-    assert done.stdout.strip() == ""
+    assert run_fresh(probe, *configs).splitlines()[-1] == f"{len(configs)} False"
+
+
+@pytest.mark.parametrize(
+    "argv,ini,code",
+    [
+        (["--help"], None, 0),
+        ([], None, 1),
+        (["frobnicate"], None, 1),
+        (["csa", "--workers", "2"], None, 1),
+        (["csa", "--config"], "[channel]\nmodulation = 1099511627776psk\n", 1),
+        (["train", "--config"], "[fedavg]\nclients = 0\n", 1),
+        (["linkbudget", "--config"], "[channel]\nmodulation = 65536psk\n", 0),
+    ],
+    ids=["help", "no-command", "unknown-command", "unknown-option", "bad-modulation", "bad-value", "linkbudget"],
+)
+def test_commands_that_compute_nothing_never_import_numpy(tmp_path, argv, ini, code):
+    if ini is not None:
+        (tmp_path / "probe.ini").write_text(ini)
+        argv = [*argv, str(tmp_path / "probe.ini"), "--out", str(tmp_path / "out")]
+    probe = "import sys; from semcom.cli import main; code = main(sys.argv[1:]); print(code, 'numpy' in sys.modules)"
+    assert run_fresh(probe, *argv).splitlines()[-1] == f"{code} False"

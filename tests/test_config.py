@@ -1,0 +1,92 @@
+"""The settings layer: shipped configs load to fixed values, and the
+modulation grammar agrees with the constellations the modem builds."""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from semcom.config import ExperimentConfig, load_config, parse_modulation
+from semcom.modem import build_constellation
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# sha256 of repr(load_config(path, seed)) for each shipped config, recorded
+# before the settings classes moved into semcom.config: every field value,
+# derived seed and class name of the loaded settings.
+CONFIG_REPR_DIGESTS = {
+    ("csa.ini", 0): "60e5739361c99435d2442a438fda99f095bd9d70091db763fa0f3c9f9a39f52c",
+    ("csa.ini", 5): "1c608ca168c9c40ffd214db63962b076e1460af85411e768fc4c574b1d1a4bc6",
+    ("default.ini", 0): "c0a72f9b97460d9237feaa923c6cf921dcf9a1d5cec6e9286a43bb5c3e084bf5",
+    ("default.ini", 5): "67163f0de0a9aa3d05f0ddb55d2fc8b83bd1577bf9f65118775c773b6c1d563d",
+    ("race.ini", 0): "c380f7bfba1b67d4354247f541ef8f2bfa3fd88a26301978188e7a69537f3f7c",
+    ("race.ini", 5): "9b965438a70f9aa9d30f7795b76ed22cbd6afb1b4befc2c9d1fd1c8b3778a14b",
+    ("sweep.ini", 0): "8962357c34ff632778a4326f9d0ef6edd48d3c58aa6d28e5bb46c9061814314c",
+    ("sweep.ini", 5): "62a366275628abe23d8d2684d35cbbb26135b2f67b225a096fb524594b628298",
+}
+
+
+def test_every_shipped_config_is_recorded():
+    assert sorted(p.name for p in CONFIGS.glob("*.ini")) == sorted({name for name, _ in CONFIG_REPR_DIGESTS})
+
+
+@pytest.mark.parametrize("name,seed", sorted(CONFIG_REPR_DIGESTS))
+def test_shipped_config_loads_to_the_recorded_settings(name, seed):
+    text = repr(load_config(str(CONFIGS / name), seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONFIG_REPR_DIGESTS[name, seed], text
+
+
+class TestModulationGrammar:
+    @pytest.mark.parametrize(
+        "name,parsed",
+        [("16apsk", ("apsk", 16)), ("16APSK", ("apsk", 16)), ("2psk", ("psk", 2)), ("65536PSK", ("psk", 65536))],
+    )
+    def test_names(self, name, parsed):
+        assert parse_modulation(name) == parsed
+
+    # Messages as the settings check gave them when it built the constellation.
+    @pytest.mark.parametrize(
+        "name,ratio,message",
+        [
+            ("1099511627776psk", 2.57, "order must be a power of two in [2, 65536], got 1099511627776"),
+            ("131072psk", 2.57, "order must be a power of two in [2, 65536], got 131072"),
+            ("3PSK", 2.57, "order must be a power of two in [2, 65536], got 3"),
+            ("0psk", 2.57, "order must be a power of two in [2, 65536], got 0"),
+            ("QAM", 2.57, "unknown constellation 'qam'"),
+            ("psk", 2.57, "unknown constellation 'psk'"),
+            ("-4psk", 2.57, "unknown constellation '-4psk'"),
+            ("²psk", 2.57, "invalid literal for int() with base 10: '²'"),
+            ("16apsk", 1.2e154, "mean symbol energy must be 1, got 0.0"),
+        ],
+    )
+    def test_unusable_settings_keep_their_message(self, name, ratio, message):
+        with pytest.raises(ValueError) as caught:
+            ExperimentConfig(modulation=name, apsk_ring_ratio=ratio)
+        assert str(caught.value) == f"modulation is not usable ({message}), got {name!r}"
+
+    @given(
+        name=st.one_of(
+            st.builds(lambda m, case: f"{m}{case}", st.integers(-3, 1 << 17), st.sampled_from(["psk", "PSK", "apsk"])),
+            st.sampled_from(["16apsk", "16Apsk", "apsk", "16 psk", "psk16"]),
+            st.text(max_size=8),
+        ),
+        ratio=st.floats(min_value=5e-324, max_value=1.79e308, allow_nan=False, allow_infinity=False),
+    )
+    def test_settings_accept_what_the_modem_builds(self, name, ratio):
+        """The stdlib check and the constellation builder agree on every name and ring ratio."""
+
+        def outcome(build):
+            try:
+                build()
+            except (ValueError, OverflowError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        built = outcome(lambda: build_constellation(name, ratio))
+        if built is not None and built[0] is ValueError:
+            built = (ValueError, f"modulation is not usable ({built[1]}), got {name!r}")
+        assert outcome(lambda: ExperimentConfig(modulation=name, apsk_ring_ratio=ratio)) == built

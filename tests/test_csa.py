@@ -11,10 +11,8 @@ from semcom import nn
 from semcom.csa import (
     CovarianceMatrix,
     DivergenceError,
-    FedAvgConfig,
     ROUNDLOG_CSV_HEADER,
     RoundLog,
-    SAConfig,
     _class_means,
     _covariance_backward,
     effective_lambda,
@@ -26,7 +24,7 @@ from semcom.csa import (
     sa_loss,
     top1_and_ce,
 )
-from semcom.channel import ChannelConfig, ChannelKind
+from semcom.config import ChannelConfig, ChannelKind, FedAvgConfig, SAConfig
 from semcom.dtjscc import encode, send_over_channel
 from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng

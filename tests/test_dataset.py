@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semcom.config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from semcom.dataset import (
-    EUROSAT_CLASS_NAMES,
     BadMagicError,
     Dataset,
-    DatasetSpec,
     DimensionOverflowError,
     TensorFileError,
     TruncatedFileError,
@@ -22,9 +21,7 @@ from semcom.dataset import (
     generate_synthetic,
     load_tensor_file,
     save_tensor_file,
-    SPLIT_RATIOS,
     split,
-    split_counts,
     summary_csv,
 )
 from semcom.seeding import spawn_rng

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from semcom import dtjscc, nn
-from semcom.channel import ChannelConfig, ChannelKind, noise_variance_from_psnr
-from semcom.dataset import Dataset, DatasetSpec, SplitDatasets, generate_synthetic
+from semcom.channel import noise_variance_from_psnr
+from semcom.config import ChannelConfig, ChannelKind, DatasetSpec, DtjsccConfig
+from semcom.dataset import Dataset, SplitDatasets, generate_synthetic
 from semcom.dtjscc import (
     Codebook,
     _init_codebook,
     _split_blocks,
     CodebookError,
-    DtjsccConfig,
     QuantizedMessage,
     classify,
     classify_over_channel,

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from semcom import channel, dtjscc
-from semcom.channel import ChannelConfig, ChannelKind, noise_variance_from_psnr
-from semcom.csa import CsaScenario, SAConfig, eval_through_downlink
+from semcom.channel import noise_variance_from_psnr
+from semcom.config import ChannelConfig, ChannelKind, DtjsccConfig, SAConfig
+from semcom.csa import CsaScenario, eval_through_downlink
 from semcom.dtjscc import (
-    DtjsccConfig,
     QuantizedMessage,
     classify,
     classify_over_channel,

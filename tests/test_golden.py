@@ -6,6 +6,9 @@ of a floating-point reduction fails here even when it stays self-consistent.
 The configs are tiny and the seed is fixed. When a change alters outputs on
 purpose, rerecord with ``PYTHONPATH=src python tests/test_golden.py`` and say
 why in the change log.
+
+The trained products round differently under each OpenBLAS kernel and each
+numpy SIMD dispatch target, so the digests are keyed on that pair.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ import pytest
 
 from semcom import blas
 from semcom.cli import main
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 SEED = 5
 
@@ -101,7 +109,8 @@ RUNS = {
     "race": ("race", ROUNDS_INI, []),
 }
 
-# Digests under the OpenBLAS kernel ``SkylakeX`` (``blas.core_name()``).
+# Digests under the OpenBLAS kernel ``SkylakeX`` (``blas.core_name()``) and
+# the numpy dispatch target ``AVX512_SPR`` (``dispatch_target()``).
 GOLDEN = {
     'confusion': {
         'confusion.csv': '6f48112f12e3ad60b4d2b53210633bdcd4408c3863205c1228c345d12cd549fd',
@@ -145,11 +154,17 @@ GOLDEN = {
 }
 
 
+# numpy dispatch targets that gave the same bytes as each other under every
+# recorded kernel: exp and log round one way on the three AVX-512 targets and
+# another on X86_V3 and the X86_V2 baseline. Each pair was recorded on its own.
+AVX512_TARGETS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+AVX2_TARGETS = ("X86_V3", "X86_V2")
+
 # Files whose digests differ from GOLDEN's under each other recorded kernel,
-# since the trained products round differently under each; a kernel missing
-# here is checked against GOLDEN and named when that fails. Record a set with
+# with an AVX512_TARGETS dispatch target. Record a set with
 # ``OPENBLAS_CORETYPE=<kernel> PYTHONPATH=src python tests/test_golden.py``
-# and file it under the name that prints, which ``blas.core_name()`` returns.
+# (add ``NPY_DISABLE_CPU_FEATURES`` to pick a dispatch target) and file it
+# under the pair that prints.
 KERNEL_DIGESTS = {
     "SkylakeX": {},
     'Haswell': {
@@ -210,6 +225,98 @@ KERNEL_DIGESTS = {
     },
 }
 
+# The same, with an AVX2_TARGETS dispatch target
+# (``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` here).
+AVX2_KERNEL_DIGESTS = {
+    'SkylakeX': {
+        'csa': {
+            'csa_rounds.csv': '79188049d12abe42c5d6eb542a33bf6cadbd9e72ba9c599ae643de64204c505e',
+        },
+        'race': {
+            'csa_rounds.csv': '92c7ef2709f995357c9c0d7cf950bf9a2874a5dad515548f20f813f1d468616b',
+        },
+        'train': {
+            'bundle/classifier.mnn1': '5e8ffd7f32f7bcaf74a9190cd062bba6bb806d2829fc59e0b29aafd9a5e997d7',
+            'bundle/codebook.mcb1': 'e721701f4fe22263b165f9a35208a8d40ae17f14d2fb94be89315526b3ccc465',
+            'bundle/encoder.mnn1': '40714f70bbfc831f6950680ffb1de0a98984cffea4884521015de3f6289618fe',
+            'history.csv': '378ed0343433d47c59e7f364794e8cb13ff36805bc28e663c71c671a9ba3b3d1',
+        },
+    },
+    'Haswell': {
+        'csa': {
+            'csa_rounds.csv': '8059c8a66850cd01adc6724268ef3237e4861cb1d6de5abcdc96db297b9b179a',
+        },
+        'fedavg': {
+            'fedavg_rounds.csv': '2f235602b42ad638afeeb3b80510374c1527671f9be1f33404fdb38516865f3a',
+        },
+        'race': {
+            'csa_rounds.csv': 'b2a240b3ff3849b02099789084f7f764e3b6edcdf0cc90ee101da27391f2d8d1',
+        },
+        'train': {
+            'bundle/classifier.mnn1': '4a3f3604b8c6ae7f90d49390fed5be47a7992a19f2ad981f728117a17638c64a',
+            'bundle/codebook.mcb1': 'bbf6155acbafc3d55338dfed87771d93a724ddb8670b960a767cee750c1bedc1',
+            'bundle/encoder.mnn1': 'c2f102ec99cec9da62c1a8f5d0dcb4f64aaa0fec119250f66578208d75c10ce8',
+            'history.csv': '5477e071ae28552b1066101a68516995123abce3eb2123d6b9f22f3452cacd8c',
+        },
+    },
+    'Sandybridge': {
+        'csa': {
+            'csa_rounds.csv': '5a22106ae244cb631f6b2c4bc40efaf19238c71363d63600c6e1577f6710d1b1',
+        },
+        'csa-static': {
+            'csa_static_rounds.csv': '6dbfb7a7877b5007788bfae2fcd4e7ac24c96c0db35fa1f1a585745de876fda9',
+        },
+        'fedavg': {
+            'fedavg_rounds.csv': 'f7e91daeab2f75df6f95410bd63292dcb67db12dce8016f07c84cde7431fd6a7',
+        },
+        'race': {
+            'csa_rounds.csv': '6cb74ccac4a36e064c5adb9f51a60f65149f52bc0ab2dea74e3bec1adebbf03c',
+            'fedavg_rounds.csv': '8521cd6cf857b0161ddc440447c7f35f7b99098e24db9dd162a41865b0803afd',
+        },
+        'train': {
+            'bundle/classifier.mnn1': '7716454253c773ae0d39f518614c07e25908b107968aa25e6a676ece69ac36d5',
+            'bundle/codebook.mcb1': '408fe28cb9709b6f80c1f4a64ba894035f80f0238fed1b4e211c64f2cc5a83aa',
+            'bundle/encoder.mnn1': 'e3764a0d7aab4747d68df11b23aae9e08b051223a173c4a663b7759c8f3d3faa',
+            'history.csv': 'a29c2e1bfc6cfce6410d727a3ae5227253b92ceeda69c98b1b384b16bf80c2c8',
+        },
+    },
+    'Katmai': {
+        'csa': {
+            'csa_rounds.csv': '6f27a3777f025cbf290802aca6c852ea0c7ca149e9fbcea037ad8c9c9b6836c2',
+        },
+        'csa-static': {
+            'csa_static_rounds.csv': '70e7768823393ac328a16b16df2c3e5da94912b5fe604723f972b2ead778c92a',
+        },
+        'fedavg': {
+            'fedavg_rounds.csv': '117ff25985ba6bcc6d16ae85017f5fe01c8139470d6699579bce885c38a6a358',
+        },
+        'race': {
+            'csa_rounds.csv': '50732c3805e97a4649aefafd39faa904f0d525799358fd86733e1c1239276dfa',
+            'fedavg_rounds.csv': '88fa0c21b0cfe2985c746d9584298eb3bfb61dab0e1a9b650e00e9ca5e0b397d',
+        },
+        'train': {
+            'bundle/classifier.mnn1': 'b38ec5ff2a4bee051b2778ea06dbf63b5a238b10a970a1e7036a5907bee3f862',
+            'bundle/codebook.mcb1': '1c4f07fb8b11ea9de823e00af8d2d3efedc971243aaa54b66d411c79488a4532',
+            'bundle/encoder.mnn1': '5e80217616ff4b44a1a7bbc3699b98e1b4f17e8a0ade66fedd1245d9f7ef9671',
+            'history.csv': 'efb94657ed961197f148e719c8abb2590abbfd084f5fda14aeff6b3a1ef1d394',
+        },
+    },
+}
+
+# (OpenBLAS kernel, numpy dispatch target) -> files whose digests differ from GOLDEN's.
+RECORDED = {
+    (core, target): digests
+    for targets, per_kernel in ((AVX512_TARGETS, KERNEL_DIGESTS), (AVX2_TARGETS, AVX2_KERNEL_DIGESTS))
+    for core, digests in per_kernel.items()
+    for target in targets
+}
+
+
+def dispatch_target() -> str:
+    """numpy's highest enabled SIMD dispatch target, or its last baseline one."""
+    enabled = [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)]
+    return enabled[-1] if enabled else _umath.__cpu_baseline__[-1]
+
 
 def run_digests(name: str, tmp: Path) -> dict[str, str]:
     """Run one subcommand and hash every data, CSV and model file it wrote."""
@@ -229,37 +336,43 @@ def run_digests(name: str, tmp: Path) -> dict[str, str]:
     }
 
 
-def expected_digests(name: str, core: str | None) -> dict[str, str]:
-    """GOLDEN's digests for run ``name``, with ``core``'s recorded differences applied."""
-    return {**GOLDEN[name], **KERNEL_DIGESTS.get(core, {}).get(name, {})}
+def expected_digests(name: str, key: tuple[str | None, str]) -> dict[str, str]:
+    """GOLDEN's digests for run ``name``, with the recorded differences of ``key`` applied."""
+    return {**GOLDEN[name], **RECORDED[key].get(name, {})}
 
 
-def mismatch_message(core: str | None) -> str:
-    if core in KERNEL_DIGESTS:
-        return f"digests differ from those recorded under the {core} BLAS kernel"
-    return f"no digests recorded under the {core} BLAS kernel; recorded: {', '.join(KERNEL_DIGESTS)}"
+def describe(key: tuple[str | None, str]) -> str:
+    return f"the {key[0]} BLAS kernel and numpy dispatch target {key[1]}"
+
+
+def unrecorded_message(key: tuple[str | None, str]) -> str:
+    recorded = ", ".join(f"{core}/{target}" for core, target in RECORDED)
+    return f"no digests recorded under {describe(key)}; recorded: {recorded}"
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_stored_digests(name, tmp_path):
-    core = blas.core_name()
-    assert run_digests(name, tmp_path) == expected_digests(name, core), mismatch_message(core)
+    key = (blas.core_name(), dispatch_target())
+    assert key in RECORDED, unrecorded_message(key)
+    found = run_digests(name, tmp_path)
+    assert found == expected_digests(name, key), f"digests differ from those recorded under {describe(key)}"
 
 
-def test_an_unrecorded_kernel_is_named_in_the_failure():
-    assert expected_digests("train", "Nehalem") == GOLDEN["train"]
-    assert mismatch_message("Nehalem").startswith("no digests recorded under the Nehalem BLAS kernel")
-    assert "Haswell" in mismatch_message("Haswell")
+def test_an_unrecorded_pair_is_named_in_the_failure():
+    message = unrecorded_message(("Nehalem", "X86_V3"))
+    assert message.startswith("no digests recorded under the Nehalem BLAS kernel and numpy dispatch target X86_V3;")
+    assert "Haswell/X86_V3" in message and "SkylakeX/AVX512_SPR" in message
+    assert ("SkylakeX", "X86_V3") in RECORDED and ("Nehalem", "X86_V3") not in RECORDED
 
 
 if __name__ == "__main__":
     import tempfile
 
-    # Under SkylakeX this prints GOLDEN; under another kernel, that kernel's
-    # KERNEL_DIGESTS entry: the files whose digests differ from GOLDEN's.
-    core = blas.core_name()
-    base = {} if core == "SkylakeX" else GOLDEN
-    print(f"{core!r}: {{", file=sys.stderr)
+    # Under SkylakeX and AVX512_SPR this prints GOLDEN; under another pair,
+    # that pair's entry: the files whose digests differ from GOLDEN's.
+    key = (blas.core_name(), dispatch_target())
+    base = {} if key == ("SkylakeX", "AVX512_SPR") else GOLDEN
+    print(f"{key!r}: {{", file=sys.stderr)
     for run in sorted(RUNS):
         with tempfile.TemporaryDirectory() as tmp:
             found = run_digests(run, Path(tmp))

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from semcom import config, harness
-from semcom.channel import ChannelConfig, ChannelKind
-from semcom.cli import main
-from semcom.config import ConfigError, HarnessConfig, load_config
+from semcom.cli import main, write_text
+from semcom.config import ChannelConfig, ChannelKind, ConfigError, HarnessConfig, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, rounds_to_target, run_csa_end_to_end
 from semcom.dataset import generate_synthetic
 from semcom.dtjscc import encode
@@ -33,7 +32,6 @@ from semcom.harness import (
     roundlog_csv,
     run_round_race,
     run_sweep,
-    write_text,
 )
 from semcom.modem import build_constellation
 
