@@ -124,12 +124,15 @@ def parse_modulation(name: str) -> tuple[str, int]:
 def apsk16_radii(ring_ratio: float) -> tuple[float, float]:
     """Inner and outer ring radius of unit-mean-energy 4+12 APSK, outer = ring_ratio * inner.
 
-    Where ``3 * ring_ratio**2`` overflows a float both radii round to zero,
-    so no ring pair has unit energy, and that raises :class:`ValueError`.
+    Where ``3 * ring_ratio**2`` overflows a float, from about 7.7e153 on, no
+    ring pair has unit energy, and that raises :class:`ValueError`.
     """
-    r1 = 2.0 / math.sqrt(1.0 + 3.0 * ring_ratio**2)
+    try:
+        r1 = 2.0 / math.sqrt(1.0 + 3.0 * ring_ratio**2)
+    except OverflowError:  # ring_ratio**2 itself overflows
+        r1 = 0.0
     if not r1:
-        raise ValueError("mean symbol energy must be 1, got 0.0")
+        raise ValueError(f"ring ratio must keep 3 * ratio**2 finite, got {ring_ratio}")
     return r1, ring_ratio * r1
 
 
@@ -152,6 +155,11 @@ def split_counts(n: int, ratios: tuple[float, float, float]) -> list[int]:
     return counts
 
 
+# Largest [dataset] scale. Pixels then stay below 2e30, inside float32: a normal draw is under
+# 14 sigma, and _class_signatures scales unit draws by under 1e9 * class_separation.
+DATASET_SCALE_MAX = 1e20
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Generation knobs for one synthetic scenario."""
@@ -170,13 +178,14 @@ class DatasetSpec:
         for name in ("per_class_count", "height", "width", "bands"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.class_separation < math.inf:  # also false for NaN
-            raise ValueError(f"class_separation must be positive and finite, got {self.class_separation}")
+        top = DATASET_SCALE_MAX
+        if not 0.0 < self.class_separation <= top:  # also false for NaN
+            raise ValueError(f"class_separation must lie in (0, {top}], got {self.class_separation}")
         for name in ("temporal_drift", "noise_sigma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if not math.isfinite(self.texture_amplitude):
-            raise ValueError(f"texture_amplitude must be finite, got {self.texture_amplitude}")
+            if not 0.0 <= getattr(self, name) <= top:
+                raise ValueError(f"{name} must lie in [0, {top}], got {getattr(self, name)}")
+        if not abs(self.texture_amplitude) <= top:
+            raise ValueError(f"texture_amplitude must lie in [-{top}, {top}], got {self.texture_amplitude}")
 
 
 @dataclass(frozen=True)
@@ -329,10 +338,14 @@ class ExperimentConfig:
             if repeated:
                 raise ValueError(f"{name} must not repeat a value, got {repeated[0]!r} twice")
         try:
-            if parse_modulation(self.modulation)[0] == "apsk":
-                apsk16_radii(self.apsk_ring_ratio)
+            apsk = parse_modulation(self.modulation)[0] == "apsk"
         except ValueError as exc:
             raise ValueError(f"modulation is not usable ({exc}), got {self.modulation!r}") from None
+        if apsk:
+            try:
+                apsk16_radii(self.apsk_ring_ratio)
+            except ValueError as exc:
+                raise ValueError(f"apsk_ring_ratio is not usable with {self.modulation!r}: {exc}") from None
 
     def channel_config(self, kind: str) -> ChannelConfig:
         """The ``[channel]`` settings applied to a channel of ``kind``."""

@@ -117,6 +117,10 @@ def _class_means(reference: tuple[np.ndarray, np.ndarray], n_classes: int) -> np
     return means
 
 
+# Hidden widths of the covariance predictor g.
+COVARIANCE_HIDDEN = (32, 32)
+
+
 def predict_covariance(
     g: nn.Network, reference: tuple[np.ndarray, np.ndarray]
 ) -> tuple[CovarianceMatrix, list[nn.LayerCache]]:
@@ -252,6 +256,7 @@ class CsaScenario:
     splits_t0: SplitDatasets
     splits_t1: SplitDatasets
     system: TrainedSystem
+    covariance_net: nn.Network  # the untrained predictor g; each adapting side copies it
     constellation: Constellation
     isl_channel: ChannelConfig
     downlink_channel: ChannelConfig
@@ -324,8 +329,8 @@ def run_csa_end_to_end(scenario: CsaScenario, meta_enabled: bool = True) -> list
     f_s2 = system.encoder.copy()
     l_s2 = system.classifier.copy()
     l_ut = terminal_classifier(scenario)
-    g_s2 = system.covariance_net.copy()
-    g_ut = system.covariance_net.copy()
+    g_s2 = scenario.covariance_net.copy()
+    g_ut = scenario.covariance_net.copy()
 
     t0_train = scenario.splits_t0.train
     t1_train = scenario.splits_t1.train

@@ -39,8 +39,6 @@ from .modem import (
 from .seeding import spawn_rng
 
 CODEBOOK_MAGIC = b"MCB1"
-# Hidden widths of the covariance predictor that train_dtjscc builds.
-COVARIANCE_HIDDEN = (32, 32)
 # Held-out accuracy this far above chance or less counts as not converged.
 MIN_ACCURACY_MARGIN = 0.05
 
@@ -298,7 +296,6 @@ class TrainedSystem:
     encoder: nn.Network
     codebook: Codebook
     classifier: nn.Network
-    covariance_net: nn.Network
     history: list[float] = field(default_factory=list)
     val_accuracy: float = float("nan")
     converged: bool = True
@@ -453,11 +450,6 @@ def _train_system(
         [input_dim, cfg.encoder_hidden, a], ["relu", "relu"], spawn_rng(cfg.seed, "enc").integers(2**32)
     )
     classifier = nn.init_network([a, n_classes], ["linear"], spawn_rng(cfg.seed, "clf").integers(2**32))
-    covariance_net = nn.init_network(
-        [a, *COVARIANCE_HIDDEN, n_classes * a],
-        ["relu", "relu", "softplus"],
-        spawn_rng(cfg.seed, "cov").integers(2**32),
-    )
 
     x_all = train.flattened()
     y_all = train.labels
@@ -521,15 +513,7 @@ def _train_system(
     if val_acc < chance + MIN_ACCURACY_MARGIN:
         issues.append(f"held-out accuracy {val_acc:.3f} within margin of chance {chance:.3f}")
         converged = False
-    system = TrainedSystem(
-        encoder=encoder,
-        codebook=codebook,
-        classifier=classifier,
-        covariance_net=covariance_net,
-        history=history,
-        val_accuracy=val_acc,
-        converged=converged,
-    )
+    system = TrainedSystem(encoder, codebook, classifier, history, val_accuracy=val_acc, converged=converged)
     return system, issues
 
 
@@ -557,34 +541,23 @@ def load_codebook(path: str) -> Codebook:
     return Codebook(entries)
 
 
-BUNDLE_FILES = ("encoder.mnn1", "classifier.mnn1", "covariance.mnn1", "codebook.mcb1")
+BUNDLE_FILES = ("encoder.mnn1", "classifier.mnn1", "codebook.mcb1")
 
 
 def save_bundle(directory: str, system: TrainedSystem) -> None:
-    """Persist a trained system as three checkpoints plus the codebook."""
+    """Persist a trained system as two checkpoints plus the codebook."""
     os.makedirs(directory, exist_ok=True)
     nn.save_network(system.encoder, os.path.join(directory, BUNDLE_FILES[0]))
     nn.save_network(system.classifier, os.path.join(directory, BUNDLE_FILES[1]))
-    nn.save_network(system.covariance_net, os.path.join(directory, BUNDLE_FILES[2]))
-    save_codebook(os.path.join(directory, BUNDLE_FILES[3]), system.codebook)
+    save_codebook(os.path.join(directory, BUNDLE_FILES[2]), system.codebook)
 
 
 def load_bundle(directory: str) -> TrainedSystem:
-    """Rehydrate a bundle written by :func:`save_bundle`."""
-    encoder = nn.load_network(
-        os.path.join(directory, BUNDLE_FILES[0]), ["relu", "relu"]
-    )
+    """Rehydrate a bundle written by :func:`save_bundle`; it reads no other file of ``directory``."""
+    encoder = nn.load_network(os.path.join(directory, BUNDLE_FILES[0]), ["relu", "relu"])
     classifier = nn.load_network(os.path.join(directory, BUNDLE_FILES[1]), ["linear"])
-    covariance = nn.load_network(
-        os.path.join(directory, BUNDLE_FILES[2]), ["relu", "relu", "softplus"]
-    )
-    codebook = load_codebook(os.path.join(directory, BUNDLE_FILES[3]))
-    return TrainedSystem(
-        encoder=encoder,
-        codebook=codebook,
-        classifier=classifier,
-        covariance_net=covariance,
-    )
+    codebook = load_codebook(os.path.join(directory, BUNDLE_FILES[2]))
+    return TrainedSystem(encoder=encoder, codebook=codebook, classifier=classifier)
 
 
 def frame_bit_count(message: QuantizedMessage) -> int:

@@ -19,6 +19,7 @@ import numpy as np
 from . import blas, nn
 from .config import SHARD_MODES, ChannelConfig, ChannelKind, HarnessConfig
 from .csa import (
+    COVARIANCE_HIDDEN,
     CsaScenario,
     RoundLog,
     eval_through_downlink,
@@ -246,6 +247,10 @@ def build_csa_scenario(cfg: HarnessConfig) -> CsaScenario:
     ex = cfg.experiment
     splits_t0, splits_t1 = generate_synthetic(cfg.dataset)
     system = train_dtjscc(splits_t0, ex.train_psnr_db, cfg.dtjscc)
+    a = system.feature_dim
+    # The pretraining seed's "cov" stream: the g every recorded round log starts from.
+    g_seed = spawn_rng(cfg.dtjscc.seed, "cov").integers(2**32)
+    g = nn.init_network([a, *COVARIANCE_HIDDEN, system.n_classes * a], ["relu", "relu", "softplus"], g_seed)
     constellation = build_constellation(ex.modulation, ex.apsk_ring_ratio)
     isl_channel = ChannelConfig(kind=ChannelKind.ISL, rician_factor=ex.rician_factor)
     downlink = ex.channel_config(cfg.csa.downlink_kind)
@@ -253,6 +258,7 @@ def build_csa_scenario(cfg: HarnessConfig) -> CsaScenario:
         splits_t0=splits_t0,
         splits_t1=splits_t1,
         system=system,
+        covariance_net=g,
         constellation=constellation,
         isl_channel=isl_channel,
         downlink_channel=downlink,

@@ -160,6 +160,13 @@ class TestConfigErrors:
             ("linkbudget", "isl_distance_km", "1e-300", "1e-300"),
             ("linkbudget", "altitude_km", "1e-300", "1e-300"),
             ("linkbudget", "carrier_ghz", "1e300", "1e+300"),
+            ("channel", "apsk_ring_ratio", "1.2e154", "1.2e+154"),
+            ("channel", "apsk_ring_ratio", "1e200", "1e+200"),
+            ("dataset", "texture_amplitude", "1e308", "1e+308"),
+            ("dataset", "texture_amplitude", "-1e308", "-1e+308"),
+            ("dataset", "class_separation", "1e308", "1e+308"),
+            ("dataset", "noise_sigma", "1e308", "1e+308"),
+            ("dataset", "temporal_drift", "1e308", "1e+308"),
         ],
     )
     def test_bad_value_exits_one_naming_key_and_value(
@@ -173,6 +180,27 @@ class TestConfigErrors:
         assert f"{section}.{key}" in err
         assert f"got {shown}\n" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ratio", ["1.2e154", "1e200"])
+    def test_an_oversized_ring_ratio_is_named_first(self, tmp_path, capsys, ratio):
+        """Once blamed on channel.modulation (1.2e154) or an OverflowError with exit 2 (1e200)."""
+        ini = tmp_path / "ring.ini"
+        ini.write_text(f"[channel]\napsk_ring_ratio = {ratio}\n")
+        out = tmp_path / "out"
+        assert main(["csa", "--config", str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel.apsk_ring_ratio ")
+        assert err.endswith(f"got {float(ratio)}\n")
+        assert not out.exists()
+
+    def test_gen_data_rejects_a_texture_that_overflows_float32(self, tmp_path, capsys):
+        """Once wrote .msit files whose pixels were all infinite, and exited 0."""
+        ini = tmp_path / "texture.ini"
+        ini.write_text("[dataset]\ntexture_amplitude = 1e308\n")
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(ini), "--out", str(out)]) == 1
+        assert "dataset.texture_amplitude" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_removed_slant_mode_is_an_unknown_key(self, tmp_path, capsys):
         ini = tmp_path / "slant.ini"
@@ -213,7 +241,6 @@ class TestTrainCommand:
         assert sorted(p.name for p in (out / "bundle").iterdir()) == [
             "classifier.mnn1",
             "codebook.mcb1",
-            "covariance.mnn1",
             "encoder.mnn1",
         ]
 

@@ -4,13 +4,14 @@ modulation grammar agrees with the constellations the modem builds."""
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semcom.config import ExperimentConfig, load_config, parse_modulation
+from semcom.config import ExperimentConfig, apsk16_radii, load_config, parse_modulation
 from semcom.modem import build_constellation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -60,13 +61,33 @@ class TestModulationGrammar:
             ("psk", 2.57, "unknown constellation 'psk'"),
             ("-4psk", 2.57, "unknown constellation '-4psk'"),
             ("²psk", 2.57, "invalid literal for int() with base 10: '²'"),
-            ("16apsk", 1.2e154, "mean symbol energy must be 1, got 0.0"),
         ],
     )
     def test_unusable_settings_keep_their_message(self, name, ratio, message):
         with pytest.raises(ValueError) as caught:
             ExperimentConfig(modulation=name, apsk_ring_ratio=ratio)
         assert str(caught.value) == f"modulation is not usable ({message}), got {name!r}"
+
+    # Past about 7.7e153, 3 * ratio**2 overflows; past about 1.34e154, ratio**2 alone does.
+    @pytest.mark.parametrize("name", ["16apsk", "16APSK"])
+    @pytest.mark.parametrize("ratio", [7.8e153, 1.2e154, 1.4e154, 1e200, 1.79e308])
+    def test_an_oversized_ring_ratio_names_the_ratio(self, name, ratio):
+        with pytest.raises(ValueError) as caught:
+            ExperimentConfig(modulation=name, apsk_ring_ratio=ratio)
+        assert str(caught.value) == (
+            f"apsk_ring_ratio is not usable with {name!r}: ring ratio must keep 3 * ratio**2 finite, got {ratio}"
+        )
+
+    @pytest.mark.parametrize("ratio", [2.57, 7.7e153])
+    def test_a_usable_ring_ratio_keeps_its_radii(self, ratio):
+        """The radii are the formula's own bytes; the largest usable ratio keeps a nonzero inner ring."""
+        r1 = 2.0 / math.sqrt(1.0 + 3.0 * ratio**2)
+        assert r1 > 0.0
+        assert apsk16_radii(ratio) == (r1, ratio * r1)
+        ExperimentConfig(apsk_ring_ratio=ratio)
+
+    def test_a_psk_run_ignores_the_ring_ratio(self):
+        assert ExperimentConfig(modulation="4psk", apsk_ring_ratio=1e200).apsk_ring_ratio == 1e200
 
     @given(
         name=st.one_of(
@@ -88,5 +109,8 @@ class TestModulationGrammar:
 
         built = outcome(lambda: build_constellation(name, ratio))
         if built is not None and built[0] is ValueError:
-            built = (ValueError, f"modulation is not usable ({built[1]}), got {name!r}")
+            if built[1].startswith("ring ratio"):
+                built = (ValueError, f"apsk_ring_ratio is not usable with {name!r}: {built[1]}")
+            else:
+                built = (ValueError, f"modulation is not usable ({built[1]}), got {name!r}")
         assert outcome(lambda: ExperimentConfig(modulation=name, apsk_ring_ratio=ratio)) == built

@@ -9,6 +9,7 @@ import pytest
 
 from semcom import nn
 from semcom.csa import (
+    COVARIANCE_HIDDEN,
     CovarianceMatrix,
     DivergenceError,
     ROUNDLOG_CSV_HEADER,
@@ -29,7 +30,7 @@ from semcom.dtjscc import encode, send_over_channel
 from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
 
-from conftest import zeroed_network
+from conftest import SMALL_TRAIN, zeroed_network
 
 
 def random_instance(seed, b=8, c=4, a=6):
@@ -271,9 +272,12 @@ class TestCovariancePathMatchesLoops:
             [spawn_rng(0, "isl", 0)],
         )
         assert not erased.any()
-        self.assert_same(small_system.covariance_net, (vectors, sent.labels))
+        a, c = small_system.feature_dim, small_system.n_classes
+        seed = spawn_rng(SMALL_TRAIN.seed, "cov").integers(2**32)  # the predictor a scenario would build
+        g = nn.init_network([a, *COVARIANCE_HIDDEN, c * a], ["relu", "relu", "softplus"], seed)
+        self.assert_same(g, (vectors, sent.labels))
         absent = sent.labels != 3
-        self.assert_same(small_system.covariance_net, (vectors[absent], sent.labels[absent]))
+        self.assert_same(g, (vectors[absent], sent.labels[absent]))
 
     def test_error_messages(self):
         ref = (np.zeros((4, self.A)), np.array([0, 1, 2, 3]))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 import struct
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semcom.config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
+from semcom.config import DATASET_SCALE_MAX, EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from semcom.dataset import (
     BadMagicError,
     Dataset,
@@ -172,6 +174,31 @@ class TestGeneration:
             DatasetSpec(temporal_drift=-0.5)
         with pytest.raises(ValueError):
             DatasetSpec(class_separation=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("texture", [DATASET_SCALE_MAX, -DATASET_SCALE_MAX])
+    def test_the_largest_scales_keep_every_pixel_finite(self, seed, texture):
+        spec = DatasetSpec(
+            per_class_count=3,
+            noise_sigma=DATASET_SCALE_MAX,
+            texture_amplitude=texture,
+            temporal_drift=DATASET_SCALE_MAX,
+            class_separation=DATASET_SCALE_MAX,
+            seed=seed,
+        )
+        for splits in generate_synthetic(spec):
+            for part in (splits.train, splits.val, splits.test):
+                assert np.isfinite(part.pixels).all()
+
+    @pytest.mark.parametrize("name", ["noise_sigma", "texture_amplitude", "temporal_drift", "class_separation"])
+    @pytest.mark.parametrize("value", [math.nextafter(DATASET_SCALE_MAX, math.inf), 1e308])
+    def test_a_scale_past_the_bound_is_rejected_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in .*, 1e\+20\], got {re.escape(str(value))}$"):
+            DatasetSpec(**{name: value})
+
+    def test_a_negative_texture_past_the_bound_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^texture_amplitude must lie in \[-1e\+20, 1e\+20\], got -1e\+308$"):
+            DatasetSpec(texture_amplitude=-1e308)
 
 
 class TestSplit:

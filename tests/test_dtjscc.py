@@ -394,7 +394,7 @@ class TestLeanStepMatchesReference:
         assert_matches_reference(system, small_splits, 4.0, cfg)
 
     def test_trained_tensors_share_no_memory(self, small_system):
-        nets = (small_system.encoder, small_system.classifier, small_system.covariance_net)
+        nets = (small_system.encoder, small_system.classifier)
         tensors = [a for net in nets for layer in net.layers for a in (layer.weights, layer.biases)]
         tensors.append(small_system.codebook.entries)
         for i, a in enumerate(tensors):
@@ -404,7 +404,7 @@ class TestLeanStepMatchesReference:
 
 
 def system_tensors(system):
-    nets = (system.encoder, system.classifier, system.covariance_net)
+    nets = (system.encoder, system.classifier)
     arrays = [a for net in nets for layer in net.layers for a in (layer.weights, layer.biases)]
     return arrays + [system.codebook.entries]
 
@@ -414,7 +414,7 @@ def assert_same_system(got, want):
     got_arrays, want_arrays = system_tensors(got), system_tensors(want)
     assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
     assert not any(np.shares_memory(a, b) for a in got_arrays for b in want_arrays)
-    nets = ("encoder", "classifier", "covariance_net")
+    nets = ("encoder", "classifier")
     assert [[layer.activation for layer in getattr(got, net).layers] for net in nets] == [
         [layer.activation for layer in getattr(want, net).layers] for net in nets
     ]
@@ -541,17 +541,28 @@ class TestPersistence:
         with pytest.raises(CodebookError):
             load_codebook(str(good))
 
-    def test_bundle_round_trip(self, tmp_path, small_system):
-        directory = str(tmp_path / "bundle")
-        save_bundle(directory, small_system)
-        back = load_bundle(directory)
-        for mine, theirs in (
-            (small_system.encoder, back.encoder),
-            (small_system.classifier, back.classifier),
-            (small_system.covariance_net, back.covariance_net),
-        ):
+    @staticmethod
+    def assert_same_bundle(back, system):
+        for mine, theirs in ((system.encoder, back.encoder), (system.classifier, back.classifier)):
             for a, b in zip(mine.layers, theirs.layers):
                 np.testing.assert_array_equal(a.weights, b.weights)
                 np.testing.assert_array_equal(a.biases, b.biases)
-        np.testing.assert_array_equal(back.codebook.entries, small_system.codebook.entries)
-        assert back.blocks == small_system.blocks
+                assert a.activation == b.activation
+        np.testing.assert_array_equal(back.codebook.entries, system.codebook.entries)
+        assert back.blocks == system.blocks
+
+    def test_bundle_round_trip(self, tmp_path, small_system):
+        directory = str(tmp_path / "bundle")
+        save_bundle(directory, small_system)
+        assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == sorted(dtjscc.BUNDLE_FILES)
+        self.assert_same_bundle(load_bundle(directory), small_system)
+
+    def test_a_bundle_that_also_holds_a_covariance_predictor_loads(self, tmp_path, small_system):
+        """Bundles once held CSA's untrained covariance predictor as a fourth file; it is not read."""
+        directory = tmp_path / "bundle"
+        save_bundle(str(directory), small_system)
+        a, c = small_system.feature_dim, small_system.n_classes
+        predictor = nn.init_network([a, 32, 32, c * a], ["relu", "relu", "softplus"], seed=7)
+        nn.save_network(predictor, str(directory / "covariance.mnn1"))
+        assert len(list(directory.iterdir())) == 4
+        self.assert_same_bundle(load_bundle(str(directory)), small_system)

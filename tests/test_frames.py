@@ -16,10 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from semcom import channel, dtjscc
+from semcom import channel, dtjscc, nn
 from semcom.channel import noise_variance_from_psnr
 from semcom.config import ChannelConfig, ChannelKind, DtjsccConfig, SAConfig
-from semcom.csa import CsaScenario, eval_through_downlink
+from semcom.csa import COVARIANCE_HIDDEN, CsaScenario, eval_through_downlink
 from semcom.dtjscc import (
     QuantizedMessage,
     classify,
@@ -114,10 +114,14 @@ FADING = {
 
 def scenario_for(system, splits, fading, frame):
     channel_cfg, modulation = FADING[fading]
+    a = system.feature_dim
     return CsaScenario(
         splits_t0=splits,
         splits_t1=splits,
         system=system,
+        covariance_net=nn.init_network(
+            [a, *COVARIANCE_HIDDEN, system.n_classes * a], ["relu", "relu", "softplus"], seed=17
+        ),
         constellation=build_constellation(modulation),
         isl_channel=ChannelConfig(kind=ChannelKind.ISL),
         downlink_channel=channel_cfg,

@@ -147,7 +147,6 @@ GOLDEN = {
     'train': {
         'bundle/classifier.mnn1': 'd8b70a09a50a31490ad5667d088a468af8fe739ec506b9acaeaab1268f06fbd2',
         'bundle/codebook.mcb1': '765acbb743dec7c441a1c7e7c5ce7be5efdaf08b308685c02c94717c688dcabb',
-        'bundle/covariance.mnn1': '1c435ab7030d032ba55bbab856ea0c963cbd72224cb890e5641df1c544cfb4dd',
         'bundle/encoder.mnn1': 'c4014049215f862ee3c2c5d27358a612220c3147df0e62d88004676772a9e269',
         'history.csv': '6336fd3efd309300e76690f0a87aa2a6978b0aa7eee64de09f51f21d80b87eae',
     },

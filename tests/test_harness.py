@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -36,6 +37,7 @@ from semcom.harness import (
 from semcom.modem import build_constellation
 
 from conftest import forget_training, tiny_harness_cfg
+from test_golden import ROUNDS_INI
 
 
 def parse_sweep_csv(text: str) -> SweepResult:
@@ -362,6 +364,46 @@ def scenario_cfg():
 @pytest.fixture(scope="module")
 def scenario(scenario_cfg):
     return build_csa_scenario(scenario_cfg)
+
+
+# sha256 of the untrained covariance predictor's weight and bias bytes, layer
+# by layer, recorded from train_dtjscc's system when pretraining still built
+# the predictor: the scenario must start every round loop from the same g.
+PREDICTOR_DIGESTS = {
+    ("ROUNDS_INI", 0): "de84e12e431d10cec997af7b646d5831c3e166ea3d2caca00fa0e1b3f22046d6",
+    ("ROUNDS_INI", 5): "0e9c92defaf84b42a16e1c1065c341d93a1e159477d1de87026eb0f62756e893",
+    ("csa.ini", 0): "de84e12e431d10cec997af7b646d5831c3e166ea3d2caca00fa0e1b3f22046d6",
+    ("csa.ini", 5): "0e9c92defaf84b42a16e1c1065c341d93a1e159477d1de87026eb0f62756e893",
+    ("race.ini", 0): "de84e12e431d10cec997af7b646d5831c3e166ea3d2caca00fa0e1b3f22046d6",
+    ("race.ini", 5): "0e9c92defaf84b42a16e1c1065c341d93a1e159477d1de87026eb0f62756e893",
+}
+
+
+def predictor_digest(net) -> str:
+    digest = hashlib.sha256()
+    for layer in net.layers:
+        digest.update(layer.weights.tobytes())
+        digest.update(layer.biases.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(PREDICTOR_DIGESTS))
+def test_scenario_builds_the_recorded_covariance_predictor(name, seed, tmp_path):
+    path = DEFAULT_INI.parent / name
+    if name == "ROUNDS_INI":
+        path = tmp_path / "rounds.ini"
+        path.write_text(ROUNDS_INI)
+    scenario = build_csa_scenario(load_config(str(path), seed))
+    g = scenario.covariance_net
+    assert [(layer.weights.shape, layer.activation) for layer in g.layers] == [
+        ((16, 32), "relu"),
+        ((32, 32), "relu"),
+        ((32, 160), "softplus"),
+    ]
+    assert predictor_digest(g) == PREDICTOR_DIGESTS[name, seed]
+    if name == "ROUNDS_INI":  # the round loop adapts copies and leaves the scenario's g as built
+        run_csa_end_to_end(scenario)
+        assert predictor_digest(g) == PREDICTOR_DIGESTS[name, seed]
 
 
 class TestScenario:
