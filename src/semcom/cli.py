@@ -23,6 +23,7 @@ from dataclasses import replace
 
 from .config import ConfigError, HarnessConfig, load_config
 from .geometry import LINK_REPORT_CSV_HEADER
+from .tables import csv_text
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -76,7 +77,7 @@ def cmd_linkbudget(args: argparse.Namespace) -> int:
     print(isl.as_text())
     out = _outdir(args)
     for name, report in (("linkbudget.csv", ground), ("isl_linkbudget.csv", isl)):
-        write_text(os.path.join(out, name), LINK_REPORT_CSV_HEADER + "\n" + report.csv_row() + "\n")
+        write_text(os.path.join(out, name), csv_text(LINK_REPORT_CSV_HEADER, [report.figures()]))
     return 0
 
 
@@ -107,11 +108,8 @@ def cmd_train(args: argparse.Namespace, cfg: HarnessConfig) -> int:
     system = train_dtjscc(splits, cfg.experiment.train_psnr_db, cfg.dtjscc)
     out = _outdir(args)
     bundle_dir = os.path.join(out, "bundle")
-    os.makedirs(bundle_dir, exist_ok=True)
     save_bundle(bundle_dir, system)
-    lines = ["epoch,loss"]
-    lines.extend(f"{i},{repr(loss)}" for i, loss in enumerate(system.history))
-    write_text(os.path.join(out, "history.csv"), "\n".join(lines) + "\n")
+    write_text(os.path.join(out, "history.csv"), csv_text("epoch,loss", enumerate(system.history)))
     status = "converged" if system.converged else "did not converge"
     print(f"val top1 {system.val_accuracy:.4f} ({status}); bundle in {bundle_dir}")
     return 0 if system.converged else 3

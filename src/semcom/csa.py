@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .seeding import spawn_rng
 
 
 class DivergenceError(Exception):
-    """An inner loss rose past 10x the first; the round loop names its round and step size."""
+    """A loss went non-finite or, in ``meta_step``, past 10x the first; the message names the step size."""
 
 
 @dataclass
@@ -204,6 +205,8 @@ def meta_step(
             nn.sgd_step(encoder, nn.backward(encoder, caches_f, grads.features), lr)
         nn.sgd_step(classifier, nn.Gradients([(grads.weights.T, grads.biases)]), lr)
         inner_losses.append(loss)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"inner loss {loss} is not finite")
         if first_loss is None:
             first_loss = loss
         elif first_loss > 0 and loss > 10.0 * first_loss:
@@ -220,33 +223,13 @@ def meta_step(
 ROUNDLOG_CSV_HEADER = "round,side,top1,ce_loss,sa_loss,bits_tx"
 
 
-@dataclass
-class RoundLog:
+class RoundLog(NamedTuple):
     round_index: int
     side: str
     top1_accuracy: float
     ce_loss: float
     sa_loss: float
     bits_transmitted: int
-
-    def csv_row(self) -> str:
-        return ",".join(
-            (
-                str(self.round_index),
-                self.side,
-                repr(float(self.top1_accuracy)),
-                repr(float(self.ce_loss)),
-                repr(float(self.sa_loss)),
-                str(self.bits_transmitted),
-            )
-        )
-
-
-def roundlog_csv(logs: list[RoundLog]) -> str:
-    """The round-log file: header line, then one ``csv_row`` per entry."""
-    lines = [ROUNDLOG_CSV_HEADER]
-    lines.extend(entry.csv_row() for entry in logs)
-    return "\n".join(lines) + "\n"
 
 
 @dataclass

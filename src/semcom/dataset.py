@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
 from .seeding import spawn_rng
+from .tables import csv_text
 
 MAGIC = b"MSIT"
 FORMAT_VERSION = 1
@@ -243,13 +244,10 @@ SUMMARY_CSV_HEADER = "class,count_train,count_val,count_test"
 
 def summary_csv(splits: SplitDatasets) -> str:
     """Per-class record counts across the three splits."""
-    lines = [SUMMARY_CSV_HEADER]
-    for cls, name in enumerate(splits.train.class_names):
-        counts = (
-            int((splits.train.labels == cls).sum()),
-            int((splits.val.labels == cls).sum()),
-            int((splits.test.labels == cls).sum()),
-        )
-        lines.append(f"{name},{counts[0]},{counts[1]},{counts[2]}")
-    return "\n".join(lines) + "\n"
+    parts = (splits.train, splits.val, splits.test)
+    rows = [
+        (name, *(int((part.labels == cls).sum()) for part in parts))
+        for cls, name in enumerate(splits.train.class_names)
+    ]
+    return csv_text(SUMMARY_CSV_HEADER, rows)
 

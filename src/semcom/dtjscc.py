@@ -415,7 +415,8 @@ def train_dtjscc(
     Training noise is Gaussian in the quantized-feature domain with power set
     by ``train_psnr_db`` relative to the mean square of the codewords in the
     batch. Stalled training (no loss improvement over the patience window)
-    stops early and is reported through a warning and the ``converged`` flag.
+    and diverged training (a non-finite epoch loss) stop early and are
+    reported through a warning and the ``converged`` flag.
 
     A call with the same data, PSNR and settings as the one before it returns
     a deep copy of that call's system and repeats its warnings instead of
@@ -491,6 +492,10 @@ def _train_system(
             n_batches += 1
         epoch_loss /= n_batches
         history.append(epoch_loss)
+        if not math.isfinite(epoch_loss):
+            issues.append(f"training diverged at epoch {epoch} (loss {epoch_loss})")
+            converged = False
+            break
         if epoch_loss < best_loss - 1e-6:
             best_loss = epoch_loss
             best_epoch = epoch

@@ -108,21 +108,10 @@ class LinkReport:
     doppler_hz: float
 
     def figures(self) -> tuple[float, ...]:
-        """The CSV cells, in header order."""
+        """The CSV cells, in header order, as floats also where a caller's ``LinkBudget`` holds ints."""
         b = self.breakdown
-        return (
-            self.distance_km,
-            b.fspl_db,
-            b.shadow_db,
-            b.atmospheric_db,
-            b.scintillation_db,
-            b.total_db,
-            self.zeta_db,
-            self.doppler_hz,
-        )
-
-    def csv_row(self) -> str:
-        return ",".join(repr(float(c)) for c in self.figures())
+        losses = (b.fspl_db, b.shadow_db, b.atmospheric_db, b.scintillation_db, b.total_db)
+        return tuple(map(float, (self.distance_km, *losses, self.zeta_db, self.doppler_hz)))
 
     def as_text(self) -> str:
         b = self.breakdown

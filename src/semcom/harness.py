@@ -2,8 +2,8 @@
 
 Everything here is glue over the library modules. The one design rule is
 reproducibility: every random draw is seeded from the master seed plus a
-string tag, each sweep cell gets its own derived seed, and CSV floats are
-written with ``repr`` so a file parses back to the exact in-memory values.
+string tag, each sweep cell gets its own derived seed, and every CSV comes
+from ``tables.csv_text``, whose floats parse back to the exact values.
 Sweep output is therefore byte-identical no matter how many workers ran it.
 """
 
@@ -20,11 +20,12 @@ from . import blas, nn
 from .config import SHARD_MODES, ChannelConfig, ChannelKind, HarnessConfig
 from .csa import (
     COVARIANCE_HIDDEN,
+    ROUNDLOG_CSV_HEADER,
     CsaScenario,
+    DivergenceError,
     RoundLog,
     eval_through_downlink,
     rounds_to_target,
-    roundlog_csv,  # noqa: F401 (re-exported: the CLI and perfbench write round logs through it)
     run_csa_end_to_end,
     run_fedavg_baseline,
     terminal_classifier,
@@ -42,6 +43,7 @@ from .dtjscc import (
 )
 from .modem import Constellation, build_constellation
 from .seeding import derive_seed, spawn_rng
+from .tables import csv_text
 
 SWEEP_CSV_HEADER = "channel,modulation,K,psnr_db,seed,top1"
 CONFUSION_CSV_HEADER = "true_class,pred_class,count,row_pct"
@@ -55,27 +57,13 @@ class SweepRow(NamedTuple):
     seed: int
     top1: float
 
-    def csv_row(self) -> str:
-        return ",".join(
-            (
-                self.channel,
-                self.modulation,
-                str(self.k),
-                repr(float(self.psnr_db)),
-                str(self.seed),
-                repr(float(self.top1)),
-            )
-        )
-
 
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
 
     def csv(self) -> str:
-        lines = [SWEEP_CSV_HEADER]
-        lines.extend(row.csv_row() for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return csv_text(SWEEP_CSV_HEADER, self.rows)
 
     def series(self) -> dict[tuple[str, int], list[tuple[float, float]]]:
         """Mean Top-1 over seeds, grouped by (channel, K), sorted by PSNR."""
@@ -165,7 +153,7 @@ def _sweep_job(args: tuple[HarnessConfig, SplitDatasets, int, int]) -> list[Swee
                 ex.eval_repetitions,
                 ex.eval_frame,
             )
-            rows.append(SweepRow(channel, ex.modulation, k, psnr, trial, result.top1))
+            rows.append(SweepRow(channel, ex.modulation, k, float(psnr), trial, result.top1))
     return rows
 
 
@@ -209,14 +197,12 @@ class ConfusionMatrix:
         return float(np.trace(self.counts)) / total if total else 0.0
 
     def csv(self) -> str:
-        lines = [CONFUSION_CSV_HEADER]
-        row_totals = self.counts.sum(axis=1)
-        for i, true_name in enumerate(self.class_names):
-            for j, pred_name in enumerate(self.class_names):
-                count = int(self.counts[i, j])
-                pct = 100.0 * count / row_totals[i] if row_totals[i] else 0.0
-                lines.append(f"{true_name},{pred_name},{count},{repr(float(pct))}")
-        return "\n".join(lines) + "\n"
+        names, totals = self.class_names, self.counts.sum(axis=1)
+        rows = [
+            (names[i], names[j], int(n), 100.0 * n / totals[i] if totals[i] else 0.0)
+            for (i, j), n in np.ndenumerate(self.counts)
+        ]
+        return csv_text(CONFUSION_CSV_HEADER, rows)
 
 
 @blas.single_thread()
@@ -242,11 +228,21 @@ def run_confusion(cfg: HarnessConfig) -> ConfusionMatrix:
     )
 
 
+def roundlog_csv(logs: list[RoundLog]) -> str:
+    """The round-log file: one row per entry, its fields in order."""
+    return csv_text(ROUNDLOG_CSV_HEADER, logs)
+
+
 def build_csa_scenario(cfg: HarnessConfig) -> CsaScenario:
     """Generate data, pretrain the pipeline, and wire the round-loop inputs."""
     ex = cfg.experiment
     splits_t0, splits_t1 = generate_synthetic(cfg.dataset)
     system = train_dtjscc(splits_t0, ex.train_psnr_db, cfg.dtjscc)
+    if not np.isfinite(system.history[-1]):
+        raise DivergenceError(
+            f"pretraining diverged at epoch {len(system.history) - 1} (loss {system.history[-1]}) "
+            f"at dtjscc.learning_rate = {cfg.dtjscc.learning_rate}"
+        )
     a = system.feature_dim
     # The pretraining seed's "cov" stream: the g every recorded round log starts from.
     g_seed = spawn_rng(cfg.dtjscc.seed, "cov").integers(2**32)

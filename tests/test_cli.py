@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import semcom
 from semcom.cli import main
 from semcom.dataset import load_tensor_file
 from semcom.geometry import LINK_REPORT_CSV_HEADER
+
+from conftest import DIVERGING_INI
 
 
 @pytest.fixture()
@@ -222,6 +225,31 @@ class TestConfigErrors:
         assert code == 1
         assert "sweep.workers must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestDivergedPretraining:
+    """A NaN epoch loss stops ``train`` at once and stops every round loop before it writes."""
+
+    @staticmethod
+    def run(tmp_path, *argv):
+        (tmp_path / "nan.ini").write_text(DIVERGING_INI)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--config", str(tmp_path / "nan.ini"), "--out", str(tmp_path / "out")])
+        assert "training diverged at epoch 0 (loss nan)" in {str(w.message) for w in caught}
+        return code
+
+    def test_train_exits_three_with_a_one_row_history(self, tmp_path):
+        assert self.run(tmp_path, "train") == 3
+        assert (tmp_path / "out" / "history.csv").read_text() == "epoch,loss\n0,nan\n"
+
+    @pytest.mark.parametrize("argv", [["csa"], ["csa", "--no-meta"], ["fedavg"], ["race"]], ids=" ".join)
+    def test_round_loops_exit_two_naming_the_step_size(self, tmp_path, argv, capsys):
+        assert self.run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err == (
+            "error: pretraining diverged at epoch 0 (loss nan) at dtjscc.learning_rate = 0.05\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainCommand:

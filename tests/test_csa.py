@@ -27,6 +27,7 @@ from semcom.csa import (
 )
 from semcom.config import ChannelConfig, ChannelKind, FedAvgConfig, SAConfig
 from semcom.dtjscc import encode, send_over_channel
+from semcom.harness import roundlog_csv
 from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
 
@@ -407,6 +408,8 @@ def reference_meta_step(g, encoder, classifier, reference, current_batch, cfg):
             nn.sgd_step(encoder, grads_f, lr)
         nn.sgd_step(classifier, grads_l, lr)
         inner_losses.append(loss)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"inner loss {loss} is not finite")
         if first_loss is None:
             first_loss = loss
         elif first_loss > 0 and loss > 10.0 * first_loss:
@@ -468,6 +471,22 @@ class TestMetaStepMatchesInlineReference:
         assert str(got.value) == str(want.value)
         assert network_bytes(*mine) == network_bytes(*theirs)
 
+    @pytest.mark.parametrize("with_encoder", [False, True])
+    def test_a_non_finite_inner_loss_is_raised_at_the_first_step(self, with_encoder):
+        # The 10x rule alone never fires here: every comparison with NaN is false.
+        cfg = SAConfig(sa_lambda=0.5, inner_steps=4, meta_learning_rate=0.01, inner_learning_rate=0.1)
+        mine = self.networks(with_encoder)
+        theirs = tuple(net.copy() if net is not None else None for net in mine)
+        g_before = network_bytes(mine[2])
+        ref, (x, y) = next(self.batches(1))
+        x[0, 0] = np.nan
+        with pytest.raises(DivergenceError, match="inner loss nan is not finite") as got, np.errstate(all="ignore"):
+            meta_step(mine[2], mine[0], mine[1], ref, (x, y), cfg)
+        with pytest.raises(DivergenceError) as want, np.errstate(all="ignore"):
+            reference_meta_step(theirs[2], theirs[0], theirs[1], ref, (x, y), cfg)
+        assert str(got.value) == str(want.value)
+        assert network_bytes(mine[2]) == g_before  # raised before the outer step moved g
+
 
 class TestLambdaSchedule:
     def test_linear_warmup_then_flat(self):
@@ -506,7 +525,8 @@ class TestRoundLogHelpers:
             final_accuracy(logs, "sat2")
 
     def test_csv_row_shape(self):
-        row = make_logs([0.5])[0].csv_row()
+        header, row = roundlog_csv(make_logs([0.5])).splitlines()
+        assert header == ROUNDLOG_CSV_HEADER
         assert len(row.split(",")) == len(ROUNDLOG_CSV_HEADER.split(","))
         assert float(row.split(",")[2]) == 0.5
 

@@ -12,7 +12,7 @@ import pytest
 
 from semcom import dtjscc, nn
 from semcom.channel import noise_variance_from_psnr
-from semcom.config import ChannelConfig, ChannelKind, DatasetSpec, DtjsccConfig
+from semcom.config import ChannelConfig, ChannelKind, DatasetSpec, DtjsccConfig, load_config
 from semcom.dataset import Dataset, SplitDatasets, generate_synthetic
 from semcom.dtjscc import (
     Codebook,
@@ -37,7 +37,7 @@ from semcom.dtjscc import (
 from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
 
-from conftest import forget_training
+from conftest import DIVERGING_INI, forget_training
 
 
 def brute_force_nearest(entries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -293,7 +293,8 @@ class TestTraining:
 def reference_train(splits, train_psnr_db, cfg):
     """The generic training loop the lean step replaced, kept as its oracle.
 
-    Same initialisation and early stopping as ``train_dtjscc``; each step goes
+    Same initialisation and early stopping (on patience or on a non-finite
+    epoch loss) as ``train_dtjscc``; each step goes
     through ``nn.forward_cached``, ``nn.backward`` and ``nn.sgd_step``.
     Returns encoder, classifier, codebook and the loss history.
     """
@@ -348,6 +349,8 @@ def reference_train(splits, train_psnr_db, cfg):
             n_batches += 1
         epoch_loss /= n_batches
         history.append(epoch_loss)
+        if not math.isfinite(epoch_loss):
+            break
         if epoch_loss < best_loss - 1e-6:
             best_loss, best_epoch = epoch_loss, epoch
         elif epoch - best_epoch >= cfg.patience:
@@ -392,6 +395,20 @@ class TestLeanStepMatchesReference:
             system = train_dtjscc(small_splits, 4.0, cfg)
         assert not system.converged and len(system.history) < cfg.epochs
         assert_matches_reference(system, small_splits, 4.0, cfg)
+
+    def test_non_finite_loss_stops_training_at_once(self, tmp_path):
+        (tmp_path / "nan.ini").write_text(DIVERGING_INI)
+        loaded = load_config(str(tmp_path / "nan.ini"), 0)
+        splits, _ = generate_synthetic(loaded.dataset)
+        cfg = loaded.dtjscc
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            system = train_dtjscc(splits, 4.0, cfg)
+            _, _, _, reference_history = reference_train(splits, 4.0, cfg)
+        assert "training diverged at epoch 0 (loss nan)" in {str(w.message) for w in caught}
+        assert not system.converged
+        assert len(system.history) == len(reference_history) == 1
+        assert math.isnan(system.history[0]) and math.isnan(reference_history[0])
 
     def test_trained_tensors_share_no_memory(self, small_system):
         nets = (small_system.encoder, small_system.classifier)

@@ -18,6 +18,7 @@ from semcom.geometry import (
     orbital_velocity_m_s,
     slant_range,
 )
+from semcom.tables import csv_text
 
 TABLE_BUDGET = LinkBudget(carrier_ghz=28.0, altitude_km=600.0, elevation_deg=90.0, isl_distance_km=2000.0)
 
@@ -137,7 +138,9 @@ class TestReports:
 
     def test_csv_row_matches_header(self):
         rep, _ = TABLE_BUDGET.reports()
-        row = rep.csv_row().split(",")
+        header, row = csv_text(LINK_REPORT_CSV_HEADER, [rep.figures()]).splitlines()
+        assert header == LINK_REPORT_CSV_HEADER
+        row = row.split(",")
         assert len(row) == len(LINK_REPORT_CSV_HEADER.split(","))
         assert float(row[0]) == 600.0
         assert float(row[5]) == pytest.approx(rep.breakdown.total_db)
