@@ -1,12 +1,12 @@
 """Complex baseband fading channels.
 
-Flat-fading model ``Y = H X + N``. The channel gain H combines a zero-phase
-line-of-sight term and a diffuse complex Gaussian component (Rician) at unit
-large-scale gain, so the PSNR alone sets the noise; the inter-satellite
-variant keeps only the line-of-sight part. Noise is circularly-symmetric
-complex Gaussian, variance split evenly between quadratures, added after
-fading, i.i.d. per symbol. Block fading (one gain per frame) is the default;
-per-symbol fading is available through :class:`ChannelConfig`.
+Flat-fading model ``Y = H X + N``. Every gain H is one rule, a zero-phase
+line-of-sight amplitude plus a diffuse amplitude times ``CN(0, 1)``, at unit
+large-scale gain, so the PSNR alone sets the noise. Noise is
+circularly-symmetric complex Gaussian, variance split evenly between
+quadratures, added after fading, i.i.d. per symbol. Block fading (one gain
+per frame) is the default; per-symbol fading is available through
+:class:`ChannelConfig`.
 """
 
 from __future__ import annotations
@@ -18,37 +18,19 @@ import numpy as np
 from .config import ChannelConfig, ChannelKind, psnr_ratio
 
 
-def sample_rician_gain(
-    rician_factor: float, zeta_linear: float, rng: np.random.Generator
-) -> complex:
-    """Draw one Rician gain.
+def _amplitudes(cfg: ChannelConfig) -> tuple[float, float]:
+    """Line-of-sight and diffuse amplitude of the configured kind's gain.
 
-    ``sqrt(R z / (R+1)) + sqrt(z / (R+1)) ftilde`` with a zero-phase
-    line-of-sight term and ``ftilde ~ CN(0, 1)``. R = 0 degenerates to
-    Rayleigh. E[|gain|^2] = z for every R >= 0.
+    Rician factor R gives ``sqrt(R/(R+1))`` and ``sqrt(1/(R+1))``, so
+    E[|gain|^2] = 1; Rayleigh takes R = 0. The inter-satellite link keeps the
+    line of sight alone, not renormalized: |gain|^2 = R/(R+1) < 1. AWGN is
+    ``(1, 0)``. A finite R keeps the diffuse term of a fading kind nonzero.
     """
-    if not rician_factor >= 0:  # also false for NaN
-        raise ValueError(f"rician factor must be >= 0, got {rician_factor}")
-    if not zeta_linear > 0:
-        raise ValueError("large-scale gain must be positive")
-    diffuse = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
-    r = rician_factor
-    return math.sqrt(r * zeta_linear / (r + 1.0)) + math.sqrt(zeta_linear / (r + 1.0)) * diffuse
-
-
-def sample_isl_gain(rician_factor: float, zeta_linear: float) -> complex:
-    """Deterministic inter-satellite gain, line-of-sight term only.
-
-    No diffuse component and no renormalization, so the gain carries just the
-    R/(R+1) fraction of the large-scale power: |gain|^2 = z R/(R+1) < z for
-    every finite R.
-    """
-    if not rician_factor >= 0:  # also false for NaN
-        raise ValueError(f"rician factor must be >= 0, got {rician_factor}")
-    if not zeta_linear > 0:
-        raise ValueError("large-scale gain must be positive")
-    r = rician_factor
-    return complex(math.sqrt(r * zeta_linear / (r + 1.0)))
+    if cfg.kind is ChannelKind.AWGN:
+        return 1.0, 0.0
+    r = 0.0 if cfg.kind is ChannelKind.LEO_RAYLEIGH else cfg.rician_factor
+    diffuse = 0.0 if cfg.kind is ChannelKind.ISL else math.sqrt(1.0 / (r + 1.0))
+    return math.sqrt(r / (r + 1.0)), diffuse
 
 
 def noise_variance_from_psnr(psnr_db: float) -> float:
@@ -62,28 +44,26 @@ def noise_variance_from_psnr(psnr_db: float) -> float:
 
 
 def sample_realization(cfg: ChannelConfig, rng: np.random.Generator) -> complex:
-    """Draw one block gain according to the configured kind; AWGN gives exactly ``1+0j``."""
-    if cfg.kind is ChannelKind.AWGN:
-        return 1.0 + 0.0j
-    if cfg.kind is ChannelKind.ISL:
-        return sample_isl_gain(cfg.rician_factor, 1.0)
-    r = 0.0 if cfg.kind is ChannelKind.LEO_RAYLEIGH else cfg.rician_factor
-    return sample_rician_gain(r, 1.0, rng)
+    """Draw one block gain ``los + diffuse * CN(0, 1)``.
+
+    A kind without a diffuse term draws nothing: AWGN gives exactly ``1+0j``
+    and the inter-satellite link its fixed line of sight.
+    """
+    los, diffuse = _amplitudes(cfg)
+    if not diffuse:
+        return complex(los)
+    return los + diffuse * (complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0))
 
 
 def sample_gain_sequence(
     cfg: ChannelConfig, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Independent per-symbol gains, for the per-symbol fading mode."""
-    if cfg.kind is ChannelKind.AWGN:
-        return np.ones(count, dtype=np.complex128)
-    if cfg.kind is ChannelKind.ISL:
-        return np.full(count, sample_isl_gain(cfg.rician_factor, 1.0), dtype=np.complex128)
-    r = 0.0 if cfg.kind is ChannelKind.LEO_RAYLEIGH else cfg.rician_factor
-    diffuse = (
-        rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    ) / math.sqrt(2.0)
-    return math.sqrt(r / (r + 1.0)) + math.sqrt(1.0 / (r + 1.0)) * diffuse
+    """Independent per-symbol gains of :func:`sample_realization`'s law, for per-symbol fading."""
+    los, diffuse = _amplitudes(cfg)
+    if not diffuse:
+        return np.full(count, los, dtype=np.complex128)
+    draws = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
+    return los + diffuse * draws
 
 
 def apply_channel(

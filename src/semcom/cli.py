@@ -5,8 +5,9 @@ trained model bundle, the accuracy sweep (CSV + SVG), the two round loops,
 and a confusion matrix. All randomness flows from ``--seed`` (or the
 ``SEMCOM_SEED`` environment variable), so reruns reproduce files exactly.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure,
-3 a ``train`` run that did not converge (its bundle and history are written).
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
+(a diverged training among them, stopped before any output), 3 a ``train``
+run that did not converge on finite losses (its bundle and history are written).
 
 Help, usage errors, configuration errors and ``linkbudget`` never import
 numpy. The commands that compute import the numeric modules once their

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field, fields
 from .geometry import LinkBudget
 from .seeding import derive_seed
 
+# 16APSK outer-to-inner ring radius ratio where [channel] sets none.
+DEFAULT_APSK_RING_RATIO = 2.57
 # The widest bit width the modem's lookup tables cover; PSK orders and
 # codebook sizes are capped at 2**TABLE_BITS so every index and label fits one table.
 TABLE_BITS = 16
@@ -56,7 +58,7 @@ class ChannelKind(str, enum.Enum):
     ISL = "isl"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
     """Static parameters from which a frame's gains are drawn."""
 
@@ -65,9 +67,9 @@ class ChannelConfig:
     per_symbol_fading: bool = False
 
     def __post_init__(self) -> None:
-        self.kind = ChannelKind(self.kind)
-        if not self.rician_factor >= 0:  # also false for NaN
-            raise ValueError(f"rician factor must be >= 0, got {self.rician_factor}")
+        object.__setattr__(self, "kind", ChannelKind(self.kind))
+        if not 0.0 <= self.rician_factor < math.inf:  # also false for NaN
+            raise ValueError(f"rician_factor must be >= 0 and finite, got {self.rician_factor}")
 
 
 def psnr_ratio(psnr_db: float) -> float:
@@ -309,7 +311,7 @@ class ExperimentConfig:
     eval_repetitions: int = 3
     eval_frame: int = 32
     rician_factor: float = 2.8
-    apsk_ring_ratio: float = 2.57
+    apsk_ring_ratio: float = DEFAULT_APSK_RING_RATIO
     per_symbol_fading: bool = False
     workers: int = 1
     master_seed: int = 0
@@ -324,8 +326,7 @@ class ExperimentConfig:
         for k in self.k_presets:
             if k < 2 or k & (k - 1) or k > 1 << TABLE_BITS:
                 raise ValueError(f"k_presets must each be a power of two in [2, {1 << TABLE_BITS}], got {k}")
-        if not self.rician_factor >= 0:  # also false for NaN
-            raise ValueError(f"rician_factor must be >= 0, got {self.rician_factor}")
+        ChannelConfig(rician_factor=self.rician_factor)  # raises on a factor no channel can use
         kinds = [kind.value for kind in ChannelKind]
         for kind in self.channels:
             if kind not in kinds:

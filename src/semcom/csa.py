@@ -25,6 +25,7 @@ from . import nn
 from .config import ChannelConfig, FedAvgConfig, SAConfig
 from .dataset import SplitDatasets
 from .dtjscc import (
+    DivergenceError,
     TrainedSystem,
     classify,
     classify_over_channel,
@@ -36,10 +37,6 @@ from .dtjscc import (
 )
 from .modem import Constellation
 from .seeding import spawn_rng
-
-
-class DivergenceError(Exception):
-    """A loss went non-finite or, in ``meta_step``, past 10x the first; the message names the step size."""
 
 
 @dataclass

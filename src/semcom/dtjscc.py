@@ -47,6 +47,11 @@ class CodebookError(Exception):
     """Malformed codebook file."""
 
 
+class DivergenceError(Exception):
+    """A training loss went non-finite or, in ``csa.meta_step``, past 10x the
+    first; the message names the step-size key."""
+
+
 @dataclass
 class Codebook:
     """K learned codewords of a fixed block dimension."""
@@ -415,8 +420,9 @@ def train_dtjscc(
     Training noise is Gaussian in the quantized-feature domain with power set
     by ``train_psnr_db`` relative to the mean square of the codewords in the
     batch. Stalled training (no loss improvement over the patience window)
-    and diverged training (a non-finite epoch loss) stop early and are
-    reported through a warning and the ``converged`` flag.
+    stops early and is reported through a warning and the ``converged``
+    flag. A non-finite epoch loss raises :class:`DivergenceError` at once,
+    naming the epoch and ``dtjscc.learning_rate``.
 
     A call with the same data, PSNR and settings as the one before it returns
     a deep copy of that call's system and repeats its warnings instead of
@@ -493,9 +499,10 @@ def _train_system(
         epoch_loss /= n_batches
         history.append(epoch_loss)
         if not math.isfinite(epoch_loss):
-            issues.append(f"training diverged at epoch {epoch} (loss {epoch_loss})")
-            converged = False
-            break
+            raise DivergenceError(
+                f"training diverged at epoch {epoch} (loss {epoch_loss}) "
+                f"at dtjscc.learning_rate = {cfg.learning_rate}"
+            )
         if epoch_loss < best_loss - 1e-6:
             best_loss = epoch_loss
             best_epoch = epoch

@@ -22,7 +22,6 @@ from .csa import (
     COVARIANCE_HIDDEN,
     ROUNDLOG_CSV_HEADER,
     CsaScenario,
-    DivergenceError,
     RoundLog,
     eval_through_downlink,
     rounds_to_target,
@@ -238,11 +237,6 @@ def build_csa_scenario(cfg: HarnessConfig) -> CsaScenario:
     ex = cfg.experiment
     splits_t0, splits_t1 = generate_synthetic(cfg.dataset)
     system = train_dtjscc(splits_t0, ex.train_psnr_db, cfg.dtjscc)
-    if not np.isfinite(system.history[-1]):
-        raise DivergenceError(
-            f"pretraining diverged at epoch {len(system.history) - 1} (loss {system.history[-1]}) "
-            f"at dtjscc.learning_rate = {cfg.dtjscc.learning_rate}"
-        )
     a = system.feature_dim
     # The pretraining seed's "cov" stream: the g every recorded round log starts from.
     g_seed = spawn_rng(cfg.dtjscc.seed, "cov").integers(2**32)

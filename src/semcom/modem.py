@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TABLE_BITS, apsk16_radii, parse_modulation
+from .config import DEFAULT_APSK_RING_RATIO, TABLE_BITS, apsk16_radii, parse_modulation
 
-DEFAULT_APSK_RING_RATIO = 2.57
 # The most symbol-to-point distances demodulate_hard holds at once (16 MiB of
 # complex128); a block takes as many symbols as fit, at least one.
 DEMOD_BLOCK_DISTANCES = 1 << 20

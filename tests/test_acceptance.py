@@ -18,8 +18,8 @@ import pytest
 from scipy import stats
 
 from semcom import nn
-from semcom.channel import apply_channel, noise_variance_from_psnr, sample_rician_gain
-from semcom.config import load_config
+from semcom.channel import apply_channel, noise_variance_from_psnr, sample_realization
+from semcom.config import ChannelConfig, ChannelKind, load_config
 from semcom.csa import CovarianceMatrix, final_accuracy, sa_loss
 from semcom.dtjscc import Codebook
 from semcom.geometry import LinkBudget
@@ -66,9 +66,10 @@ def test_criterion_2_channel_statistics():
     start = time.perf_counter()
     n = 100_000
     rng = spawn_rng(0, "acc", "rician")
+    rayleigh = ChannelConfig(kind=ChannelKind.LEO_RAYLEIGH)
     magnitudes = np.abs(
         np.fromiter(
-            (sample_rician_gain(0.0, 1.0, rng) for _ in range(n)),
+            (sample_realization(rayleigh, rng) for _ in range(n)),
             dtype=np.complex128,
             count=n,
         )
@@ -82,8 +83,9 @@ def test_criterion_2_channel_statistics():
     powers = {}
     for factor in (0.0, 2.8, 10.0):
         rng = spawn_rng(2, "acc", "power", factor)
+        rician = ChannelConfig(kind=ChannelKind.LEO_RICIAN, rician_factor=factor)
         draws = np.fromiter(
-            (sample_rician_gain(factor, 1.0, rng) for _ in range(60_000)),
+            (sample_realization(rician, rng) for _ in range(60_000)),
             dtype=np.complex128,
             count=60_000,
         )

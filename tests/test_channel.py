@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,66 +13,103 @@ from semcom.channel import (
     apply_channel,
     noise_variance_from_psnr,
     sample_gain_sequence,
-    sample_isl_gain,
     sample_realization,
-    sample_rician_gain,
 )
 from semcom.config import ChannelConfig, ChannelKind, psnr_ratio
 from semcom.seeding import spawn_rng
 
 
-def draw_gains(rician, zeta, n, tag):
-    rng = spawn_rng(0, "chan", tag)
-    return np.array([sample_rician_gain(rician, zeta, rng) for _ in range(n)])
+def oracle_rician_gain(rician_factor, zeta_linear, rng):
+    """The former per-kind Rician sampler, at large-scale gain ``zeta_linear``."""
+    diffuse = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
+    r = rician_factor
+    return math.sqrt(r * zeta_linear / (r + 1.0)) + math.sqrt(zeta_linear / (r + 1.0)) * diffuse
+
+
+def oracle_isl_gain(rician_factor, zeta_linear):
+    """The former inter-satellite sampler: the line-of-sight term alone."""
+    r = rician_factor
+    return complex(math.sqrt(r * zeta_linear / (r + 1.0)))
+
+
+def oracle_realization(cfg, rng):
+    """The former per-kind block-gain dispatch, at unit large-scale gain."""
+    if cfg.kind is ChannelKind.AWGN:
+        return 1.0 + 0.0j
+    if cfg.kind is ChannelKind.ISL:
+        return oracle_isl_gain(cfg.rician_factor, 1.0)
+    r = 0.0 if cfg.kind is ChannelKind.LEO_RAYLEIGH else cfg.rician_factor
+    return oracle_rician_gain(r, 1.0, rng)
+
+
+def oracle_gain_sequence(cfg, count, rng):
+    """The former per-kind per-symbol dispatch, with its own copy of the Rician formula."""
+    if cfg.kind is ChannelKind.AWGN:
+        return np.ones(count, dtype=np.complex128)
+    if cfg.kind is ChannelKind.ISL:
+        return np.full(count, oracle_isl_gain(cfg.rician_factor, 1.0), dtype=np.complex128)
+    r = 0.0 if cfg.kind is ChannelKind.LEO_RAYLEIGH else cfg.rician_factor
+    diffuse = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
+    return math.sqrt(r / (r + 1.0)) + math.sqrt(1.0 / (r + 1.0)) * diffuse
+
+
+def draw_gains(kind, rician, n, tag):
+    cfg, rng = ChannelConfig(kind=kind, rician_factor=rician), spawn_rng(0, "chan", tag)
+    return np.array([sample_realization(cfg, rng) for _ in range(n)])
+
+
+class TestFadingRuleMatchesOracle:
+    """Every gain, and every draw it takes from the stream, equals the per-kind formulas bit for bit."""
+
+    @pytest.mark.parametrize("rician", [0.0, 1e-300, 0.5, 2.8, 10.0, 1e12, 1e300])
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_block_and_sequence_gains(self, kind, rician):
+        cfg = ChannelConfig(kind=kind, rician_factor=rician)
+        for seed in range(25):
+            got_rng, want_rng = spawn_rng(seed, "oracle"), spawn_rng(seed, "oracle")
+            for count in (1, 37):
+                got, want = sample_realization(cfg, got_rng), oracle_realization(cfg, want_rng)
+                assert type(got) is complex
+                assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+                got_seq = sample_gain_sequence(cfg, count, got_rng)
+                want_seq = oracle_gain_sequence(cfg, count, want_rng)
+                assert got_seq.dtype == np.complex128
+                assert got_seq.tobytes() == want_seq.tobytes()
+            assert got_rng.standard_normal(4).tobytes() == want_rng.standard_normal(4).tobytes()
 
 
 class TestRicianGain:
     @pytest.mark.parametrize("rician", [0.0, 2.8, 10.0])
-    @pytest.mark.parametrize("zeta", [1.0, 2.5])
-    def test_mean_power_equals_large_scale_gain(self, rician, zeta):
-        g = draw_gains(rician, zeta, 60000, f"pw{rician}{zeta}")
-        assert np.mean(np.abs(g) ** 2) == pytest.approx(zeta, rel=0.02)
+    def test_mean_power_equals_large_scale_gain(self, rician):
+        g = draw_gains(ChannelKind.LEO_RICIAN, rician, 60000, f"pw{rician}")
+        assert np.mean(np.abs(g) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_factor_magnitude_is_rayleigh(self):
         """Two-sample KS against numpy's own Rayleigh generator."""
-        zeta = 1.0
-        ours = np.abs(draw_gains(0.0, zeta, 20000, "ks"))
-        reference = spawn_rng(1, "chan", "ks-ref").rayleigh(
-            scale=math.sqrt(zeta / 2.0), size=20000
-        )
+        ours = np.abs(draw_gains(ChannelKind.LEO_RAYLEIGH, 2.8, 20000, "ks"))
+        reference = spawn_rng(1, "chan", "ks-ref").rayleigh(scale=math.sqrt(0.5), size=20000)
         assert stats.ks_2samp(ours, reference).pvalue > 0.01
 
     def test_large_factor_collapses_to_line_of_sight(self):
-        g = sample_rician_gain(1e12, 4.0, spawn_rng(0, "chan", "los"))
-        assert abs(g) == pytest.approx(2.0, rel=1e-4)
-
-    def test_invalid_parameters(self):
-        rng = spawn_rng(0, "chan", "bad")
-        for bad in (-0.1, math.nan):
-            with pytest.raises(ValueError, match=f"rician factor must be >= 0, got {bad}"):
-                sample_rician_gain(bad, 1.0, rng)
-        for bad in (0.0, math.nan):
-            with pytest.raises(ValueError, match="large-scale gain must be positive"):
-                sample_rician_gain(1.0, bad, rng)
+        cfg = ChannelConfig(kind=ChannelKind.LEO_RICIAN, rician_factor=1e12)
+        g = sample_realization(cfg, spawn_rng(0, "chan", "los"))
+        assert abs(g) == pytest.approx(1.0, rel=1e-4)
 
 
 class TestIslGain:
     def test_deterministic_line_of_sight_power(self):
-        r, zeta = 2.8, 0.25
-        g = sample_isl_gain(r, zeta)
-        assert abs(g) ** 2 == pytest.approx(zeta * r / (r + 1.0), rel=1e-12)
-        assert sample_isl_gain(r, zeta) == g
+        r = 2.8
+        cfg = ChannelConfig(kind=ChannelKind.ISL, rician_factor=r)
+        rng = spawn_rng(0, "chan", "isl")
+        g = sample_realization(cfg, rng)
+        assert abs(g) ** 2 == pytest.approx(r / (r + 1.0), rel=1e-12)
+        assert sample_realization(cfg, spawn_rng(99, "chan", "isl")) == g
+        # The line of sight takes no draw from the stream.
+        assert rng.standard_normal() == spawn_rng(0, "chan", "isl").standard_normal()
 
     def test_power_strictly_below_large_scale_budget(self):
-        assert abs(sample_isl_gain(2.8, 1.0)) ** 2 < 1.0
-
-    def test_invalid_parameters(self):
-        for bad in (-0.1, math.nan):
-            with pytest.raises(ValueError, match=f"rician factor must be >= 0, got {bad}"):
-                sample_isl_gain(bad, 1.0)
-        for bad in (0.0, math.nan):
-            with pytest.raises(ValueError, match="large-scale gain must be positive"):
-                sample_isl_gain(1.0, bad)
+        cfg = ChannelConfig(kind=ChannelKind.ISL, rician_factor=2.8)
+        assert abs(sample_realization(cfg, spawn_rng(0, "chan", "isl"))) ** 2 < 1.0
 
 
 class TestNoiseVariance:
@@ -111,10 +149,19 @@ class TestRealizations:
         assert gain == 1.0 + 0.0j
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
-    @pytest.mark.parametrize("bad", [-1.0, math.nan])
-    def test_config_rejects_negative_and_nan_factor(self, kind, bad):
-        with pytest.raises(ValueError, match=f"rician factor must be >= 0, got {bad}"):
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_config_rejects_negative_nan_and_infinite_factor(self, kind, bad):
+        with pytest.raises(ValueError, match=f"rician_factor must be >= 0 and finite, got {bad}"):
             ChannelConfig(kind=kind, rician_factor=bad)
+
+    @pytest.mark.parametrize(
+        "name,value", [("kind", ChannelKind.ISL), ("rician_factor", 0.0), ("per_symbol_fading", True)]
+    )
+    def test_config_is_frozen(self, name, value):
+        cfg = ChannelConfig(kind="leo_rician")
+        assert cfg.kind is ChannelKind.LEO_RICIAN
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
 
     def test_rayleigh_kind_ignores_configured_factor(self):
         cfg_ray = ChannelConfig(kind=ChannelKind.LEO_RAYLEIGH, rician_factor=2.8)

@@ -117,6 +117,7 @@ class TestConfigErrors:
             ("fedavg", "learning_rate", "0", "0.0"),
             ("channel", "rician_factor", "-1", "-1.0"),
             ("channel", "rician_factor", "nan", "nan"),
+            ("channel", "rician_factor", "inf", "inf"),
             ("dataset", "noise_sigma", "-1", "-1.0"),
             ("dataset", "noise_sigma", "nan", "nan"),
             ("dataset", "temporal_drift", "nan", "nan"),
@@ -228,26 +229,31 @@ class TestConfigErrors:
 
 
 class TestDivergedPretraining:
-    """A NaN epoch loss stops ``train`` at once and stops every round loop before it writes."""
+    """A NaN epoch loss stops every command that trains at once: exit 2, one
+    line naming the step size, and no output directory."""
 
-    @staticmethod
-    def run(tmp_path, *argv):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train"],
+            ["sweep"],
+            ["sweep", "--workers", "2"],
+            ["confusion"],
+            ["csa"],
+            ["csa", "--no-meta"],
+            ["fedavg"],
+            ["race"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_two_naming_the_step_size(self, tmp_path, argv, capsys):
         (tmp_path / "nan.ini").write_text(DIVERGING_INI)
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             code = main([*argv, "--config", str(tmp_path / "nan.ini"), "--out", str(tmp_path / "out")])
-        assert "training diverged at epoch 0 (loss nan)" in {str(w.message) for w in caught}
-        return code
-
-    def test_train_exits_three_with_a_one_row_history(self, tmp_path):
-        assert self.run(tmp_path, "train") == 3
-        assert (tmp_path / "out" / "history.csv").read_text() == "epoch,loss\n0,nan\n"
-
-    @pytest.mark.parametrize("argv", [["csa"], ["csa", "--no-meta"], ["fedavg"], ["race"]], ids=" ".join)
-    def test_round_loops_exit_two_naming_the_step_size(self, tmp_path, argv, capsys):
-        assert self.run(tmp_path, *argv) == 2
+        assert code == 2
         assert capsys.readouterr().err == (
-            "error: pretraining diverged at epoch 0 (loss nan) at dtjscc.learning_rate = 0.05\n"
+            "error: training diverged at epoch 0 (loss nan) at dtjscc.learning_rate = 0.05\n"
         )
         assert not (tmp_path / "out").exists()
 

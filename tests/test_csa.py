@@ -11,7 +11,6 @@ from semcom import nn
 from semcom.csa import (
     COVARIANCE_HIDDEN,
     CovarianceMatrix,
-    DivergenceError,
     ROUNDLOG_CSV_HEADER,
     RoundLog,
     _class_means,
@@ -26,7 +25,7 @@ from semcom.csa import (
     top1_and_ce,
 )
 from semcom.config import ChannelConfig, ChannelKind, FedAvgConfig, SAConfig
-from semcom.dtjscc import encode, send_over_channel
+from semcom.dtjscc import DivergenceError, encode, send_over_channel
 from semcom.harness import roundlog_csv
 from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng

@@ -19,6 +19,7 @@ from semcom.dtjscc import (
     _init_codebook,
     _split_blocks,
     CodebookError,
+    DivergenceError,
     QuantizedMessage,
     classify,
     classify_over_channel,
@@ -293,10 +294,10 @@ class TestTraining:
 def reference_train(splits, train_psnr_db, cfg):
     """The generic training loop the lean step replaced, kept as its oracle.
 
-    Same initialisation and early stopping (on patience or on a non-finite
-    epoch loss) as ``train_dtjscc``; each step goes
-    through ``nn.forward_cached``, ``nn.backward`` and ``nn.sgd_step``.
-    Returns encoder, classifier, codebook and the loss history.
+    Same initialisation, early stopping on patience and
+    :class:`DivergenceError` on a non-finite epoch loss as ``train_dtjscc``;
+    each step goes through ``nn.forward_cached``, ``nn.backward`` and
+    ``nn.sgd_step``. Returns encoder, classifier, codebook and the loss history.
     """
     train = splits.train
     a = cfg.feature_dim
@@ -350,7 +351,10 @@ def reference_train(splits, train_psnr_db, cfg):
         epoch_loss /= n_batches
         history.append(epoch_loss)
         if not math.isfinite(epoch_loss):
-            break
+            raise DivergenceError(
+                f"training diverged at epoch {epoch} (loss {epoch_loss}) "
+                f"at dtjscc.learning_rate = {cfg.learning_rate}"
+            )
         if epoch_loss < best_loss - 1e-6:
             best_loss, best_epoch = epoch_loss, epoch
         elif epoch - best_epoch >= cfg.patience:
@@ -403,12 +407,14 @@ class TestLeanStepMatchesReference:
         cfg = loaded.dtjscc
         with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            system = train_dtjscc(splits, 4.0, cfg)
-            _, _, _, reference_history = reference_train(splits, 4.0, cfg)
-        assert "training diverged at epoch 0 (loss nan)" in {str(w.message) for w in caught}
-        assert not system.converged
-        assert len(system.history) == len(reference_history) == 1
-        assert math.isnan(system.history[0]) and math.isnan(reference_history[0])
+            with pytest.raises(DivergenceError) as got:
+                train_dtjscc(splits, 4.0, cfg)
+            with pytest.raises(DivergenceError) as want:
+                reference_train(splits, 4.0, cfg)
+        assert str(got.value) == str(want.value) == (
+            "training diverged at epoch 0 (loss nan) at dtjscc.learning_rate = 0.05"
+        )
+        assert not caught
 
     def test_trained_tensors_share_no_memory(self, small_system):
         nets = (small_system.encoder, small_system.classifier)

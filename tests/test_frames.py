@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from semcom import channel, dtjscc, nn
+from semcom import dtjscc, nn
 from semcom.channel import noise_variance_from_psnr
 from semcom.config import ChannelConfig, ChannelKind, DtjsccConfig, SAConfig
 from semcom.csa import COVARIANCE_HIDDEN, CsaScenario, eval_through_downlink
@@ -181,14 +181,14 @@ def force_erasures(fading, monkeypatch):
     """Zero gains on roughly every fifth frame; returns the per-frame erasure flags."""
     erasures = []
     if fading == "block":
-        original = channel.sample_rician_gain
+        original = dtjscc.sample_realization
 
         def faded(*args, **kwargs):
             gain = original(*args, **kwargs)
             erasures.append(abs(gain) < 0.5)
             return 0j if erasures[-1] else gain
 
-        monkeypatch.setattr(channel, "sample_rician_gain", faded)
+        monkeypatch.setattr(dtjscc, "sample_realization", faded)
     else:
         original = dtjscc.sample_gain_sequence
 
@@ -241,10 +241,10 @@ def hand_built_frame(indices, width, channel_cfg, constellation, noise_variance,
     symbols, pad = modulate(ints_to_bits(indices, width), constellation)
     r = 0.0 if channel_cfg.kind is ChannelKind.LEO_RAYLEIGH else channel_cfg.rician_factor
     los, diffuse = math.sqrt(r / (r + 1.0)), math.sqrt(1.0 / (r + 1.0))
-    gain = los + diffuse * complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
+    gain = los + diffuse * (complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0))
     if channel_cfg.per_symbol_fading:
         n = symbols.size
-        gain = los + diffuse * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+        gain = los + diffuse * ((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0))
     scale = math.sqrt(noise_variance / 2.0)
     noise = scale * (rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape))
     bits = demodulate_hard(gain * symbols + noise, gain, constellation)
