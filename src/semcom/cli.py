@@ -5,6 +5,11 @@ trained model bundle, the accuracy sweep (CSV + SVG), the two round loops,
 and a confusion matrix. All randomness flows from ``--seed`` (or the
 ``SEMCOM_SEED`` environment variable), so reruns reproduce files exactly.
 
+Files are values. Each subcommand returns its files by name, each the text
+or bytes a format module built, with its summary line and exit code, and
+:func:`write_files` is the one place a run's files reach disk. It runs
+after everything is computed, so a run that fails creates no ``--out``.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
 (a diverged training among them, stopped before any output), 3 a ``train``
 run that did not converge on finite losses (its bundle and history are written).
@@ -41,24 +46,25 @@ def _load(args: argparse.Namespace) -> HarnessConfig:
     return load_config(args.config, _resolve_seed(args))
 
 
-def _outdir(args: argparse.Namespace) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
+# A run's files by name under ``--out``, as text or bytes.
+Files = dict[str, str | bytes]
+# What a subcommand returns: its files, its summary for stdout, its exit code.
+Run = tuple[Files, str, int]
 
 
-def write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def write_files(out: str, files: Files) -> None:
+    """Write each of ``files`` under ``out``, making its directory; text as UTF-8, newlines untranslated."""
+    for name, content in files.items():
+        path = os.path.join(out, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(content.encode() if isinstance(content, str) else content)
 
 
-def _computes(command: Callable[..., int]) -> Callable[[argparse.Namespace], int]:
+def _computes(command: Callable[..., Run]) -> Callable[[argparse.Namespace], Run]:
     """Load the config, then numpy, and run ``command`` with OpenBLAS on one thread."""
 
-    def run(args: argparse.Namespace) -> int:
+    def run(args: argparse.Namespace) -> Run:
         cfg = _load(args)
         from . import blas  # imports numpy, so single_thread finds its OpenBLAS mapped
 
@@ -68,56 +74,47 @@ def _computes(command: Callable[..., int]) -> Callable[[argparse.Namespace], int
     return run
 
 
-def cmd_linkbudget(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    ground, isl = cfg.linkbudget.reports()
-    print("ground link")
-    print(ground.as_text())
-    print()
-    print("inter-satellite link")
-    print(isl.as_text())
-    out = _outdir(args)
-    for name, report in (("linkbudget.csv", ground), ("isl_linkbudget.csv", isl)):
-        write_text(os.path.join(out, name), csv_text(LINK_REPORT_CSV_HEADER, [report.figures()]))
-    return 0
+def cmd_linkbudget(args: argparse.Namespace) -> Run:
+    ground, isl = _load(args).linkbudget.reports()
+    files = {
+        name: csv_text(LINK_REPORT_CSV_HEADER, [report.figures()])
+        for name, report in (("linkbudget.csv", ground), ("isl_linkbudget.csv", isl))
+    }
+    summary = f"ground link\n{ground.as_text()}\n\ninter-satellite link\n{isl.as_text()}"
+    return files, summary, 0
 
 
 @_computes
-def cmd_gen_data(args: argparse.Namespace, cfg: HarnessConfig) -> int:
-    from .dataset import generate_synthetic, save_tensor_file, summary_csv
+def cmd_gen_data(args: argparse.Namespace, cfg: HarnessConfig) -> Run:
+    from .dataset import generate_synthetic, summary_csv, tensor_file
 
     splits_t0, splits_t1 = generate_synthetic(cfg.dataset)
-    out = _outdir(args)
-    for tag, splits in (("t0", splits_t0), ("t1", splits_t1)):
-        for part in ("train", "val", "test"):
-            path = os.path.join(out, f"{tag}_{part}.msit")
-            save_tensor_file(path, getattr(splits, part))
-    write_text(os.path.join(out, "summary.csv"), summary_csv(splits_t0))
-    print(
-        f"wrote {len(splits_t0.train)}/{len(splits_t0.val)}/{len(splits_t0.test)} "
-        f"train/val/test images per epoch to {out}"
-    )
-    return 0
+    files: Files = {
+        f"{tag}_{part}.msit": tensor_file(getattr(splits, part))
+        for tag, splits in (("t0", splits_t0), ("t1", splits_t1))
+        for part in ("train", "val", "test")
+    }
+    files["summary.csv"] = summary_csv(splits_t0)
+    counts = f"{len(splits_t0.train)}/{len(splits_t0.val)}/{len(splits_t0.test)}"
+    return files, f"wrote {counts} train/val/test images per epoch to {args.out}", 0
 
 
 @_computes
-def cmd_train(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+def cmd_train(args: argparse.Namespace, cfg: HarnessConfig) -> Run:
     from .dataset import generate_synthetic
-    from .dtjscc import save_bundle, train_dtjscc
+    from .dtjscc import bundle_files, train_dtjscc
 
     splits, _ = generate_synthetic(cfg.dataset)
     system = train_dtjscc(splits, cfg.experiment.train_psnr_db, cfg.dtjscc)
-    out = _outdir(args)
-    bundle_dir = os.path.join(out, "bundle")
-    save_bundle(bundle_dir, system)
-    write_text(os.path.join(out, "history.csv"), csv_text("epoch,loss", enumerate(system.history)))
+    files: Files = {f"bundle/{name}": data for name, data in bundle_files(system).items()}
+    files["history.csv"] = csv_text("epoch,loss", enumerate(system.history))
     status = "converged" if system.converged else "did not converge"
-    print(f"val top1 {system.val_accuracy:.4f} ({status}); bundle in {bundle_dir}")
-    return 0 if system.converged else 3
+    summary = f"val top1 {system.val_accuracy:.4f} ({status}); bundle in {os.path.join(args.out, 'bundle')}"
+    return files, summary, 0 if system.converged else 3
 
 
 @_computes
-def cmd_sweep(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+def cmd_sweep(args: argparse.Namespace, cfg: HarnessConfig) -> Run:
     from . import harness
 
     if args.workers is not None:
@@ -127,75 +124,63 @@ def cmd_sweep(args: argparse.Namespace, cfg: HarnessConfig) -> int:
             raise ConfigError(f"sweep.{exc}") from None
         cfg = replace(cfg, experiment=experiment)
     result = harness.run_sweep(cfg)
-    out = _outdir(args)
-    csv_path = os.path.join(out, "sweep.csv")
-    write_text(csv_path, result.csv())
-    harness.emit_svg_plot(result, os.path.join(out, "sweep.svg"))
-    print(f"{len(result.rows)} cells -> {csv_path}")
-    return 0
+    files = {"sweep.csv": result.csv(), "sweep.svg": harness.svg_text(result)}
+    return files, f"{len(result.rows)} cells -> {os.path.join(args.out, 'sweep.csv')}", 0
 
 
 @_computes
-def cmd_csa(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+def cmd_csa(args: argparse.Namespace, cfg: HarnessConfig) -> Run:
     from . import harness
     from .csa import rounds_to_target
 
     logs, _ = harness.run_csa_experiment(cfg, meta_enabled=not args.no_meta)
-    out = _outdir(args)
     name = "csa_rounds.csv" if not args.no_meta else "csa_static_rounds.csv"
-    path = os.path.join(out, name)
-    write_text(path, harness.roundlog_csv(logs))
     final = [e for e in logs if e.side == "ut"][-1]
     hit = rounds_to_target(logs, cfg.csa.target_accuracy, "ut")
     reach = f"reached {cfg.csa.target_accuracy:.2f} at round {hit}" if hit is not None else (
         f"never reached {cfg.csa.target_accuracy:.2f}"
     )
-    print(f"final terminal top1 {final.top1_accuracy:.4f}; {reach}; log in {path}")
-    return 0
+    summary = f"final terminal top1 {final.top1_accuracy:.4f}; {reach}; log in {os.path.join(args.out, name)}"
+    return {name: harness.roundlog_csv(logs)}, summary, 0
 
 
 @_computes
-def cmd_fedavg(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+def cmd_fedavg(args: argparse.Namespace, cfg: HarnessConfig) -> Run:
     from . import harness
 
     logs = harness.run_fedavg_experiment(cfg)
-    out = _outdir(args)
-    path = os.path.join(out, "fedavg_rounds.csv")
-    write_text(path, harness.roundlog_csv(logs))
-    final = logs[-1]
-    print(f"final server top1 {final.top1_accuracy:.4f}; log in {path}")
-    return 0
+    path = os.path.join(args.out, "fedavg_rounds.csv")
+    summary = f"final server top1 {logs[-1].top1_accuracy:.4f}; log in {path}"
+    return {"fedavg_rounds.csv": harness.roundlog_csv(logs)}, summary, 0
 
 
 @_computes
-def cmd_race(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+def cmd_race(args: argparse.Namespace, cfg: HarnessConfig) -> Run:
     from . import harness
 
     race = harness.run_round_race(cfg)
-    out = _outdir(args)
-    write_text(os.path.join(out, "csa_rounds.csv"), harness.roundlog_csv(race.csa_logs))
-    write_text(os.path.join(out, "fedavg_rounds.csv"), harness.roundlog_csv(race.fedavg_logs))
+    files = {
+        "csa_rounds.csv": harness.roundlog_csv(race.csa_logs),
+        "fedavg_rounds.csv": harness.roundlog_csv(race.fedavg_logs),
+    }
 
     def fmt(rounds: int | None) -> str:
         return f"round {rounds}" if rounds is not None else "never"
 
-    print(
+    summary = (
         f"target {race.target:.2f}: adaptation {fmt(race.csa_rounds)}, "
         f"parameter averaging {fmt(race.fedavg_rounds)}"
     )
-    return 0
+    return files, summary, 0
 
 
 @_computes
-def cmd_confusion(args: argparse.Namespace, cfg: HarnessConfig) -> int:
+def cmd_confusion(args: argparse.Namespace, cfg: HarnessConfig) -> Run:
     from . import harness
 
     matrix = harness.run_confusion(cfg)
-    out = _outdir(args)
-    path = os.path.join(out, "confusion.csv")
-    write_text(path, matrix.csv())
-    print(f"top1 {matrix.top1():.4f}; matrix in {path}")
-    return 0
+    summary = f"top1 {matrix.top1():.4f}; matrix in {os.path.join(args.out, 'confusion.csv')}"
+    return {"confusion.csv": matrix.csv()}, summary, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +221,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        files, summary, code = args.func(args)
+        write_files(args.out, files)  # only once everything is computed
+        print(summary)
+        return code
     except Exception as exc:  # a one-line diagnostic: code 1 for a bad config, else 2
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2

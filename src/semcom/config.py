@@ -106,6 +106,12 @@ def check_psnr(name: str, *psnrs_db: float) -> None:
             raise ValueError(f"{name} must be a finite PSNR whose power ratio fits a float, got {psnr_db}")
 
 
+def check_table_order(n: int, what: str) -> None:
+    """Raise ``ValueError("<what> be a power of two in [2, 2**TABLE_BITS], got <n>")`` unless ``n`` is one."""
+    if n < 2 or n & (n - 1) or n > 1 << TABLE_BITS:
+        raise ValueError(f"{what} be a power of two in [2, {1 << TABLE_BITS}], got {n}")
+
+
 def parse_modulation(name: str) -> tuple[str, int]:
     """``("apsk", 16)`` for '16apsk', ``("psk", M)`` for '<M>psk', in any case.
 
@@ -117,8 +123,7 @@ def parse_modulation(name: str) -> tuple[str, int]:
         return "apsk", 16
     if name.endswith("psk") and name[:-3].isdigit():
         order = int(name[:-3])
-        if order < 2 or order & (order - 1) or order > 1 << TABLE_BITS:
-            raise ValueError(f"order must be a power of two in [2, {1 << TABLE_BITS}], got {order}")
+        check_table_order(order, "order must")
         return "psk", order
     raise ValueError(f"unknown constellation {name!r}")
 
@@ -207,8 +212,7 @@ class DtjsccConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 2 or self.k & (self.k - 1) or self.k > 1 << TABLE_BITS:
-            raise ValueError(f"k must be a power of two in [2, {1 << TABLE_BITS}], got {self.k}")
+        check_table_order(self.k, "k must")
         for name in ("feature_dim", "encoder_hidden", "epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -324,8 +328,7 @@ class ExperimentConfig:
         check_psnr("train_psnr_db", self.train_psnr_db)
         check_psnr("eval_psnr_db", self.eval_psnr_db)
         for k in self.k_presets:
-            if k < 2 or k & (k - 1) or k > 1 << TABLE_BITS:
-                raise ValueError(f"k_presets must each be a power of two in [2, {1 << TABLE_BITS}], got {k}")
+            check_table_order(k, "k_presets must each")
         ChannelConfig(rician_factor=self.rician_factor)  # raises on a factor no channel can use
         kinds = [kind.value for kind in ChannelKind]
         for kind in self.channels:

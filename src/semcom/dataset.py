@@ -10,6 +10,7 @@ are exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -168,75 +169,83 @@ def split(
     )
 
 
-def save_tensor_file(path: str, dataset: Dataset) -> None:
-    """Write the MSIT container.
+# An MSIT record's header: u16 height, width, bands and label, u32 timestamp index.
+_RECORD_HEADER = np.dtype(
+    [("height", "<u2"), ("width", "<u2"), ("bands", "<u2"), ("label", "<u2"), ("timestamp", "<u4")]
+)
 
-    Little-endian: magic "MSIT", u32 version, u32 record count, then per
-    record u16 height, u16 width, u16 bands, u16 label, u32 timestamp index,
-    and f32 pixels row-major.
+
+def _record_dtype(shape: tuple[int, ...]) -> np.dtype:
+    """One MSIT record: the header, then the image's f32 pixels row-major."""
+    return np.dtype([*_RECORD_HEADER.descr, ("pixels", "<f4", shape)])
+
+
+def tensor_file(dataset: Dataset) -> bytes:
+    """The MSIT container of ``dataset``.
+
+    Little-endian: magic "MSIT", u32 version, u32 record count, then one
+    :func:`_record_dtype` record per image.
     """
     n = len(dataset)
-    h, w, d = dataset.pixels.shape[1:]
-    if max(h, w, d) > _U16_MAX:
-        raise DimensionOverflowError(f"dimensions ({h}, {w}, {d}) exceed u16")
+    shape = dataset.pixels.shape[1:]
+    if max(shape) > _U16_MAX:
+        raise DimensionOverflowError(f"dimensions {shape} exceed u16")
     if n and int(dataset.labels.max()) > _U16_MAX:
         raise DimensionOverflowError("label exceeds u16")
-    if n and int(dataset.timestamps.max()) > _U32_MAX:
-        raise DimensionOverflowError("timestamp index exceeds u32")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, n))
-        for i in range(n):
-            fh.write(
-                struct.pack(
-                    "<HHHHI",
-                    h,
-                    w,
-                    d,
-                    int(dataset.labels[i]),
-                    int(dataset.timestamps[i]),
-                )
-            )
-            fh.write(dataset.pixels[i].astype("<f4").tobytes(order="C"))
+    if n and (int(dataset.timestamps.min()) < 0 or int(dataset.timestamps.max()) > _U32_MAX):
+        raise DimensionOverflowError("timestamp index outside u32")
+    records = np.empty(n, dtype=_record_dtype(shape))
+    records["height"], records["width"], records["bands"] = shape
+    records["label"] = dataset.labels
+    records["timestamp"] = dataset.timestamps
+    records["pixels"] = dataset.pixels
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, n) + records.tobytes()
 
 
-def load_tensor_file(path: str) -> Dataset:
-    """Read an MSIT container written by :func:`save_tensor_file`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}")
-        header = fh.read(8)
-        if len(header) < 8:
-            raise TruncatedFileError("truncated header")
-        version, count = struct.unpack("<II", header)
-        if version != FORMAT_VERSION:
-            raise TensorFileError(f"unsupported version {version}")
-        pixels = []
-        labels = np.empty(count, dtype=np.int64)
-        timestamps = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            rec = fh.read(12)
-            if len(rec) < 12:
-                raise TruncatedFileError(f"truncated record header at {i}")
-            h, w, d, label, ts = struct.unpack("<HHHHI", rec)
-            if pixels and (h, w, d) != pixels[0].shape:
-                raise TensorFileError(f"record {i} has shape {(h, w, d)}, record 0 has {pixels[0].shape}")
-            payload = fh.read(h * w * d * 4)
-            if len(payload) < h * w * d * 4:
-                raise TruncatedFileError(f"truncated pixel payload at {i}")
-            pixels.append(
-                np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(h, w, d)
-            )
-            labels[i] = label
-            timestamps[i] = ts
+def read_tensor_file(data: bytes) -> Dataset:
+    """The dataset of a :func:`tensor_file` container.
+
+    Of several faults the first in record order is reported: a record that
+    is cut short, or one whose shape differs from record 0's.
+    """
+    if data[:4] != MAGIC:
+        raise BadMagicError(f"bad magic {data[:4]!r}")
+    if len(data) < 12:
+        raise TruncatedFileError("truncated header")
+    version, count = struct.unpack_from("<II", data, 4)
+    if version != FORMAT_VERSION:
+        raise TensorFileError(f"unsupported version {version}")
     if count == 0:
         raise TensorFileError("container holds no records")
-    stack = np.stack(pixels)
+    body = memoryview(data)[12:]
+
+    def shape_at(offset: int) -> tuple[int, int, int]:
+        head = np.frombuffer(body, dtype=_RECORD_HEADER, count=1, offset=offset)[0]
+        return int(head["height"]), int(head["width"]), int(head["bands"])
+
+    if len(body) < _RECORD_HEADER.itemsize:
+        raise TruncatedFileError("truncated record header at 0")
+    shape = shape_at(0)
+    size = _RECORD_HEADER.itemsize + 4 * math.prod(shape)
+    whole = min(count, len(body) // size)  # records that lie wholly in ``data``
+    heads = np.ndarray((whole,), dtype=_RECORD_HEADER, buffer=body, strides=(size,))
+    dims = np.stack([heads["height"], heads["width"], heads["bands"]], axis=1)
+    odd = np.flatnonzero((dims != shape).any(axis=1))
+    i = int(odd[0]) if odd.size else whole
+    if i < count:  # record i is odd in shape or cut short
+        if len(body) - i * size < _RECORD_HEADER.itemsize:
+            raise TruncatedFileError(f"truncated record header at {i}")
+        if shape_at(i * size) != shape:
+            raise TensorFileError(f"record {i} has shape {shape_at(i * size)}, record 0 has {shape}")
+        raise TruncatedFileError(f"truncated pixel payload at {i}")
+    records = np.frombuffer(body, dtype=_record_dtype(shape), count=count)
+    labels = records["label"].astype(np.int64)
+    pixels = records["pixels"].astype(np.float64)
+    timestamps = records["timestamp"].astype(np.int64)
     n_classes = int(labels.max()) + 1
     if n_classes <= len(EUROSAT_CLASS_NAMES):
-        return Dataset(stack, labels, timestamps)
-    return Dataset(stack, labels, timestamps, tuple(f"class{i}" for i in range(n_classes)))
+        return Dataset(pixels, labels, timestamps)
+    return Dataset(pixels, labels, timestamps, tuple(f"class{i}" for i in range(n_classes)))
 
 
 SUMMARY_CSV_HEADER = "class,count_train,count_val,count_test"

@@ -445,6 +445,8 @@ def train_dtjscc(
     return system
 
 
+# Overflow on the way to a non-finite loss is not reported: that loss raises DivergenceError.
+@np.errstate(over="ignore", invalid="ignore")
 def _train_system(
     splits: SplitDatasets, train_psnr_db: float, cfg: DtjsccConfig
 ) -> tuple[TrainedSystem, list[str]]:
@@ -529,47 +531,45 @@ def _train_system(
     return system, issues
 
 
-def save_codebook(path: str, codebook: Codebook) -> None:
-    """Write the codebook: magic "MCB1", u32 K, u32 dim, f64 entries row-major."""
-    with open(path, "wb") as fh:
-        fh.write(CODEBOOK_MAGIC)
-        fh.write(struct.pack("<II", codebook.k, codebook.dim))
-        fh.write(codebook.entries.astype("<f8").tobytes(order="C"))
+def codebook_file(codebook: Codebook) -> bytes:
+    """The codebook file: magic "MCB1", u32 K, u32 dim, f64 entries row-major."""
+    header = CODEBOOK_MAGIC + struct.pack("<II", codebook.k, codebook.dim)
+    return header + codebook.entries.astype("<f8").tobytes(order="C")
 
 
-def load_codebook(path: str) -> Codebook:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CODEBOOK_MAGIC:
-            raise CodebookError(f"bad magic {magic!r}")
-        header = fh.read(8)
-        if len(header) < 8:
-            raise CodebookError("truncated header")
-        k, dim = struct.unpack("<II", header)
-        payload = fh.read(k * dim * 8)
-        if len(payload) < k * dim * 8:
-            raise CodebookError("truncated entries")
-    entries = np.frombuffer(payload, dtype="<f8").reshape(k, dim).copy()
-    return Codebook(entries)
+def read_codebook(data: bytes) -> Codebook:
+    """The codebook of a :func:`codebook_file`."""
+    if data[:4] != CODEBOOK_MAGIC:
+        raise CodebookError(f"bad magic {data[:4]!r}")
+    if len(data) < 12:
+        raise CodebookError("truncated header")
+    k, dim = struct.unpack_from("<II", data, 4)
+    if len(data) - 12 < k * dim * 8:
+        raise CodebookError("truncated entries")
+    return Codebook(np.frombuffer(data, dtype="<f8", count=k * dim, offset=12).reshape(k, dim).copy())
 
 
-BUNDLE_FILES = ("encoder.mnn1", "classifier.mnn1", "codebook.mcb1")
-
-
-def save_bundle(directory: str, system: TrainedSystem) -> None:
-    """Persist a trained system as two checkpoints plus the codebook."""
-    os.makedirs(directory, exist_ok=True)
-    nn.save_network(system.encoder, os.path.join(directory, BUNDLE_FILES[0]))
-    nn.save_network(system.classifier, os.path.join(directory, BUNDLE_FILES[1]))
-    save_codebook(os.path.join(directory, BUNDLE_FILES[2]), system.codebook)
+def bundle_files(system: TrainedSystem) -> dict[str, bytes]:
+    """A trained system's files by name: two checkpoints plus the codebook."""
+    return {
+        "encoder.mnn1": nn.network_file(system.encoder),
+        "classifier.mnn1": nn.network_file(system.classifier),
+        "codebook.mcb1": codebook_file(system.codebook),
+    }
 
 
 def load_bundle(directory: str) -> TrainedSystem:
-    """Rehydrate a bundle written by :func:`save_bundle`; it reads no other file of ``directory``."""
-    encoder = nn.load_network(os.path.join(directory, BUNDLE_FILES[0]), ["relu", "relu"])
-    classifier = nn.load_network(os.path.join(directory, BUNDLE_FILES[1]), ["linear"])
-    codebook = load_codebook(os.path.join(directory, BUNDLE_FILES[2]))
-    return TrainedSystem(encoder=encoder, codebook=codebook, classifier=classifier)
+    """Rehydrate the :func:`bundle_files` of ``directory``; it reads no other file there."""
+
+    def read(name: str) -> bytes:
+        with open(os.path.join(directory, name), "rb") as fh:
+            return fh.read()
+
+    return TrainedSystem(
+        encoder=nn.read_network(read("encoder.mnn1"), ["relu", "relu"]),
+        classifier=nn.read_network(read("classifier.mnn1"), ["linear"]),
+        codebook=read_codebook(read("codebook.mcb1")),
+    )
 
 
 def frame_bit_count(message: QuantizedMessage) -> int:

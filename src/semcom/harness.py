@@ -390,7 +390,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _DASHES = ("", "6,3", "2,2", "8,2,2,2")
 
 
-def emit_svg_plot(result: SweepResult, path: str) -> None:
+def svg_text(result: SweepResult) -> str:
     """Hand-rolled SVG line chart: one series per (channel, K).
 
     Each marker carries its coordinates as data attributes, so the plotted
@@ -478,5 +478,4 @@ def emit_svg_plot(result: SweepResult, path: str) -> None:
             f"{html.escape(channel, quote=False)} K={k}</text>"
         )
     parts.append("</svg>")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -249,55 +249,39 @@ def gradient_check(
     return worst
 
 
-def save_network(net: Network, path: str) -> None:
-    """Write the little-endian binary checkpoint.
+def network_file(net: Network) -> bytes:
+    """The little-endian binary checkpoint of ``net``.
 
     Layout: magic "MNN1", then per layer u32 rows (fan_in), u32 cols
     (fan_out), rows*cols f64 weights row-major, cols f64 biases. Activations
-    are not stored; supply them on load.
+    are not stored; supply them to :func:`read_network`.
     """
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for layer in net.layers:
-            rows, cols = layer.weights.shape
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(layer.weights.astype("<f8").tobytes(order="C"))
-            fh.write(layer.biases.astype("<f8").tobytes())
+    parts = [MAGIC]
+    for layer in net.layers:
+        parts.append(struct.pack("<II", *layer.weights.shape))
+        parts.append(layer.weights.astype("<f8").tobytes(order="C"))
+        parts.append(layer.biases.astype("<f8").tobytes())
+    return b"".join(parts)
 
 
-def load_network(path: str, activations: Sequence[str] | None = None) -> Network:
-    """Read a checkpoint written by :func:`save_network`.
-
-    ``activations`` must match the stored layer count; when omitted, hidden
-    layers default to relu and the final layer to linear.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}")
-        raw_layers: list[tuple[np.ndarray, np.ndarray]] = []
-        while True:
-            header = fh.read(8)
-            if len(header) == 0:
-                break
-            if len(header) < 8:
-                raise CheckpointError("truncated layer header")
-            rows, cols = struct.unpack("<II", header)
-            wbytes = fh.read(rows * cols * 8)
-            bbytes = fh.read(cols * 8)
-            if len(wbytes) < rows * cols * 8 or len(bbytes) < cols * 8:
-                raise CheckpointError("truncated layer payload")
-            weights = np.frombuffer(wbytes, dtype="<f8").reshape(rows, cols).copy()
-            biases = np.frombuffer(bbytes, dtype="<f8").copy()
-            raw_layers.append((weights, biases))
+def read_network(data: bytes, activations: Sequence[str]) -> Network:
+    """The network of a :func:`network_file` checkpoint, one activation per stored layer."""
+    if data[:4] != MAGIC:
+        raise CheckpointError(f"bad magic {data[:4]!r}")
+    raw_layers: list[tuple[np.ndarray, np.ndarray]] = []
+    pos = 4
+    while pos < len(data):
+        if len(data) - pos < 8:
+            raise CheckpointError("truncated layer header")
+        rows, cols = struct.unpack_from("<II", data, pos)
+        count = (rows + 1) * cols  # the weights, then the biases
+        if len(data) - pos - 8 < count * 8:
+            raise CheckpointError("truncated layer payload")
+        values = np.frombuffer(data, dtype="<f8", count=count, offset=pos + 8)
+        raw_layers.append((values[: rows * cols].reshape(rows, cols).copy(), values[rows * cols :].copy()))
+        pos += 8 + count * 8
     if not raw_layers:
         raise CheckpointError("checkpoint holds no layers")
-    if activations is None:
-        activations = ["relu"] * (len(raw_layers) - 1) + ["linear"]
     if len(activations) != len(raw_layers):
-        raise CheckpointError(
-            f"{len(activations)} activations supplied for {len(raw_layers)} layers"
-        )
-    return Network(
-        [Layer(w, b, act) for (w, b), act in zip(raw_layers, activations)]
-    )
+        raise CheckpointError(f"{len(activations)} activations supplied for {len(raw_layers)} layers")
+    return Network([Layer(w, b, act) for (w, b), act in zip(raw_layers, activations)])

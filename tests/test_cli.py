@@ -11,7 +11,7 @@ import pytest
 
 import semcom
 from semcom.cli import main
-from semcom.dataset import load_tensor_file
+from semcom.dataset import read_tensor_file
 from semcom.geometry import LINK_REPORT_CSV_HEADER
 
 from conftest import DIVERGING_INI
@@ -258,6 +258,19 @@ class TestDivergedPretraining:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "confusion", "csa"])
+    def test_the_error_is_the_only_line_on_stderr(self, tmp_path, command, capsys):
+        """Overflow on the way to the NaN loss raises no RuntimeWarning, even one made an error."""
+        (tmp_path / "nan.ini").write_text(DIVERGING_INI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", str(tmp_path / "nan.ini"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: training diverged at epoch 0 (loss nan) at dtjscc.learning_rate = 0.05\n"
+        )
+
+
 class TestTrainCommand:
     # Trains to chance under every recorded BLAS kernel: the step size blows
     # the epoch-0 loss up and the codebook collapses.
@@ -301,7 +314,7 @@ class TestDataCommand:
         assert main(["gen-data", "--config", tiny_ini, "--out", str(out)]) == 0
         for tag in ("t0", "t1"):
             for part in ("train", "val", "test"):
-                ds = load_tensor_file(str(out / f"{tag}_{part}.msit"))
+                ds = read_tensor_file((out / f"{tag}_{part}.msit").read_bytes())
                 assert len(ds) > 0
         summary = (out / "summary.csv").read_text()
         assert summary.startswith("class,")

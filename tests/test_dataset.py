@@ -21,10 +21,10 @@ from semcom.dataset import (
     TruncatedFileError,
     _class_signatures,
     generate_synthetic,
-    load_tensor_file,
-    save_tensor_file,
+    read_tensor_file,
     split,
     summary_csv,
+    tensor_file,
 )
 from semcom.seeding import spawn_rng
 
@@ -273,70 +273,212 @@ class TestSplitCounts:
             assert np.all(np.bincount(part.labels, minlength=10) == count)
 
 
+def oracle_save_tensor_file(path, dataset):
+    """The per-record MSIT writer ``tensor_file`` replaced, kept verbatim as its oracle."""
+    n = len(dataset)
+    h, w, d = dataset.pixels.shape[1:]
+    if max(h, w, d) > 0xFFFF:
+        raise DimensionOverflowError(f"dimensions ({h}, {w}, {d}) exceed u16")
+    if n and int(dataset.labels.max()) > 0xFFFF:
+        raise DimensionOverflowError("label exceeds u16")
+    if n and int(dataset.timestamps.max()) > 0xFFFFFFFF:
+        raise DimensionOverflowError("timestamp index exceeds u32")
+    with open(path, "wb") as fh:
+        fh.write(b"MSIT")
+        fh.write(struct.pack("<II", 1, n))
+        for i in range(n):
+            fh.write(struct.pack("<HHHHI", h, w, d, int(dataset.labels[i]), int(dataset.timestamps[i])))
+            fh.write(dataset.pixels[i].astype("<f4").tobytes(order="C"))
+
+
+def oracle_load_tensor_file(path):
+    """The record-by-record MSIT reader ``read_tensor_file`` replaced, kept verbatim as its oracle."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != b"MSIT":
+            raise BadMagicError(f"bad magic {magic!r}")
+        header = fh.read(8)
+        if len(header) < 8:
+            raise TruncatedFileError("truncated header")
+        version, count = struct.unpack("<II", header)
+        if version != 1:
+            raise TensorFileError(f"unsupported version {version}")
+        pixels = []
+        labels = np.empty(count, dtype=np.int64)
+        timestamps = np.empty(count, dtype=np.int64)
+        for i in range(count):
+            rec = fh.read(12)
+            if len(rec) < 12:
+                raise TruncatedFileError(f"truncated record header at {i}")
+            h, w, d, label, ts = struct.unpack("<HHHHI", rec)
+            if pixels and (h, w, d) != pixels[0].shape:
+                raise TensorFileError(f"record {i} has shape {(h, w, d)}, record 0 has {pixels[0].shape}")
+            payload = fh.read(h * w * d * 4)
+            if len(payload) < h * w * d * 4:
+                raise TruncatedFileError(f"truncated pixel payload at {i}")
+            pixels.append(np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(h, w, d))
+            labels[i] = label
+            timestamps[i] = ts
+    if count == 0:
+        raise TensorFileError("container holds no records")
+    stack = np.stack(pixels)
+    n_classes = int(labels.max()) + 1
+    if n_classes <= len(EUROSAT_CLASS_NAMES):
+        return Dataset(stack, labels, timestamps)
+    return Dataset(stack, labels, timestamps, tuple(f"class{i}" for i in range(n_classes)))
+
+
+def record(h, w, d, label=0, timestamp=0):
+    return struct.pack("<HHHHI", h, w, d, label, timestamp) + np.zeros(h * w * d, dtype="<f4").tobytes()
+
+
+def container(*records, count=None):
+    return b"MSIT" + struct.pack("<II", 1, len(records) if count is None else count) + b"".join(records)
+
+
 class TestContainerFormat:
-    def test_round_trip_is_exact(self, tmp_path):
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (7, 2, 13), (2, 9, 1)])
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_bytes_equal_the_per_record_writer(self, tmp_path, shape, n):
+        rng = spawn_rng(2, "msit", n, *shape)
+        ds = Dataset(
+            rng.normal(0.0, 1e3, size=(n, *shape)),
+            rng.integers(0, 10, size=n),
+            rng.integers(0, 2**32, size=n),
+        )
+        oracle_save_tensor_file(str(tmp_path / "o.msit"), ds)
+        assert tensor_file(ds) == (tmp_path / "o.msit").read_bytes()
+
+    def test_the_widest_labels_and_timestamps_match_the_per_record_writer(self, tmp_path):
+        labels = np.array([0, 1, 65_534, 65_535])
+        ds = Dataset(
+            spawn_rng(3, "msit").standard_normal((4, 2, 3, 2)),
+            labels,
+            np.array([0, 1, 2**32 - 2, 2**32 - 1]),
+            tuple(f"c{i}" for i in range(65_536)),
+        )
+        oracle_save_tensor_file(str(tmp_path / "o.msit"), ds)
+        data = tensor_file(ds)
+        assert data == (tmp_path / "o.msit").read_bytes()
+        back = read_tensor_file(data)
+        np.testing.assert_array_equal(back.labels, labels)
+        np.testing.assert_array_equal(back.timestamps, ds.timestamps)
+        assert back.class_names[-1] == "class65535"
+
+    def test_round_trip_is_exact(self):
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=3, seed=7))
-        path = str(tmp_path / "data.msit")
-        save_tensor_file(path, t0.train)
-        back = load_tensor_file(path)
+        back = read_tensor_file(tensor_file(t0.train))
         np.testing.assert_array_equal(back.pixels, t0.train.pixels)
         np.testing.assert_array_equal(back.labels, t0.train.labels)
         np.testing.assert_array_equal(back.timestamps, t0.train.timestamps)
+        assert back.class_names == t0.train.class_names
+        assert back.pixels.flags.c_contiguous and back.pixels.flags.writeable
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.msit"
-        path.write_bytes(b"JUNKxxxxxxxx")
-        with pytest.raises(BadMagicError):
-            load_tensor_file(str(path))
+    def test_bad_magic(self):
+        with pytest.raises(BadMagicError, match=r"^bad magic b'JUNK'$"):
+            read_tensor_file(b"JUNKxxxxxxxx")
 
-    def test_truncated_header_and_payload(self, tmp_path):
+    def test_truncated_header_and_payload(self):
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=2, seed=8))
-        path = tmp_path / "cut.msit"
-        save_tensor_file(str(path), t0.val)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:6])
-        with pytest.raises(TruncatedFileError):
-            load_tensor_file(str(path))
-        path.write_bytes(blob[: len(blob) - 5])
-        with pytest.raises(TruncatedFileError):
-            load_tensor_file(str(path))
+        blob = tensor_file(t0.train)
+        with pytest.raises(TruncatedFileError, match="^truncated header$"):
+            read_tensor_file(blob[:6])
+        with pytest.raises(TruncatedFileError, match="^truncated record header at 0$"):
+            read_tensor_file(blob[:20])
+        with pytest.raises(TruncatedFileError, match=f"^truncated pixel payload at {len(t0.train) - 1}$"):
+            read_tensor_file(blob[: len(blob) - 5])
 
-    def test_mixed_record_shapes_name_the_first_odd_record(self, tmp_path):
-        def record(h, w, d):
-            return struct.pack("<HHHHI", h, w, d, 0, 0) + np.zeros(h * w * d, dtype="<f4").tobytes()
+    def test_every_cut_names_the_record_it_falls_in(self):
+        blob = container(record(2, 1, 1), record(2, 1, 1), record(2, 1, 1))
+        size = 12 + 2 * 4
+        for cut in range(12, len(blob)):
+            i, at = divmod(cut - 12, size)
+            part = "record header" if at < 12 else "pixel payload"
+            with pytest.raises(TruncatedFileError, match=f"^truncated {part} at {i}$"):
+                read_tensor_file(blob[:cut])
+        assert len(read_tensor_file(blob)) == 3
 
-        path = tmp_path / "mixed.msit"
-        records = record(2, 2, 3) + record(2, 2, 3) + record(2, 3, 3) + record(1, 1, 1)
-        path.write_bytes(b"MSIT" + struct.pack("<II", 1, 4) + records)
+    def test_mixed_record_shapes_name_the_first_odd_record(self):
+        data = container(record(2, 2, 3), record(2, 2, 3), record(2, 3, 3), record(1, 1, 1))
         want = r"^record 2 has shape \(2, 3, 3\), record 0 has \(2, 2, 3\)$"
         with pytest.raises(TensorFileError, match=want):
-            load_tensor_file(str(path))
+            read_tensor_file(data)
 
-    def test_unsupported_version(self, tmp_path):
+    def test_an_odd_shape_is_named_before_a_cut_in_the_same_record(self):
+        data = container(record(2, 2, 3), record(2, 3, 3))
+        want = r"^record 1 has shape \(2, 3, 3\), record 0 has \(2, 2, 3\)$"
+        with pytest.raises(TensorFileError, match=want):
+            read_tensor_file(data[:-1])
+        # A smaller record padded out to record 0's size is still named by its shape.
+        want = r"^record 1 has shape \(1, 1, 1\), record 0 has \(2, 2, 3\)$"
+        with pytest.raises(TensorFileError, match=want):
+            read_tensor_file(container(record(2, 2, 3), record(1, 1, 1)) + bytes(44))
+
+    def test_a_cut_before_an_odd_record_is_named_first(self):
+        data = container(record(2, 2, 3), record(2, 2, 3), record(2, 3, 3))
+        with pytest.raises(TruncatedFileError, match="^truncated pixel payload at 1$"):
+            read_tensor_file(data[: 12 + 60 + 30])
+
+    def test_a_record_count_beyond_the_data_is_a_cut(self):
+        with pytest.raises(TruncatedFileError, match="^truncated record header at 1$"):
+            read_tensor_file(container(record(2, 2, 3), count=2**32 - 1))
+        with pytest.raises(TruncatedFileError, match="^truncated pixel payload at 0$"):
+            read_tensor_file(container(struct.pack("<HHHHI", 0xFFFF, 0xFFFF, 0xFFFF, 0, 0) + bytes(64)))
+
+    @given(
+        shapes=st.lists(st.sampled_from([(2, 2, 3), (2, 3, 3), (1, 1, 1), (0, 4, 1)]), max_size=5),
+        extra=st.integers(-2, 2),
+        cut=st.integers(0, 400),
+        seed=st.integers(0, 2**16),
+    )
+    def test_outcome_matches_the_record_by_record_reader(self, tmp_path_factory, shapes, extra, cut, seed):
+        """Every container, cut anywhere: the same dataset, or the same error class and message."""
+        rng = spawn_rng(seed, "msit")
+        records = b"".join(
+            struct.pack("<HHHHI", *shape, int(rng.integers(0, 12)), int(rng.integers(0, 2**32)))
+            + rng.standard_normal(math.prod(shape)).astype("<f4").tobytes()
+            for shape in shapes
+        )
+        data = container(records, count=max(0, len(shapes) + extra))[:cut]
+        path = tmp_path_factory.mktemp("msit") / "x.msit"
+        path.write_bytes(data)
+
+        def outcome(read, arg):
+            try:
+                ds = read(arg)
+            except TensorFileError as exc:
+                return type(exc), str(exc)
+            return ds.pixels.tobytes(), ds.pixels.shape, ds.labels.tolist(), ds.timestamps.tolist(), ds.class_names
+
+        assert outcome(read_tensor_file, data) == outcome(oracle_load_tensor_file, str(path))
+
+    def test_unsupported_version(self):
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=2, seed=8))
-        path = tmp_path / "v9.msit"
-        save_tensor_file(str(path), t0.val)
-        blob = bytearray(path.read_bytes())
+        blob = bytearray(tensor_file(t0.val))
         blob[4:8] = struct.pack("<I", 9)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(TensorFileError):
-            load_tensor_file(str(path))
+        with pytest.raises(TensorFileError, match="^unsupported version 9$"):
+            read_tensor_file(bytes(blob))
 
-    def test_empty_container_rejected(self, tmp_path):
-        path = tmp_path / "empty.msit"
-        path.write_bytes(b"MSIT" + struct.pack("<II", 1, 0))
-        with pytest.raises(TensorFileError):
-            load_tensor_file(str(path))
+    def test_empty_container_rejected(self):
+        with pytest.raises(TensorFileError, match="^container holds no records$"):
+            read_tensor_file(container())
+        assert tensor_file(Dataset(np.zeros((0, 2, 2, 1)), [], [])) == container()
 
-    def test_dimension_overflow_on_save(self, tmp_path):
+    def test_dimension_overflow_on_save(self):
         ds = Dataset(
             np.zeros((1, 2, 2, 1)),
             np.array([70000]),
             np.zeros(1, dtype=np.int64),
             tuple(f"c{i}" for i in range(70001)),
         )
-        with pytest.raises(DimensionOverflowError):
-            save_tensor_file(str(tmp_path / "o.msit"), ds)
+        with pytest.raises(DimensionOverflowError, match="^label exceeds u16$"):
+            tensor_file(ds)
+
+    @pytest.mark.parametrize("stamp", [-1, 2**32])
+    def test_timestamp_outside_u32_on_save(self, stamp):
+        ds = Dataset(np.zeros((1, 2, 2, 1)), [0], [stamp])
+        with pytest.raises(DimensionOverflowError, match="^timestamp index outside u32$"):
+            tensor_file(ds)
 
 
 class TestSummaries:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from semcom import dtjscc, nn
+from semcom.cli import write_files
 from semcom.channel import noise_variance_from_psnr
 from semcom.config import ChannelConfig, ChannelKind, DatasetSpec, DtjsccConfig, load_config
 from semcom.dataset import Dataset, SplitDatasets, generate_synthetic
@@ -25,12 +27,12 @@ from semcom.dtjscc import (
     classify_over_channel,
     dequantize,
     encode,
+    bundle_files,
+    codebook_file,
     frame_bit_count,
     load_bundle,
-    load_codebook,
     quantize,
-    save_bundle,
-    save_codebook,
+    read_codebook,
     send_over_channel,
     train_dtjscc,
     transmit,
@@ -543,26 +545,43 @@ class TestTrainingCache:
         assert any(m.startswith("training stalled") for m in messages[0])
 
 
-class TestPersistence:
-    def test_codebook_round_trip(self, tmp_path):
-        cb = Codebook(spawn_rng(10, "p").standard_normal((64, 4)))
-        path = str(tmp_path / "cb.mcb1")
-        save_codebook(path, cb)
-        back = load_codebook(path)
-        np.testing.assert_array_equal(back.entries, cb.entries)
+def oracle_save_codebook(path, codebook):
+    """The path-based codebook writer ``codebook_file`` replaced, kept verbatim as its oracle."""
+    with open(path, "wb") as fh:
+        fh.write(dtjscc.CODEBOOK_MAGIC)
+        fh.write(struct.pack("<II", codebook.k, codebook.dim))
+        fh.write(codebook.entries.astype("<f8").tobytes(order="C"))
 
-    def test_codebook_bad_magic_and_truncation(self, tmp_path):
-        path = tmp_path / "bad.mcb1"
-        path.write_bytes(b"XXXX" + b"\x00" * 12)
-        with pytest.raises(CodebookError):
-            load_codebook(str(path))
-        cb = Codebook(spawn_rng(11, "p").standard_normal((32, 4)))
-        good = tmp_path / "cut.mcb1"
-        save_codebook(str(good), cb)
-        blob = good.read_bytes()
-        good.write_bytes(blob[: len(blob) - 3])
-        with pytest.raises(CodebookError):
-            load_codebook(str(good))
+
+class TestPersistence:
+    @pytest.mark.parametrize("k,dim", [(2, 1), (32, 4), (64, 7)])
+    def test_codebook_bytes_equal_the_path_writer(self, tmp_path, k, dim):
+        cb = Codebook(spawn_rng(10, "p", k).standard_normal((k, dim)))
+        oracle_save_codebook(str(tmp_path / "cb.mcb1"), cb)
+        assert codebook_file(cb) == (tmp_path / "cb.mcb1").read_bytes()
+
+    def test_codebook_round_trip(self):
+        cb = Codebook(spawn_rng(10, "p").standard_normal((64, 4)))
+        back = read_codebook(codebook_file(cb))
+        np.testing.assert_array_equal(back.entries, cb.entries)
+        assert back.entries.flags.writeable
+
+    def test_codebook_bad_magic_and_truncation(self):
+        with pytest.raises(CodebookError, match=r"^bad magic b'XXXX'$"):
+            read_codebook(b"XXXX" + b"\x00" * 12)
+        blob = codebook_file(Codebook(spawn_rng(11, "p").standard_normal((32, 4))))
+        with pytest.raises(CodebookError, match="^truncated header$"):
+            read_codebook(blob[:9])
+        with pytest.raises(CodebookError, match="^truncated entries$"):
+            read_codebook(blob[: len(blob) - 3])
+
+    def test_bundle_bytes_equal_the_path_writers(self, tmp_path, small_system):
+        oracle_save_codebook(str(tmp_path / "cb"), small_system.codebook)
+        files = bundle_files(small_system)
+        assert list(files) == ["encoder.mnn1", "classifier.mnn1", "codebook.mcb1"]
+        assert files["codebook.mcb1"] == (tmp_path / "cb").read_bytes()
+        assert files["encoder.mnn1"] == nn.network_file(small_system.encoder)
+        assert files["classifier.mnn1"] == nn.network_file(small_system.classifier)
 
     @staticmethod
     def assert_same_bundle(back, system):
@@ -575,17 +594,17 @@ class TestPersistence:
         assert back.blocks == system.blocks
 
     def test_bundle_round_trip(self, tmp_path, small_system):
-        directory = str(tmp_path / "bundle")
-        save_bundle(directory, small_system)
-        assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == sorted(dtjscc.BUNDLE_FILES)
-        self.assert_same_bundle(load_bundle(directory), small_system)
+        directory = tmp_path / "bundle"
+        write_files(str(directory), bundle_files(small_system))
+        assert sorted(p.name for p in directory.iterdir()) == sorted(bundle_files(small_system))
+        self.assert_same_bundle(load_bundle(str(directory)), small_system)
 
     def test_a_bundle_that_also_holds_a_covariance_predictor_loads(self, tmp_path, small_system):
         """Bundles once held CSA's untrained covariance predictor as a fourth file; it is not read."""
         directory = tmp_path / "bundle"
-        save_bundle(str(directory), small_system)
         a, c = small_system.feature_dim, small_system.n_classes
         predictor = nn.init_network([a, 32, 32, c * a], ["relu", "relu", "softplus"], seed=7)
-        nn.save_network(predictor, str(directory / "covariance.mnn1"))
+        files = {**bundle_files(small_system), "covariance.mnn1": nn.network_file(predictor)}
+        write_files(str(directory), files)
         assert len(list(directory.iterdir())) == 4
         self.assert_same_bundle(load_bundle(str(directory)), small_system)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from semcom import config, harness
-from semcom.cli import main, write_text
+from semcom.cli import main, write_files
 from semcom.config import ChannelConfig, ChannelKind, ConfigError, HarnessConfig, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, rounds_to_target, run_csa_end_to_end
 from semcom.dataset import generate_synthetic
@@ -26,13 +26,13 @@ from semcom.harness import (
     SweepResult,
     SweepRow,
     build_csa_scenario,
-    emit_svg_plot,
     evaluate_through_channel,
     fedavg_client_shards,
     restrict_t1_train,
     roundlog_csv,
     run_round_race,
     run_sweep,
+    svg_text,
 )
 from semcom.modem import build_constellation
 
@@ -308,10 +308,8 @@ class TestRunSweep:
         forget_training()  # pool workers fork with the memory; train as a new process would
         assert run_sweep(parallel).csv() == sweep_result.csv()
 
-    def test_svg_plot_embeds_the_series_means(self, sweep_result, tmp_path):
-        path = tmp_path / "plot.svg"
-        emit_svg_plot(sweep_result, str(path))
-        text = path.read_text()
+    def test_svg_plot_embeds_the_series_means(self, sweep_result):
+        text = svg_text(sweep_result)
         assert text.startswith("<svg")
         embedded = {
             (float(m.group(1)), float(m.group(2)))
@@ -322,12 +320,10 @@ class TestRunSweep:
         }
         assert embedded == expected
 
-    def test_svg_legend_escapes_markup(self, tmp_path):
+    def test_svg_legend_escapes_markup(self):
         name = "a&b<c>d"
         rows = [SweepRow(name, "16apsk", 32, psnr, 0, 0.5) for psnr in (0.0, 8.0)]
-        path = tmp_path / "plot.svg"
-        emit_svg_plot(SweepResult(rows), str(path))
-        text = path.read_text()
+        text = svg_text(SweepResult(rows))
         assert f">{escape(name)} K=32</text>" in text
         assert ">a&amp;b&lt;c&gt;d K=32</text>" in text
         assert name not in text
@@ -535,8 +531,10 @@ class TestRace:
         assert (len(calls), len(trainings)) == (2, 1)
 
 
-class TestWriteText:
-    def test_creates_parent_directories(self, tmp_path):
-        path = tmp_path / "deep" / "nested" / "out.csv"
-        write_text(str(path), "hello\n")
-        assert path.read_text() == "hello\n"
+class TestWriteFiles:
+    def test_makes_each_directory_and_writes_text_without_newline_translation(self, tmp_path):
+        out = tmp_path / "deep" / "out"
+        write_files(str(out), {"a.csv": "x\r\ny\n", "bundle/net.mnn1": b"\x00\n\r\xff"})
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == ["a.csv", "bundle", "bundle/net.mnn1"]
+        assert (out / "a.csv").read_bytes() == b"x\r\ny\n"
+        assert (out / "bundle" / "net.mnn1").read_bytes() == b"\x00\n\r\xff"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -176,36 +177,64 @@ class TestTraining:
         assert net.layers[0].weights[0, 0] != clone.layers[0].weights[0, 0]
 
 
+def oracle_save_network(net, path):
+    """The path-based checkpoint writer ``nn.network_file`` replaced, kept verbatim as its oracle."""
+    with open(path, "wb") as fh:
+        fh.write(nn.MAGIC)
+        for layer in net.layers:
+            rows, cols = layer.weights.shape
+            fh.write(struct.pack("<II", rows, cols))
+            fh.write(layer.weights.astype("<f8").tobytes(order="C"))
+            fh.write(layer.biases.astype("<f8").tobytes())
+
+
 class TestCheckpointFormat:
-    def test_round_trip_is_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sizes,activations",
+        [
+            ((7, 1), ("linear",)),
+            ((4, 6, 3), ("tanh", "linear")),
+            ((5, 9, 1, 13), ("relu", "softplus", "linear")),
+        ],
+        ids=["one-layer", "two-layer", "three-layer"],
+    )
+    def test_bytes_equal_the_path_writer(self, tmp_path, sizes, activations):
+        net = nn.init_network(sizes, activations, seed=12)
+        for layer in net.layers:
+            layer.biases[:] = spawn_rng(3, "bias").standard_normal(layer.biases.shape)
+        path = tmp_path / "net.mnn"
+        oracle_save_network(net, str(path))
+        assert nn.network_file(net) == path.read_bytes()
+
+    def test_round_trip_is_bit_exact(self):
         net = nn.init_network([4, 6, 3], ["tanh", "linear"], seed=12)
-        path = str(tmp_path / "net.mnn")
-        nn.save_network(net, path)
-        back = nn.load_network(path, activations=["tanh", "linear"])
+        back = nn.read_network(nn.network_file(net), ["tanh", "linear"])
         assert len(back.layers) == 2
         for a, b in zip(net.layers, back.layers):
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.biases, b.biases)
             assert a.activation == b.activation
+            assert a.weights.flags.writeable and b.biases.flags.writeable
 
-    def test_default_activations_on_load(self, tmp_path):
-        net = nn.init_network([4, 6, 3], ["tanh", "linear"], seed=12)
-        path = str(tmp_path / "net.mnn")
-        nn.save_network(net, path)
-        back = nn.load_network(path)
-        assert [l.activation for l in back.layers] == ["relu", "linear"]
+    def test_bad_magic_rejected(self):
+        with pytest.raises(nn.CheckpointError, match=r"^bad magic b'NOPE'$"):
+            nn.read_network(b"NOPE" + b"\x00" * 16, ["linear"])
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.mnn"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(nn.CheckpointError):
-            nn.load_network(str(path))
+    def test_truncated_payload_rejected(self):
+        blob = nn.network_file(make_mlp())
+        with pytest.raises(nn.CheckpointError, match="^truncated layer payload$"):
+            nn.read_network(blob[: len(blob) - 9], ["tanh", "linear"])
 
-    def test_truncated_payload_rejected(self, tmp_path):
-        net = make_mlp()
-        path = tmp_path / "cut.mnn"
-        nn.save_network(net, str(path))
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 9])
-        with pytest.raises(nn.CheckpointError):
-            nn.load_network(str(path))
+    def test_truncated_header_rejected(self):
+        blob = nn.network_file(make_mlp())
+        with pytest.raises(nn.CheckpointError, match="^truncated layer header$"):
+            nn.read_network(blob + b"\x01\x00", ["tanh", "linear"])
+
+    def test_empty_checkpoint_rejected(self):
+        with pytest.raises(nn.CheckpointError, match="^checkpoint holds no layers$"):
+            nn.read_network(nn.MAGIC, [])
+
+    def test_activation_count_must_match(self):
+        with pytest.raises(nn.CheckpointError, match="^1 activations supplied for 2 layers$"):
+            nn.read_network(nn.network_file(make_mlp()), ["linear"])
+
