@@ -68,8 +68,7 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ChannelKind(self.kind))
-        if not 0.0 <= self.rician_factor < math.inf:  # also false for NaN
-            raise ValueError(f"rician_factor must be >= 0 and finite, got {self.rician_factor}")
+        require(self, NOT_NEGATIVE_FINITE, "rician_factor")
 
 
 def psnr_ratio(psnr_db: float) -> float:
@@ -94,22 +93,44 @@ def psnr_ratio(psnr_db: float) -> float:
     return ratio
 
 
-def check_psnr(name: str, *psnrs_db: float) -> None:
-    """Raise :class:`ValueError` naming ``name`` at the first PSNR that is not
-    finite with a power ratio a float holds."""
-    for psnr_db in psnrs_db:
-        try:
-            usable = math.isfinite(psnr_ratio(psnr_db))
-        except ValueError:
-            usable = False
-        if not usable:
-            raise ValueError(f"{name} must be a finite PSNR whose power ratio fits a float, got {psnr_db}")
+def _is_psnr(psnr_db: float) -> bool:
+    """Whether ``psnr_db`` is finite with a power ratio a float holds."""
+    try:
+        return math.isfinite(psnr_ratio(psnr_db))
+    except ValueError:
+        return False
 
 
-def check_table_order(n: int, what: str) -> None:
-    """Raise ``ValueError("<what> be a power of two in [2, 2**TABLE_BITS], got <n>")`` unless ``n`` is one."""
-    if n < 2 or n & (n - 1) or n > 1 << TABLE_BITS:
-        raise ValueError(f"{what} be a power of two in [2, {1 << TABLE_BITS}], got {n}")
+def is_table_order(n: int) -> bool:
+    """Whether ``n`` is a power of two in ``[2, 2**TABLE_BITS]``: a codebook size or PSK order."""
+    return 2 <= n <= 1 << TABLE_BITS and not n & (n - 1)
+
+
+# Named range rules, each a (test, words) pair for :func:`require`. Every test
+# is written as the in-range comparison, so NaN fails it.
+_KINDS = [kind.value for kind in ChannelKind]
+AT_LEAST_1 = (lambda n: n >= 1, "must be at least 1")
+NOT_NEGATIVE = (lambda n: n >= 0, "must be >= 0")
+POSITIVE = (lambda x: x > 0, "must be positive")
+POSITIVE_FINITE = (lambda x: 0.0 < x < math.inf, "must be positive and finite")
+NOT_NEGATIVE_FINITE = (lambda x: 0.0 <= x < math.inf, "must be >= 0 and finite")
+TABLE_ORDER = (is_table_order, f"must be a power of two in [2, {1 << TABLE_BITS}]")
+PSNR = (_is_psnr, "must be a finite PSNR whose power ratio fits a float")
+CHANNEL_KIND = (lambda kind: kind in _KINDS, f"must be one of {_KINDS}")
+SHARD_MODE = (lambda mode: mode in SHARD_MODES, f"must be one of {SHARD_MODES}")
+
+
+def require(settings, rule: tuple, *names: str) -> None:
+    """Raise ``ValueError("<name> <words>, got <value!r>")`` at the first of
+    ``names`` whose value fails ``rule``'s test; a tuple field names its first
+    failing item. :func:`load_config` reads ``<name>`` as the key at fault.
+    """
+    test, words = rule
+    for name in names:
+        value = getattr(settings, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if not test(item):
+                raise ValueError(f"{name} {words}, got {item!r}")
 
 
 def parse_modulation(name: str) -> tuple[str, int]:
@@ -123,7 +144,8 @@ def parse_modulation(name: str) -> tuple[str, int]:
         return "apsk", 16
     if name.endswith("psk") and name[:-3].isdigit():
         order = int(name[:-3])
-        check_table_order(order, "order must")
+        if not is_table_order(order):
+            raise ValueError(f"order {TABLE_ORDER[1]}, got {order}")
         return "psk", order
     raise ValueError(f"unknown constellation {name!r}")
 
@@ -182,17 +204,11 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("per_class_count", "height", "width", "bands"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         top = DATASET_SCALE_MAX
-        if not 0.0 < self.class_separation <= top:  # also false for NaN
-            raise ValueError(f"class_separation must lie in (0, {top}], got {self.class_separation}")
-        for name in ("temporal_drift", "noise_sigma"):
-            if not 0.0 <= getattr(self, name) <= top:
-                raise ValueError(f"{name} must lie in [0, {top}], got {getattr(self, name)}")
-        if not abs(self.texture_amplitude) <= top:
-            raise ValueError(f"texture_amplitude must lie in [-{top}, {top}], got {self.texture_amplitude}")
+        require(self, POSITIVE, "per_class_count", "height", "width", "bands")
+        require(self, (lambda x: 0.0 < x <= top, f"must lie in (0, {top}]"), "class_separation")
+        require(self, (lambda x: 0.0 <= x <= top, f"must lie in [0, {top}]"), "temporal_drift", "noise_sigma")
+        require(self, (lambda x: abs(x) <= top, f"must lie in [-{top}, {top}]"), "texture_amplitude")
 
 
 @dataclass(frozen=True)
@@ -212,17 +228,12 @@ class DtjsccConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_table_order(self.k, "k must")
-        for name in ("feature_dim", "encoder_hidden", "epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for name in ("codebook_weight", "commitment_weight"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # also false for NaN
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if self.blocks < 1 or self.feature_dim % self.blocks != 0:
-            raise ValueError(f"blocks must divide feature_dim {self.feature_dim}, got {self.blocks}")
+        require(self, TABLE_ORDER, "k")
+        require(self, AT_LEAST_1, "feature_dim", "encoder_hidden", "epochs", "batch_size", "patience")
+        require(self, POSITIVE_FINITE, "learning_rate")
+        require(self, NOT_NEGATIVE_FINITE, "codebook_weight", "commitment_weight")
+        dim = self.feature_dim
+        require(self, (lambda b: b >= 1 and dim % b == 0, f"must divide feature_dim {dim}"), "blocks")
 
 
 @dataclass(frozen=True)
@@ -247,25 +258,14 @@ class SAConfig:
     target_accuracy: float = 0.75
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sa_lambda < math.inf:  # also false for NaN
-            raise ValueError(f"sa_lambda must be >= 0 and finite, got {self.sa_lambda}")
-        if self.inner_steps < 0:
-            raise ValueError(f"inner_steps must be >= 0, got {self.inner_steps}")
-        for name in ("rounds", "reference_batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        check_psnr("isl_psnr_db", self.isl_psnr_db)
-        check_psnr("eval_psnr_db", self.eval_psnr_db)
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
-        if not 0.0 < self.target_accuracy <= 1.0:  # also false for NaN
-            raise ValueError(f"target_accuracy must lie in (0, 1], got {self.target_accuracy}")
-        for name in ("meta_learning_rate", "inner_learning_rate"):
-            if not 0.0 < getattr(self, name) < math.inf:  # also false for NaN
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        kinds = [kind.value for kind in ChannelKind]
-        if self.downlink_kind not in kinds:
-            raise ValueError(f"downlink_kind must be one of {kinds}, got {self.downlink_kind!r}")
+        require(self, NOT_NEGATIVE_FINITE, "sa_lambda")
+        require(self, NOT_NEGATIVE, "inner_steps")
+        require(self, AT_LEAST_1, "rounds", "reference_batch")
+        require(self, PSNR, "isl_psnr_db", "eval_psnr_db")
+        require(self, (lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]"), "warmup_fraction")
+        require(self, (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"), "target_accuracy")
+        require(self, POSITIVE_FINITE, "meta_learning_rate", "inner_learning_rate")
+        require(self, CHANNEL_KIND, "downlink_kind")
 
 
 @dataclass(frozen=True)
@@ -286,15 +286,10 @@ class FedAvgConfig:
     scarce_per_class: int = 0
 
     def __post_init__(self) -> None:
-        if self.scarce_per_class < 0:
-            raise ValueError(f"scarce_per_class must be >= 0, got {self.scarce_per_class}")
-        if self.shards not in SHARD_MODES:
-            raise ValueError(f"shards must be one of {SHARD_MODES}, got {self.shards!r}")
-        for name in ("clients", "rounds", "batch_size", "local_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0.0 < self.learning_rate < math.inf:  # also false for NaN
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        require(self, NOT_NEGATIVE, "scarce_per_class")
+        require(self, SHARD_MODE, "shards")
+        require(self, AT_LEAST_1, "clients", "rounds", "batch_size", "local_epochs")
+        require(self, POSITIVE_FINITE, "learning_rate")
 
 
 @dataclass(frozen=True)
@@ -321,21 +316,12 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("trials", "workers", "eval_frame", "eval_repetitions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        check_psnr("psnr_grid_db", *self.psnr_grid_db)
-        check_psnr("train_psnr_db", self.train_psnr_db)
-        check_psnr("eval_psnr_db", self.eval_psnr_db)
-        for k in self.k_presets:
-            check_table_order(k, "k_presets must each")
-        ChannelConfig(rician_factor=self.rician_factor)  # raises on a factor no channel can use
-        kinds = [kind.value for kind in ChannelKind]
-        for kind in self.channels:
-            if kind not in kinds:
-                raise ValueError(f"channels must each be one of {kinds}, got {kind!r}")
-        if not 0.0 < self.apsk_ring_ratio < math.inf:  # also false for NaN
-            raise ValueError(f"apsk_ring_ratio must be positive and finite, got {self.apsk_ring_ratio}")
+        require(self, AT_LEAST_1, "trials", "workers", "eval_frame", "eval_repetitions")
+        require(self, PSNR, "psnr_grid_db", "train_psnr_db", "eval_psnr_db")
+        require(self, TABLE_ORDER, "k_presets")
+        require(self, NOT_NEGATIVE_FINITE, "rician_factor")
+        require(self, CHANNEL_KIND, "channels")
+        require(self, POSITIVE_FINITE, "apsk_ring_ratio")
         for name in ("channels", "k_presets", "psnr_grid_db"):
             values = getattr(self, name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]

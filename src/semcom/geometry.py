@@ -159,6 +159,8 @@ class LinkBudget:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.elevation_deg <= 90.0:
             raise ValueError(f"elevation_deg must lie in (0, 90], got {self.elevation_deg}")
+        if not math.radians(self.elevation_deg) > 0:  # a subnormal angle underflows
+            raise ValueError(f"elevation_deg must be positive in radians too, got {self.elevation_deg}")
         for f in fields(self):
             if f.name.endswith("_db") and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")

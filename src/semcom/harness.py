@@ -165,12 +165,14 @@ def run_sweep(cfg: HarnessConfig) -> SweepResult:
     ex = cfg.experiment
     splits, _ = generate_synthetic(cfg.dataset)
     jobs = [(cfg, splits, k, trial) for k in ex.k_presets for trial in range(ex.trials)]
-    if ex.workers <= 1:
+    # A forked pool starts every worker at once, so never more than the jobs.
+    workers = min(ex.workers, len(jobs))
+    if workers <= 1:
         chunks = [_sweep_job(job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pool runs only
 
-        with ProcessPoolExecutor(max_workers=ex.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_job, jobs))
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.channel, r.modulation, r.k, r.psnr_db, r.seed))

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_APSK_RING_RATIO, TABLE_BITS, apsk16_radii, check_table_order, parse_modulation
+from .config import (
+    DEFAULT_APSK_RING_RATIO,
+    TABLE_BITS,
+    TABLE_ORDER,
+    apsk16_radii,
+    is_table_order,
+    parse_modulation,
+)
 
 # The most symbol-to-point distances demodulate_hard holds at once (16 MiB of
 # complex128); a block takes as many symbols as fit, at least one.
@@ -63,7 +70,8 @@ def _gray(k: np.ndarray) -> np.ndarray:
 
 def build_psk(order: int) -> Constellation:
     """M-PSK on the unit circle, point k at angle 2 pi k / M, Gray labels."""
-    check_table_order(order, "order must")
+    if not is_table_order(order):
+        raise ValueError(f"order {TABLE_ORDER[1]}, got {order}")
     k = np.arange(order)
     points = np.exp(2j * np.pi * k / order)
     return Constellation(points=points, labels=_gray(k))

@@ -105,6 +105,7 @@ class TestConfigErrors:
             ("linkbudget", "carrier_ghz", "-1", "-1.0"),
             ("linkbudget", "altitude_km", "0", "0.0"),
             ("linkbudget", "elevation_deg", "0", "0.0"),
+            ("linkbudget", "elevation_deg", "1e-322", "1e-322"),
             ("linkbudget", "isl_distance_km", "0", "0.0"),
             ("fedavg", "clients", "0", "0"),
             ("fedavg", "batch_size", "0", "0"),

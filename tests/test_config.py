@@ -1,17 +1,21 @@
-"""The settings layer: shipped configs load to fixed values, and the
-modulation grammar agrees with the constellations the modem builds."""
+"""The settings layer: shipped configs load to fixed values, every range
+rule rejects NaN and names its key, and the modulation grammar agrees with
+the constellations the modem builds."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semcom.config import ExperimentConfig, apsk16_radii, load_config, parse_modulation
+from semcom import config
+from semcom.cli import main
+from semcom.config import ExperimentConfig, apsk16_radii, load_config, parse_modulation, require
 from semcom.modem import build_constellation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -39,6 +43,74 @@ def test_every_shipped_config_is_recorded():
 def test_shipped_config_loads_to_the_recorded_settings(name, seed):
     text = repr(load_config(str(CONFIGS / name), seed))
     assert hashlib.sha256(text.encode()).hexdigest() == CONFIG_REPR_DIGESTS[name, seed], text
+
+
+# Every named rule of semcom.config: a module-level (test, words) pair.
+RULES = {
+    name: value
+    for name, value in vars(config).items()
+    if name.isupper() and isinstance(value, tuple) and len(value) == 2 and callable(value[0])
+}
+
+
+class TestRequire:
+    def test_the_rules_are_found(self):
+        assert sorted(RULES) == [
+            "AT_LEAST_1",
+            "CHANNEL_KIND",
+            "NOT_NEGATIVE",
+            "NOT_NEGATIVE_FINITE",
+            "POSITIVE",
+            "POSITIVE_FINITE",
+            "PSNR",
+            "SHARD_MODE",
+            "TABLE_ORDER",
+        ]
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_every_named_rule_rejects_nan(self, rule):
+        with pytest.raises(ValueError) as caught:
+            require(SimpleNamespace(x=math.nan), RULES[rule], "x")
+        assert str(caught.value) == f"x {RULES[rule][1]}, got nan"
+
+    def test_a_tuple_names_its_first_bad_item(self):
+        settings = SimpleNamespace(ok=(2, 4), k=(32, 48, 3))
+        with pytest.raises(ValueError) as caught:
+            require(settings, config.TABLE_ORDER, "ok", "k")
+        assert str(caught.value) == "k must be a power of two in [2, 65536], got 48"
+
+    def test_the_first_failing_name_is_named(self):
+        settings = SimpleNamespace(a="isl", b="x", c="y")
+        with pytest.raises(ValueError) as caught:
+            require(settings, config.CHANNEL_KIND, "a", "b", "c")
+        assert str(caught.value) == "b must be one of ['awgn', 'leo_rician', 'leo_rayleigh', 'isl'], got 'x'"
+
+
+def _numeric_keys():
+    """``(section, key, item type)`` for every INI key whose field holds ints or floats."""
+    for section, (_, keys) in config._SECTIONS.items():
+        for key, f in keys.items():
+            item = f.type.removeprefix("tuple[").removesuffix(", ...]")
+            if item in ("int", "float"):
+                yield section, key, item
+
+
+BAD_NUMBERS = {"float": ("nan", "inf", "-inf"), "int": ("-1",)}
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [(section, key, value) for section, key, item in _numeric_keys() for value in BAD_NUMBERS[item]],
+)
+def test_every_numeric_key_rejects_a_value_no_run_can_use(tmp_path, capsys, section, key, value):
+    """Every float key rejects NaN and both infinities, every int key -1: exit 1, naming key and value."""
+    (tmp_path / "bad.ini").write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["linkbudget", "--config", str(tmp_path / "bad.ini"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}.{key} ")
+    assert err.endswith(f", got {value}\n")
+    assert not out.exists()
 
 
 class TestModulationGrammar:

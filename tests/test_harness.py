@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import configparser
 import dataclasses
 import hashlib
@@ -307,6 +308,32 @@ class TestRunSweep:
         )
         forget_training()  # pool workers fork with the memory; train as a new process would
         assert run_sweep(parallel).csv() == sweep_result.csv()
+
+    def test_pool_never_starts_more_workers_than_jobs(self, sweep_cfg, sweep_result, monkeypatch):
+        """A forked pool starts all its workers at once: ``workers = 5000`` once meant 5,000 processes."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        ex = sweep_cfg.experiment
+        many = dataclasses.replace(sweep_cfg, experiment=dataclasses.replace(ex, workers=5000))
+        assert run_sweep(many).csv() == sweep_result.csv()
+        assert sizes == [len(ex.k_presets) * ex.trials] == [2]
+        one_job = dataclasses.replace(sweep_cfg, experiment=dataclasses.replace(ex, workers=5000, trials=1))
+        assert run_sweep(one_job).rows == [r for r in sweep_result.rows if r.seed == 0]
+        assert sizes == [2]  # one job runs in this process, with no pool
 
     def test_svg_plot_embeds_the_series_means(self, sweep_result):
         text = svg_text(sweep_result)
