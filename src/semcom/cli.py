@@ -77,7 +77,7 @@ def _computes(command: Callable[..., Run]) -> Callable[[argparse.Namespace], Run
 def cmd_linkbudget(args: argparse.Namespace) -> Run:
     ground, isl = _load(args).linkbudget.reports()
     files = {
-        name: csv_text(LINK_REPORT_CSV_HEADER, [report.figures()])
+        name: csv_text(LINK_REPORT_CSV_HEADER, [report])
         for name, report in (("linkbudget.csv", ground), ("isl_linkbudget.csv", isl))
     }
     summary = f"ground link\n{ground.as_text()}\n\ninter-satellite link\n{isl.as_text()}"

@@ -4,11 +4,12 @@ One file drives every subcommand. Sections: ``[linkbudget]``, ``[dataset]``,
 ``[channel]``, ``[dtjscc]``, ``[sweep]``, ``[csa]``, ``[fedavg]``. Every key
 has a default, so an empty file is valid; ``configs/default.ini`` lists every
 accepted key. A key binds the settings-class field of the same name (or of
-its ``_ALIASES`` entry) and is parsed by that field's type. An unknown
-section or key, a value that does not parse and a value the settings class
-rejects each raise :class:`ConfigError`. Seeds are never read from the file;
-the master seed comes from the command line or the ``SEMCOM_SEED``
-environment variable and every component seed is derived from it.
+its ``_ALIASES`` entry) and is parsed by that field's type. A file that
+cannot be read as UTF-8, an unknown section or key, a value that does not
+parse and a value the settings class rejects each raise :class:`ConfigError`.
+Seeds are never read from the file; the master seed comes from the command
+line or the ``SEMCOM_SEED`` environment variable and every component seed is
+derived from it.
 
 This module needs only the standard library (``geometry`` and ``seeding``
 import no numpy either), so reading and checking settings loads no numpy:
@@ -22,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field, fields
 
-from .geometry import LinkBudget
+from .geometry import LinkReport, doppler_shift_hz, free_space_path_loss_db, slant_range
 from .seeding import derive_seed
 
 # 16APSK outer-to-inner ring radius ratio where [channel] sets none.
@@ -182,6 +183,72 @@ def split_counts(n: int, ratios: tuple[float, float, float]) -> list[int]:
         counts[j] += 1
         remainders[j] = -1.0
     return counts
+
+
+@dataclass(frozen=True)
+class LinkBudget:
+    """The ``[linkbudget]`` settings: one ground link and one inter-satellite link."""
+
+    carrier_ghz: float = 28.0
+    altitude_km: float = 600.0
+    elevation_deg: float = 90.0
+    sat_antenna_gain_db: float = 35.0
+    atmospheric_loss_db: float = 0.3
+    scintillation_loss_db: float = 0.5
+    shadow_db: float = 0.0
+    isl_distance_km: float = 2000.0
+
+    def __post_init__(self) -> None:
+        require(self, POSITIVE, "carrier_ghz", "altitude_km", "isl_distance_km")
+        require(self, (lambda x: 0.0 < x <= 90.0, "must lie in (0, 90]"), "elevation_deg")
+        # A subnormal angle underflows to zero radians.
+        require(self, (lambda x: math.radians(x) > 0, "must be positive in radians too"), "elevation_deg")
+        db_fields = [f.name for f in fields(self) if f.name.endswith("_db")]
+        require(self, (math.isfinite, "must be finite"), *db_fields)
+        try:
+            fits = all(math.isfinite(x) for report in self.reports() for x in (*report, report.zeta_linear))
+        except (OverflowError, ValueError):  # 10^(-zeta/10) past the largest float, or a zero slant range
+            fits = False
+        if not fits:
+            # Blame the key whose dB term of zeta is largest in magnitude; a
+            # distance counts in metres, as in the FSPL.
+            terms = {
+                "carrier_ghz": 20.0 * math.log10(self.carrier_ghz),
+                "altitude_km": 20.0 * math.log10(self.altitude_km * 1e3),
+                "isl_distance_km": 20.0 * math.log10(self.isl_distance_km * 1e3),
+                "shadow_db": self.shadow_db,
+                "atmospheric_loss_db": self.atmospheric_loss_db,
+                "scintillation_loss_db": self.scintillation_loss_db,
+                "sat_antenna_gain_db": -self.sat_antenna_gain_db,
+            }
+            key = max(terms, key=lambda name: abs(terms[name]))
+            raise ValueError(
+                f"{key} must leave every link-budget figure finite, the large-scale gain "
+                f"10^(-zeta/10) included, got {getattr(self, key)}"
+            )
+
+    def reports(self) -> tuple[LinkReport, LinkReport]:
+        """Ground link report and inter-satellite report.
+
+        Ground: FSPL at the slant range plus shadowing, gas and scintillation,
+        with the Doppler shift. Inter-satellite: FSPL only, no shadowing,
+        atmosphere or Doppler.
+        """
+        elevation_rad = math.radians(self.elevation_deg)
+        doppler_hz = doppler_shift_hz(self.altitude_km, elevation_rad, self.carrier_ghz)
+        losses_db = (self.shadow_db, self.atmospheric_loss_db, self.scintillation_loss_db)
+        ground = self._report(slant_range(self.altitude_km, elevation_rad), doppler_hz, losses_db)
+        return ground, self._report(self.isl_distance_km, 0.0)
+
+    def _report(
+        self, distance_km: float, doppler_hz: float, losses_db: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    ) -> LinkReport:
+        """FSPL at ``distance_km`` plus ``losses_db`` (shadowing, gas, scintillation), every figure a float."""
+        fspl_db = free_space_path_loss_db(distance_km, self.carrier_ghz)
+        shadow_db, atmospheric_db, scintillation_db = map(float, losses_db)
+        total_db = fspl_db + shadow_db + atmospheric_db + scintillation_db
+        losses = (fspl_db, shadow_db, atmospheric_db, scintillation_db, total_db)
+        return LinkReport(float(distance_km), *losses, total_db - self.sat_antenna_gain_db, float(doppler_hz))
 
 
 # Largest [dataset] scale. Pixels then stay below 2e30, inside float32: a normal draw is under
@@ -454,14 +521,20 @@ def _suggest(name: str, valid) -> str:
 
 
 def load_config(path: str | None, master_seed: int = 0) -> HarnessConfig:
-    """Parse an INI file (or defaults when ``path`` is None) and bind seeds."""
+    """Parse a UTF-8 INI file (or defaults when ``path`` is None) and bind seeds.
+
+    A file that cannot be opened or decoded raises :class:`ConfigError` naming it.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
-            except configparser.Error as exc:
-                raise ConfigError(str(exc)) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 ({exc})"
+            raise ConfigError(f"cannot read config file {path!r}: {reason}") from None
+        except configparser.Error as exc:
+            raise ConfigError(str(exc)) from None
     values: dict[str, dict] = {
         "dataset": {"seed": derive_seed(master_seed, "dataset")},
         "experiment": {"master_seed": master_seed},

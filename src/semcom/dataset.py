@@ -184,15 +184,17 @@ def tensor_file(dataset: Dataset) -> bytes:
     """The MSIT container of ``dataset``.
 
     Little-endian: magic "MSIT", u32 version, u32 record count, then one
-    :func:`_record_dtype` record per image.
+    :func:`_record_dtype` record per image. An empty dataset raises: the reader takes the shape from record 0.
     """
     n = len(dataset)
+    if not n:
+        raise TensorFileError("container holds no records")
     shape = dataset.pixels.shape[1:]
     if max(shape) > _U16_MAX:
         raise DimensionOverflowError(f"dimensions {shape} exceed u16")
-    if n and int(dataset.labels.max()) > _U16_MAX:
+    if int(dataset.labels.max()) > _U16_MAX:
         raise DimensionOverflowError("label exceeds u16")
-    if n and (int(dataset.timestamps.min()) < 0 or int(dataset.timestamps.max()) > _U32_MAX):
+    if int(dataset.timestamps.min()) < 0 or int(dataset.timestamps.max()) > _U32_MAX:
         raise DimensionOverflowError("timestamp index outside u32")
     records = np.empty(n, dtype=_record_dtype(shape))
     records["height"], records["width"], records["bands"] = shape

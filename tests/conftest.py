@@ -7,9 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from semcom import dtjscc, nn
-from semcom.config import DatasetSpec, DtjsccConfig, HarnessConfig, load_config
+from semcom.config import DatasetSpec, DtjsccConfig, HarnessConfig, LinkBudget, load_config
 from semcom.dataset import generate_synthetic
 from semcom.dtjscc import TrainedSystem, train_dtjscc
 
@@ -22,6 +23,18 @@ settings.load_profile("suite")
 # every epoch loss of the pretraining is NaN.
 DIVERGING_INI = (
     "[dataset]\ntexture_amplitude = 1e20\nper_class_count = 20\n[dtjscc]\nepochs = 4\n[csa]\nrounds = 2\n"
+)
+# Usable link budgets whose fields are drawn as ints and as floats.
+LINK_BUDGETS = st.builds(
+    LinkBudget,
+    carrier_ghz=st.one_of(st.integers(1, 100), st.floats(0.5, 100.0)),
+    altitude_km=st.one_of(st.integers(200, 2000), st.floats(200.0, 2000.0)),
+    elevation_deg=st.one_of(st.integers(1, 90), st.floats(1.0, 90.0)),
+    sat_antenna_gain_db=st.one_of(st.integers(0, 50), st.floats(0.0, 50.0)),
+    atmospheric_loss_db=st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)),
+    scintillation_loss_db=st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)),
+    shadow_db=st.one_of(st.integers(-3, 10), st.floats(-3.0, 10.0)),
+    isl_distance_km=st.one_of(st.integers(100, 5000), st.floats(100.0, 5000.0)),
 )
 EASY_SPEC = DatasetSpec(per_class_count=30, class_separation=3.0, seed=11)
 SMALL_TRAIN = DtjsccConfig(k=32, epochs=8, batch_size=32, seed=7)

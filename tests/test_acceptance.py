@@ -19,10 +19,9 @@ from scipy import stats
 
 from semcom import nn
 from semcom.channel import apply_channel, noise_variance_from_psnr, sample_realization
-from semcom.config import ChannelConfig, ChannelKind, load_config
+from semcom.config import ChannelConfig, ChannelKind, LinkBudget, load_config
 from semcom.csa import CovarianceMatrix, final_accuracy, sa_loss
 from semcom.dtjscc import Codebook
-from semcom.geometry import LinkBudget
 from semcom.harness import run_csa_experiment, run_round_race, run_sweep
 from semcom.modem import bits_to_ints, build_constellation, build_psk, demodulate_hard, modulate
 from semcom.seeding import spawn_rng
@@ -49,16 +48,16 @@ def test_criterion_1_link_budget():
     fspl_reference = 32.45 + 20 * math.log10(28.0) + 20 * math.log10(600e3)
     total_reference = fspl_reference + 0.3 + 0.5
 
-    assert rep.breakdown.fspl_db == pytest.approx(176.956, abs=1e-3)
-    assert rep.breakdown.fspl_db == pytest.approx(fspl_reference, abs=1e-3)
-    assert rep.breakdown.total_db == pytest.approx(177.756, abs=1e-3)
-    assert rep.breakdown.total_db == pytest.approx(total_reference, abs=1e-3)
+    assert rep.fspl_db == pytest.approx(176.956, abs=1e-3)
+    assert rep.fspl_db == pytest.approx(fspl_reference, abs=1e-3)
+    assert rep.total_db == pytest.approx(177.756, abs=1e-3)
+    assert rep.total_db == pytest.approx(total_reference, abs=1e-3)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(
         "criterion 1 (link budget)",
         elapsed,
-        f"fspl {rep.breakdown.fspl_db:.3f} dB, total {rep.breakdown.total_db:.3f} dB",
+        f"fspl {rep.fspl_db:.3f} dB, total {rep.total_db:.3f} dB",
     )
 
 

@@ -42,11 +42,24 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
     def test_runtime_errors_map_to_two(self, tmp_path, capsys):
-        code = main(
-            ["linkbudget", "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path)]
-        )
+        (tmp_path / "file").write_text("")
+        code = main(["linkbudget", "--out", str(tmp_path / "file" / "out")])
         assert code == 2
-        assert capsys.readouterr().err.strip() != ""
+        assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+    def test_an_unreadable_config_file_exits_one_naming_it(self, tmp_path, capsys, kind):
+        path = tmp_path / "probe.ini"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b"\xff[linkbudget]\n")
+        out = tmp_path / "out"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestDivergence:
@@ -397,8 +410,12 @@ def test_settings_load_without_numpy():
         (["csa", "--config"], "[channel]\nmodulation = 1099511627776psk\n", 1),
         (["train", "--config"], "[fedavg]\nclients = 0\n", 1),
         (["linkbudget", "--config"], "[channel]\nmodulation = 65536psk\n", 0),
+        (["linkbudget", "--config", "no-such-config.ini", "--out", "no-such-out"], None, 1),
     ],
-    ids=["help", "no-command", "unknown-command", "unknown-option", "bad-modulation", "bad-value", "linkbudget"],
+    ids=[
+        "help", "no-command", "unknown-command", "unknown-option", "bad-modulation", "bad-value", "linkbudget",
+        "missing-config",
+    ],
 )
 def test_commands_that_compute_nothing_never_import_numpy(tmp_path, argv, ini, code):
     if ini is not None:

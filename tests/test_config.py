@@ -4,6 +4,7 @@ the constellations the modem builds."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -33,6 +34,12 @@ CONFIG_REPR_DIGESTS = {
     ("sweep.ini", 0): "8962357c34ff632778a4326f9d0ef6edd48d3c58aa6d28e5bb46c9061814314c",
     ("sweep.ini", 5): "62a366275628abe23d8d2684d35cbbb26135b2f67b225a096fb524594b628298",
 }
+
+
+def test_every_section_class_is_defined_here():
+    """One home for settings: each ``HarnessConfig`` section is a class of ``semcom.config``."""
+    sections = dataclasses.fields(config.HarnessConfig)
+    assert [f.name for f in sections if f.default_factory.__module__ != config.__name__] == []
 
 
 def test_every_shipped_config_is_recorded():

@@ -7,18 +7,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from semcom.config import LinkBudget
 from semcom.geometry import (
     LINK_REPORT_CSV_HEADER,
-    LinkBudget,
+    LinkReport,
     doppler_shift_hz,
     free_space_path_loss_db,
     orbital_velocity_m_s,
     slant_range,
 )
 from semcom.tables import csv_text
+
+from conftest import LINK_BUDGETS
 
 TABLE_BUDGET = LinkBudget(carrier_ghz=28.0, altitude_km=600.0, elevation_deg=90.0, isl_distance_km=2000.0)
 
@@ -84,7 +87,7 @@ class TestPathLoss:
             free_space_path_loss_db(600.0, bad)
 
     def test_total_is_sum_of_parts(self):
-        b = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7).reports()[0].breakdown
+        b = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7).reports()[0]
         assert b.total_db == pytest.approx(
             b.fspl_db + b.shadow_db + b.atmospheric_db + b.scintillation_db, abs=1e-12
         )
@@ -95,16 +98,16 @@ class TestPathLoss:
         rep, _ = dataclasses.replace(TABLE_BUDGET, elevation_deg=30.0, shadow_db=1.7).reports()
         slant_km = slant_range(600.0, math.radians(30.0))
         assert rep.distance_km == slant_km
-        assert rep.breakdown.fspl_db == free_space_path_loss_db(slant_km, 28.0)
-        assert (rep.breakdown.atmospheric_db, rep.breakdown.scintillation_db) == (0.3, 0.5)
+        assert rep.fspl_db == free_space_path_loss_db(slant_km, 28.0)
+        assert (rep.atmospheric_db, rep.scintillation_db) == (0.3, 0.5)
 
     def test_attenuation_and_linear_gain(self):
         shadowed = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7)
         rep, _ = shadowed.reports()
-        assert rep.zeta_db == rep.breakdown.total_db - 35.0
+        assert rep.zeta_db == rep.total_db - 35.0
         assert rep.zeta_db == pytest.approx(144.456, abs=1e-3)
         assert rep.zeta_linear == pytest.approx(10 ** (-rep.zeta_db / 10), rel=1e-12)
-        total = rep.breakdown.total_db
+        total = rep.total_db
         unity, _ = dataclasses.replace(shadowed, sat_antenna_gain_db=total).reports()
         assert unity.zeta_db == 0.0
         assert unity.zeta_linear == 1.0
@@ -116,34 +119,47 @@ class TestReports:
     def test_ground_report_reference_numbers(self):
         rep, _ = TABLE_BUDGET.reports()
         assert rep.distance_km == pytest.approx(600.0)
-        assert rep.breakdown.fspl_db == pytest.approx(176.956, abs=1e-3)
-        assert rep.breakdown.total_db == pytest.approx(177.756, abs=1e-3)
+        assert rep.fspl_db == pytest.approx(176.956, abs=1e-3)
+        assert rep.total_db == pytest.approx(177.756, abs=1e-3)
         assert rep.zeta_db == pytest.approx(142.756, abs=1e-3)
         assert rep.zeta_linear == pytest.approx(10 ** (-rep.zeta_db / 10), rel=1e-12)
         assert abs(rep.doppler_hz) < 1e-6
 
     def test_isl_report_reference_numbers(self):
         _, rep = TABLE_BUDGET.reports()
-        assert rep.breakdown.fspl_db == pytest.approx(187.414, abs=1e-3)
-        assert rep.breakdown.total_db == rep.breakdown.fspl_db
-        assert rep.breakdown.atmospheric_db == 0.0
-        assert rep.breakdown.scintillation_db == 0.0
+        assert rep.fspl_db == pytest.approx(187.414, abs=1e-3)
+        assert rep.total_db == rep.fspl_db
+        assert rep.atmospheric_db == 0.0
+        assert rep.scintillation_db == 0.0
         assert rep.zeta_db == pytest.approx(187.414 - 35.0, abs=1e-3)
         assert rep.doppler_hz == 0.0
 
     def test_isl_path_loss_is_vacuum_only(self):
-        b = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7).reports()[1].breakdown
+        b = dataclasses.replace(TABLE_BUDGET, shadow_db=1.7).reports()[1]
         assert (b.shadow_db, b.atmospheric_db, b.scintillation_db) == (0.0, 0.0, 0.0)
         assert b.total_db == pytest.approx(free_space_path_loss_db(2000.0, 28.0))
 
-    def test_csv_row_matches_header(self):
-        rep, _ = TABLE_BUDGET.reports()
-        header, row = csv_text(LINK_REPORT_CSV_HEADER, [rep.figures()]).splitlines()
-        assert header == LINK_REPORT_CSV_HEADER
-        row = row.split(",")
-        assert len(row) == len(LINK_REPORT_CSV_HEADER.split(","))
-        assert float(row[0]) == 600.0
-        assert float(row[5]) == pytest.approx(rep.breakdown.total_db)
+    def test_fields_are_the_csv_columns(self):
+        assert dict(zip(LINK_REPORT_CSV_HEADER.split(","), LinkReport._fields, strict=True)) == {
+            "d_km": "distance_km",
+            "fspl_db": "fspl_db",
+            "sf_db": "shadow_db",
+            "gas_db": "atmospheric_db",
+            "scint_db": "scintillation_db",
+            "total_db": "total_db",
+            "zeta_db": "zeta_db",
+            "doppler_hz": "doppler_hz",
+        }
+
+    @given(LINK_BUDGETS)
+    @example(TABLE_BUDGET)
+    def test_csv_row_matches_header(self, budget):
+        """Every cell is a float field written so that it parses back exactly."""
+        for rep in budget.reports():
+            header, row = csv_text(LINK_REPORT_CSV_HEADER, [rep]).splitlines()
+            assert header == LINK_REPORT_CSV_HEADER
+            assert all(type(x) is float for x in rep)
+            assert [float(cell) for cell in row.split(",")] == list(rep)
 
 
 class TestDoppler:

@@ -122,7 +122,7 @@ class TestConfigLayer:
         assert cfg.linkbudget.elevation_deg == 30.0
 
     def test_missing_file_raises(self):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ConfigError, match=r"^cannot read config file '/nonexistent/path.ini': No such file"):
             load_config("/nonexistent/path.ini")
 
     def test_default_ini_loads_to_the_defaults(self):
@@ -231,10 +231,10 @@ class TestLinkBudgetReports:
     def test_reference_numbers(self):
         cfg = load_config(None)
         ground, isl = cfg.linkbudget.reports()
-        assert ground.breakdown.fspl_db == pytest.approx(176.956, abs=1e-3)
-        assert ground.breakdown.total_db == pytest.approx(177.756, abs=1e-3)
+        assert ground.fspl_db == pytest.approx(176.956, abs=1e-3)
+        assert ground.total_db == pytest.approx(177.756, abs=1e-3)
         assert ground.zeta_db == pytest.approx(142.756, abs=1e-3)
-        assert isl.breakdown.fspl_db == pytest.approx(187.414, abs=1e-3)
+        assert isl.fspl_db == pytest.approx(187.414, abs=1e-3)
         assert isl.distance_km == 2000.0
 
     def test_gain_past_float_range_is_rejected_at_load(self, tmp_path):

@@ -16,7 +16,7 @@ from semcom.config import load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, RoundLog
 from semcom.dataset import SUMMARY_CSV_HEADER, Dataset, SplitDatasets, generate_synthetic, summary_csv
 from semcom.dtjscc import train_dtjscc
-from semcom.geometry import LINK_REPORT_CSV_HEADER, LinkBudget
+from semcom.geometry import LINK_REPORT_CSV_HEADER
 from semcom.harness import (
     CONFUSION_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -28,7 +28,7 @@ from semcom.harness import (
 )
 from semcom.tables import csv_text
 
-from conftest import tiny_harness_cfg
+from conftest import LINK_BUDGETS, tiny_harness_cfg
 
 # ---------------------------------------------------------------------------
 # The writers csv_text replaced, kept verbatim as the oracle.
@@ -59,14 +59,13 @@ def old_roundlog_csv(logs):
 
 
 def old_link_csv(report):
-    b = report.breakdown
     cells = (
         report.distance_km,
-        b.fspl_db,
-        b.shadow_db,
-        b.atmospheric_db,
-        b.scintillation_db,
-        b.total_db,
+        report.fspl_db,
+        report.shadow_db,
+        report.atmospheric_db,
+        report.scintillation_db,
+        report.total_db,
         report.zeta_db,
         report.doppler_hz,
     )
@@ -221,22 +220,10 @@ class TestBytesEqualTheOldWriters:
     def test_round_log(self, logs):
         assert roundlog_csv(logs) == old_roundlog_csv(logs)
 
-    @given(
-        st.builds(
-            LinkBudget,
-            carrier_ghz=st.one_of(st.integers(1, 100), st.floats(0.5, 100.0)),
-            altitude_km=st.one_of(st.integers(200, 2000), st.floats(200.0, 2000.0)),
-            elevation_deg=st.one_of(st.integers(1, 90), st.floats(1.0, 90.0)),
-            sat_antenna_gain_db=st.one_of(st.integers(0, 50), st.floats(0.0, 50.0)),
-            atmospheric_loss_db=st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)),
-            scintillation_loss_db=st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)),
-            shadow_db=st.one_of(st.integers(-3, 10), st.floats(-3.0, 10.0)),
-            isl_distance_km=st.one_of(st.integers(100, 5000), st.floats(100.0, 5000.0)),
-        )
-    )
+    @given(LINK_BUDGETS)
     def test_link_budget(self, budget):
         for report in budget.reports():
-            assert csv_text(LINK_REPORT_CSV_HEADER, [report.figures()]) == old_link_csv(report)
+            assert csv_text(LINK_REPORT_CSV_HEADER, [report]) == old_link_csv(report)
 
     @given(square_counts())
     def test_confusion(self, counts):
