@@ -21,6 +21,7 @@ from __future__ import annotations
 import configparser
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 from .geometry import LinkReport, doppler_shift_hz, free_space_path_loss_db, slant_range
@@ -75,17 +76,17 @@ class ChannelConfig:
 def psnr_ratio(psnr_db: float) -> float:
     """Linear power ratio ``10^(psnr/10)`` of a PSNR in dB; +inf gives inf.
 
-    NaN and minus infinity name no noise level, and a finite PSNR so far
-    from 0 dB that its ratio underflows to 0 or overflows a float names
-    none either; all three raise :class:`ValueError` naming the value.
+    NaN and minus infinity name no noise level, and neither does a finite
+    PSNR whose ratio underflows to 0 or overflows a float, or an int past
+    the largest float; all raise :class:`ValueError` naming the value.
     """
     if psnr_db == math.inf:
         return math.inf
-    if math.isnan(psnr_db) or psnr_db == -math.inf:
+    if psnr_db != psnr_db or psnr_db == -math.inf:  # NaN != NaN; math.isnan fails on a huge int
         raise ValueError(f"PSNR must be finite or +inf dB, got {psnr_db}")
     try:
         ratio = 10.0 ** (float(psnr_db) / 10.0)
-    except OverflowError:
+    except OverflowError:  # the power, or float() of an int past the largest float
         ratio = math.inf
     if not 0.0 < ratio < math.inf:
         raise ValueError(
@@ -108,13 +109,14 @@ def is_table_order(n: int) -> bool:
 
 
 # Named range rules, each a (test, words) pair for :func:`require`. Every test
-# is written as the in-range comparison, so NaN fails it.
+# is written as the in-range comparison, so NaN fails it, and "finite" means at
+# most the largest float, so an int too large to convert fails it too.
 _KINDS = [kind.value for kind in ChannelKind]
 AT_LEAST_1 = (lambda n: n >= 1, "must be at least 1")
 NOT_NEGATIVE = (lambda n: n >= 0, "must be >= 0")
 POSITIVE = (lambda x: x > 0, "must be positive")
-POSITIVE_FINITE = (lambda x: 0.0 < x < math.inf, "must be positive and finite")
-NOT_NEGATIVE_FINITE = (lambda x: 0.0 <= x < math.inf, "must be >= 0 and finite")
+POSITIVE_FINITE = (lambda x: 0.0 < x <= sys.float_info.max, "must be positive and finite")
+NOT_NEGATIVE_FINITE = (lambda x: 0.0 <= x <= sys.float_info.max, "must be >= 0 and finite")
 TABLE_ORDER = (is_table_order, f"must be a power of two in [2, {1 << TABLE_BITS}]")
 PSNR = (_is_psnr, "must be a finite PSNR whose power ratio fits a float")
 CHANNEL_KIND = (lambda kind: kind in _KINDS, f"must be one of {_KINDS}")
@@ -204,18 +206,18 @@ class LinkBudget:
         # A subnormal angle underflows to zero radians.
         require(self, (lambda x: math.radians(x) > 0, "must be positive in radians too"), "elevation_deg")
         db_fields = [f.name for f in fields(self) if f.name.endswith("_db")]
-        require(self, (math.isfinite, "must be finite"), *db_fields)
+        require(self, (lambda x: abs(x) <= sys.float_info.max, "must be finite"), *db_fields)
         try:
             fits = all(math.isfinite(x) for report in self.reports() for x in (*report, report.zeta_linear))
         except (OverflowError, ValueError):  # 10^(-zeta/10) past the largest float, or a zero slant range
             fits = False
         if not fits:
             # Blame the key whose dB term of zeta is largest in magnitude; a
-            # distance counts in metres, as in the FSPL.
+            # distance counts in metres, as in the FSPL, and an int one stays exact.
             terms = {
                 "carrier_ghz": 20.0 * math.log10(self.carrier_ghz),
-                "altitude_km": 20.0 * math.log10(self.altitude_km * 1e3),
-                "isl_distance_km": 20.0 * math.log10(self.isl_distance_km * 1e3),
+                "altitude_km": 20.0 * math.log10(self.altitude_km * 1000),
+                "isl_distance_km": 20.0 * math.log10(self.isl_distance_km * 1000),
                 "shadow_db": self.shadow_db,
                 "atmospheric_loss_db": self.atmospheric_loss_db,
                 "scintillation_loss_db": self.scintillation_loss_db,

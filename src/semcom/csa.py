@@ -32,6 +32,7 @@ from .dtjscc import (
     encode,
     quantize,
     send_over_channel,
+    top1_and_ce,
     # Not called here; perfbench's tracer test patches the csa.transmit binding.
     transmit,  # noqa: F401
 )
@@ -249,13 +250,6 @@ def effective_lambda(sa: SAConfig, round_index: int) -> float:
     """Linear ramp from 0 to ``sa_lambda`` over the first warmup fraction of ``sa.rounds``."""
     warm = max(1, int(math.ceil(sa.warmup_fraction * sa.rounds)))
     return sa.sa_lambda * min(1.0, (round_index + 1) / warm)
-
-
-def top1_and_ce(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Top-1 accuracy and mean cross-entropy of (n, classes) probabilities."""
-    top1 = float(np.mean(np.argmax(probs, axis=1) == labels))
-    ce = float(np.mean(-np.log(probs[np.arange(len(labels)), labels] + 1e-12)))
-    return top1, ce
 
 
 def eval_through_downlink(

@@ -209,6 +209,13 @@ def classify(
     return nn.softmax(nn.forward(classifier, vectors))
 
 
+def top1_and_ce(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Top-1 accuracy and mean cross-entropy of (n, classes) probabilities."""
+    top1 = float(np.mean(np.argmax(probs, axis=1) == labels))
+    ce = float(np.mean(-np.log(probs[np.arange(len(labels)), labels] + 1e-12)))
+    return top1, ce
+
+
 def _frame_by_frame(fn, rows: np.ndarray, frame_rows: int) -> np.ndarray:
     """Apply row-wise ``fn`` to ``rows`` as if called once per frame of rows.
 
@@ -522,7 +529,7 @@ def _train_system(
 
     val = splits.val if len(splits.val) else splits.train
     val_probs = classify(quantize(encode(val, encoder), codebook), codebook, classifier)
-    val_acc = float(np.mean(np.argmax(val_probs, axis=1) == val.labels))
+    val_acc = top1_and_ce(val_probs, val.labels)[0]
     chance = 1.0 / n_classes
     if val_acc < chance + MIN_ACCURACY_MARGIN:
         issues.append(f"held-out accuracy {val_acc:.3f} within margin of chance {chance:.3f}")

@@ -76,10 +76,21 @@ class SweepResult:
 
 
 @dataclass
-class EvalResult:
-    top1: float
-    predictions: np.ndarray  # (reps * N,) int64
-    labels: np.ndarray  # (reps * N,) int64
+class ConfusionMatrix:
+    counts: np.ndarray  # (C, C) int64, rows true / cols predicted
+    class_names: tuple[str, ...]
+
+    def top1(self) -> float:
+        total = int(self.counts.sum())
+        return float(np.trace(self.counts)) / total if total else 0.0
+
+    def csv(self) -> str:
+        names, totals = self.class_names, self.counts.sum(axis=1)
+        rows = [
+            (names[i], names[j], int(n), 100.0 * n / totals[i] if totals[i] else 0.0)
+            for (i, j), n in np.ndenumerate(self.counts)
+        ]
+        return csv_text(CONFUSION_CSV_HEADER, rows)
 
 
 def evaluate_through_channel(
@@ -91,17 +102,19 @@ def evaluate_through_channel(
     seed: int,
     repetitions: int = 1,
     frame: int = 32,
-) -> EvalResult:
-    """Send the whole dataset through the channel and score Top-1.
+) -> ConfusionMatrix:
+    """Send the whole dataset through the channel and count its decisions.
 
     Images go out in frames of ``frame``; each (repetition, frame) pair draws
     its own channel state from a seed derived from ``seed``, so the result is
-    a function of the arguments alone.
+    a function of the arguments alone. Returns the (true, predicted) counts
+    summed over every repetition.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     vectors = encode(dataset, system.encoder)
-    n = len(dataset)
-    preds_all = []
-    correct = 0
+    c = len(dataset.class_names)
+    counts = np.zeros((c, c), dtype=np.int64)
     for rep in range(repetitions):
         probs, _ = classify_over_channel(
             vectors,
@@ -115,12 +128,8 @@ def evaluate_through_channel(
             "rep",
             rep,
         )
-        preds = np.argmax(probs, axis=1)
-        correct += int(np.sum(preds == dataset.labels))
-        preds_all.append(preds)
-    predictions = np.concatenate(preds_all)
-    labels = np.tile(dataset.labels, repetitions)
-    return EvalResult(correct / (n * repetitions), predictions, labels)
+        np.add.at(counts, (dataset.labels, np.argmax(probs, axis=1)), 1)
+    return ConfusionMatrix(counts, dataset.class_names)
 
 
 @blas.single_thread()
@@ -142,7 +151,7 @@ def _sweep_job(args: tuple[HarnessConfig, SplitDatasets, int, int]) -> list[Swee
         channel_cfg = ex.channel_config(channel)
         for psnr in ex.psnr_grid_db:
             cell_seed = derive_seed(ex.master_seed, "sweep_cell", channel, k, psnr, trial)
-            result = evaluate_through_channel(
+            matrix = evaluate_through_channel(
                 system,
                 splits.test,
                 constellation,
@@ -152,7 +161,7 @@ def _sweep_job(args: tuple[HarnessConfig, SplitDatasets, int, int]) -> list[Swee
                 ex.eval_repetitions,
                 ex.eval_frame,
             )
-            rows.append(SweepRow(channel, ex.modulation, k, float(psnr), trial, result.top1))
+            rows.append(SweepRow(channel, ex.modulation, k, float(psnr), trial, matrix.top1()))
     return rows
 
 
@@ -179,33 +188,6 @@ def run_sweep(cfg: HarnessConfig) -> SweepResult:
     return SweepResult(rows)
 
 
-@dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (C, C) int64, rows true / cols predicted
-    class_names: tuple[str, ...]
-
-    @classmethod
-    def from_predictions(
-        cls, labels: np.ndarray, predictions: np.ndarray, class_names: tuple[str, ...]
-    ) -> "ConfusionMatrix":
-        c = len(class_names)
-        counts = np.zeros((c, c), dtype=np.int64)
-        np.add.at(counts, (labels, predictions), 1)
-        return cls(counts, class_names)
-
-    def top1(self) -> float:
-        total = int(self.counts.sum())
-        return float(np.trace(self.counts)) / total if total else 0.0
-
-    def csv(self) -> str:
-        names, totals = self.class_names, self.counts.sum(axis=1)
-        rows = [
-            (names[i], names[j], int(n), 100.0 * n / totals[i] if totals[i] else 0.0)
-            for (i, j), n in np.ndenumerate(self.counts)
-        ]
-        return csv_text(CONFUSION_CSV_HEADER, rows)
-
-
 @blas.single_thread()
 def run_confusion(cfg: HarnessConfig) -> ConfusionMatrix:
     """Train once and tabulate test-set decisions at the evaluation PSNR."""
@@ -214,7 +196,7 @@ def run_confusion(cfg: HarnessConfig) -> ConfusionMatrix:
     system = train_dtjscc(splits, ex.train_psnr_db, cfg.dtjscc)
     constellation = build_constellation(ex.modulation, ex.apsk_ring_ratio)
     channel_cfg = ex.channel_config(ex.channels[0])
-    result = evaluate_through_channel(
+    return evaluate_through_channel(
         system,
         splits.test,
         constellation,
@@ -223,9 +205,6 @@ def run_confusion(cfg: HarnessConfig) -> ConfusionMatrix:
         derive_seed(ex.master_seed, "confusion"),
         ex.eval_repetitions,
         ex.eval_frame,
-    )
-    return ConfusionMatrix.from_predictions(
-        result.labels, result.predictions, splits.test.class_names
     )
 
 

@@ -123,7 +123,10 @@ class TestNoiseVariance:
         with pytest.raises(ValueError, match=str(psnr_db)):
             noise_variance_from_psnr(psnr_db)
 
-    @pytest.mark.parametrize("psnr_db", [4000.0, -4000.0, 3090.0, -3300.0])
+    @pytest.mark.parametrize(
+        "psnr_db",
+        [4000.0, -4000.0, 3090.0, -3300.0, pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+    )
     def test_out_of_range_finite_psnr_rejected(self, psnr_db):
         with pytest.raises(ValueError, match=str(psnr_db)):
             noise_variance_from_psnr(psnr_db)

@@ -120,6 +120,26 @@ def test_every_numeric_key_rejects_a_value_no_run_can_use(tmp_path, capsys, sect
     assert not out.exists()
 
 
+# Every settings class: each [section]'s class and the channel settings the sections build.
+SETTINGS_CLASSES = [f.default_factory for f in dataclasses.fields(config.HarnessConfig)] + [config.ChannelConfig]
+
+
+@pytest.mark.parametrize(
+    "cls,name,value",
+    [
+        pytest.param(cls, f.name, (big,) if f.type.startswith("tuple") else big, id=f"{cls.__name__}.{f.name}{id_}")
+        for cls in SETTINGS_CLASSES
+        for f in dataclasses.fields(cls)
+        if f.type in ("float", "tuple[float, ...]")
+        for big, id_ in ((10**400, "+1e400"), (-(10**400), "-1e400"))
+    ],
+)
+def test_every_float_field_rejects_an_int_past_the_largest_float(cls, name, value):
+    """A library caller's int too large for a float fails as a ValueError naming its field."""
+    with pytest.raises(ValueError, match=f"^{name} "):
+        cls(**{name: value})
+
+
 class TestModulationGrammar:
     @pytest.mark.parametrize(
         "name,parsed",

@@ -22,10 +22,9 @@ from semcom.csa import (
     rounds_to_target,
     run_fedavg_baseline,
     sa_loss,
-    top1_and_ce,
 )
 from semcom.config import ChannelConfig, ChannelKind, FedAvgConfig, SAConfig
-from semcom.dtjscc import DivergenceError, encode, send_over_channel
+from semcom.dtjscc import DivergenceError, encode, send_over_channel, top1_and_ce
 from semcom.harness import roundlog_csv
 from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng

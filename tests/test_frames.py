@@ -3,9 +3,11 @@
 ``classify_over_channel`` quantizes a whole set once and classifies it once;
 the references below quantize, send and classify frame by frame, as both
 evaluation functions did before. Every probability, prediction, loss and
-bit count must come out identical. The inter-satellite link sends its
-reference batch as one frame through ``send_over_channel``; its reference
-quantizes, sends and dequantizes that frame as the round loop once did.
+bit count must come out identical; an evaluation's confusion counts must
+be those of the reference's predictions, and its Top-1 the reference's
+integer quotient. The inter-satellite link sends its reference batch as
+one frame through ``send_over_channel``; its reference quantizes, sends
+and dequantizes that frame as the round loop once did.
 A hand-built frame pins the order in which ``transmit`` draws a channel.
 """
 
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semcom import dtjscc, nn
 from semcom.channel import noise_variance_from_psnr
@@ -32,7 +36,7 @@ from semcom.dtjscc import (
     train_dtjscc,
     transmit,
 )
-from semcom.harness import evaluate_through_channel
+from semcom.harness import ConfusionMatrix, evaluate_through_channel
 from semcom.modem import bits_to_ints, build_constellation, demodulate_hard, ints_to_bits, modulate
 from semcom.seeding import spawn_rng
 
@@ -64,7 +68,11 @@ def reference_isl(features, codebook, constellation, channel_cfg, psnr_db, rng):
 
 
 def reference_evaluate(system, dataset, constellation, channel_cfg, psnr_db, seed, repetitions, frame):
-    """``harness.evaluate_through_channel`` as a per-frame loop: top-1 and predictions."""
+    """``harness.evaluate_through_channel`` as a per-frame loop that keeps every decision.
+
+    Returns the Top-1 as ``correct / (n * repetitions)``, the predictions of
+    every repetition in turn and the labels they answer.
+    """
     feats = encode(dataset, system.encoder)
     preds = []
     for rep in range(repetitions):
@@ -75,7 +83,7 @@ def reference_evaluate(system, dataset, constellation, channel_cfg, psnr_db, see
         preds.append(np.argmax(probs, axis=1))
     predictions = np.concatenate(preds)
     labels = np.tile(dataset.labels, repetitions)
-    return int(np.sum(predictions == labels)) / labels.size, predictions
+    return int(np.sum(predictions == labels)) / labels.size, predictions, labels
 
 
 def reference_downlink(encoder, classifier, system, scenario, round_index):
@@ -137,11 +145,13 @@ def assert_both_paths_match(system, splits, fading, frame):
     got = evaluate_through_channel(
         system, test, scenario.constellation, scenario.downlink_channel, 6.0, 31, 2, frame
     )
-    top1, predictions = reference_evaluate(
+    top1, predictions, labels = reference_evaluate(
         system, test, scenario.constellation, scenario.downlink_channel, 6.0, 31, 2, frame
     )
-    assert got.top1 == top1
-    assert got.predictions.tobytes() == predictions.tobytes()
+    counts = np.zeros((len(test.class_names),) * 2, dtype=np.int64)
+    np.add.at(counts, (labels, predictions), 1)
+    assert got.counts.tobytes() == counts.tobytes()
+    assert repr(got.top1()) == repr(top1)
 
     for round_index in range(2):
         assert eval_through_downlink(
@@ -293,3 +303,34 @@ class TestFrameSizeBelowOne:
             )
         with pytest.raises(ValueError, match=match):
             eval_through_downlink(vectors, system.classifier, scenario, 0)
+
+
+class TestRepetitionsBelowOne:
+    """An evaluation sends the set at least once; fewer repetitions fail, naming ``repetitions``."""
+
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_evaluation_rejects_it(self, systems, small_splits, repetitions):
+        system = systems[1]
+        scenario = scenario_for(system, small_splits, "block", 8)
+        with pytest.raises(ValueError, match=rf"^repetitions must be at least 1, got {repetitions}$"):
+            evaluate_through_channel(
+                system, small_splits.test, scenario.constellation,
+                scenario.downlink_channel, 6.0, 31, repetitions, 8,
+            )
+
+
+@st.composite
+def count_matrices(draw):
+    """A (C, C) int64 count matrix whose total lies in [1, 10**9]."""
+    c = draw(st.integers(1, 10))
+    total = draw(st.integers(1, 10**9))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=c * c - 1, max_size=c * c - 1)))
+    return np.diff([0, *cuts, total]).astype(np.int64).reshape(c, c)
+
+
+@given(count_matrices())
+def test_top1_is_the_integer_quotient(counts):
+    """The matrix's Top-1 is, to the bit, the hit count over the item count as ints."""
+    matrix = ConfusionMatrix(counts, tuple(f"class{i}" for i in range(len(counts))))
+    correct, total = int(np.trace(counts)), int(counts.sum())
+    assert repr(matrix.top1()) == repr(correct / total)
