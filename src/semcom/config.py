@@ -341,8 +341,8 @@ class SAConfig:
 class FedAvgConfig:
     """Parameter-averaging baseline: clients, local SGD and the labelled pool.
 
-    ``scarce_per_class`` above zero caps the labelled t_1 pool in ``semcom race``
-    only, but ``HarnessConfig``'s iid client bound uses it for every subcommand.
+    ``scarce_per_class`` above zero caps the labelled t_1 pool that every round
+    loop starts from, and ``HarnessConfig``'s iid client bound counts that cap.
     """
 
     local_epochs: int = 1
@@ -420,8 +420,8 @@ class HarnessConfig:
 
     ``dataset.per_class_count`` must give every split an image per class, and
     ``fedavg.clients`` must leave every client shard a sample; with iid shards
-    the bound counts at most ``fedavg.scarce_per_class`` per class for every
-    subcommand, though only ``semcom race`` caps the pool.
+    the bound counts at most ``fedavg.scarce_per_class`` per class, the cap
+    every round loop puts on the pool.
     """
 
     linkbudget: LinkBudget = field(default_factory=LinkBudget)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -241,9 +241,9 @@ class CsaScenario:
     constellation: Constellation
     isl_channel: ChannelConfig
     downlink_channel: ChannelConfig
-    sa: SAConfig = field(default_factory=SAConfig)
-    eval_frame: int = 32
-    seed: int = 0
+    sa: SAConfig
+    eval_frame: int
+    seed: int
 
 
 def effective_lambda(sa: SAConfig, round_index: int) -> float:
@@ -366,23 +366,20 @@ def run_fedavg_baseline(
     clients: list[tuple[np.ndarray, np.ndarray]],
     cfg: FedAvgConfig,
     eval_fn: Callable[[nn.Network], tuple[float, float]],
-    classifier: nn.Network | None = None,
+    classifier: nn.Network,
 ) -> list[RoundLog]:
     """Parameter-averaging baseline over ``(features, labels)`` client shards.
 
-    Each of ``cfg.rounds`` rounds every client copies the global classifier, runs
-    ``local_epochs`` of minibatch cross-entropy SGD on its shard, and the
-    server replaces the global model with the shard-size-weighted average.
+    ``classifier`` is the global model. Each of ``cfg.rounds`` rounds every
+    client copies it, runs ``local_epochs`` of minibatch cross-entropy SGD on
+    its shard, and the server replaces its parameters, in place, with the
+    shard-size-weighted average.
     Per-round shuffling is seeded identically across clients, so identical
     shards produce identical locals. One client reproduces centralized SGD.
     ``eval_fn`` maps the aggregated classifier to (top1, ce) after each round.
     """
     if not clients:
         raise ValueError("need at least one client")
-    if classifier is None:
-        n_classes = max(int(y.max()) for _, y in clients) + 1
-        seed = spawn_rng(cfg.seed, "fed_clf").integers(2**32)
-        classifier = nn.init_network([clients[0][0].shape[1], n_classes], ["linear"], seed)
     sizes = np.array([x.shape[0] for x, _ in clients], dtype=np.float64)
     weights = sizes / sizes.sum()
     bits_per_round = classifier.parameter_count * 64 * 2 * len(clients)

@@ -435,10 +435,9 @@ def train_dtjscc(
     a deep copy of that call's system and repeats its warnings instead of
     training again; training is deterministic, so the copy is bit for bit what
     a second training gives. This is how the adapted and frozen ``csa.ini``
-    arms, and the two scenario builds of ``harness.run_round_race``, share
-    one pretraining while each still gets a system of its own. The race keeps
-    its second build, now cheap, because perfbench's traced adapt run checks
-    1/1/2 ``build_csa_scenario`` calls.
+    arms, and the two sides of ``harness.run_round_race``, each building its
+    own scenario, share one pretraining while each still gets a system of
+    its own.
     """
     global _last_training
     key = _training_key(splits, train_psnr_db, cfg)

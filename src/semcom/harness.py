@@ -214,9 +214,24 @@ def roundlog_csv(logs: list[RoundLog]) -> str:
 
 
 def build_csa_scenario(cfg: HarnessConfig) -> CsaScenario:
-    """Generate data, pretrain the pipeline, and wire the round-loop inputs."""
+    """Generate data, pretrain the pipeline, and wire the round-loop inputs.
+
+    ``fedavg.scarce_per_class`` above zero caps the labelled t_1 train pool at
+    that many images per class, drawn from the master seed's "scarce" stream:
+    after an environment change the archive reference stream stays plentiful
+    while fresh labels are rare.
+    """
     ex = cfg.experiment
     splits_t0, splits_t1 = generate_synthetic(cfg.dataset)
+    per_class = cfg.fedavg.scarce_per_class
+    if per_class:
+        t1 = splits_t1.train
+        rng = spawn_rng(ex.master_seed, "scarce")
+        keep = []
+        for c in range(len(t1.class_names)):
+            idx = np.flatnonzero(t1.labels == c)
+            keep.append(rng.choice(idx, size=min(per_class, len(idx)), replace=False))
+        splits_t1 = SplitDatasets(t1.subset(np.sort(np.concatenate(keep))), splits_t1.val, splits_t1.test)
     system = train_dtjscc(splits_t0, ex.train_psnr_db, cfg.dtjscc)
     a = system.feature_dim
     # The pretraining seed's "cov" stream: the g every recorded round log starts from.
@@ -277,19 +292,15 @@ def fedavg_client_shards(
 
 
 @blas.single_thread()
-def run_fedavg_experiment(
-    cfg: HarnessConfig,
-    scenario: CsaScenario | None = None,
-    classifier: nn.Network | None = None,
-) -> list[RoundLog]:
+def run_fedavg_experiment(cfg: HarnessConfig) -> list[RoundLog]:
     """Parameter-averaging counterpart evaluated over the same downlink.
 
-    Reuses (or builds) the scenario so dataset, pretrained pipeline, and the
-    per-round evaluation noise match the adaptation loop draw for draw; only
-    the coordination protocol differs.
+    Builds the scenario the adaptation loop builds and starts from the
+    terminal's classifier, so dataset, labelled pool, pretrained pipeline,
+    starting head and per-round evaluation noise match that loop draw for
+    draw; only the coordination protocol differs.
     """
-    if scenario is None:
-        scenario = build_csa_scenario(cfg)
+    scenario = build_csa_scenario(cfg)
     fa, system = cfg.fedavg, scenario.system
     shards = fedavg_client_shards(system, scenario.splits_t1.train, fa.clients, fa.shards)
     test_vectors = encode(scenario.splits_t1.test, system.encoder)
@@ -299,31 +310,7 @@ def run_fedavg_experiment(
         top1, ce, _ = eval_through_downlink(test_vectors, net, scenario, next(rounds))
         return top1, ce
 
-    return run_fedavg_baseline(shards, fa, eval_fn, classifier)
-
-
-def restrict_t1_train(scenario: CsaScenario, per_class: int) -> CsaScenario:
-    """Cap the labelled current-epoch pool at ``per_class`` samples per class.
-
-    Models the scarce-label regime after an environment change: the archive
-    reference stream stays plentiful while fresh labels are rare. Returns a
-    new scenario and leaves the argument as it was; a value of zero returns
-    the argument itself.
-    """
-    if per_class <= 0:
-        return scenario
-    t1 = scenario.splits_t1.train
-    rng = spawn_rng(scenario.seed, "scarce")
-    keep: list[np.ndarray] = []
-    for c in range(len(t1.class_names)):
-        idx = np.flatnonzero(t1.labels == c)
-        take = min(per_class, len(idx))
-        if take:
-            keep.extend(rng.choice(idx, size=take, replace=False))
-    small = t1.subset(np.sort(np.asarray(keep, dtype=np.int64)))
-    return replace(
-        scenario, splits_t1=SplitDatasets(small, scenario.splits_t1.val, scenario.splits_t1.test)
-    )
+    return run_fedavg_baseline(shards, fa, eval_fn, terminal_classifier(scenario))
 
 
 @dataclass
@@ -341,22 +328,17 @@ class RaceResult:
 def run_round_race(cfg: HarnessConfig) -> RaceResult:
     """Race the adaptation loop against parameter averaging to a target Top-1.
 
-    Both protocols get the same pretrained pipeline, the same (optionally
-    scarce) labelled current-epoch pool, the same starting classifier, and
-    the same per-round downlink evaluation draws. The adaptation loop
-    additionally receives the reference stream over the inter-satellite
-    link; the averaging baseline instead exchanges classifier parameters
-    between clients holding class-disjoint shards.
+    The race is its two sides: ``run_csa_experiment`` and
+    ``run_fedavg_experiment`` on ``cfg``, each building its own scenario, so
+    both get the same pretrained pipeline, the same (optionally scarce)
+    labelled current-epoch pool, the same starting classifier, and the same
+    per-round downlink evaluation draws. The adaptation loop additionally
+    receives the reference stream over the inter-satellite link; the
+    averaging baseline instead exchanges classifier parameters between
+    clients holding class-disjoint shards.
     """
-    per_class = cfg.fedavg.scarce_per_class
-    scenario = restrict_t1_train(build_csa_scenario(cfg), per_class)
-    csa_logs = run_csa_end_to_end(scenario)
-    # The averaging side builds its own scenario. train_dtjscc hands it a copy of
-    # the pretraining above instead of training again; the build stays because
-    # perfbench's traced adapt run checks 1/1/2 build_csa_scenario calls.
-    eval_scenario = restrict_t1_train(build_csa_scenario(cfg), per_class)
-    classifier = terminal_classifier(scenario)
-    fedavg_logs = run_fedavg_experiment(cfg, eval_scenario, classifier)
+    csa_logs, _ = run_csa_experiment(cfg)
+    fedavg_logs = run_fedavg_experiment(cfg)
     target = cfg.csa.target_accuracy
     return RaceResult(
         csa_logs,

@@ -15,6 +15,7 @@ from semcom.dataset import read_tensor_file
 from semcom.geometry import LINK_REPORT_CSV_HEADER
 
 from conftest import DIVERGING_INI
+from test_golden import ROUNDS_INI
 
 
 @pytest.fixture()
@@ -351,20 +352,35 @@ class TestDataCommand:
 
 
 class TestScarcePerClass:
-    """Only ``semcom race`` caps the t_1 pool; the other round loops ignore the key."""
+    """The key caps the t_1 pool of every round loop; the frozen loop never samples it."""
 
     @pytest.mark.parametrize(
-        "command,log", [("csa", "csa_rounds.csv"), ("fedavg", "fedavg_rounds.csv")]
+        "argv,log,moves",
+        [
+            (["csa"], "csa_rounds.csv", True),
+            (["fedavg"], "fedavg_rounds.csv", True),
+            (["csa", "--no-meta"], "csa_static_rounds.csv", False),
+        ],
     )
-    def test_round_log_ignores_the_key(self, tmp_path, tiny_ini, command, log):
+    def test_round_log_follows_the_key(self, tmp_path, tiny_ini, argv, log, moves):
         texts = []
         for scarce in (0, 2):
             ini = tmp_path / f"scarce{scarce}.ini"
             ini.write_text(Path(tiny_ini).read_text() + f"scarce_per_class = {scarce}\n")
-            out = tmp_path / f"{command}{scarce}"
-            assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+            out = tmp_path / f"out{scarce}"
+            assert main([*argv, "--config", str(ini), "--out", str(out)]) == 0
             texts.append((out / log).read_bytes())
-        assert texts[0] == texts[1]
+        assert (texts[0] != texts[1]) == moves
+
+
+def test_the_race_writes_what_csa_and_fedavg_write(tmp_path):
+    """``semcom race`` is its two sides: each of its files is the single loop's, byte for byte."""
+    ini = tmp_path / "rounds.ini"
+    ini.write_text(ROUNDS_INI)
+    for command in ("race", "csa", "fedavg"):
+        assert main([command, "--seed", "5", "--config", str(ini), "--out", str(tmp_path / command)]) == 0
+    for command, log in (("csa", "csa_rounds.csv"), ("fedavg", "fedavg_rounds.csv")):
+        assert (tmp_path / "race" / log).read_bytes() == (tmp_path / command / log).read_bytes()
 
 
 def run_fresh(code: str, *argv: str) -> str:

@@ -590,7 +590,8 @@ class TestFedAvg:
         x, y = blob_shard(3, n=200)
         mask = y < 2
         clients = [(x[mask], y[mask]), (x[~mask], y[~mask])]
-        logs = run_fedavg_baseline(clients, replace(self.CFG, rounds=20), pooled_scorer(clients))
+        start = nn.init_network([8, 4], ["linear"], seed=4)
+        logs = run_fedavg_baseline(clients, replace(self.CFG, rounds=20), pooled_scorer(clients), start)
         assert logs[-1].top1_accuracy >= 0.8
         assert logs[-1].top1_accuracy > logs[0].top1_accuracy
 
@@ -602,10 +603,13 @@ class TestFedAvg:
             calls.append(1)
             return 0.42, 1.3
 
-        logs = run_fedavg_baseline([shard], replace(self.CFG, rounds=3), eval_fn=eval_fn)
+        start = nn.init_network([8, 4], ["linear"], seed=5)
+        logs = run_fedavg_baseline([shard], replace(self.CFG, rounds=3), eval_fn, start)
         assert len(calls) == 3
         assert all(l.top1_accuracy == 0.42 for l in logs)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            run_fedavg_baseline([], replace(self.CFG, rounds=2), lambda net: (0.0, 0.0))
+        with pytest.raises(ValueError, match="at least one client"):
+            run_fedavg_baseline(
+                [], replace(self.CFG, rounds=2), lambda net: (0.0, 0.0), nn.init_network([8, 4], ["linear"], seed=6)
+            )

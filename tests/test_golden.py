@@ -116,13 +116,13 @@ GOLDEN = {
         'confusion.csv': '6f48112f12e3ad60b4d2b53210633bdcd4408c3863205c1228c345d12cd549fd',
     },
     'csa': {
-        'csa_rounds.csv': '1db5e6d2778a934045ff9cdd880a303b792bb3471c53f5cac7ae1873dfa7ad20',
+        'csa_rounds.csv': '5239e9cce38d6b0820fef03bd13d3d24dd5e35bd18f95dd25fae0f61c6d5cd10',
     },
     'csa-static': {
         'csa_static_rounds.csv': '1c4e4d51f9fcf672e89d7ce1d83020dd664c9b7e01f8d5001a2e4e8624564f6b',
     },
     'fedavg': {
-        'fedavg_rounds.csv': '67f1c91b6f23c141cc785072c28b408e2abff35afe4ab80b781752ef0b65b434',
+        'fedavg_rounds.csv': '371680808419cf9fb15df1d6a96afad5f9e9b67d77d88f6d9a4c5fbd6ff5db92',
     },
     'gen-data': {
         'summary.csv': 'bc357c87905b1a0ef3df333a5974f108491722549a98599219b3ab5a5eb9636f',
@@ -169,7 +169,7 @@ KERNEL_DIGESTS = {
     "SkylakeX": {},
     'Haswell': {
         'csa': {
-            'csa_rounds.csv': 'c121a752ad2434968b84945a47cd3076efc62e7796dfad5917bf7b9d070bb54b',
+            'csa_rounds.csv': 'e31df9738307626933bfdb56e7ed1b322be74dd98acddf942645cebed2793504',
         },
         'race': {
             'csa_rounds.csv': 'e31df9738307626933bfdb56e7ed1b322be74dd98acddf942645cebed2793504',
@@ -183,13 +183,13 @@ KERNEL_DIGESTS = {
     },
     'Sandybridge': {
         'csa': {
-            'csa_rounds.csv': 'd60851e82182734c42ec3da2b6c6526b556a6ee0f9f754b6680a9dd33969cb7e',
+            'csa_rounds.csv': '9137ae852f12697fc72cdb0c65b2bb7f38106f9d08cd0e9471090d6f8aea370c',
         },
         'csa-static': {
             'csa_static_rounds.csv': '6dbfb7a7877b5007788bfae2fcd4e7ac24c96c0db35fa1f1a585745de876fda9',
         },
         'fedavg': {
-            'fedavg_rounds.csv': 'f7e91daeab2f75df6f95410bd63292dcb67db12dce8016f07c84cde7431fd6a7',
+            'fedavg_rounds.csv': '630029b93abe1aecf7d5ff151e65d5fdf80555eb244ea202e88751a6ca3f3f6c',
         },
         'race': {
             'csa_rounds.csv': '9137ae852f12697fc72cdb0c65b2bb7f38106f9d08cd0e9471090d6f8aea370c',
@@ -204,13 +204,13 @@ KERNEL_DIGESTS = {
     },
     'Katmai': {
         'csa': {
-            'csa_rounds.csv': 'c0caf89bd8c1cbeacf96eae6d7319241eac8255f4966a0e03575dd61169a46d9',
+            'csa_rounds.csv': '6779d74907072c8247dd3d937d5d6a2ccac194f88811fd98c1f780a03953ee8e',
         },
         'csa-static': {
             'csa_static_rounds.csv': 'cbf13fe64eee058c076b79050814fe0be8c850ea361d189ad2cc58ca709cb6f0',
         },
         'fedavg': {
-            'fedavg_rounds.csv': '117ff25985ba6bcc6d16ae85017f5fe01c8139470d6699579bce885c38a6a358',
+            'fedavg_rounds.csv': '20cc1c551e70c5a9af0a8fc38369d213190db7d5b97467a3560f0532c9c4c950',
         },
         'race': {
             'csa_rounds.csv': '6779d74907072c8247dd3d937d5d6a2ccac194f88811fd98c1f780a03953ee8e',
@@ -230,7 +230,7 @@ KERNEL_DIGESTS = {
 AVX2_KERNEL_DIGESTS = {
     'SkylakeX': {
         'csa': {
-            'csa_rounds.csv': '79188049d12abe42c5d6eb542a33bf6cadbd9e72ba9c599ae643de64204c505e',
+            'csa_rounds.csv': '92c7ef2709f995357c9c0d7cf950bf9a2874a5dad515548f20f813f1d468616b',
         },
         'race': {
             'csa_rounds.csv': '92c7ef2709f995357c9c0d7cf950bf9a2874a5dad515548f20f813f1d468616b',
@@ -244,10 +244,7 @@ AVX2_KERNEL_DIGESTS = {
     },
     'Haswell': {
         'csa': {
-            'csa_rounds.csv': '8059c8a66850cd01adc6724268ef3237e4861cb1d6de5abcdc96db297b9b179a',
-        },
-        'fedavg': {
-            'fedavg_rounds.csv': '2f235602b42ad638afeeb3b80510374c1527671f9be1f33404fdb38516865f3a',
+            'csa_rounds.csv': 'b2a240b3ff3849b02099789084f7f764e3b6edcdf0cc90ee101da27391f2d8d1',
         },
         'race': {
             'csa_rounds.csv': 'b2a240b3ff3849b02099789084f7f764e3b6edcdf0cc90ee101da27391f2d8d1',
@@ -261,13 +258,13 @@ AVX2_KERNEL_DIGESTS = {
     },
     'Sandybridge': {
         'csa': {
-            'csa_rounds.csv': '5a22106ae244cb631f6b2c4bc40efaf19238c71363d63600c6e1577f6710d1b1',
+            'csa_rounds.csv': '6cb74ccac4a36e064c5adb9f51a60f65149f52bc0ab2dea74e3bec1adebbf03c',
         },
         'csa-static': {
             'csa_static_rounds.csv': '6dbfb7a7877b5007788bfae2fcd4e7ac24c96c0db35fa1f1a585745de876fda9',
         },
         'fedavg': {
-            'fedavg_rounds.csv': 'f7e91daeab2f75df6f95410bd63292dcb67db12dce8016f07c84cde7431fd6a7',
+            'fedavg_rounds.csv': '8521cd6cf857b0161ddc440447c7f35f7b99098e24db9dd162a41865b0803afd',
         },
         'race': {
             'csa_rounds.csv': '6cb74ccac4a36e064c5adb9f51a60f65149f52bc0ab2dea74e3bec1adebbf03c',
@@ -282,13 +279,13 @@ AVX2_KERNEL_DIGESTS = {
     },
     'Katmai': {
         'csa': {
-            'csa_rounds.csv': '6f27a3777f025cbf290802aca6c852ea0c7ca149e9fbcea037ad8c9c9b6836c2',
+            'csa_rounds.csv': '50732c3805e97a4649aefafd39faa904f0d525799358fd86733e1c1239276dfa',
         },
         'csa-static': {
             'csa_static_rounds.csv': '70e7768823393ac328a16b16df2c3e5da94912b5fe604723f972b2ead778c92a',
         },
         'fedavg': {
-            'fedavg_rounds.csv': '117ff25985ba6bcc6d16ae85017f5fe01c8139470d6699579bce885c38a6a358',
+            'fedavg_rounds.csv': '88fa0c21b0cfe2985c746d9584298eb3bfb61dab0e1a9b650e00e9ca5e0b397d',
         },
         'race': {
             'csa_rounds.csv': '50732c3805e97a4649aefafd39faa904f0d525799358fd86733e1c1239276dfa',

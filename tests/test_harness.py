@@ -18,7 +18,7 @@ from semcom import config, harness
 from semcom.cli import main, write_files
 from semcom.config import ChannelConfig, ChannelKind, ConfigError, HarnessConfig, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, rounds_to_target, run_csa_end_to_end
-from semcom.dataset import generate_synthetic
+from semcom.dataset import SplitDatasets, generate_synthetic
 from semcom.dtjscc import encode
 from semcom.harness import (
     CONFUSION_CSV_HEADER,
@@ -29,13 +29,13 @@ from semcom.harness import (
     build_csa_scenario,
     evaluate_through_channel,
     fedavg_client_shards,
-    restrict_t1_train,
     roundlog_csv,
     run_round_race,
     run_sweep,
     svg_text,
 )
 from semcom.modem import build_constellation
+from semcom.seeding import spawn_rng
 
 from conftest import forget_training, tiny_harness_cfg
 from test_golden import ROUNDS_INI
@@ -371,6 +371,25 @@ class TestConfusionMatrix:
         assert pct[2] + pct[3] == pytest.approx(100.0)
 
 
+def restrict_t1_train(splits: SplitDatasets, per_class: int, seed: int) -> SplitDatasets:
+    """The labelled-pool cap as the race alone once drew it: the reference for
+    ``build_csa_scenario``'s ``scarce_per_class`` draw."""
+    t1 = splits.train
+    rng = spawn_rng(seed, "scarce")
+    keep: list[np.ndarray] = []
+    for c in range(len(t1.class_names)):
+        idx = np.flatnonzero(t1.labels == c)
+        take = min(per_class, len(idx))
+        if take:
+            keep.extend(rng.choice(idx, size=take, replace=False))
+    small = t1.subset(np.sort(np.asarray(keep, dtype=np.int64)))
+    return SplitDatasets(small, splits.val, splits.test)
+
+
+def dataset_bytes(dataset) -> tuple[bytes, bytes, bytes]:
+    return dataset.pixels.tobytes(), dataset.labels.tobytes(), dataset.timestamps.tobytes()
+
+
 @pytest.fixture(scope="module")
 def scenario_cfg():
     return tiny_harness_cfg(
@@ -463,7 +482,9 @@ class TestScenario:
         run_csa_end_to_end(frozen, meta_enabled=False)
         assert len(calls) == 6
         calls.clear()
-        harness.run_fedavg_experiment(scenario_cfg, frozen)
+        harness.run_fedavg_experiment(
+            dataclasses.replace(scenario_cfg, fedavg=dataclasses.replace(scenario_cfg.fedavg, rounds=4))
+        )
         assert len(calls) == 2
 
     def test_evaluation_is_seed_deterministic(self, scenario, scenario_cfg):
@@ -485,18 +506,20 @@ class TestScenario:
         np.testing.assert_array_equal(a.counts.sum(axis=1), per_class)
         np.testing.assert_array_equal(c.counts.sum(axis=1), per_class)
 
-    def test_restrict_t1_train_caps_every_class(self, scenario):
-        before = scenario.splits_t1.train.pixels.copy()
-        scarce = restrict_t1_train(scenario, per_class=2)
-        assert scenario.splits_t1.train.pixels.tobytes() == before.tobytes()
-        counts = np.bincount(scarce.splits_t1.train.labels)
-        assert np.all(counts[counts > 0] <= 2)
-        assert len(scarce.splits_t1.val) == len(scenario.splits_t1.val)
-        assert len(scarce.splits_t1.test) == len(scenario.splits_t1.test)
-        again = restrict_t1_train(scenario, per_class=2)
-        np.testing.assert_array_equal(
-            scarce.splits_t1.train.pixels, again.splits_t1.train.pixels
+    def test_restrict_t1_train_caps_every_class(self, scenario, scenario_cfg):
+        """``fedavg.scarce_per_class`` draws the pool ``restrict_t1_train`` drew,
+        touches neither val nor test, and at 0 leaves the pool whole."""
+        assert scenario_cfg.fedavg.scarce_per_class == 0
+        whole = generate_synthetic(scenario_cfg.dataset)[1]
+        assert dataset_bytes(scenario.splits_t1.train) == dataset_bytes(whole.train)
+        scarce = build_csa_scenario(
+            dataclasses.replace(scenario_cfg, fedavg=dataclasses.replace(scenario_cfg.fedavg, scarce_per_class=2))
         )
+        reference = restrict_t1_train(scenario.splits_t1, 2, scenario.seed)
+        assert dataset_bytes(scarce.splits_t1.train) == dataset_bytes(reference.train)
+        assert np.bincount(scarce.splits_t1.train.labels).tolist() == [2] * len(whole.train.class_names)
+        for part in ("val", "test"):
+            assert dataset_bytes(getattr(scarce.splits_t1, part)) == dataset_bytes(getattr(whole, part))
 
     def test_fedavg_shards_modes(self, scenario):
         disjoint = fedavg_client_shards(scenario.system, scenario.splits_t1.train, 2)
@@ -542,6 +565,18 @@ class TestRace:
             )
         assert race.csa_rounds == rounds_to_target(race.csa_logs, 0.3, "ut")
         assert race.fedavg_rounds == rounds_to_target(race.fedavg_logs, 0.3, "server")
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_the_race_is_its_two_sides(self, fresh):
+        cfg = tiny_harness_cfg(
+            master_seed=3,
+            dataset={"temporal_drift": 1.0},
+            csa={"rounds": 3, "fresh_ut_classifier": fresh},
+            fedavg={"rounds": 3, "scarce_per_class": 3},
+        )
+        race = run_round_race(cfg)
+        assert roundlog_csv(race.csa_logs) == roundlog_csv(harness.run_csa_experiment(cfg)[0])
+        assert roundlog_csv(race.fedavg_logs) == roundlog_csv(harness.run_fedavg_experiment(cfg))
 
     def test_both_sides_share_one_pretraining(self, monkeypatch, trainings):
         calls = []
