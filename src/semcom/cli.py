@@ -8,7 +8,8 @@ and a confusion matrix. All randomness flows from ``--seed`` (or the
 Files are values. Each subcommand returns its files by name, each the text
 or bytes a format module built, with its summary line and exit code, and
 :func:`write_files` is the one place a run's files reach disk. It runs
-after everything is computed, so a run that fails creates no ``--out``.
+after everything is computed, so a run that fails creates no ``--out``;
+an ``--out`` that could never be a directory is refused before any work.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
 (a diverged training among them, stopped before any output), 3 a ``train``
@@ -59,6 +60,15 @@ def write_files(out: str, files: Files) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(content.encode() if isinstance(content, str) else content)
+
+
+def _check_out(out: str) -> None:
+    """Raise :class:`ConfigError` if ``out`` is empty, or is or lies under an existing non-directory."""
+    path = out
+    while path and not os.path.exists(path):  # "" is the working directory
+        path = os.path.dirname(path)
+    if not out or (path and not os.path.isdir(path)):
+        raise ConfigError(f"--out must name a directory, got {out!r}")
 
 
 def _computes(command: Callable[..., Run]) -> Callable[[argparse.Namespace], Run]:
@@ -211,16 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv)  # None reads sys.argv
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
         return 1
     try:
+        _check_out(args.out)  # before any work, so a bad --out costs nothing
         files, summary, code = args.func(args)
         write_files(args.out, files)  # only once everything is computed
         print(summary)

@@ -275,6 +275,7 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         top = DATASET_SCALE_MAX
         require(self, POSITIVE, "per_class_count", "height", "width", "bands")
+        require(self, (lambda n: n <= sys.float_info.max, "must not exceed the largest float"), "per_class_count")
         require(self, (lambda x: 0.0 < x <= top, f"must lie in (0, {top}]"), "class_separation")
         require(self, (lambda x: 0.0 <= x <= top, f"must lie in [0, {top}]"), "temporal_drift", "noise_sigma")
         require(self, (lambda x: abs(x) <= top, f"must lie in [-{top}, {top}]"), "texture_amplitude")

@@ -5,7 +5,8 @@ a smooth per-image texture and i.i.d. Gaussian noise. The t_1 variant shifts
 every class signature by a drift vector of configurable magnitude applied to
 the same pixel realizations, modelling a later capture of the same scenes.
 Pixels are quantized to f32 resolution at generation time so file round trips
-are exact.
+are exact. An MSIT container states the image shape once in its header and
+holds labels, timestamps and pixels as three columns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from .seeding import spawn_rng
 from .tables import csv_text
 
 MAGIC = b"MSIT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# After the magic: u32 version, u32 record count, u16 height, width and bands.
+_HEADER = struct.Struct("<IIHHH")
+_COLUMNS = len(MAGIC) + _HEADER.size  # where the label column starts
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
 
@@ -159,32 +163,17 @@ def split(
         for part, count in zip(parts, counts):
             part.append(idx[start : start + count])
             start += count
-    chosen = [
-        np.sort(np.concatenate(p)) if p else np.empty(0, dtype=np.int64) for p in parts
-    ]
-    return SplitDatasets(
-        train=dataset.subset(chosen[0]),
-        val=dataset.subset(chosen[1]),
-        test=dataset.subset(chosen[2]),
-    )
-
-
-# An MSIT record's header: u16 height, width, bands and label, u32 timestamp index.
-_RECORD_HEADER = np.dtype(
-    [("height", "<u2"), ("width", "<u2"), ("bands", "<u2"), ("label", "<u2"), ("timestamp", "<u4")]
-)
-
-
-def _record_dtype(shape: tuple[int, ...]) -> np.dtype:
-    """One MSIT record: the header, then the image's f32 pixels row-major."""
-    return np.dtype([*_RECORD_HEADER.descr, ("pixels", "<f4", shape)])
+    chosen = [np.sort(np.concatenate(p)) if p else np.empty(0, dtype=np.int64) for p in parts]
+    return SplitDatasets(*(dataset.subset(idx) for idx in chosen))
 
 
 def tensor_file(dataset: Dataset) -> bytes:
     """The MSIT container of ``dataset``.
 
-    Little-endian: magic "MSIT", u32 version, u32 record count, then one
-    :func:`_record_dtype` record per image. An empty dataset raises: the reader takes the shape from record 0.
+    Little-endian: magic "MSIT", then :data:`_HEADER` (u32 version 2, u32
+    record count N, u16 height H, width W and bands D), then three columns:
+    N u16 labels, N u32 timestamp indices and the N x H x W x D f32 pixels,
+    row-major. An empty dataset raises, as its reader would.
     """
     n = len(dataset)
     if not n:
@@ -196,54 +185,27 @@ def tensor_file(dataset: Dataset) -> bytes:
         raise DimensionOverflowError("label exceeds u16")
     if int(dataset.timestamps.min()) < 0 or int(dataset.timestamps.max()) > _U32_MAX:
         raise DimensionOverflowError("timestamp index outside u32")
-    records = np.empty(n, dtype=_record_dtype(shape))
-    records["height"], records["width"], records["bands"] = shape
-    records["label"] = dataset.labels
-    records["timestamp"] = dataset.timestamps
-    records["pixels"] = dataset.pixels
-    return MAGIC + struct.pack("<II", FORMAT_VERSION, n) + records.tobytes()
+    columns = (dataset.labels.astype("<u2"), dataset.timestamps.astype("<u4"), dataset.pixels.astype("<f4"))
+    return MAGIC + _HEADER.pack(FORMAT_VERSION, n, *shape) + b"".join(c.tobytes() for c in columns)
 
 
 def read_tensor_file(data: bytes) -> Dataset:
-    """The dataset of a :func:`tensor_file` container.
-
-    Of several faults the first in record order is reported: a record that
-    is cut short, or one whose shape differs from record 0's.
-    """
+    """The dataset of a :func:`tensor_file` container; bytes past its pixels are ignored."""
     if data[:4] != MAGIC:
         raise BadMagicError(f"bad magic {data[:4]!r}")
-    if len(data) < 12:
+    if len(data) < _COLUMNS:
         raise TruncatedFileError("truncated header")
-    version, count = struct.unpack_from("<II", data, 4)
+    version, n, *shape = _HEADER.unpack_from(data, len(MAGIC))
     if version != FORMAT_VERSION:
         raise TensorFileError(f"unsupported version {version}")
-    if count == 0:
+    if n == 0:
         raise TensorFileError("container holds no records")
-    body = memoryview(data)[12:]
-
-    def shape_at(offset: int) -> tuple[int, int, int]:
-        head = np.frombuffer(body, dtype=_RECORD_HEADER, count=1, offset=offset)[0]
-        return int(head["height"]), int(head["width"]), int(head["bands"])
-
-    if len(body) < _RECORD_HEADER.itemsize:
-        raise TruncatedFileError("truncated record header at 0")
-    shape = shape_at(0)
-    size = _RECORD_HEADER.itemsize + 4 * math.prod(shape)
-    whole = min(count, len(body) // size)  # records that lie wholly in ``data``
-    heads = np.ndarray((whole,), dtype=_RECORD_HEADER, buffer=body, strides=(size,))
-    dims = np.stack([heads["height"], heads["width"], heads["bands"]], axis=1)
-    odd = np.flatnonzero((dims != shape).any(axis=1))
-    i = int(odd[0]) if odd.size else whole
-    if i < count:  # record i is odd in shape or cut short
-        if len(body) - i * size < _RECORD_HEADER.itemsize:
-            raise TruncatedFileError(f"truncated record header at {i}")
-        if shape_at(i * size) != shape:
-            raise TensorFileError(f"record {i} has shape {shape_at(i * size)}, record 0 has {shape}")
-        raise TruncatedFileError(f"truncated pixel payload at {i}")
-    records = np.frombuffer(body, dtype=_record_dtype(shape), count=count)
-    labels = records["label"].astype(np.int64)
-    pixels = records["pixels"].astype(np.float64)
-    timestamps = records["timestamp"].astype(np.int64)
+    size = n * math.prod(shape)
+    if len(data) < _COLUMNS + 6 * n + 4 * size:
+        raise TruncatedFileError("truncated payload")
+    labels = np.frombuffer(data, "<u2", n, _COLUMNS).astype(np.int64)
+    timestamps = np.frombuffer(data, "<u4", n, _COLUMNS + 2 * n).astype(np.int64)
+    pixels = np.frombuffer(data, "<f4", size, _COLUMNS + 6 * n).astype(np.float64).reshape(n, *shape)
     n_classes = int(labels.max()) + 1
     if n_classes <= len(EUROSAT_CLASS_NAMES):
         return Dataset(pixels, labels, timestamps)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,9 @@ from semcom.geometry import LINK_REPORT_CSV_HEADER
 
 from conftest import DIVERGING_INI
 from test_golden import ROUNDS_INI
+
+
+COMMANDS = ["linkbudget", "gen-data", "train", "sweep", "csa", "fedavg", "race", "confusion"]
 
 
 @pytest.fixture()
@@ -43,10 +47,10 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
     def test_runtime_errors_map_to_two(self, tmp_path, capsys):
-        (tmp_path / "file").write_text("")
-        code = main(["linkbudget", "--out", str(tmp_path / "file" / "out")])
+        (tmp_path / "linkbudget.csv").mkdir()
+        code = main(["linkbudget", "--out", str(tmp_path)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
     def test_an_unreadable_config_file_exits_one_naming_it(self, tmp_path, capsys, kind):
@@ -212,6 +216,18 @@ class TestConfigErrors:
         assert err.endswith(f"got {float(ratio)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_per_class_count_past_the_largest_float_exits_one_naming_it(self, tmp_path, capsys, command):
+        """Once exited 2 with "int too large to convert to float", from every subcommand."""
+        ini = tmp_path / "big.ini"
+        ini.write_text(f"[dataset]\nper_class_count = {10**400}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset.per_class_count must not exceed the largest float, got {10**400}\n"
+        )
+        assert not out.exists()
+
     def test_gen_data_rejects_a_texture_that_overflows_float32(self, tmp_path, capsys):
         """Once wrote .msit files whose pixels were all infinite, and exited 0."""
         ini = tmp_path / "texture.ini"
@@ -241,6 +257,30 @@ class TestConfigErrors:
         assert code == 1
         assert "sweep.workers must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestBadOut:
+    """An --out that can never be a directory is refused before any work:
+    exit 1, one line naming it, nothing created and nothing trained."""
+
+    @pytest.mark.parametrize("kind", ["empty", "file", "under-a-file"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_one_before_training(self, tmp_path, monkeypatch, capsys, command, kind):
+        from semcom import dtjscc, harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained despite a bad --out")
+
+        monkeypatch.setattr(dtjscc, "train_dtjscc", never)
+        monkeypatch.setattr(harness, "train_dtjscc", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept")
+        out = {"empty": "", "file": "file", "under-a-file": os.path.join("file", "out")}[kind]
+        assert main([command, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out must name a directory, got {out!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept"
 
 
 class TestDivergedPretraining:
@@ -427,10 +467,11 @@ def test_settings_load_without_numpy():
         (["train", "--config"], "[fedavg]\nclients = 0\n", 1),
         (["linkbudget", "--config"], "[channel]\nmodulation = 65536psk\n", 0),
         (["linkbudget", "--config", "no-such-config.ini", "--out", "no-such-out"], None, 1),
+        (["train", "--out", ""], None, 1),
     ],
     ids=[
         "help", "no-command", "unknown-command", "unknown-option", "bad-modulation", "bad-value", "linkbudget",
-        "missing-config",
+        "missing-config", "empty-out",
     ],
 )
 def test_commands_that_compute_nothing_never_import_numpy(tmp_path, argv, ini, code):

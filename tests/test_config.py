@@ -120,6 +120,18 @@ def test_every_numeric_key_rejects_a_value_no_run_can_use(tmp_path, capsys, sect
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section,key", [(section, key) for section, key, item in _numeric_keys() if item == "int"]
+)
+def test_every_int_key_loads_or_names_itself_at_10_to_the_400(tmp_path, section, key):
+    """An int too large for a float either loads or is blamed on its key, never escapes unnamed."""
+    (tmp_path / "big.ini").write_text(f"[{section}]\n{key} = {10**400}\n")
+    try:
+        load_config(str(tmp_path / "big.ini"))
+    except config.ConfigError as exc:
+        assert str(exc).startswith(f"{section}.{key} ")
+
+
 # Every settings class: each [section]'s class and the channel settings the sections build.
 SETTINGS_CLASSES = [f.default_factory for f in dataclasses.fields(config.HarnessConfig)] + [config.ChannelConfig]
 

@@ -6,13 +6,21 @@ import dataclasses
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcom.config import DATASET_SCALE_MAX, EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
+from semcom.config import (
+    DATASET_SCALE_MAX,
+    EUROSAT_CLASS_NAMES,
+    SPLIT_RATIOS,
+    DatasetSpec,
+    load_config,
+    split_counts,
+)
 from semcom.dataset import (
     BadMagicError,
     Dataset,
@@ -274,7 +282,7 @@ class TestSplitCounts:
 
 
 def oracle_save_tensor_file(path, dataset):
-    """The per-record MSIT writer ``tensor_file`` replaced, kept verbatim as its oracle."""
+    """The per-record MSIT version 1 writer, kept verbatim: its files must be refused."""
     n = len(dataset)
     h, w, d = dataset.pixels.shape[1:]
     if max(h, w, d) > 0xFFFF:
@@ -291,71 +299,67 @@ def oracle_save_tensor_file(path, dataset):
             fh.write(dataset.pixels[i].astype("<f4").tobytes(order="C"))
 
 
-def oracle_load_tensor_file(path):
-    """The record-by-record MSIT reader ``read_tensor_file`` replaced, kept verbatim as its oracle."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != b"MSIT":
-            raise BadMagicError(f"bad magic {magic!r}")
-        header = fh.read(8)
-        if len(header) < 8:
-            raise TruncatedFileError("truncated header")
-        version, count = struct.unpack("<II", header)
-        if version != 1:
-            raise TensorFileError(f"unsupported version {version}")
-        pixels = []
-        labels = np.empty(count, dtype=np.int64)
-        timestamps = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            rec = fh.read(12)
-            if len(rec) < 12:
-                raise TruncatedFileError(f"truncated record header at {i}")
-            h, w, d, label, ts = struct.unpack("<HHHHI", rec)
-            if pixels and (h, w, d) != pixels[0].shape:
-                raise TensorFileError(f"record {i} has shape {(h, w, d)}, record 0 has {pixels[0].shape}")
-            payload = fh.read(h * w * d * 4)
-            if len(payload) < h * w * d * 4:
-                raise TruncatedFileError(f"truncated pixel payload at {i}")
-            pixels.append(np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(h, w, d))
-            labels[i] = label
-            timestamps[i] = ts
-    if count == 0:
-        raise TensorFileError("container holds no records")
-    stack = np.stack(pixels)
-    n_classes = int(labels.max()) + 1
-    if n_classes <= len(EUROSAT_CLASS_NAMES):
-        return Dataset(stack, labels, timestamps)
-    return Dataset(stack, labels, timestamps, tuple(f"class{i}" for i in range(n_classes)))
+def column_writer(dataset):
+    """The v2 container written value by value with ``struct``, apart from ``tensor_file``."""
+    n = len(dataset)
+    header = b"MSIT" + struct.pack("<IIHHH", 2, n, *dataset.pixels.shape[1:])
+    labels = b"".join(struct.pack("<H", int(label)) for label in dataset.labels)
+    stamps = b"".join(struct.pack("<I", int(stamp)) for stamp in dataset.timestamps)
+    pixels = b"".join(struct.pack("<f", float(x)) for x in dataset.pixels.ravel())
+    return header + labels + stamps + pixels
 
 
-def record(h, w, d, label=0, timestamp=0):
-    return struct.pack("<HHHHI", h, w, d, label, timestamp) + np.zeros(h * w * d, dtype="<f4").tobytes()
+def header(count, shape=(1, 1, 2), version=2):
+    return b"MSIT" + struct.pack("<IIHHH", version, count, *shape)
 
 
-def container(*records, count=None):
-    return b"MSIT" + struct.pack("<II", 1, len(records) if count is None else count) + b"".join(records)
+# Two records of 1x1x2 pixels: labels 3 and 7, timestamps 0 and 2**32 - 1,
+# pixels (1, -2) and (0.5, 3).
+TWO_RECORDS = (
+    b"MSIT"
+    b"\x02\x00\x00\x00"  # version 2
+    b"\x02\x00\x00\x00"  # two records
+    b"\x01\x00\x01\x00\x02\x00"  # height 1, width 1, bands 2
+    b"\x03\x00\x07\x00"  # labels
+    b"\x00\x00\x00\x00\xff\xff\xff\xff"  # timestamp indices
+    b"\x00\x00\x80\x3f\x00\x00\x00\xc0"  # record 0's pixels: 1.0, -2.0
+    b"\x00\x00\x00\x3f\x00\x00\x40\x40"  # record 1's pixels: 0.5, 3.0
+)
+TWO_RECORDS_DATASET = Dataset([[[[1.0, -2.0]]], [[[0.5, 3.0]]]], [3, 7], [0, 2**32 - 1])
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestContainerFormat:
+    def test_bytes_equal_the_hand_written_container(self):
+        assert tensor_file(TWO_RECORDS_DATASET) == TWO_RECORDS
+        assert len(TWO_RECORDS) == 18 + 2 * (6 + 4 * 2)
+
+    def test_the_hand_written_container_reads_back(self):
+        back = read_tensor_file(TWO_RECORDS)
+        np.testing.assert_array_equal(back.pixels, TWO_RECORDS_DATASET.pixels)
+        assert back.labels.tolist() == [3, 7]
+        assert back.timestamps.tolist() == [0, 2**32 - 1]
+        assert back.class_names == EUROSAT_CLASS_NAMES
+
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (7, 2, 13), (2, 9, 1)])
     @pytest.mark.parametrize("n", [1, 6])
-    def test_bytes_equal_the_per_record_writer(self, tmp_path, shape, n):
+    def test_bytes_equal_the_value_by_value_writer(self, shape, n):
         rng = spawn_rng(2, "msit", n, *shape)
         ds = Dataset(
             rng.normal(0.0, 1e3, size=(n, *shape)),
             rng.integers(0, 10, size=n),
             rng.integers(0, 2**32, size=n),
         )
-        oracle_save_tensor_file(str(tmp_path / "o.msit"), ds)
-        assert tensor_file(ds) == (tmp_path / "o.msit").read_bytes()
+        assert tensor_file(ds) == column_writer(ds)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (7, 2, 13), (2, 9, 1)])
     def test_an_empty_dataset_is_refused_as_its_reader_would(self, shape):
-        """A container of no records has no record 0 to give the reader its shape."""
+        """The reader refuses a container of no records, so the writer makes none."""
         with pytest.raises(TensorFileError, match="^container holds no records$"):
             tensor_file(Dataset(np.zeros((0, *shape)), [], []))
 
-    def test_the_widest_labels_and_timestamps_match_the_per_record_writer(self, tmp_path):
+    def test_the_widest_labels_and_timestamps_match_the_value_by_value_writer(self):
         labels = np.array([0, 1, 65_534, 65_535])
         ds = Dataset(
             spawn_rng(3, "msit").standard_normal((4, 2, 3, 2)),
@@ -363,9 +367,8 @@ class TestContainerFormat:
             np.array([0, 1, 2**32 - 2, 2**32 - 1]),
             tuple(f"c{i}" for i in range(65_536)),
         )
-        oracle_save_tensor_file(str(tmp_path / "o.msit"), ds)
         data = tensor_file(ds)
-        assert data == (tmp_path / "o.msit").read_bytes()
+        assert data == column_writer(ds)
         back = read_tensor_file(data)
         np.testing.assert_array_equal(back.labels, labels)
         np.testing.assert_array_equal(back.timestamps, ds.timestamps)
@@ -380,83 +383,69 @@ class TestContainerFormat:
         assert back.class_names == t0.train.class_names
         assert back.pixels.flags.c_contiguous and back.pixels.flags.writeable
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
+    def test_every_split_of_every_shipped_config_round_trips_byte_for_byte(self, name):
+        spec = load_config(str(CONFIGS / name), 0).dataset
+        for splits in generate_synthetic(spec):
+            for part in (splits.train, splits.val, splits.test):
+                data = tensor_file(part)
+                assert len(data) == 18 + len(part) * (6 + 4 * spec.height * spec.width * spec.bands)
+                back = read_tensor_file(data)
+                assert back.pixels.tobytes() == part.pixels.tobytes()
+                assert back.labels.tobytes() == part.labels.tobytes()
+                assert back.timestamps.tobytes() == part.timestamps.tobytes()
+
     def test_bad_magic(self):
         with pytest.raises(BadMagicError, match=r"^bad magic b'JUNK'$"):
             read_tensor_file(b"JUNKxxxxxxxx")
 
     def test_truncated_header_and_payload(self):
-        t0, _ = generate_synthetic(DatasetSpec(per_class_count=2, seed=8))
-        blob = tensor_file(t0.train)
-        with pytest.raises(TruncatedFileError, match="^truncated header$"):
-            read_tensor_file(blob[:6])
-        with pytest.raises(TruncatedFileError, match="^truncated record header at 0$"):
-            read_tensor_file(blob[:20])
-        with pytest.raises(TruncatedFileError, match=f"^truncated pixel payload at {len(t0.train) - 1}$"):
-            read_tensor_file(blob[: len(blob) - 5])
-
-    def test_every_cut_names_the_record_it_falls_in(self):
-        blob = container(record(2, 1, 1), record(2, 1, 1), record(2, 1, 1))
-        size = 12 + 2 * 4
-        for cut in range(12, len(blob)):
-            i, at = divmod(cut - 12, size)
-            part = "record header" if at < 12 else "pixel payload"
-            with pytest.raises(TruncatedFileError, match=f"^truncated {part} at {i}$"):
-                read_tensor_file(blob[:cut])
-        assert len(read_tensor_file(blob)) == 3
-
-    def test_mixed_record_shapes_name_the_first_odd_record(self):
-        data = container(record(2, 2, 3), record(2, 2, 3), record(2, 3, 3), record(1, 1, 1))
-        want = r"^record 2 has shape \(2, 3, 3\), record 0 has \(2, 2, 3\)$"
-        with pytest.raises(TensorFileError, match=want):
-            read_tensor_file(data)
-
-    def test_an_odd_shape_is_named_before_a_cut_in_the_same_record(self):
-        data = container(record(2, 2, 3), record(2, 3, 3))
-        want = r"^record 1 has shape \(2, 3, 3\), record 0 has \(2, 2, 3\)$"
-        with pytest.raises(TensorFileError, match=want):
-            read_tensor_file(data[:-1])
-        # A smaller record padded out to record 0's size is still named by its shape.
-        want = r"^record 1 has shape \(1, 1, 1\), record 0 has \(2, 2, 3\)$"
-        with pytest.raises(TensorFileError, match=want):
-            read_tensor_file(container(record(2, 2, 3), record(1, 1, 1)) + bytes(44))
-
-    def test_a_cut_before_an_odd_record_is_named_first(self):
-        data = container(record(2, 2, 3), record(2, 2, 3), record(2, 3, 3))
-        with pytest.raises(TruncatedFileError, match="^truncated pixel payload at 1$"):
-            read_tensor_file(data[: 12 + 60 + 30])
+        for cut in (4, 6, 17):
+            with pytest.raises(TruncatedFileError, match="^truncated header$"):
+                read_tensor_file(TWO_RECORDS[:cut])
+        for cut in range(18, len(TWO_RECORDS)):
+            with pytest.raises(TruncatedFileError, match="^truncated payload$"):
+                read_tensor_file(TWO_RECORDS[:cut])
 
     def test_a_record_count_beyond_the_data_is_a_cut(self):
-        with pytest.raises(TruncatedFileError, match="^truncated record header at 1$"):
-            read_tensor_file(container(record(2, 2, 3), count=2**32 - 1))
-        with pytest.raises(TruncatedFileError, match="^truncated pixel payload at 0$"):
-            read_tensor_file(container(struct.pack("<HHHHI", 0xFFFF, 0xFFFF, 0xFFFF, 0, 0) + bytes(64)))
+        with pytest.raises(TruncatedFileError, match="^truncated payload$"):
+            read_tensor_file(header(2**32 - 1, (0xFFFF, 0xFFFF, 0xFFFF)) + TWO_RECORDS[18:])
 
+    def test_bytes_past_the_pixels_are_ignored(self):
+        back = read_tensor_file(TWO_RECORDS + b"trailing")
+        assert tensor_file(back) == TWO_RECORDS
+
+    @settings(max_examples=500)
     @given(
-        shapes=st.lists(st.sampled_from([(2, 2, 3), (2, 3, 3), (1, 1, 1), (0, 4, 1)]), max_size=5),
-        extra=st.integers(-2, 2),
-        cut=st.integers(0, 400),
+        n=st.integers(1, 3),
+        shape=st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(1, 3)),
         seed=st.integers(0, 2**16),
+        cut=st.one_of(st.none(), st.integers(0, 2**16)),
+        corrupt=st.one_of(st.none(), st.tuples(st.integers(0, 31), st.integers(0, 255))),
     )
-    def test_outcome_matches_the_record_by_record_reader(self, tmp_path_factory, shapes, extra, cut, seed):
-        """Every container, cut anywhere: the same dataset, or the same error class and message."""
+    def test_a_damaged_container_reads_or_raises_a_format_error(self, n, shape, seed, cut, corrupt):
+        """Cut anywhere, or with any of its first 32 bytes changed: a dataset or a
+        ``TensorFileError``, never another exception; every cut short of the
+        pixels' end raises."""
         rng = spawn_rng(seed, "msit")
-        records = b"".join(
-            struct.pack("<HHHHI", *shape, int(rng.integers(0, 12)), int(rng.integers(0, 2**32)))
-            + rng.standard_normal(math.prod(shape)).astype("<f4").tobytes()
-            for shape in shapes
-        )
-        data = container(records, count=max(0, len(shapes) + extra))[:cut]
-        path = tmp_path_factory.mktemp("msit") / "x.msit"
-        path.write_bytes(data)
+        ds = Dataset(rng.standard_normal((n, *shape)), rng.integers(0, 10, size=n), rng.integers(0, 2**32, size=n))
+        whole = tensor_file(ds)
+        data = bytearray(whole)
+        if corrupt is not None and corrupt[0] < len(data):
+            data[corrupt[0]] = corrupt[1]
+        if cut is not None:
+            data = data[: cut % (len(whole) + 1)]
+        try:
+            read_tensor_file(bytes(data))
+        except TensorFileError:
+            return
+        assert len(data) == len(whole) or corrupt is not None
 
-        def outcome(read, arg):
-            try:
-                ds = read(arg)
-            except TensorFileError as exc:
-                return type(exc), str(exc)
-            return ds.pixels.tobytes(), ds.pixels.shape, ds.labels.tolist(), ds.timestamps.tolist(), ds.class_names
-
-        assert outcome(read_tensor_file, data) == outcome(oracle_load_tensor_file, str(path))
+    def test_a_version_1_container_is_unsupported(self, tmp_path):
+        t0, _ = generate_synthetic(DatasetSpec(per_class_count=2, seed=8))
+        oracle_save_tensor_file(str(tmp_path / "v1.msit"), t0.train)
+        with pytest.raises(TensorFileError, match="^unsupported version 1$"):
+            read_tensor_file((tmp_path / "v1.msit").read_bytes())
 
     def test_unsupported_version(self):
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=2, seed=8))
@@ -467,7 +456,7 @@ class TestContainerFormat:
 
     def test_empty_container_rejected(self):
         with pytest.raises(TensorFileError, match="^container holds no records$"):
-            read_tensor_file(container())
+            read_tensor_file(header(0))
 
     def test_dimension_overflow_on_save(self):
         ds = Dataset(

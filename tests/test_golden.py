@@ -126,12 +126,12 @@ GOLDEN = {
     },
     'gen-data': {
         'summary.csv': 'bc357c87905b1a0ef3df333a5974f108491722549a98599219b3ab5a5eb9636f',
-        't0_test.msit': 'ad0efb4d7a334cedcf43c248bd87532ccd33d78383da82d72fb07fc2d458bcdc',
-        't0_train.msit': '915a5b685dd478be773c277bd9252c61893ff9605149a0be6a7b30aed00b6087',
-        't0_val.msit': '715a2e0e99ea404315c0998e9fef470223c09f5e4d704efe023d1abe8afb8457',
-        't1_test.msit': '52b966ce4d8d641e5d89f622fed0d155a01036092c0106eac791b70081b9d703',
-        't1_train.msit': '2d5abd985a9ca91995b19c04bdec6d25edea07f7d2b67b7fa959670deb71fc81',
-        't1_val.msit': 'cc9161559d463b6334b82bd5e539bd64db117c200e80daaff40d2b090c71215c',
+        't0_test.msit': 'c55b9a880e08715e9d9a2c7fa21fe1abfda2b4df58fae101c79660d708b2cd88',
+        't0_train.msit': '15c78abea32ec7a1d528f0ced3964e35686775429b753b89b9db35c8e32b9e05',
+        't0_val.msit': '7597d2f31190d57e61e4e335e87b6dd5accbaa901e057174e436704ace8ac7ef',
+        't1_test.msit': 'f86b9a3226440380b4e949b02d00f9958a7796d1c345c293cf03cae516b65bc6',
+        't1_train.msit': '2666aecdbb8ec0a190e3ac2fb390eb2c01887d2778aec49774113723816be8f5',
+        't1_val.msit': 'b18983341747284bec0c5feaa7d7bd4f2ca85c2b222c92cfeb95c70ff711e51d',
     },
     'linkbudget': {
         'isl_linkbudget.csv': '7c7d0128e28e0420ff010bf96a4f443bf1d1fc748c4c18504dd6071d4f6aa7fc',
