@@ -32,6 +32,8 @@ DEFAULT_APSK_RING_RATIO = 2.57
 # The widest bit width the modem's lookup tables cover; PSK orders and
 # codebook sizes are capped at 2**TABLE_BITS so every index and label fits one table.
 TABLE_BITS = 16
+# The widest value of an MSIT u16 field: an image's height, width or bands, and a label.
+U16_MAX = 0xFFFF
 # Client shard modes: class-disjoint blocks (the non-iid regime) or round robin.
 SHARD_MODES = ("disjoint", "iid")
 SPLIT_RATIOS = (0.70, 0.15, 0.15)
@@ -275,6 +277,7 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         top = DATASET_SCALE_MAX
         require(self, POSITIVE, "per_class_count", "height", "width", "bands")
+        require(self, (lambda n: n <= U16_MAX, f"must be at most {U16_MAX}"), "height", "width", "bands")
         require(self, (lambda n: n <= sys.float_info.max, "must not exceed the largest float"), "per_class_count")
         require(self, (lambda x: 0.0 < x <= top, f"must lie in (0, {top}]"), "class_separation")
         require(self, (lambda x: 0.0 <= x <= top, f"must lie in [0, {top}]"), "temporal_drift", "noise_sigma")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, DatasetSpec, split_counts
+from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, U16_MAX, DatasetSpec, split_counts
 from .seeding import spawn_rng
 from .tables import csv_text
 
@@ -26,7 +26,6 @@ FORMAT_VERSION = 2
 # After the magic: u32 version, u32 record count, u16 height, width and bands.
 _HEADER = struct.Struct("<IIHHH")
 _COLUMNS = len(MAGIC) + _HEADER.size  # where the label column starts
-_U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
 
 
@@ -179,9 +178,9 @@ def tensor_file(dataset: Dataset) -> bytes:
     if not n:
         raise TensorFileError("container holds no records")
     shape = dataset.pixels.shape[1:]
-    if max(shape) > _U16_MAX:
+    if max(shape) > U16_MAX:
         raise DimensionOverflowError(f"dimensions {shape} exceed u16")
-    if int(dataset.labels.max()) > _U16_MAX:
+    if int(dataset.labels.max()) > U16_MAX:
         raise DimensionOverflowError("label exceeds u16")
     if int(dataset.timestamps.min()) < 0 or int(dataset.timestamps.max()) > _U32_MAX:
         raise DimensionOverflowError("timestamp index outside u32")
@@ -190,7 +189,10 @@ def tensor_file(dataset: Dataset) -> bytes:
 
 
 def read_tensor_file(data: bytes) -> Dataset:
-    """The dataset of a :func:`tensor_file` container; bytes past its pixels are ignored."""
+    """The dataset of a :func:`tensor_file` container; bytes past its pixels are ignored.
+
+    A NaN pixel, signalling or quiet, reads as NaN.
+    """
     if data[:4] != MAGIC:
         raise BadMagicError(f"bad magic {data[:4]!r}")
     if len(data) < _COLUMNS:
@@ -205,7 +207,8 @@ def read_tensor_file(data: bytes) -> Dataset:
         raise TruncatedFileError("truncated payload")
     labels = np.frombuffer(data, "<u2", n, _COLUMNS).astype(np.int64)
     timestamps = np.frombuffer(data, "<u4", n, _COLUMNS + 2 * n).astype(np.int64)
-    pixels = np.frombuffer(data, "<f4", size, _COLUMNS + 6 * n).astype(np.float64).reshape(n, *shape)
+    with np.errstate(invalid="ignore"):  # widening a signalling NaN flags "invalid"
+        pixels = np.frombuffer(data, "<f4", size, _COLUMNS + 6 * n).astype(np.float64).reshape(n, *shape)
     n_classes = int(labels.max()) + 1
     if n_classes <= len(EUROSAT_CLASS_NAMES):
         return Dataset(pixels, labels, timestamps)

@@ -1,8 +1,9 @@
-"""Fading statistics against closed forms and an independent sampler."""
+"""Fading statistics against closed forms, an independent sampler and the recorded bytes of every gain."""
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -76,6 +77,24 @@ class TestFadingRuleMatchesOracle:
                 assert got_seq.dtype == np.complex128
                 assert got_seq.tobytes() == want_seq.tobytes()
             assert got_rng.standard_normal(4).tobytes() == want_rng.standard_normal(4).tobytes()
+
+
+# sha256 of each kind's block gain, five per-symbol gains and the stream's next
+# two draws, over Rician factors from 0 to 1e300. The oracle above compares two
+# computations on one machine; this pins their bytes on every machine.
+GAIN_BYTES_SHA256 = "4e6e82fb8fd6e6993c460bcdca157d3049940a190033a85ba57c5be23dca1c89"
+
+
+def test_gains_keep_their_recorded_bytes():
+    """Every gain's bits and dtype, and the draws each takes from its stream."""
+    digest = hashlib.sha256()
+    for kind in ChannelKind:
+        for rician in (0.0, 1e-300, 0.5, 2.8, 10.0, 1e12, 1e300):
+            cfg, rng = ChannelConfig(kind=kind, rician_factor=rician), spawn_rng(0, "gains", kind.value, repr(rician))
+            digest.update(np.complex128(sample_realization(cfg, rng)).tobytes())
+            digest.update(sample_gain_sequence(cfg, 5, rng).tobytes())
+            digest.update(rng.standard_normal(2).tobytes())
+    assert digest.hexdigest() == GAIN_BYTES_SHA256
 
 
 class TestRicianGain:

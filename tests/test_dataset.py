@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,14 @@ class TestContainerFormat:
                 assert back.labels.tobytes() == part.labels.tobytes()
                 assert back.timestamps.tobytes() == part.timestamps.tobytes()
 
+    def test_a_signalling_nan_pixel_reads_as_nan_without_a_warning(self):
+        """The writer takes any pixel, so its reader converts a NaN rather than refuse it."""
+        one_pixel = header(1, (1, 1, 1)) + b"\x00\x00" + b"\x00\x00\x00\x00" + b"\x01\x00\x80\x7f"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_tensor_file(one_pixel)
+        assert back.pixels.shape == (1, 1, 1, 1) and np.isnan(back.pixels[0, 0, 0, 0])
+
     def test_bad_magic(self):
         with pytest.raises(BadMagicError, match=r"^bad magic b'JUNK'$"):
             read_tensor_file(b"JUNKxxxxxxxx")
@@ -480,9 +489,7 @@ class TestSummaries:
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=10, seed=1))
         lines = summary_csv(t0).strip().splitlines()
         assert lines[0] == "class,count_train,count_val,count_test"
-        assert len(lines) == 1 + len(t0.train.class_names)
-        first = lines[1].split(",")
-        assert [int(x) for x in first[1:]] == [7, 2, 1] or sum(int(x) for x in first[1:]) == 10
+        assert lines[1:] == [f"{name},7,2,1" for name in t0.train.class_names]
 
     def test_nearest_centroid_separates_easy_classes(self):
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=20, class_separation=3.0, seed=2))

@@ -14,7 +14,7 @@ import pytest
 from semcom import dtjscc, nn
 from semcom.cli import write_files
 from semcom.channel import noise_variance_from_psnr
-from semcom.config import ChannelConfig, ChannelKind, DatasetSpec, DtjsccConfig, load_config
+from semcom.config import ChannelConfig, ChannelKind, DtjsccConfig, load_config
 from semcom.dataset import Dataset, SplitDatasets, generate_synthetic
 from semcom.dtjscc import (
     Codebook,

@@ -16,7 +16,7 @@ import pytest
 
 from semcom import config, harness
 from semcom.cli import main, write_files
-from semcom.config import ChannelConfig, ChannelKind, ConfigError, HarnessConfig, load_config
+from semcom.config import ChannelKind, ConfigError, HarnessConfig, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, rounds_to_target, run_csa_end_to_end
 from semcom.dataset import SplitDatasets, generate_synthetic
 from semcom.dtjscc import encode
@@ -34,7 +34,6 @@ from semcom.harness import (
     run_sweep,
     svg_text,
 )
-from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
 
 from conftest import forget_training, tiny_harness_cfg
@@ -369,6 +368,8 @@ class TestConfusionMatrix:
         pct = [float(ln.split(",")[3]) for ln in lines[1:]]
         assert pct[0] + pct[1] == pytest.approx(100.0)
         assert pct[2] + pct[3] == pytest.approx(100.0)
+        # A class with no test items gets 0.0 per cell.
+        assert ConfusionMatrix(np.zeros((1, 1), dtype=np.int64), ("x",)).csv() == CONFUSION_CSV_HEADER + "\nx,x,0,0.0\n"
 
 
 def restrict_t1_train(splits: SplitDatasets, per_class: int, seed: int) -> SplitDatasets:
@@ -463,6 +464,9 @@ class TestScenario:
         lines = text.strip().splitlines()
         assert lines[0] == ROUNDLOG_CSV_HEADER
         assert len(lines) == 7
+        first = logs[0]
+        named = (first.top1_accuracy, first.ce_loss, first.sa_loss)
+        assert lines[1] == f"0,sat2,{','.join(repr(float(x)) for x in named)},{first.bits_transmitted}"
 
     def test_frozen_rounds_encode_the_evaluation_sets_once(
         self, scenario, scenario_cfg, monkeypatch
