@@ -7,9 +7,10 @@ accepted key. A key binds the settings-class field of the same name (or of
 its ``_ALIASES`` entry) and is parsed by that field's type. A file that
 cannot be read as UTF-8, an unknown section or key, a value that does not
 parse and a value the settings class rejects each raise :class:`ConfigError`.
-Seeds are never read from the file; the master seed comes from the command
-line or the ``SEMCOM_SEED`` environment variable and every component seed is
-derived from it.
+Each section fills the ``HarnessConfig`` field of its name, except
+``[sweep]``, which fills ``experiment``. Seeds are never read from the file;
+the master seed comes from the command line or the ``SEMCOM_SEED``
+environment variable and every component seed is derived from it.
 
 This module needs only the standard library (``geometry`` and ``seeding``
 import no numpy either), so reading and checking settings loads no numpy:
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -64,15 +66,38 @@ class ChannelKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Static parameters from which a frame's gains are drawn."""
+    """The ``[channel]`` settings, and one link: a modulation over a gain law.
+
+    ``kind`` picks the gain law; code sets it for each link and the file
+    never does. The modem's :attr:`constellation` is built on first use.
+    """
 
     kind: ChannelKind = ChannelKind.AWGN
+    modulation: str = "16apsk"
     rician_factor: float = 2.8
+    apsk_ring_ratio: float = DEFAULT_APSK_RING_RATIO
     per_symbol_fading: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ChannelKind(self.kind))
         require(self, NOT_NEGATIVE_FINITE, "rician_factor")
+        require(self, POSITIVE_FINITE, "apsk_ring_ratio")
+        try:
+            apsk = parse_modulation(self.modulation)[0] == "apsk"
+        except ValueError as exc:
+            raise ValueError(f"modulation is not usable ({exc}), got {self.modulation!r}") from None
+        if apsk:
+            try:
+                apsk16_radii(self.apsk_ring_ratio)
+            except ValueError as exc:
+                raise ValueError(f"apsk_ring_ratio is not usable with {self.modulation!r}: {exc}") from None
+
+    @functools.cached_property
+    def constellation(self):
+        """The modem's :class:`~semcom.modem.Constellation` for ``modulation``, built once."""
+        from .modem import build_constellation  # here, not at the top, so that settings load without numpy
+
+        return build_constellation(self.modulation, self.apsk_ring_ratio)
 
 
 def psnr_ratio(psnr_db: float) -> float:
@@ -337,7 +362,8 @@ class SAConfig:
         require(self, PSNR, "isl_psnr_db", "eval_psnr_db")
         require(self, (lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]"), "warmup_fraction")
         require(self, (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"), "target_accuracy")
-        require(self, POSITIVE_FINITE, "meta_learning_rate", "inner_learning_rate")
+        require(self, NOT_NEGATIVE_FINITE, "meta_learning_rate")
+        require(self, POSITIVE_FINITE, "inner_learning_rate")
         require(self, CHANNEL_KIND, "downlink_kind")
 
 
@@ -367,14 +393,9 @@ class FedAvgConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep-facing settings: grid axes plus the shared evaluation knobs.
-
-    The ``[channel]`` section fills the fields named in ``_CHANNEL_KEYS``,
-    ``[sweep]`` the rest.
-    """
+    """The ``[sweep]`` settings: grid axes plus the shared evaluation knobs."""
 
     channels: tuple[str, ...] = ("leo_rician", "leo_rayleigh")
-    modulation: str = "16apsk"
     k_presets: tuple[int, ...] = (32,)
     psnr_grid_db: tuple[float, ...] = (0.0, 4.0, 8.0, 12.0, 16.0)
     trials: int = 5
@@ -382,9 +403,6 @@ class ExperimentConfig:
     eval_psnr_db: float = 12.0
     eval_repetitions: int = 3
     eval_frame: int = 32
-    rician_factor: float = 2.8
-    apsk_ring_ratio: float = DEFAULT_APSK_RING_RATIO
-    per_symbol_fading: bool = False
     workers: int = 1
     master_seed: int = 0
 
@@ -392,29 +410,12 @@ class ExperimentConfig:
         require(self, AT_LEAST_1, "trials", "workers", "eval_frame", "eval_repetitions")
         require(self, PSNR, "psnr_grid_db", "train_psnr_db", "eval_psnr_db")
         require(self, TABLE_ORDER, "k_presets")
-        require(self, NOT_NEGATIVE_FINITE, "rician_factor")
         require(self, CHANNEL_KIND, "channels")
-        require(self, POSITIVE_FINITE, "apsk_ring_ratio")
         for name in ("channels", "k_presets", "psnr_grid_db"):
             values = getattr(self, name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"{name} must not repeat a value, got {repeated[0]!r} twice")
-        try:
-            apsk = parse_modulation(self.modulation)[0] == "apsk"
-        except ValueError as exc:
-            raise ValueError(f"modulation is not usable ({exc}), got {self.modulation!r}") from None
-        if apsk:
-            try:
-                apsk16_radii(self.apsk_ring_ratio)
-            except ValueError as exc:
-                raise ValueError(f"apsk_ring_ratio is not usable with {self.modulation!r}: {exc}") from None
-
-    def channel_config(self, kind: str) -> ChannelConfig:
-        """The ``[channel]`` settings applied to a channel of ``kind``."""
-        return ChannelConfig(
-            ChannelKind(kind), rician_factor=self.rician_factor, per_symbol_fading=self.per_symbol_fading
-        )
 
 
 @dataclass(frozen=True)
@@ -425,11 +426,13 @@ class HarnessConfig:
     ``dataset.per_class_count`` must give every split an image per class, and
     ``fedavg.clients`` must leave every client shard a sample; with iid shards
     the bound counts at most ``fedavg.scarce_per_class`` per class, the cap
-    every round loop puts on the pool.
+    every round loop puts on the pool. ``channel.rician_factor`` must be
+    positive, since the inter-satellite link's gain is its line of sight alone.
     """
 
     linkbudget: LinkBudget = field(default_factory=LinkBudget)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
+    channel: ChannelConfig = field(default_factory=ChannelConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     dtjscc: DtjsccConfig = field(default_factory=DtjsccConfig)
     csa: SAConfig = field(default_factory=SAConfig)
@@ -451,6 +454,12 @@ class HarnessConfig:
             most, why = n_classes * train, "iid shards give each client a labelled t_1 train image"
         if fa.clients > most:
             raise ConfigError(f"fedavg.clients must be at most {most} ({why}), got {fa.clients}")
+        if not self.channel.rician_factor:
+            raise ConfigError(
+                "channel.rician_factor must be positive: at 0 the inter-satellite link has no line of "
+                "sight and erases every frame; leo_rayleigh is the channel without a line of sight, "
+                f"got {self.channel.rician_factor}"
+            )
 
 
 # INI key -> settings field, where the two names differ.
@@ -462,10 +471,8 @@ _ALIASES = {
     "per_symbol": "per_symbol_fading",
     "psnr_grid": "psnr_grid_db",
 }
-# Fields bound from the master seed or fixed in code, never read from the file.
-_NOT_IN_FILE = {"seed", "master_seed"}
-# [channel] and [sweep] both fill ExperimentConfig; these keys are [channel]'s.
-_CHANNEL_KEYS = ("kinds", "modulation", "rician_factor", "apsk_ring_ratio", "per_symbol")
+# Fields bound from the master seed or set in code, never read from the file.
+_NOT_IN_FILE = {"seed", "master_seed", "kind"}
 
 
 # Field annotation -> parser of one raw INI value; a bad value raises
@@ -495,19 +502,13 @@ def _parse(annotation: str, text: str):
 def _section_table() -> dict:
     """INI section -> (HarnessConfig field, {INI key: settings field})."""
     key_of = {name: key for key, name in _ALIASES.items()}
-    table = {}
-    for part in fields(HarnessConfig):
-        keys = {
-            key_of.get(f.name, f.name): f
-            for f in fields(part.default_factory)
-            if f.name not in _NOT_IN_FILE
-        }
-        if part.name == "experiment":
-            table["channel"] = (part.name, {k: f for k, f in keys.items() if k in _CHANNEL_KEYS})
-            table["sweep"] = (part.name, {k: f for k, f in keys.items() if k not in _CHANNEL_KEYS})
-        else:
-            table[part.name] = (part.name, keys)
-    return table
+    return {
+        "sweep" if part.name == "experiment" else part.name: (
+            part.name,
+            {key_of.get(f.name, f.name): f for f in fields(part.default_factory) if f.name not in _NOT_IN_FILE},
+        )
+        for part in fields(HarnessConfig)
+    }
 
 
 _SECTIONS = _section_table()

@@ -36,7 +36,6 @@ from .dtjscc import (
     # Not called here; perfbench's tracer test patches the csa.transmit binding.
     transmit,  # noqa: F401
 )
-from .modem import Constellation
 from .seeding import spawn_rng
 
 
@@ -238,7 +237,6 @@ class CsaScenario:
     splits_t1: SplitDatasets
     system: TrainedSystem
     covariance_net: nn.Network  # the untrained predictor g; each adapting side copies it
-    constellation: Constellation
     isl_channel: ChannelConfig
     downlink_channel: ChannelConfig
     sa: SAConfig
@@ -266,7 +264,6 @@ def eval_through_downlink(
         test_vectors,
         scenario.system.codebook,
         classifier,
-        scenario.constellation,
         scenario.downlink_channel,
         scenario.sa.eval_psnr_db,
         scenario.eval_frame,
@@ -321,7 +318,6 @@ def run_csa_end_to_end(scenario: CsaScenario, meta_enabled: bool = True) -> list
         ref_vectors, erased, isl_bits = send_over_channel(
             encode(ref_images, f_s1),
             system.codebook,
-            scenario.constellation,
             scenario.isl_channel,
             scenario.sa.isl_psnr_db,
             take,

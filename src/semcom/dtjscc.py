@@ -28,7 +28,6 @@ from .channel import apply_channel, noise_variance_from_psnr, sample_gain_sequen
 from .config import ChannelConfig, DtjsccConfig, psnr_ratio
 from .dataset import Dataset, SplitDatasets
 from .modem import (
-    Constellation,
     DeepFadeError,
     bits_to_ints,
     demodulate_hard,
@@ -151,12 +150,11 @@ def dequantize(message: QuantizedMessage, codebook: Codebook, width: int) -> np.
 
 def transmit(
     message: QuantizedMessage,
-    constellation: Constellation,
     channel_cfg: ChannelConfig,
     noise_variance: float,
     rng: np.random.Generator,
 ) -> QuantizedMessage:
-    """Push a frame of indices through modem and channel, return what arrived.
+    """Push a frame of indices through ``channel_cfg``'s modem and channel, return what arrived.
 
     The frame draws its channel from ``rng``: one block gain for the whole
     frame, or with ``per_symbol_fading`` set a fresh gain per symbol, then
@@ -165,7 +163,7 @@ def transmit(
     """
     width = message.bits_per_index
     bits = ints_to_bits(message.indices, width)
-    symbols, pad = modulate(bits, constellation)
+    symbols, pad = modulate(bits, channel_cfg.constellation)
     # A per-symbol frame still draws the block gain and discards it, so every
     # stream keeps its order: block gain, per-symbol gains, noise.
     gain = sample_realization(channel_cfg, rng)
@@ -173,7 +171,7 @@ def transmit(
         gain = sample_gain_sequence(channel_cfg, symbols.size, rng)
     received = apply_channel(symbols, gain, noise_variance, rng)
     try:
-        rx_bits = demodulate_hard(received, gain, constellation)
+        rx_bits = demodulate_hard(received, gain, channel_cfg.constellation)
     except DeepFadeError:
         return QuantizedMessage(
             indices=np.zeros_like(message.indices),
@@ -232,7 +230,6 @@ def _frame_by_frame(fn, rows: np.ndarray, frame_rows: int) -> np.ndarray:
 def send_over_channel(
     vectors: np.ndarray,
     codebook: Codebook,
-    constellation: Constellation,
     channel_cfg: ChannelConfig,
     psnr_db: float,
     frame: int,
@@ -261,7 +258,7 @@ def send_over_channel(
         stop = min(start + frame, n)
         rows = slice(start * blocks, stop * blocks)
         message = QuantizedMessage(sent[rows], width)
-        arrived = transmit(message, constellation, channel_cfg, noise_variance, rng)
+        arrived = transmit(message, channel_cfg, noise_variance, rng)
         received[rows] = arrived.indices
         erased[start:stop] = arrived.erased
         bits += frame_bit_count(arrived)
@@ -272,7 +269,6 @@ def classify_over_channel(
     vectors: np.ndarray,
     codebook: Codebook,
     classifier: nn.Network,
-    constellation: Constellation,
     channel_cfg: ChannelConfig,
     psnr_db: float,
     frame: int,
@@ -293,7 +289,7 @@ def classify_over_channel(
             yield spawn_rng(seed, *tag, fi)
 
     codewords, erased, bits = send_over_channel(
-        vectors, codebook, constellation, channel_cfg, psnr_db, frame, rngs()
+        vectors, codebook, channel_cfg, psnr_db, frame, rngs()
     )
     logits = _frame_by_frame(lambda v: nn.forward(classifier, v), codewords, frame)
     probs = nn.softmax(logits)

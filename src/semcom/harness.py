@@ -40,7 +40,6 @@ from .dtjscc import (
     # Not called here; perfbench's tracer test patches the harness.transmit binding.
     transmit,  # noqa: F401
 )
-from .modem import Constellation, build_constellation
 from .seeding import derive_seed, spawn_rng
 from .tables import csv_text
 
@@ -96,7 +95,6 @@ class ConfusionMatrix:
 def evaluate_through_channel(
     system: TrainedSystem,
     dataset: Dataset,
-    constellation: Constellation,
     channel_cfg: ChannelConfig,
     psnr_db: float,
     seed: int,
@@ -120,7 +118,6 @@ def evaluate_through_channel(
             vectors,
             system.codebook,
             system.classifier,
-            constellation,
             channel_cfg,
             psnr_db,
             frame,
@@ -145,23 +142,21 @@ def _sweep_job(args: tuple[HarnessConfig, SplitDatasets, int, int]) -> list[Swee
         cfg.dtjscc, k=k, seed=derive_seed(ex.master_seed, "sweep_train", k, trial)
     )
     system = train_dtjscc(splits, ex.train_psnr_db, dj)
-    constellation = build_constellation(ex.modulation, ex.apsk_ring_ratio)
     rows = []
     for channel in ex.channels:
-        channel_cfg = ex.channel_config(channel)
+        channel_cfg = replace(cfg.channel, kind=channel)
         for psnr in ex.psnr_grid_db:
             cell_seed = derive_seed(ex.master_seed, "sweep_cell", channel, k, psnr, trial)
             matrix = evaluate_through_channel(
                 system,
                 splits.test,
-                constellation,
                 channel_cfg,
                 psnr,
                 cell_seed,
                 ex.eval_repetitions,
                 ex.eval_frame,
             )
-            rows.append(SweepRow(channel, ex.modulation, k, float(psnr), trial, matrix.top1()))
+            rows.append(SweepRow(channel, channel_cfg.modulation, k, float(psnr), trial, matrix.top1()))
     return rows
 
 
@@ -194,13 +189,10 @@ def run_confusion(cfg: HarnessConfig) -> ConfusionMatrix:
     ex = cfg.experiment
     splits, _ = generate_synthetic(cfg.dataset)
     system = train_dtjscc(splits, ex.train_psnr_db, cfg.dtjscc)
-    constellation = build_constellation(ex.modulation, ex.apsk_ring_ratio)
-    channel_cfg = ex.channel_config(ex.channels[0])
     return evaluate_through_channel(
         system,
         splits.test,
-        constellation,
-        channel_cfg,
+        replace(cfg.channel, kind=ex.channels[0]),
         ex.eval_psnr_db,
         derive_seed(ex.master_seed, "confusion"),
         ex.eval_repetitions,
@@ -237,17 +229,14 @@ def build_csa_scenario(cfg: HarnessConfig) -> CsaScenario:
     # The pretraining seed's "cov" stream: the g every recorded round log starts from.
     g_seed = spawn_rng(cfg.dtjscc.seed, "cov").integers(2**32)
     g = nn.init_network([a, *COVARIANCE_HIDDEN, system.n_classes * a], ["relu", "relu", "softplus"], g_seed)
-    constellation = build_constellation(ex.modulation, ex.apsk_ring_ratio)
-    isl_channel = ChannelConfig(kind=ChannelKind.ISL, rician_factor=ex.rician_factor)
-    downlink = ex.channel_config(cfg.csa.downlink_kind)
     return CsaScenario(
         splits_t0=splits_t0,
         splits_t1=splits_t1,
         system=system,
         covariance_net=g,
-        constellation=constellation,
-        isl_channel=isl_channel,
-        downlink_channel=downlink,
+        # The inter-satellite link's gain never varies, per symbol or per frame.
+        isl_channel=replace(cfg.channel, kind=ChannelKind.ISL, per_symbol_fading=False),
+        downlink_channel=replace(cfg.channel, kind=cfg.csa.downlink_kind),
         sa=cfg.csa,
         eval_frame=ex.eval_frame,
         seed=ex.master_seed,
@@ -279,7 +268,6 @@ def fedavg_client_shards(
     if mode == "disjoint":
         n_classes = len(dataset.class_names)
         assign = labels * n_clients // n_classes
-        assign = np.minimum(assign, n_clients - 1)
     else:
         assign = np.arange(len(labels)) % n_clients
     shards = []

@@ -12,6 +12,7 @@ import pytest
 
 import semcom
 from semcom.cli import main
+from semcom.config import load_config
 from semcom.dataset import read_tensor_file
 from semcom.geometry import LINK_REPORT_CSV_HEADER
 
@@ -115,7 +116,7 @@ class TestConfigErrors:
             ("csa", "warmup_fraction", "2", "2.0"),
             ("sweep", "trials", "3.5", "'3.5'"),
             ("channel", "per_symbol", "ture", "'ture'"),
-            ("channel", "kinds", "leo_rician,leo_rayleig", "'leo_rayleig'"),
+            ("sweep", "kinds", "leo_rician,leo_rayleig", "'leo_rayleig'"),
             ("csa", "downlink_kind", "leo_rican", "'leo_rican'"),
             ("channel", "modulation", "16qam", "'16qam'"),
             ("fedavg", "shards", "iidd", "'iidd'"),
@@ -133,13 +134,14 @@ class TestConfigErrors:
             ("csa", "reference_batch", "0", "0"),
             ("csa", "inner_lr", "nan", "nan"),
             ("csa", "inner_lr", "inf", "inf"),
-            ("csa", "meta_lr", "0", "0.0"),
             ("csa", "meta_lr", "-0.1", "-0.1"),
             ("fedavg", "learning_rate", "nan", "nan"),
             ("fedavg", "learning_rate", "0", "0.0"),
             ("channel", "rician_factor", "-1", "-1.0"),
             ("channel", "rician_factor", "nan", "nan"),
             ("channel", "rician_factor", "inf", "inf"),
+            # Once ran with an inter-satellite link that erased every frame, and exited 0.
+            ("channel", "rician_factor", "0", "0.0"),
             ("dataset", "noise_sigma", "-1", "-1.0"),
             ("dataset", "noise_sigma", "nan", "nan"),
             ("dataset", "temporal_drift", "nan", "nan"),
@@ -179,7 +181,7 @@ class TestConfigErrors:
             ("fedavg", "scarce_per_class", "-3", "-3"),
             ("sweep", "k_presets", "32,64,32", "32 twice"),
             ("sweep", "psnr_grid", "4,8,4.0", "4.0 twice"),
-            ("channel", "kinds", "awgn,awgn", "'awgn' twice"),
+            ("sweep", "kinds", "awgn,awgn", "'awgn' twice"),
             ("linkbudget", "sat_antenna_gain_db", "1e308", "1e+308"),
             ("linkbudget", "shadow_db", "-1e308", "-1e+308"),
             ("linkbudget", "carrier_ghz", "1e-300", "1e-300"),
@@ -238,6 +240,19 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main(["gen-data", "--config", str(ini), "--out", str(out)]) == 1
         assert "dataset.texture_amplitude" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_zero_meta_rate_loads(self, tmp_path):
+        """``meta_lr = 0`` freezes the covariance predictor; a negative rate stays refused."""
+        (tmp_path / "frozen.ini").write_text("[csa]\nmeta_lr = 0\n")
+        assert load_config(str(tmp_path / "frozen.ini")).csa.meta_learning_rate == 0.0
+
+    def test_kinds_moved_to_sweep(self, tmp_path, capsys):
+        ini = tmp_path / "kinds.ini"
+        ini.write_text("[channel]\nkinds = awgn\n")
+        out = tmp_path / "out"
+        assert main(["linkbudget", "--config", str(ini), "--out", str(out)]) == 1
+        assert "unknown key channel.kinds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_removed_slant_mode_is_an_unknown_key(self, tmp_path, capsys):

@@ -16,23 +16,24 @@ from hypothesis import strategies as st
 
 from semcom import config
 from semcom.cli import main
-from semcom.config import ExperimentConfig, apsk16_radii, load_config, parse_modulation, require
+from semcom.config import ChannelConfig, apsk16_radii, load_config, parse_modulation, require
 from semcom.modem import build_constellation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# sha256 of repr(load_config(path, seed)) for each shipped config, recorded
-# before the settings classes moved into semcom.config: every field value,
-# derived seed and class name of the loaded settings.
+# sha256 of repr(load_config(path, seed)) for each shipped config: every
+# field value, derived seed and class name of the loaded settings. Recorded
+# when [channel] got its own settings class; every value was checked, field by
+# field, to equal the one loaded before, where ExperimentConfig held them.
 CONFIG_REPR_DIGESTS = {
-    ("csa.ini", 0): "60e5739361c99435d2442a438fda99f095bd9d70091db763fa0f3c9f9a39f52c",
-    ("csa.ini", 5): "1c608ca168c9c40ffd214db63962b076e1460af85411e768fc4c574b1d1a4bc6",
-    ("default.ini", 0): "c0a72f9b97460d9237feaa923c6cf921dcf9a1d5cec6e9286a43bb5c3e084bf5",
-    ("default.ini", 5): "67163f0de0a9aa3d05f0ddb55d2fc8b83bd1577bf9f65118775c773b6c1d563d",
-    ("race.ini", 0): "c380f7bfba1b67d4354247f541ef8f2bfa3fd88a26301978188e7a69537f3f7c",
-    ("race.ini", 5): "9b965438a70f9aa9d30f7795b76ed22cbd6afb1b4befc2c9d1fd1c8b3778a14b",
-    ("sweep.ini", 0): "8962357c34ff632778a4326f9d0ef6edd48d3c58aa6d28e5bb46c9061814314c",
-    ("sweep.ini", 5): "62a366275628abe23d8d2684d35cbbb26135b2f67b225a096fb524594b628298",
+    ("csa.ini", 0): "832f08a2da9905dd96fa98297712da9efd5f75aa258bf09c64acd95d4674b88a",
+    ("csa.ini", 5): "724854cbd39d3d1b87960e86229461a39c427689cba27670e5cd1b49ac7ed1fd",
+    ("default.ini", 0): "38753afe66a759e7581a7eb7b319d4fc2fbc296ed474b2621d417c429cf3638a",
+    ("default.ini", 5): "77455d31aa431dc59a96c086ab41d5c02893ee8602002204de30ca2ae4efab18",
+    ("race.ini", 0): "f5013d815e4d28d5b49814e07d9a699d4fa52055dbd36c8e0c352af721e8677c",
+    ("race.ini", 5): "1f366e58c98cfa27751b14cb5a8bef8f47b80aae54979769acd894854f5d612d",
+    ("sweep.ini", 0): "4ba1e0349ebddfcd20911bf9301d75220573adaf875526e86fba280d827d7197",
+    ("sweep.ini", 5): "53ab50ccba01e93eb32a406f97ae80cffa4ef1b571c14a385b3cc3e0790d4169",
 }
 
 
@@ -40,6 +41,22 @@ def test_every_section_class_is_defined_here():
     """One home for settings: each ``HarnessConfig`` section is a class of ``semcom.config``."""
     sections = dataclasses.fields(config.HarnessConfig)
     assert [f.name for f in sections if f.default_factory.__module__ != config.__name__] == []
+
+
+def test_every_section_fills_its_own_field():
+    """One settings class per section: each [section] fills one ``HarnessConfig`` field, and no field two."""
+    filled = [part for part, _ in config._SECTIONS.values()]
+    assert sorted(filled) == sorted(f.name for f in dataclasses.fields(config.HarnessConfig))
+
+
+def test_a_link_builds_its_constellation_once():
+    """The constellation is the modem's for the link's modulation, built on first use and kept."""
+    link = ChannelConfig(modulation="4psk")
+    assert "constellation" not in vars(link)
+    assert link.constellation is link.constellation
+    built = build_constellation("4psk")
+    assert link.constellation.points.tobytes() == built.points.tobytes()
+    assert link.constellation.labels.tobytes() == built.labels.tobytes()
 
 
 def test_every_shipped_config_is_recorded():
@@ -132,8 +149,8 @@ def test_every_int_key_loads_or_names_itself_at_10_to_the_400(tmp_path, section,
         assert str(exc).startswith(f"{section}.{key} ")
 
 
-# Every settings class: each [section]'s class and the channel settings the sections build.
-SETTINGS_CLASSES = [f.default_factory for f in dataclasses.fields(config.HarnessConfig)] + [config.ChannelConfig]
+# Every settings class: one per [section].
+SETTINGS_CLASSES = [f.default_factory for f in dataclasses.fields(config.HarnessConfig)]
 
 
 @pytest.mark.parametrize(
@@ -176,7 +193,7 @@ class TestModulationGrammar:
     )
     def test_unusable_settings_keep_their_message(self, name, ratio, message):
         with pytest.raises(ValueError) as caught:
-            ExperimentConfig(modulation=name, apsk_ring_ratio=ratio)
+            ChannelConfig(modulation=name, apsk_ring_ratio=ratio)
         assert str(caught.value) == f"modulation is not usable ({message}), got {name!r}"
 
     # Past about 7.7e153, 3 * ratio**2 overflows; past about 1.34e154, ratio**2 alone does.
@@ -184,7 +201,7 @@ class TestModulationGrammar:
     @pytest.mark.parametrize("ratio", [7.8e153, 1.2e154, 1.4e154, 1e200, 1.79e308])
     def test_an_oversized_ring_ratio_names_the_ratio(self, name, ratio):
         with pytest.raises(ValueError) as caught:
-            ExperimentConfig(modulation=name, apsk_ring_ratio=ratio)
+            ChannelConfig(modulation=name, apsk_ring_ratio=ratio)
         assert str(caught.value) == (
             f"apsk_ring_ratio is not usable with {name!r}: ring ratio must keep 3 * ratio**2 finite, got {ratio}"
         )
@@ -195,10 +212,10 @@ class TestModulationGrammar:
         r1 = 2.0 / math.sqrt(1.0 + 3.0 * ratio**2)
         assert r1 > 0.0
         assert apsk16_radii(ratio) == (r1, ratio * r1)
-        ExperimentConfig(apsk_ring_ratio=ratio)
+        ChannelConfig(apsk_ring_ratio=ratio)
 
     def test_a_psk_run_ignores_the_ring_ratio(self):
-        assert ExperimentConfig(modulation="4psk", apsk_ring_ratio=1e200).apsk_ring_ratio == 1e200
+        assert ChannelConfig(modulation="4psk", apsk_ring_ratio=1e200).apsk_ring_ratio == 1e200
 
     @given(
         name=st.one_of(
@@ -224,4 +241,4 @@ class TestModulationGrammar:
                 built = (ValueError, f"apsk_ring_ratio is not usable with {name!r}: {built[1]}")
             else:
                 built = (ValueError, f"modulation is not usable ({built[1]}), got {name!r}")
-        assert outcome(lambda: ExperimentConfig(modulation=name, apsk_ring_ratio=ratio)) == built
+        assert outcome(lambda: ChannelConfig(modulation=name, apsk_ring_ratio=ratio)) == built

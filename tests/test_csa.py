@@ -26,7 +26,6 @@ from semcom.csa import (
 from semcom.config import ChannelConfig, ChannelKind, FedAvgConfig, SAConfig
 from semcom.dtjscc import DivergenceError, encode, send_over_channel, top1_and_ce
 from semcom.harness import roundlog_csv
-from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
 
 from conftest import SMALL_TRAIN, zeroed_network
@@ -264,7 +263,6 @@ class TestCovariancePathMatchesLoops:
         vectors, erased, _ = send_over_channel(
             encode(sent, small_system.encoder),
             small_system.codebook,
-            build_constellation("16apsk"),
             ChannelConfig(kind=ChannelKind.ISL),
             12.0,
             64,
@@ -346,6 +344,20 @@ class TestMetaStep:
         assert any(
             not np.array_equal(b_, layer.weights) for b_, layer in zip(before, g.layers)
         )
+
+    def test_a_zero_meta_rate_leaves_the_predictor_byte_for_byte(self):
+        """``meta_lr = 0`` takes a signed-zero step: every nonzero weight and +0.0 bias keeps its bytes."""
+        x, y, ref, g, clf = self.setup_instances(9)
+
+        def snapshot(net):
+            return [(layer.weights.tobytes(), layer.biases.tobytes()) for layer in net.layers]
+
+        before, moving = snapshot(g), g.copy()
+        cfg = SAConfig(sa_lambda=1.0, inner_steps=2, meta_learning_rate=0.0, inner_learning_rate=0.05)
+        meta_step(g, None, clf.copy(), ref, (x, y), cfg)
+        assert snapshot(g) == before
+        meta_step(moving, None, clf.copy(), ref, (x, y), replace(cfg, meta_learning_rate=0.1))
+        assert snapshot(moving) != before
 
     def test_inner_losses_decrease_on_benign_problem(self):
         x, y, ref, g, clf = self.setup_instances(6)

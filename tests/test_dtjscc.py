@@ -37,7 +37,6 @@ from semcom.dtjscc import (
     train_dtjscc,
     transmit,
 )
-from semcom.modem import build_constellation
 from semcom.seeding import spawn_rng
 
 from conftest import DIVERGING_INI, forget_training
@@ -161,8 +160,8 @@ class TestMessageValidation:
 AWGN = ChannelConfig(kind=ChannelKind.AWGN)
 
 
-def transmit_like(msg, constellation, channel_cfg, noise_variance, rng_tag="t"):
-    return transmit(msg, constellation, channel_cfg, noise_variance, spawn_rng(0, "txrng", rng_tag))
+def transmit_like(msg, channel_cfg, noise_variance, rng_tag="t"):
+    return transmit(msg, channel_cfg, noise_variance, spawn_rng(0, "txrng", rng_tag))
 
 
 class TestTransmission:
@@ -174,33 +173,29 @@ class TestTransmission:
 
     def test_noiseless_transmission_is_identity(self):
         msg = self.make_message()
-        c = build_constellation("16apsk")
-        out = transmit_like(msg, c, AWGN, 0.0)
+        out = transmit_like(msg, AWGN, 0.0)
         np.testing.assert_array_equal(out.indices, msg.indices)
         assert not out.erased
         assert out.pad_bits == (-msg.indices.size * 5) % 4
 
     def test_high_psnr_preserves_most_indices(self):
         msg = self.make_message(count=400, seed=6)
-        c = build_constellation("16apsk")
-        out = transmit_like(msg, c, AWGN, noise_variance_from_psnr(30.0), rng_tag="hi")
+        out = transmit_like(msg, AWGN, noise_variance_from_psnr(30.0), rng_tag="hi")
         assert np.mean(out.indices == msg.indices) >= 0.99
 
     def test_deep_fade_marks_frame_erased(self, monkeypatch):
         msg = self.make_message()
-        c = build_constellation("16psk")
         monkeypatch.setattr(dtjscc, "sample_realization", lambda cfg, rng: 0j)
-        out = transmit_like(msg, c, ChannelConfig(kind=ChannelKind.LEO_RAYLEIGH), 0.1)
+        out = transmit_like(msg, ChannelConfig(kind=ChannelKind.LEO_RAYLEIGH, modulation="16psk"), 0.1)
         assert out.erased
         assert np.all(out.indices == 0)
 
     def test_per_symbol_fading_path_round_trips_cleanly(self):
         msg = self.make_message(count=64, seed=7)
-        c = build_constellation("4psk")
         cfg = ChannelConfig(
-            kind=ChannelKind.LEO_RICIAN, rician_factor=50.0, per_symbol_fading=True
+            kind=ChannelKind.LEO_RICIAN, modulation="4psk", rician_factor=50.0, per_symbol_fading=True
         )
-        out = transmit_like(msg, c, cfg, 0.0)
+        out = transmit_like(msg, cfg, 0.0)
         assert np.mean(out.indices == msg.indices) >= 0.95
 
     def test_erased_frame_classifies_as_uniform(self):
@@ -236,7 +231,7 @@ class TestBlockCountFromCodebook:
         vectors = np.zeros((3, 16))
         clf = nn.init_network([16, 10], ["linear"], seed=0)
         msg = QuantizedMessage(np.zeros(3, dtype=np.int64), cb.bits_per_index)
-        channel_args = (build_constellation("4psk"), ChannelConfig(kind=ChannelKind.AWGN), 10.0, 3)
+        channel_args = (ChannelConfig(kind=ChannelKind.AWGN, modulation="4psk"), 10.0, 3)
         match = r"^feature width 16 is not a multiple of codebook dim 5$"
         with pytest.raises(ValueError, match=match):
             quantize(vectors, cb)

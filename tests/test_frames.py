@@ -41,7 +41,7 @@ from semcom.modem import bits_to_ints, build_constellation, demodulate_hard, int
 from semcom.seeding import spawn_rng
 
 
-def reference_frames(feats, system, classifier, constellation, channel_cfg, psnr_db, frame, seed, *tag):
+def reference_frames(feats, system, classifier, channel_cfg, psnr_db, frame, seed, *tag):
     """Per-frame quantize, transmit and classify; returns probabilities and bits."""
     n = feats.shape[0]
     probs = np.zeros((n, classifier.output_dim))
@@ -50,24 +50,24 @@ def reference_frames(feats, system, classifier, constellation, channel_cfg, psnr
         stop = min(start + frame, n)
         rng = spawn_rng(seed, *tag, fi)
         message = quantize(feats[start:stop], system.codebook)
-        received = transmit(message, constellation, channel_cfg, noise_variance_from_psnr(psnr_db), rng)
+        received = transmit(message, channel_cfg, noise_variance_from_psnr(psnr_db), rng)
         bits += frame_bit_count(received)
         probs[start:stop] = classify(received, system.codebook, classifier)
     return probs, bits
 
 
-def reference_isl(features, codebook, constellation, channel_cfg, psnr_db, rng):
+def reference_isl(features, codebook, channel_cfg, psnr_db, rng):
     """The round loop's former one-frame link: quantize, send, dequantize.
 
     Returns the received vectors, the bits on the air and whether the frame
     was erased.
     """
     message = quantize(features, codebook)
-    received = transmit(message, constellation, channel_cfg, noise_variance_from_psnr(psnr_db), rng)
+    received = transmit(message, channel_cfg, noise_variance_from_psnr(psnr_db), rng)
     return dequantize(received, codebook, features.shape[1]), frame_bit_count(received), received.erased
 
 
-def reference_evaluate(system, dataset, constellation, channel_cfg, psnr_db, seed, repetitions, frame):
+def reference_evaluate(system, dataset, channel_cfg, psnr_db, seed, repetitions, frame):
     """``harness.evaluate_through_channel`` as a per-frame loop that keeps every decision.
 
     Returns the Top-1 as ``correct / (n * repetitions)``, the predictions of
@@ -77,8 +77,7 @@ def reference_evaluate(system, dataset, constellation, channel_cfg, psnr_db, see
     preds = []
     for rep in range(repetitions):
         probs, _ = reference_frames(
-            feats, system, system.classifier, constellation, channel_cfg, psnr_db,
-            frame, seed, "rep", rep,
+            feats, system, system.classifier, channel_cfg, psnr_db, frame, seed, "rep", rep,
         )
         preds.append(np.argmax(probs, axis=1))
     predictions = np.concatenate(preds)
@@ -90,7 +89,7 @@ def reference_downlink(encoder, classifier, system, scenario, round_index):
     """``csa.eval_through_downlink`` as a per-frame loop: top-1, CE and bits."""
     test = scenario.splits_t1.test
     probs, bits = reference_frames(
-        encode(test, encoder), system, classifier, scenario.constellation,
+        encode(test, encoder), system, classifier,
         scenario.downlink_channel, scenario.sa.eval_psnr_db, scenario.eval_frame,
         scenario.seed, "eval", round_index,
     )
@@ -112,16 +111,12 @@ def systems(small_splits):
 
 
 FADING = {
-    "block": (ChannelConfig(kind=ChannelKind.LEO_RAYLEIGH), "16apsk"),
-    "per_symbol": (
-        ChannelConfig(kind=ChannelKind.LEO_RICIAN, per_symbol_fading=True),
-        "4psk",
-    ),
+    "block": ChannelConfig(kind=ChannelKind.LEO_RAYLEIGH, modulation="16apsk"),
+    "per_symbol": ChannelConfig(kind=ChannelKind.LEO_RICIAN, modulation="4psk", per_symbol_fading=True),
 }
 
 
 def scenario_for(system, splits, fading, frame):
-    channel_cfg, modulation = FADING[fading]
     a = system.feature_dim
     return CsaScenario(
         splits_t0=splits,
@@ -130,9 +125,8 @@ def scenario_for(system, splits, fading, frame):
         covariance_net=nn.init_network(
             [a, *COVARIANCE_HIDDEN, system.n_classes * a], ["relu", "relu", "softplus"], seed=17
         ),
-        constellation=build_constellation(modulation),
         isl_channel=ChannelConfig(kind=ChannelKind.ISL),
-        downlink_channel=channel_cfg,
+        downlink_channel=FADING[fading],
         sa=SAConfig(eval_psnr_db=6.0),
         eval_frame=frame,
         seed=17,
@@ -142,12 +136,8 @@ def scenario_for(system, splits, fading, frame):
 def assert_both_paths_match(system, splits, fading, frame):
     scenario = scenario_for(system, splits, fading, frame)
     test = splits.test
-    got = evaluate_through_channel(
-        system, test, scenario.constellation, scenario.downlink_channel, 6.0, 31, 2, frame
-    )
-    top1, predictions, labels = reference_evaluate(
-        system, test, scenario.constellation, scenario.downlink_channel, 6.0, 31, 2, frame
-    )
+    got = evaluate_through_channel(system, test, scenario.downlink_channel, 6.0, 31, 2, frame)
+    top1, predictions, labels = reference_evaluate(system, test, scenario.downlink_channel, 6.0, 31, 2, frame)
     counts = np.zeros((len(test.class_names),) * 2, dtype=np.int64)
     np.add.at(counts, (labels, predictions), 1)
     assert got.counts.tobytes() == counts.tobytes()
@@ -160,12 +150,10 @@ def assert_both_paths_match(system, splits, fading, frame):
 
     feats = encode(test, system.encoder)
     probs, bits = classify_over_channel(
-        feats, system.codebook, system.classifier,
-        scenario.constellation, scenario.downlink_channel, 6.0, frame, 31, "rep", 0,
+        feats, system.codebook, system.classifier, scenario.downlink_channel, 6.0, frame, 31, "rep", 0
     )
     want_probs, want_bits = reference_frames(
-        feats, system, system.classifier, scenario.constellation,
-        scenario.downlink_channel, 6.0, frame, 31, "rep", 0,
+        feats, system, system.classifier, scenario.downlink_channel, 6.0, frame, 31, "rep", 0
     )
     assert probs.tobytes() == want_probs.tobytes()
     assert bits == want_bits
@@ -214,19 +202,16 @@ def force_erasures(fading, monkeypatch):
 
 
 def assert_isl_matches(system, splits, fading, rounds):
-    channel_cfg, modulation = FADING[fading]
-    constellation = build_constellation(modulation)
+    channel_cfg = FADING[fading]
     feats = encode(splits.train, system.encoder)
     for i in range(rounds):
         batch = feats[i::rounds]
         n = batch.shape[0]
         vectors, erased, bits = send_over_channel(
-            batch, system.codebook, constellation,
-            channel_cfg, 6.0, n, [spawn_rng(17, "isl", i)],
+            batch, system.codebook, channel_cfg, 6.0, n, [spawn_rng(17, "isl", i)]
         )
         want_vectors, want_bits, want_erased = reference_isl(
-            batch, system.codebook, constellation,
-            channel_cfg, 6.0, spawn_rng(17, "isl", i),
+            batch, system.codebook, channel_cfg, 6.0, spawn_rng(17, "isl", i)
         )
         assert vectors.tobytes() == want_vectors.tobytes()
         assert bits == want_bits
@@ -246,8 +231,9 @@ class TestIslFrameMatchesReference:
         assert 0 < sum(erasures) < len(erasures)
 
 
-def hand_built_frame(indices, width, channel_cfg, constellation, noise_variance, rng):
+def hand_built_frame(indices, width, channel_cfg, noise_variance, rng):
     """One frame sent by hand: block gain, then per-symbol gains, then noise, all from ``rng``."""
+    constellation = build_constellation(channel_cfg.modulation, channel_cfg.apsk_ring_ratio)
     symbols, pad = modulate(ints_to_bits(indices, width), constellation)
     r = 0.0 if channel_cfg.kind is ChannelKind.LEO_RAYLEIGH else channel_cfg.rician_factor
     los, diffuse = math.sqrt(r / (r + 1.0)), math.sqrt(1.0 / (r + 1.0))
@@ -266,17 +252,11 @@ class TestTransmitDrawOrder:
 
     @pytest.mark.parametrize("fading", sorted(FADING))
     def test_matches_a_hand_built_frame(self, fading):
-        channel_cfg, modulation = FADING[fading]
-        constellation = build_constellation(modulation)
+        channel_cfg = FADING[fading]
         sent = spawn_rng(5, "order", "sent").integers(0, 32, size=30)
         noise_variance = noise_variance_from_psnr(6.0)
-        got = transmit(
-            QuantizedMessage(sent, 5), constellation, channel_cfg, noise_variance,
-            spawn_rng(5, "order", fading),
-        )
-        want = hand_built_frame(
-            sent, 5, channel_cfg, constellation, noise_variance, spawn_rng(5, "order", fading)
-        )
+        got = transmit(QuantizedMessage(sent, 5), channel_cfg, noise_variance, spawn_rng(5, "order", fading))
+        want = hand_built_frame(sent, 5, channel_cfg, noise_variance, spawn_rng(5, "order", fading))
         assert not got.erased
         np.testing.assert_array_equal(got.indices, want)
         assert not np.array_equal(got.indices, sent)  # the channel made errors to match
@@ -293,14 +273,10 @@ class TestFrameSizeBelowOne:
         match = rf"^frame must be at least 1, got {frame}$"
         with pytest.raises(ValueError, match=match):
             send_over_channel(
-                vectors, system.codebook, scenario.constellation,
-                scenario.downlink_channel, 6.0, frame, [spawn_rng(17, "isl", 0)],
+                vectors, system.codebook, scenario.downlink_channel, 6.0, frame, [spawn_rng(17, "isl", 0)]
             )
         with pytest.raises(ValueError, match=match):
-            evaluate_through_channel(
-                system, small_splits.test, scenario.constellation,
-                scenario.downlink_channel, 6.0, 31, 1, frame,
-            )
+            evaluate_through_channel(system, small_splits.test, scenario.downlink_channel, 6.0, 31, 1, frame)
         with pytest.raises(ValueError, match=match):
             eval_through_downlink(vectors, system.classifier, scenario, 0)
 
@@ -313,10 +289,7 @@ class TestRepetitionsBelowOne:
         system = systems[1]
         scenario = scenario_for(system, small_splits, "block", 8)
         with pytest.raises(ValueError, match=rf"^repetitions must be at least 1, got {repetitions}$"):
-            evaluate_through_channel(
-                system, small_splits.test, scenario.constellation,
-                scenario.downlink_channel, 6.0, 31, repetitions, 8,
-            )
+            evaluate_through_channel(system, small_splits.test, scenario.downlink_channel, 6.0, 31, repetitions, 8)
 
 
 @st.composite

@@ -52,11 +52,10 @@ eval_frame = 4
 CONFUSION_INI = """
 [dataset]
 per_class_count = 20
-[channel]
-kinds = leo_rayleigh
 [dtjscc]
 epochs = 4
 [sweep]
+kinds = leo_rayleigh
 eval_repetitions = 2
 eval_frame = 7
 eval_psnr_db = 6

@@ -79,9 +79,9 @@ BAD_PSNRS = [math.nan, -math.inf, math.inf, 1e400, 4000.0, -4000.0]
 class TestConfigLayer:
     def test_defaults(self):
         cfg = load_config(None, master_seed=3)
-        assert cfg.experiment.modulation == "16apsk"
+        assert cfg.channel.modulation == "16apsk"
         assert cfg.experiment.psnr_grid_db == (0.0, 4.0, 8.0, 12.0, 16.0)
-        assert cfg.experiment.rician_factor == 2.8
+        assert cfg.channel.rician_factor == 2.8
         assert cfg.experiment.train_psnr_db == 4.0
         assert cfg.experiment.eval_psnr_db == 12.0
         assert cfg.experiment.master_seed == 3
@@ -95,9 +95,9 @@ class TestConfigLayer:
         ini = tmp_path / "exp.ini"
         ini.write_text(
             "[dataset]\nper_class_count = 12\ntemporal_drift = 1.25\n"
-            "[channel]\nmodulation = 4psk\nper_symbol = true\nkinds = awgn,leo_rician\n"
+            "[channel]\nmodulation = 4psk\nper_symbol = true\n"
             "[dtjscc]\nepochs = 3\nblocks = 4\n"
-            "[sweep]\nk_presets = 32,64\npsnr_grid = 0,8\ntrials = 2\nworkers = 2\n"
+            "[sweep]\nkinds = awgn,leo_rician\nk_presets = 32,64\npsnr_grid = 0,8\ntrials = 2\nworkers = 2\n"
             "[csa]\nlambda = 1.5\ninner_steps = 5\nmeta_lr = 0.01\n"
             "[fedavg]\nclients = 3\nscarce_per_class = 4\n"
             "[linkbudget]\nelevation_deg = 30\n"
@@ -105,8 +105,8 @@ class TestConfigLayer:
         cfg = load_config(str(ini), master_seed=1)
         assert cfg.dataset.per_class_count == 12
         assert cfg.dataset.temporal_drift == 1.25
-        assert cfg.experiment.modulation == "4psk"
-        assert cfg.experiment.per_symbol_fading is True
+        assert cfg.channel.modulation == "4psk"
+        assert cfg.channel.per_symbol_fading is True
         assert cfg.experiment.channels == (ChannelKind.AWGN, ChannelKind.LEO_RICIAN)
         assert cfg.dtjscc.epochs == 3
         assert cfg.dtjscc.blocks == 4
@@ -139,7 +139,7 @@ class TestConfigLayer:
     @pytest.mark.parametrize(
         "text,shown",
         [
-            ("[chanel]\nkinds = awgn\n", "unknown section [chanel]; did you mean 'channel'?"),
+            ("[chanel]\nmodulation = 4psk\n", "unknown section [chanel]; did you mean 'channel'?"),
             ("[sweep]\ntrails = 3\n", "unknown key sweep.trails; did you mean 'trials'?"),
             ("[dtjscc]\nepoch = 5\n", "unknown key dtjscc.epoch; did you mean 'epochs'?"),
             ("[DEFAULT]\nrounds = 3\n", "unknown section [DEFAULT]; valid: linkbudget, "),
@@ -180,7 +180,7 @@ class TestConfigLayer:
         ini = tmp_path / "bool.ini"
         ini.write_text(f"[channel]\nper_symbol = {text}\n[csa]\nfresh_ut_classifier = {text}\n")
         cfg = load_config(str(ini))
-        assert cfg.experiment.per_symbol_fading is value
+        assert cfg.channel.per_symbol_fading is value
         assert cfg.csa.fresh_ut_classifier is value
 
     @pytest.mark.parametrize(
@@ -289,7 +289,7 @@ class TestRunSweep:
         assert sweep_result.rows == sorted(
             sweep_result.rows, key=lambda r: (r.channel, r.modulation, r.k, r.psnr_db, r.seed)
         )
-        assert all(r.modulation == exp.modulation for r in sweep_result.rows)
+        assert all(r.modulation == sweep_cfg.channel.modulation for r in sweep_result.rows)
         assert all(0.0 <= r.top1 <= 1.0 for r in sweep_result.rows)
 
     def test_worker_count_does_not_change_bytes(self, sweep_cfg, sweep_result, monkeypatch):
@@ -452,6 +452,15 @@ class TestScenario:
         assert scenario.system.converged
         assert scenario.sa == scenario_cfg.csa
 
+    def test_links_are_the_channel_settings_per_kind(self):
+        """Both links carry ``[channel]``'s modulation; the inter-satellite one never fades per symbol."""
+        cfg = tiny_harness_cfg(channel={"modulation": "4psk", "per_symbol_fading": True}, dtjscc={"epochs": 1})
+        scenario = build_csa_scenario(cfg)
+        isl = dataclasses.replace(cfg.channel, kind=ChannelKind.ISL, per_symbol_fading=False)
+        assert scenario.isl_channel == isl
+        assert scenario.downlink_channel == dataclasses.replace(cfg.channel, kind=cfg.csa.downlink_kind)
+        assert scenario.downlink_channel.constellation.points.size == 4
+
     def test_round_logs_structure(self, scenario, scenario_cfg):
         logs = run_csa_end_to_end(
             dataclasses.replace(scenario, sa=dataclasses.replace(scenario.sa, rounds=3))
@@ -494,16 +503,9 @@ class TestScenario:
     def test_evaluation_is_seed_deterministic(self, scenario, scenario_cfg):
         dataset = scenario.splits_t1.test
         channel_cfg = scenario.downlink_channel
-        constellation = scenario.constellation
-        a = evaluate_through_channel(
-            scenario.system, dataset, constellation, channel_cfg, 12.0, seed=5, frame=4
-        )
-        b = evaluate_through_channel(
-            scenario.system, dataset, constellation, channel_cfg, 12.0, seed=5, frame=4
-        )
-        c = evaluate_through_channel(
-            scenario.system, dataset, constellation, channel_cfg, 12.0, seed=6, frame=4
-        )
+        a = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=5, frame=4)
+        b = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=5, frame=4)
+        c = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=6, frame=4)
         assert a.top1() == b.top1()
         assert a.counts.tobytes() == b.counts.tobytes()
         per_class = np.bincount(dataset.labels, minlength=len(dataset.class_names))
