@@ -36,6 +36,8 @@ DEFAULT_APSK_RING_RATIO = 2.57
 TABLE_BITS = 16
 # The widest value of an MSIT u16 field: an image's height, width or bands, and a label.
 U16_MAX = 0xFFFF
+# The widest u32: MSIT's record count, an MNN1 layer size, MCB1's dim. MSIT's timestamps are only 0 or 1.
+U32_MAX = 0xFFFFFFFF
 # Client shard modes: class-disjoint blocks (the non-iid regime) or round robin.
 SHARD_MODES = ("disjoint", "iid")
 SPLIT_RATIOS = (0.70, 0.15, 0.15)
@@ -304,6 +306,9 @@ class DatasetSpec:
         require(self, POSITIVE, "per_class_count", "height", "width", "bands")
         require(self, (lambda n: n <= U16_MAX, f"must be at most {U16_MAX}"), "height", "width", "bands")
         require(self, (lambda n: n <= sys.float_info.max, "must not exceed the largest float"), "per_class_count")
+        records, inputs = U32_MAX // len(EUROSAT_CLASS_NAMES), U32_MAX // (self.height * self.width)
+        require(self, (lambda n: n <= records, f"must be at most {records} (u32 records)"), "per_class_count")
+        require(self, (lambda n: n <= inputs, f"must be at most {inputs} (u32 height * width * bands)"), "bands")
         require(self, (lambda x: 0.0 < x <= top, f"must lie in (0, {top}]"), "class_separation")
         require(self, (lambda x: 0.0 <= x <= top, f"must lie in [0, {top}]"), "temporal_drift", "noise_sigma")
         require(self, (lambda x: abs(x) <= top, f"must lie in [-{top}, {top}]"), "texture_amplitude")
@@ -328,6 +333,7 @@ class DtjsccConfig:
     def __post_init__(self) -> None:
         require(self, TABLE_ORDER, "k")
         require(self, AT_LEAST_1, "feature_dim", "encoder_hidden", "epochs", "batch_size", "patience")
+        require(self, (lambda n: n <= U32_MAX, f"must be at most {U32_MAX}"), "feature_dim", "encoder_hidden")
         require(self, POSITIVE_FINITE, "learning_rate")
         require(self, NOT_NEGATIVE_FINITE, "codebook_weight", "commitment_weight")
         dim = self.feature_dim

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, U16_MAX, DatasetSpec, split_counts
+from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, U16_MAX, U32_MAX, DatasetSpec, split_counts
 from .seeding import spawn_rng
 from .tables import csv_text
 
@@ -26,7 +26,6 @@ FORMAT_VERSION = 2
 # After the magic: u32 version, u32 record count, u16 height, width and bands.
 _HEADER = struct.Struct("<IIHHH")
 _COLUMNS = len(MAGIC) + _HEADER.size  # where the label column starts
-_U32_MAX = 0xFFFFFFFF
 
 
 class TensorFileError(Exception):
@@ -106,7 +105,8 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
 
     Returns (splits at t_0, splits at t_1). The t_1 pixels are the t_0 pixels
     with each class signature shifted by ``temporal_drift`` along a fixed
-    random unit direction; drift 0 makes the twins identical.
+    random unit direction; drift 0 makes the twins identical. Each t_1 part
+    is its t_0 part drifted, as :func:`split` gives both the same indices.
     """
     rng = spawn_rng(spec.seed, "dataset", "images")
     signatures = _class_signatures(spec, spawn_rng(spec.seed, "dataset", "signatures"))
@@ -131,17 +131,19 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
         texture = spec.texture_amplitude * np.cos(2.0 * np.pi * wave + phase[rows])
         pixels[rows] += signature + texture
     pixels[...] = pixels.astype(np.float32)
+    splits_t0 = split(Dataset(pixels, labels, np.zeros(n, dtype=np.int64)), SPLIT_RATIOS, spec.seed)
+    del pixels  # the parts hold their own copies, and no other full-size array is made
 
     drift_rng = spawn_rng(spec.seed, "dataset", "drift")
     directions = drift_rng.normal(size=(c, spec.bands))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    shift = (spec.temporal_drift * directions[labels]).astype(np.float32)
-    pixels_t1 = pixels + shift[:, None, None, :].astype(np.float64)
-    pixels_t1[...] = pixels_t1.astype(np.float32)
-
-    ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64))
-    ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64))
-    return split(ds_t0, SPLIT_RATIOS, spec.seed), split(ds_t1, SPLIT_RATIOS, spec.seed)
+    shift = (spec.temporal_drift * directions).astype(np.float32).astype(np.float64)[:, None, None, :]
+    parts_t1 = []
+    for part in (splits_t0.train, splits_t0.val, splits_t0.test):
+        pixels_t1 = part.pixels + shift[part.labels]
+        pixels_t1[...] = pixels_t1.astype(np.float32)
+        parts_t1.append(Dataset(pixels_t1, part.labels.copy(), np.ones(len(part), dtype=np.int64)))
+    return splits_t0, SplitDatasets(*parts_t1)
 
 
 def split(
@@ -182,7 +184,7 @@ def tensor_file(dataset: Dataset) -> bytes:
         raise DimensionOverflowError(f"dimensions {shape} exceed u16")
     if int(dataset.labels.max()) > U16_MAX:
         raise DimensionOverflowError("label exceeds u16")
-    if int(dataset.timestamps.min()) < 0 or int(dataset.timestamps.max()) > _U32_MAX:
+    if int(dataset.timestamps.min()) < 0 or int(dataset.timestamps.max()) > U32_MAX:
         raise DimensionOverflowError("timestamp index outside u32")
     columns = (dataset.labels.astype("<u2"), dataset.timestamps.astype("<u4"), dataset.pixels.astype("<f4"))
     return MAGIC + _HEADER.pack(FORMAT_VERSION, n, *shape) + b"".join(c.tobytes() for c in columns)

@@ -341,6 +341,12 @@ def _flat_views(buf: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     return [buf[end - a.size : end].reshape(a.shape) for a, end in zip(like, ends)]
 
 
+def _has_duplicate_rows(rows: np.ndarray) -> bool:
+    """Whether two rows compare equal; unlike ``np.unique(axis=0)``, this loads no ``numpy.ma``."""
+    ordered = rows[np.lexsort(rows.T)]
+    return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
+
+
 def _train_step(
     encoder: nn.Network,
     classifier: nn.Network,
@@ -519,7 +525,7 @@ def _train_system(
     tensors = [t.copy() for t in tensors]
     hidden.weights, hidden.biases, out.weights, out.biases = tensors[:4]
     head.weights, head.biases, codebook.entries = tensors[4:]
-    if np.unique(codebook.entries, axis=0).shape[0] != codebook.k:
+    if _has_duplicate_rows(codebook.entries):
         raise RuntimeError("duplicate codewords after training")
 
     val = splits.val if len(splits.val) else splits.train

@@ -323,9 +323,10 @@ def run_round_race(cfg: HarnessConfig) -> RaceResult:
     per-round downlink evaluation draws. The adaptation loop additionally
     receives the reference stream over the inter-satellite link; the
     averaging baseline instead exchanges classifier parameters between
-    clients holding class-disjoint shards.
+    clients holding class-disjoint shards. The first side's scenario is
+    dropped before the second builds its own, so one is alive at a time.
     """
-    csa_logs, _ = run_csa_experiment(cfg)
+    csa_logs = run_csa_experiment(cfg)[0]
     fedavg_logs = run_fedavg_experiment(cfg)
     target = cfg.csa.target_accuracy
     return RaceResult(

@@ -107,6 +107,10 @@ class TestConfigErrors:
             ("dataset", "height", "70000", "70000"),
             ("dataset", "width", "65536", "65536"),
             ("dataset", "bands", "65536", "65536"),
+            # The record count, an MNN1 layer size and MCB1's dim are u32 fields.
+            ("dataset", "per_class_count", "500000000", "500000000"),
+            ("dtjscc", "encoder_hidden", "5000000000", "5000000000"),
+            ("dtjscc", "feature_dim", "4294967312", "4294967312"),
             ("dtjscc", "k", "48", "48"),
             ("dtjscc", "k", "1099511627776", "1099511627776"),
             ("sweep", "k_presets", "32,1099511627776", "1099511627776"),
@@ -450,6 +454,15 @@ def test_settings_load_without_numpy():
         "print(len(sys.argv) - 1, 'numpy' in sys.modules)"
     )
     assert run_fresh(probe, *configs).splitlines()[-1] == f"{len(configs)} False"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_numpy_ma(tiny_ini, tmp_path, command):
+    """The duplicate-codeword check once called ``np.unique(axis=0)``, whose
+    first call imports ``numpy.ma`` in every process that trains."""
+    probe = "import sys; from semcom.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    argv = [command, "--config", tiny_ini, "--out", str(tmp_path / "out")]
+    assert run_fresh(probe, *argv).splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semcom import config
+from semcom import config, dataset, dtjscc, nn
 from semcom.cli import main
 from semcom.config import ChannelConfig, apsk16_radii, load_config, parse_modulation, require
 from semcom.modem import build_constellation
@@ -167,6 +169,87 @@ def test_every_float_field_rejects_an_int_past_the_largest_float(cls, name, valu
     """A library caller's int too large for a float fails as a ValueError naming its field."""
     with pytest.raises(ValueError, match=f"^{name} "):
         cls(**{name: value})
+
+
+# Each binary format semcom writes: the struct layout of its header and the
+# names of the header's fields, after the four-byte magic.
+FORMAT_FIELDS = {
+    "MSIT": (dataset._HEADER.format, ("version", "records", "height", "width", "bands")),
+    "MCB1": ("<II", ("k", "dim")),
+    "MNN1 layer": ("<II", ("rows", "cols")),
+}
+N_CLASSES = len(config.EUROSAT_CLASS_NAMES)
+SIDE = config.U16_MAX
+# (format, field) -> every INI key that sets the field, as (section, key, the
+# rest of the section, the largest value that loads given the field's widest
+# value). A field no key sets is a constant: MSIT's version is FORMAT_VERSION.
+FIELD_RULES = {
+    ("MSIT", "version"): [],
+    ("MSIT", "records"): [("dataset", "per_class_count", "", lambda top: top // N_CLASSES)],
+    ("MSIT", "height"): [("dataset", "height", "", lambda top: top)],
+    ("MSIT", "width"): [("dataset", "width", "", lambda top: top)],
+    ("MSIT", "bands"): [("dataset", "bands", "", lambda top: top)],
+    # K is a table order, far inside the u32; dim is feature_dim / blocks.
+    ("MCB1", "k"): [
+        ("dtjscc", "k", "", lambda top: min(top, 1 << config.TABLE_BITS)),
+        ("sweep", "k_presets", "", lambda top: min(top, 1 << config.TABLE_BITS)),
+    ],
+    ("MCB1", "dim"): [("dtjscc", "feature_dim", "", lambda top: top)],
+    # The encoder's layers are (height * width * bands, encoder_hidden) and
+    # (encoder_hidden, feature_dim); the classifier's is (feature_dim, classes).
+    ("MNN1 layer", "rows"): [
+        ("dataset", "bands", f"height = {SIDE}\nwidth = {SIDE}\n", lambda top: top // SIDE**2),
+        ("dtjscc", "encoder_hidden", "", lambda top: top),
+        ("dtjscc", "feature_dim", "", lambda top: top),
+    ],
+    ("MNN1 layer", "cols"): [
+        ("dtjscc", "encoder_hidden", "", lambda top: top),
+        ("dtjscc", "feature_dim", "", lambda top: top),
+    ],
+}
+
+
+def _header_fields():
+    """``(format, field, widest value)`` for every header field, walked from its struct layout."""
+    for name, (layout, names) in FORMAT_FIELDS.items():
+        codes = layout.removeprefix("<")
+        assert len(codes) == len(names), name
+        for code, field_name in zip(codes, names):
+            yield name, field_name, (1 << 8 * struct.calcsize("<" + code)) - 1
+
+
+class TestFormatFieldRules:
+    """Every fixed-width field of a format semcom writes is a load-time rule, so
+    a setting no file can hold fails at load, exits 1 and names its key."""
+
+    def test_the_walked_layouts_are_the_written_ones(self):
+        images = dataset.Dataset(np.zeros((3, 2, 5, 7)), np.arange(3), np.ones(3, dtype=np.int64))
+        assert struct.unpack_from(FORMAT_FIELDS["MSIT"][0], dataset.tensor_file(images), 4) == (2, 3, 2, 5, 7)
+        codebook = dtjscc.codebook_file(dtjscc.Codebook(np.arange(8.0).reshape(4, 2)))
+        assert struct.unpack_from(FORMAT_FIELDS["MCB1"][0], codebook, 4) == (4, 2)
+        checkpoint = nn.network_file(nn.init_network([6, 5, 3], ["relu", "linear"], 0))
+        second = 4 + 8 + (6 + 1) * 5 * 8  # past the first layer's header, weights and biases
+        assert struct.unpack_from(FORMAT_FIELDS["MNN1 layer"][0], checkpoint, 4) == (6, 5)
+        assert struct.unpack_from(FORMAT_FIELDS["MNN1 layer"][0], checkpoint, second) == (5, 3)
+
+    def test_every_header_field_has_a_rule(self):
+        assert [(name, field_name) for name, field_name, _ in _header_fields()] == list(FIELD_RULES)
+
+    @pytest.mark.parametrize(
+        "section,key,rest,largest",
+        [
+            pytest.param(section, key, rest, bound(top), id=f"{name}.{field_name}-{section}.{key}")
+            for name, field_name, top in _header_fields()
+            for section, key, rest, bound in FIELD_RULES[(name, field_name)]
+        ],
+    )
+    def test_the_largest_value_loads_and_one_more_names_its_key(self, tmp_path, section, key, rest, largest):
+        ini = tmp_path / "wide.ini"
+        ini.write_text(f"[{section}]\n{rest}{key} = {largest}\n")
+        load_config(str(ini))
+        ini.write_text(f"[{section}]\n{rest}{key} = {largest + 1}\n")
+        with pytest.raises(config.ConfigError, match=rf"^{section}\.{key} .*, got {largest + 1}$"):
+            load_config(str(ini))
 
 
 class TestModulationGrammar:

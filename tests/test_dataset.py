@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -164,6 +165,20 @@ class TestGeneration:
             # Pixels are rounded through float32 so files round-trip exactly;
             # the shared shift therefore matches only to f32 resolution.
             assert np.max(np.abs(rows - rows[0])) < 2e-6
+
+    @pytest.mark.parametrize("per_class_count", [60, 300])
+    def test_generation_peaks_near_the_pixel_bytes_it_returns(self, per_class_count):
+        """Once held the full t_0 and t_1 scenes beside both sets of splits, a
+        traced peak of 2.05x the pixel bytes returned."""
+        spec = DatasetSpec(per_class_count=per_class_count, temporal_drift=1.0, seed=1)
+        tracemalloc.start()
+        try:
+            result = generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(part.pixels.nbytes for splits in result for part in (splits.train, splits.val, splits.test))
+        assert peak <= 1.25 * returned
 
     def test_drift_magnitude_scales_linearly(self):
         base = DatasetSpec(per_class_count=4, temporal_drift=1.0, seed=6)

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semcom import dtjscc, nn
 from semcom.cli import write_files
@@ -286,6 +288,45 @@ class TestTraining:
             a.encoder.layers[0].weights, b.encoder.layers[0].weights
         )
         assert a.history == b.history
+
+
+# Codeword coordinates, zeros of both signs among them.
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def codeword_rows(draw):
+    """A small matrix, some of whose rows are forced to repeat, zeros sign-flipped or not."""
+    k, dim = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    rows = np.array(draw(st.lists(st.lists(COORDINATES, min_size=dim, max_size=dim), min_size=k, max_size=k)))
+    for src, dst, flip in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.booleans()))):
+        row = rows[src].copy()
+        if flip:
+            row[row == 0.0] *= -1.0
+        rows[dst] = row
+    return rows
+
+
+class TestDuplicateCodewords:
+    @given(codeword_rows())
+    def test_the_verdict_is_np_unique_s(self, rows):
+        """``np.unique(axis=0)`` is the slow reference; it loads ``numpy.ma``."""
+        assert dtjscc._has_duplicate_rows(rows) == (np.unique(rows, axis=0).shape[0] != len(rows))
+
+    def test_training_that_leaves_two_codewords_equal_raises(self, small_splits, monkeypatch):
+        """Two equal codewords far from every feature are never nearest, so no
+        gradient moves them and they leave training still equal."""
+        real = dtjscc._init_codebook
+
+        def with_a_far_pair(features, k, rng):
+            entries = real(features, k, rng)
+            entries[-2:] = 1e6
+            return entries
+
+        monkeypatch.setattr(dtjscc, "_init_codebook", with_a_far_pair)
+        cfg = DtjsccConfig(k=8, epochs=2, batch_size=32, seed=3)
+        with pytest.raises(RuntimeError, match="^duplicate codewords after training$"):
+            dtjscc._train_system(small_splits, 8.0, cfg)
 
 
 def reference_train(splits, train_psnr_db, cfg):

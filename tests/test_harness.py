@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import weakref
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -595,6 +596,22 @@ class TestRace:
         monkeypatch.setattr(harness, "train_dtjscc", counted)
         run_round_race(tiny_harness_cfg())
         assert (len(calls), len(trainings)) == (2, 1)
+
+    def test_one_scenario_is_alive_at_a_time(self, monkeypatch):
+        """The race once kept the adaptation side's scenario, both epochs of data
+        included, while the averaging side built its own."""
+        built, alive_at_build = [], []
+        real = harness.build_csa_scenario
+
+        def tracked(cfg):
+            alive_at_build.append([ref() is not None for ref in built])
+            scenario = real(cfg)
+            built.append(weakref.ref(scenario))
+            return scenario
+
+        monkeypatch.setattr(harness, "build_csa_scenario", tracked)
+        run_round_race(tiny_harness_cfg())
+        assert alive_at_build == [[], [False]]
 
 
 class TestWriteFiles:
