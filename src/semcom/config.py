@@ -36,7 +36,7 @@ DEFAULT_APSK_RING_RATIO = 2.57
 TABLE_BITS = 16
 # The widest value of an MSIT u16 field: an image's height, width or bands, and a label.
 U16_MAX = 0xFFFF
-# The widest u32: MSIT's record count, an MNN1 layer size, MCB1's dim. MSIT's timestamps are only 0 or 1.
+# The widest u32: MSIT's record count, an MNN1 layer size, MCB1's dim.
 U32_MAX = 0xFFFFFFFF
 # Client shard modes: class-disjoint blocks (the non-iid regime) or round robin.
 SHARD_MODES = ("disjoint", "iid")

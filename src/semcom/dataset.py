@@ -5,43 +5,32 @@ a smooth per-image texture and i.i.d. Gaussian noise. The t_1 variant shifts
 every class signature by a drift vector of configurable magnitude applied to
 the same pixel realizations, modelling a later capture of the same scenes.
 Pixels are quantized to f32 resolution at generation time so file round trips
-are exact. An MSIT container states the image shape once in its header and
-holds labels, timestamps and pixels as three columns.
+are exact. A record is its label and pixels: whether it is a t_0 or a t_1
+capture is told by which of the pair it came in. An MSIT container states the
+image shape once in its header and holds labels and pixels as two columns.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, U16_MAX, U32_MAX, DatasetSpec, split_counts
+from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, U16_MAX, DatasetSpec, split_counts
 from .seeding import spawn_rng
 from .tables import csv_text
 
 MAGIC = b"MSIT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # After the magic: u32 version, u32 record count, u16 height, width and bands.
 _HEADER = struct.Struct("<IIHHH")
 _COLUMNS = len(MAGIC) + _HEADER.size  # where the label column starts
 
 
 class TensorFileError(Exception):
-    """Base class for container format failures."""
-
-
-class BadMagicError(TensorFileError):
-    pass
-
-
-class TruncatedFileError(TensorFileError):
-    pass
-
-
-class DimensionOverflowError(TensorFileError):
-    pass
+    """A container that cannot be written or read."""
 
 
 @dataclass
@@ -50,18 +39,16 @@ class Dataset:
 
     pixels: np.ndarray  # (N, H, W, D) float64
     labels: np.ndarray  # (N,) int64
-    timestamps: np.ndarray  # (N,) int64
-    class_names: tuple[str, ...] = EUROSAT_CLASS_NAMES
+    class_names: tuple[str, ...] = field(default=EUROSAT_CLASS_NAMES, kw_only=True)
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
         if self.pixels.ndim != 4:
             raise ValueError("pixels must be (N, H, W, bands)")
         n = self.pixels.shape[0]
-        if self.labels.shape != (n,) or self.timestamps.shape != (n,):
-            raise ValueError("labels/timestamps must align with pixels")
+        if self.labels.shape != (n,):
+            raise ValueError("labels must align with pixels")
         if n and (self.labels.min() < 0 or self.labels.max() >= len(self.class_names)):
             raise ValueError("labels out of class_names range")
 
@@ -73,12 +60,7 @@ class Dataset:
         return self.pixels.reshape(len(self), -1)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.pixels[indices],
-            self.labels[indices],
-            self.timestamps[indices],
-            self.class_names,
-        )
+        return Dataset(self.pixels[indices], self.labels[indices], class_names=self.class_names)
 
 
 @dataclass
@@ -131,7 +113,7 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
         texture = spec.texture_amplitude * np.cos(2.0 * np.pi * wave + phase[rows])
         pixels[rows] += signature + texture
     pixels[...] = pixels.astype(np.float32)
-    splits_t0 = split(Dataset(pixels, labels, np.zeros(n, dtype=np.int64)), SPLIT_RATIOS, spec.seed)
+    splits_t0 = split(Dataset(pixels, labels), SPLIT_RATIOS, spec.seed)
     del pixels  # the parts hold their own copies, and no other full-size array is made
 
     drift_rng = spawn_rng(spec.seed, "dataset", "drift")
@@ -142,7 +124,7 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
     for part in (splits_t0.train, splits_t0.val, splits_t0.test):
         pixels_t1 = part.pixels + shift[part.labels]
         pixels_t1[...] = pixels_t1.astype(np.float32)
-        parts_t1.append(Dataset(pixels_t1, part.labels.copy(), np.ones(len(part), dtype=np.int64)))
+        parts_t1.append(Dataset(pixels_t1, part.labels.copy()))
     return splits_t0, SplitDatasets(*parts_t1)
 
 
@@ -171,22 +153,20 @@ def split(
 def tensor_file(dataset: Dataset) -> bytes:
     """The MSIT container of ``dataset``.
 
-    Little-endian: magic "MSIT", then :data:`_HEADER` (u32 version 2, u32
-    record count N, u16 height H, width W and bands D), then three columns:
-    N u16 labels, N u32 timestamp indices and the N x H x W x D f32 pixels,
-    row-major. An empty dataset raises, as its reader would.
+    Little-endian: magic "MSIT", then :data:`_HEADER` (u32 version 3, u32
+    record count N, u16 height H, width W and bands D), then two columns:
+    N u16 labels and the N x H x W x D f32 pixels, row-major. An empty
+    dataset raises, as its reader would.
     """
     n = len(dataset)
     if not n:
         raise TensorFileError("container holds no records")
     shape = dataset.pixels.shape[1:]
     if max(shape) > U16_MAX:
-        raise DimensionOverflowError(f"dimensions {shape} exceed u16")
+        raise TensorFileError(f"dimensions {shape} exceed u16")
     if int(dataset.labels.max()) > U16_MAX:
-        raise DimensionOverflowError("label exceeds u16")
-    if int(dataset.timestamps.min()) < 0 or int(dataset.timestamps.max()) > U32_MAX:
-        raise DimensionOverflowError("timestamp index outside u32")
-    columns = (dataset.labels.astype("<u2"), dataset.timestamps.astype("<u4"), dataset.pixels.astype("<f4"))
+        raise TensorFileError("label exceeds u16")
+    columns = (dataset.labels.astype("<u2"), dataset.pixels.astype("<f4"))
     return MAGIC + _HEADER.pack(FORMAT_VERSION, n, *shape) + b"".join(c.tobytes() for c in columns)
 
 
@@ -196,25 +176,24 @@ def read_tensor_file(data: bytes) -> Dataset:
     A NaN pixel, signalling or quiet, reads as NaN.
     """
     if data[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}")
+        raise TensorFileError(f"bad magic {data[:4]!r}")
     if len(data) < _COLUMNS:
-        raise TruncatedFileError("truncated header")
+        raise TensorFileError("truncated header")
     version, n, *shape = _HEADER.unpack_from(data, len(MAGIC))
     if version != FORMAT_VERSION:
         raise TensorFileError(f"unsupported version {version}")
     if n == 0:
         raise TensorFileError("container holds no records")
     size = n * math.prod(shape)
-    if len(data) < _COLUMNS + 6 * n + 4 * size:
-        raise TruncatedFileError("truncated payload")
+    if len(data) < _COLUMNS + 2 * n + 4 * size:
+        raise TensorFileError("truncated payload")
     labels = np.frombuffer(data, "<u2", n, _COLUMNS).astype(np.int64)
-    timestamps = np.frombuffer(data, "<u4", n, _COLUMNS + 2 * n).astype(np.int64)
     with np.errstate(invalid="ignore"):  # widening a signalling NaN flags "invalid"
-        pixels = np.frombuffer(data, "<f4", size, _COLUMNS + 6 * n).astype(np.float64).reshape(n, *shape)
+        pixels = np.frombuffer(data, "<f4", size, _COLUMNS + 2 * n).astype(np.float64).reshape(n, *shape)
     n_classes = int(labels.max()) + 1
     if n_classes <= len(EUROSAT_CLASS_NAMES):
-        return Dataset(pixels, labels, timestamps)
-    return Dataset(pixels, labels, timestamps, tuple(f"class{i}" for i in range(n_classes)))
+        return Dataset(pixels, labels)
+    return Dataset(pixels, labels, class_names=tuple(f"class{i}" for i in range(n_classes)))
 
 
 SUMMARY_CSV_HEADER = "class,count_train,count_val,count_test"

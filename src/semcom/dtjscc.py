@@ -316,11 +316,6 @@ class TrainedSystem:
     def n_classes(self) -> int:
         return self.classifier.output_dim
 
-    @property
-    def blocks(self) -> int:
-        """Codeword indices per image: the feature width over the codebook's."""
-        return self.feature_dim // self.codebook.dim
-
 
 def _init_codebook(
     features: np.ndarray, k: int, rng: np.random.Generator

@@ -223,8 +223,8 @@ class TestFormatFieldRules:
     a setting no file can hold fails at load, exits 1 and names its key."""
 
     def test_the_walked_layouts_are_the_written_ones(self):
-        images = dataset.Dataset(np.zeros((3, 2, 5, 7)), np.arange(3), np.ones(3, dtype=np.int64))
-        assert struct.unpack_from(FORMAT_FIELDS["MSIT"][0], dataset.tensor_file(images), 4) == (2, 3, 2, 5, 7)
+        images = dataset.Dataset(np.zeros((3, 2, 5, 7)), np.arange(3))
+        assert struct.unpack_from(FORMAT_FIELDS["MSIT"][0], dataset.tensor_file(images), 4) == (3, 3, 2, 5, 7)
         codebook = dtjscc.codebook_file(dtjscc.Codebook(np.arange(8.0).reshape(4, 2)))
         assert struct.unpack_from(FORMAT_FIELDS["MCB1"][0], codebook, 4) == (4, 2)
         checkpoint = nn.network_file(nn.init_network([6, 5, 3], ["relu", "linear"], 0))

@@ -24,11 +24,8 @@ from semcom.config import (
     split_counts,
 )
 from semcom.dataset import (
-    BadMagicError,
     Dataset,
-    DimensionOverflowError,
     TensorFileError,
-    TruncatedFileError,
     _class_signatures,
     generate_synthetic,
     read_tensor_file,
@@ -56,10 +53,7 @@ def combined(splits):
     return Dataset(
         np.concatenate([splits.train.pixels, splits.val.pixels, splits.test.pixels]),
         np.concatenate([splits.train.labels, splits.val.labels, splits.test.labels]),
-        np.concatenate(
-            [splits.train.timestamps, splits.val.timestamps, splits.test.timestamps]
-        ),
-        splits.train.class_names,
+        class_names=splits.train.class_names,
     )
 
 
@@ -94,9 +88,7 @@ def reference_generate(spec: DatasetSpec):
     pixels_t1 = pixels + shift[:, None, None, :].astype(np.float64)
     pixels_t1 = pixels_t1.astype(np.float32).astype(np.float64)
 
-    ds_t0 = Dataset(pixels, labels, np.zeros(n, dtype=np.int64))
-    ds_t1 = Dataset(pixels_t1, labels, np.ones(n, dtype=np.int64))
-    return split(ds_t0, SPLIT_RATIOS, spec.seed), split(ds_t1, SPLIT_RATIOS, spec.seed)
+    return tuple(split(Dataset(p, labels), SPLIT_RATIOS, spec.seed) for p in (pixels, pixels_t1))
 
 
 side = st.integers(1, 9)
@@ -122,18 +114,16 @@ class TestGenerationMatchesReference:
                 g, w = getattr(got, part), getattr(want, part)
                 assert g.pixels.tobytes() == w.pixels.tobytes()
                 np.testing.assert_array_equal(g.labels, w.labels)
-                np.testing.assert_array_equal(g.timestamps, w.timestamps)
 
 
 class TestGeneration:
-    def test_counts_shapes_and_timestamps(self):
+    def test_counts_and_shapes(self):
         spec = DatasetSpec(per_class_count=20, seed=1)
         t0, t1 = generate_synthetic(spec)
         n_classes = len(t0.train.class_names)
-        for splits, stamp in ((t0, 0), (t1, 1)):
+        for splits in (t0, t1):
             total = combined(splits)
             assert total.pixels.shape == (20 * n_classes, 8, 8, 4)
-            assert np.all(total.timestamps == stamp)
             counts = np.bincount(total.labels, minlength=n_classes)
             assert np.all(counts == 20)
         assert len(t0.train) == 14 * n_classes
@@ -225,6 +215,17 @@ class TestGeneration:
             DatasetSpec(texture_amplitude=-1e308)
 
 
+class TestDatasetFields:
+    def test_class_names_are_keyword_only(self):
+        """A third positional array, once the timestamps, would bind to class_names and pass the label check."""
+        with pytest.raises(TypeError):
+            Dataset(np.zeros((3, 1, 1, 1)), np.arange(3), np.zeros(3))
+
+    def test_labels_must_align_with_pixels(self):
+        with pytest.raises(ValueError, match="^labels must align with pixels$"):
+            Dataset(np.zeros((3, 1, 1, 1)), np.arange(2))
+
+
 class TestSplit:
     def make_dataset(self, per_class=10, n_classes=3, seed=0):
         rng = np.random.default_rng(seed)
@@ -232,8 +233,7 @@ class TestSplit:
         return Dataset(
             rng.standard_normal((n, 2, 2, 1)),
             np.repeat(np.arange(n_classes), per_class),
-            np.zeros(n, dtype=np.int64),
-            tuple(f"c{i}" for i in range(n_classes)),
+            class_names=tuple(f"c{i}" for i in range(n_classes)),
         )
 
     def test_exact_proportions_when_divisible(self):
@@ -298,50 +298,55 @@ class TestSplitCounts:
 
 
 def oracle_save_tensor_file(path, dataset):
-    """The per-record MSIT version 1 writer, kept verbatim: its files must be refused."""
+    """The per-record MSIT version 1 writer, each record stamped with timestamp 0: its files must be refused."""
     n = len(dataset)
     h, w, d = dataset.pixels.shape[1:]
     if max(h, w, d) > 0xFFFF:
-        raise DimensionOverflowError(f"dimensions ({h}, {w}, {d}) exceed u16")
+        raise TensorFileError(f"dimensions ({h}, {w}, {d}) exceed u16")
     if n and int(dataset.labels.max()) > 0xFFFF:
-        raise DimensionOverflowError("label exceeds u16")
-    if n and int(dataset.timestamps.max()) > 0xFFFFFFFF:
-        raise DimensionOverflowError("timestamp index exceeds u32")
+        raise TensorFileError("label exceeds u16")
     with open(path, "wb") as fh:
         fh.write(b"MSIT")
         fh.write(struct.pack("<II", 1, n))
         for i in range(n):
-            fh.write(struct.pack("<HHHHI", h, w, d, int(dataset.labels[i]), int(dataset.timestamps[i])))
+            fh.write(struct.pack("<HHHHI", h, w, d, int(dataset.labels[i]), 0))
             fh.write(dataset.pixels[i].astype("<f4").tobytes(order="C"))
 
 
 def column_writer(dataset):
-    """The v2 container written value by value with ``struct``, apart from ``tensor_file``."""
+    """The v3 container written value by value with ``struct``, apart from ``tensor_file``."""
+    n = len(dataset)
+    header = b"MSIT" + struct.pack("<IIHHH", 3, n, *dataset.pixels.shape[1:])
+    labels = b"".join(struct.pack("<H", int(label)) for label in dataset.labels)
+    pixels = b"".join(struct.pack("<f", float(x)) for x in dataset.pixels.ravel())
+    return header + labels + pixels
+
+
+def v2_column_writer(dataset):
+    """The former v2 column writer, each record stamped with timestamp 0: its files must be refused."""
     n = len(dataset)
     header = b"MSIT" + struct.pack("<IIHHH", 2, n, *dataset.pixels.shape[1:])
     labels = b"".join(struct.pack("<H", int(label)) for label in dataset.labels)
-    stamps = b"".join(struct.pack("<I", int(stamp)) for stamp in dataset.timestamps)
+    stamps = struct.pack("<I", 0) * n
     pixels = b"".join(struct.pack("<f", float(x)) for x in dataset.pixels.ravel())
     return header + labels + stamps + pixels
 
 
-def header(count, shape=(1, 1, 2), version=2):
+def header(count, shape=(1, 1, 2), version=3):
     return b"MSIT" + struct.pack("<IIHHH", version, count, *shape)
 
 
-# Two records of 1x1x2 pixels: labels 3 and 7, timestamps 0 and 2**32 - 1,
-# pixels (1, -2) and (0.5, 3).
+# Two records of 1x1x2 pixels: labels 3 and 7, pixels (1, -2) and (0.5, 3).
 TWO_RECORDS = (
     b"MSIT"
-    b"\x02\x00\x00\x00"  # version 2
+    b"\x03\x00\x00\x00"  # version 3
     b"\x02\x00\x00\x00"  # two records
     b"\x01\x00\x01\x00\x02\x00"  # height 1, width 1, bands 2
     b"\x03\x00\x07\x00"  # labels
-    b"\x00\x00\x00\x00\xff\xff\xff\xff"  # timestamp indices
     b"\x00\x00\x80\x3f\x00\x00\x00\xc0"  # record 0's pixels: 1.0, -2.0
     b"\x00\x00\x00\x3f\x00\x00\x40\x40"  # record 1's pixels: 0.5, 3.0
 )
-TWO_RECORDS_DATASET = Dataset([[[[1.0, -2.0]]], [[[0.5, 3.0]]]], [3, 7], [0, 2**32 - 1])
+TWO_RECORDS_DATASET = Dataset([[[[1.0, -2.0]]], [[[0.5, 3.0]]]], [3, 7])
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -349,45 +354,38 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 class TestContainerFormat:
     def test_bytes_equal_the_hand_written_container(self):
         assert tensor_file(TWO_RECORDS_DATASET) == TWO_RECORDS
-        assert len(TWO_RECORDS) == 18 + 2 * (6 + 4 * 2)
+        assert len(TWO_RECORDS) == 18 + 2 * (2 + 4 * 2)
 
     def test_the_hand_written_container_reads_back(self):
         back = read_tensor_file(TWO_RECORDS)
         np.testing.assert_array_equal(back.pixels, TWO_RECORDS_DATASET.pixels)
         assert back.labels.tolist() == [3, 7]
-        assert back.timestamps.tolist() == [0, 2**32 - 1]
         assert back.class_names == EUROSAT_CLASS_NAMES
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (7, 2, 13), (2, 9, 1)])
     @pytest.mark.parametrize("n", [1, 6])
     def test_bytes_equal_the_value_by_value_writer(self, shape, n):
         rng = spawn_rng(2, "msit", n, *shape)
-        ds = Dataset(
-            rng.normal(0.0, 1e3, size=(n, *shape)),
-            rng.integers(0, 10, size=n),
-            rng.integers(0, 2**32, size=n),
-        )
+        ds = Dataset(rng.normal(0.0, 1e3, size=(n, *shape)), rng.integers(0, 10, size=n))
         assert tensor_file(ds) == column_writer(ds)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (7, 2, 13), (2, 9, 1)])
     def test_an_empty_dataset_is_refused_as_its_reader_would(self, shape):
         """The reader refuses a container of no records, so the writer makes none."""
         with pytest.raises(TensorFileError, match="^container holds no records$"):
-            tensor_file(Dataset(np.zeros((0, *shape)), [], []))
+            tensor_file(Dataset(np.zeros((0, *shape)), []))
 
-    def test_the_widest_labels_and_timestamps_match_the_value_by_value_writer(self):
+    def test_the_widest_labels_match_the_value_by_value_writer(self):
         labels = np.array([0, 1, 65_534, 65_535])
         ds = Dataset(
             spawn_rng(3, "msit").standard_normal((4, 2, 3, 2)),
             labels,
-            np.array([0, 1, 2**32 - 2, 2**32 - 1]),
-            tuple(f"c{i}" for i in range(65_536)),
+            class_names=tuple(f"c{i}" for i in range(65_536)),
         )
         data = tensor_file(ds)
         assert data == column_writer(ds)
         back = read_tensor_file(data)
         np.testing.assert_array_equal(back.labels, labels)
-        np.testing.assert_array_equal(back.timestamps, ds.timestamps)
         assert back.class_names[-1] == "class65535"
 
     def test_round_trip_is_exact(self):
@@ -395,44 +393,44 @@ class TestContainerFormat:
         back = read_tensor_file(tensor_file(t0.train))
         np.testing.assert_array_equal(back.pixels, t0.train.pixels)
         np.testing.assert_array_equal(back.labels, t0.train.labels)
-        np.testing.assert_array_equal(back.timestamps, t0.train.timestamps)
         assert back.class_names == t0.train.class_names
         assert back.pixels.flags.c_contiguous and back.pixels.flags.writeable
 
+    @pytest.mark.parametrize("seed", [0, 5, 19])
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
-    def test_every_split_of_every_shipped_config_round_trips_byte_for_byte(self, name):
-        spec = load_config(str(CONFIGS / name), 0).dataset
+    def test_every_split_of_every_shipped_config_round_trips_byte_for_byte(self, name, seed):
+        spec = load_config(str(CONFIGS / name), seed).dataset
         for splits in generate_synthetic(spec):
             for part in (splits.train, splits.val, splits.test):
                 data = tensor_file(part)
-                assert len(data) == 18 + len(part) * (6 + 4 * spec.height * spec.width * spec.bands)
+                assert len(data) == 18 + len(part) * (2 + 4 * spec.height * spec.width * spec.bands)
                 back = read_tensor_file(data)
                 assert back.pixels.tobytes() == part.pixels.tobytes()
                 assert back.labels.tobytes() == part.labels.tobytes()
-                assert back.timestamps.tobytes() == part.timestamps.tobytes()
+                assert back.class_names == part.class_names
 
     def test_a_signalling_nan_pixel_reads_as_nan_without_a_warning(self):
         """The writer takes any pixel, so its reader converts a NaN rather than refuse it."""
-        one_pixel = header(1, (1, 1, 1)) + b"\x00\x00" + b"\x00\x00\x00\x00" + b"\x01\x00\x80\x7f"
+        one_pixel = header(1, (1, 1, 1)) + b"\x00\x00" + b"\x01\x00\x80\x7f"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             back = read_tensor_file(one_pixel)
         assert back.pixels.shape == (1, 1, 1, 1) and np.isnan(back.pixels[0, 0, 0, 0])
 
     def test_bad_magic(self):
-        with pytest.raises(BadMagicError, match=r"^bad magic b'JUNK'$"):
+        with pytest.raises(TensorFileError, match=r"^bad magic b'JUNK'$"):
             read_tensor_file(b"JUNKxxxxxxxx")
 
     def test_truncated_header_and_payload(self):
         for cut in (4, 6, 17):
-            with pytest.raises(TruncatedFileError, match="^truncated header$"):
+            with pytest.raises(TensorFileError, match="^truncated header$"):
                 read_tensor_file(TWO_RECORDS[:cut])
         for cut in range(18, len(TWO_RECORDS)):
-            with pytest.raises(TruncatedFileError, match="^truncated payload$"):
+            with pytest.raises(TensorFileError, match="^truncated payload$"):
                 read_tensor_file(TWO_RECORDS[:cut])
 
     def test_a_record_count_beyond_the_data_is_a_cut(self):
-        with pytest.raises(TruncatedFileError, match="^truncated payload$"):
+        with pytest.raises(TensorFileError, match="^truncated payload$"):
             read_tensor_file(header(2**32 - 1, (0xFFFF, 0xFFFF, 0xFFFF)) + TWO_RECORDS[18:])
 
     def test_bytes_past_the_pixels_are_ignored(self):
@@ -452,7 +450,7 @@ class TestContainerFormat:
         ``TensorFileError``, never another exception; every cut short of the
         pixels' end raises."""
         rng = spawn_rng(seed, "msit")
-        ds = Dataset(rng.standard_normal((n, *shape)), rng.integers(0, 10, size=n), rng.integers(0, 2**32, size=n))
+        ds = Dataset(rng.standard_normal((n, *shape)), rng.integers(0, 10, size=n))
         whole = tensor_file(ds)
         data = bytearray(whole)
         if corrupt is not None and corrupt[0] < len(data):
@@ -471,6 +469,11 @@ class TestContainerFormat:
         with pytest.raises(TensorFileError, match="^unsupported version 1$"):
             read_tensor_file((tmp_path / "v1.msit").read_bytes())
 
+    def test_a_version_2_container_is_unsupported(self):
+        t0, _ = generate_synthetic(DatasetSpec(per_class_count=2, seed=8))
+        with pytest.raises(TensorFileError, match="^unsupported version 2$"):
+            read_tensor_file(v2_column_writer(t0.train))
+
     def test_unsupported_version(self):
         t0, _ = generate_synthetic(DatasetSpec(per_class_count=2, seed=8))
         blob = bytearray(tensor_file(t0.train))
@@ -483,19 +486,8 @@ class TestContainerFormat:
             read_tensor_file(header(0))
 
     def test_dimension_overflow_on_save(self):
-        ds = Dataset(
-            np.zeros((1, 2, 2, 1)),
-            np.array([70000]),
-            np.zeros(1, dtype=np.int64),
-            tuple(f"c{i}" for i in range(70001)),
-        )
-        with pytest.raises(DimensionOverflowError, match="^label exceeds u16$"):
-            tensor_file(ds)
-
-    @pytest.mark.parametrize("stamp", [-1, 2**32])
-    def test_timestamp_outside_u32_on_save(self, stamp):
-        ds = Dataset(np.zeros((1, 2, 2, 1)), [0], [stamp])
-        with pytest.raises(DimensionOverflowError, match="^timestamp index outside u32$"):
+        ds = Dataset(np.zeros((1, 2, 2, 1)), np.array([70000]), class_names=tuple(f"c{i}" for i in range(70001)))
+        with pytest.raises(TensorFileError, match="^label exceeds u16$"):
             tensor_file(ds)
 
 

@@ -215,7 +215,7 @@ class TestBlockCountFromCodebook:
 
     def test_four_block_system_matches_explicit_block_reshape(self, small_splits):
         system = train_dtjscc(small_splits, 8.0, DtjsccConfig(k=32, blocks=4, epochs=2, seed=9))
-        assert system.blocks == 4
+        assert system.feature_dim // system.codebook.dim == 4
         feats = encode(small_splits.test, system.encoder)
         msg = quantize(feats, system.codebook)
         probs = classify(msg, system.codebook, system.classifier)
@@ -523,8 +523,7 @@ def split_point_moved(splits):
     both = Dataset(
         np.concatenate([train.pixels, val.pixels]),
         np.concatenate([train.labels, val.labels]),
-        np.concatenate([train.timestamps, val.timestamps]),
-        train.class_names,
+        class_names=train.class_names,
     )
     n = len(train) - 1
     return SplitDatasets(both.subset(slice(0, n)), both.subset(slice(n, len(both))), splits.test)
@@ -627,7 +626,7 @@ class TestPersistence:
                 np.testing.assert_array_equal(a.biases, b.biases)
                 assert a.activation == b.activation
         np.testing.assert_array_equal(back.codebook.entries, system.codebook.entries)
-        assert back.blocks == system.blocks
+        assert back.feature_dim // back.codebook.dim == system.feature_dim // system.codebook.dim
 
     def test_bundle_round_trip(self, tmp_path, small_system):
         directory = tmp_path / "bundle"

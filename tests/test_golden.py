@@ -125,12 +125,12 @@ GOLDEN = {
     },
     'gen-data': {
         'summary.csv': 'bc357c87905b1a0ef3df333a5974f108491722549a98599219b3ab5a5eb9636f',
-        't0_test.msit': 'c55b9a880e08715e9d9a2c7fa21fe1abfda2b4df58fae101c79660d708b2cd88',
-        't0_train.msit': '15c78abea32ec7a1d528f0ced3964e35686775429b753b89b9db35c8e32b9e05',
-        't0_val.msit': '7597d2f31190d57e61e4e335e87b6dd5accbaa901e057174e436704ace8ac7ef',
-        't1_test.msit': 'f86b9a3226440380b4e949b02d00f9958a7796d1c345c293cf03cae516b65bc6',
-        't1_train.msit': '2666aecdbb8ec0a190e3ac2fb390eb2c01887d2778aec49774113723816be8f5',
-        't1_val.msit': 'b18983341747284bec0c5feaa7d7bd4f2ca85c2b222c92cfeb95c70ff711e51d',
+        't0_test.msit': '068f4899f3ed41820d0a663cd14d100265a9976e58c9489c10687ba14c720ee8',
+        't0_train.msit': '541072d5a61c8a0ff7eb283d9783e3f5641aa35b83de4e63b3e510af00a9d1cb',
+        't0_val.msit': 'ef57719b78073e1e04ab99de171f550da10406bb62f09831482bb5dbc176f079',
+        't1_test.msit': '61bc2b1ed29943c5de9c0c4a76d31fb5ce1c81b78941b8c0d4f681d98d8c9e24',
+        't1_train.msit': 'f4833bc0858d9eef72bfaea1cdc24e7eaf6f1291a3ed9ea10dbad5cbc9f071bb',
+        't1_val.msit': '1b16c8d688c2819e65d041a8a1b98a3afbd036ed6ed173df3319fe441fb1b7bb',
     },
     'linkbudget': {
         'isl_linkbudget.csv': '7c7d0128e28e0420ff010bf96a4f443bf1d1fc748c4c18504dd6071d4f6aa7fc',

@@ -388,8 +388,8 @@ def restrict_t1_train(splits: SplitDatasets, per_class: int, seed: int) -> Split
     return SplitDatasets(small, splits.val, splits.test)
 
 
-def dataset_bytes(dataset) -> tuple[bytes, bytes, bytes]:
-    return dataset.pixels.tobytes(), dataset.labels.tobytes(), dataset.timestamps.tobytes()
+def dataset_bytes(dataset) -> tuple[bytes, bytes]:
+    return dataset.pixels.tobytes(), dataset.labels.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -544,7 +544,7 @@ class TestScenario:
 
     def test_shard_features_live_on_the_codebook_grid(self, scenario):
         vectors, _ = fedavg_client_shards(scenario.system, scenario.splits_t1.train, 2)[0]
-        blocks = scenario.system.blocks
+        blocks = scenario.system.feature_dim // scenario.system.codebook.dim
         dim = scenario.system.codebook.dim
         entries = {tuple(np.round(e, 9)) for e in scenario.system.codebook.entries}
         for row in vectors[:5]:

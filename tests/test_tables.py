@@ -236,7 +236,7 @@ class TestBytesEqualTheOldWriters:
         c, *parts = drawn
         names = tuple(f"class{i}" for i in range(c))
         splits = SplitDatasets(
-            *(Dataset(np.zeros((len(labels), 1, 1, 1)), labels, np.zeros(len(labels)), names) for labels in parts)
+            *(Dataset(np.zeros((len(labels), 1, 1, 1)), labels, class_names=names) for labels in parts)
         )
         assert summary_csv(splits) == old_summary_csv(splits)
 
