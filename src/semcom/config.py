@@ -41,6 +41,7 @@ U32_MAX = 0xFFFFFFFF
 # Client shard modes: class-disjoint blocks (the non-iid regime) or round robin.
 SHARD_MODES = ("disjoint", "iid")
 SPLIT_RATIOS = (0.70, 0.15, 0.15)
+# The ten EuroSAT classes: label c names EUROSAT_CLASS_NAMES[c] in every dataset.
 EUROSAT_CLASS_NAMES = (
     "AnnualCrop",
     "Forest",
@@ -197,16 +198,13 @@ def apsk16_radii(ring_ratio: float) -> tuple[float, float]:
     return r1, ring_ratio * r1
 
 
-def split_counts(n: int, ratios: tuple[float, float, float]) -> list[int]:
-    """Records per part when ``n`` records are split in ``ratios``.
+def split_counts(n: int) -> list[int]:
+    """Train, val and test records when ``n`` records are split in :data:`SPLIT_RATIOS`.
 
     Largest-remainder rounding: each part gets within one record of its
     exact share, and the counts sum to ``n``.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
-        raise ValueError("ratios must be three non-negative numbers")
-    total = float(sum(ratios))
-    raw = [r / total * n for r in ratios]
+    raw = [r * n for r in SPLIT_RATIOS]
     counts = [math.floor(r) for r in raw]
     remainders = [r - c for r, c in zip(raw, counts)]
     for _ in range(n - sum(counts)):
@@ -446,7 +444,7 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         per_class = self.dataset.per_class_count
-        per_split = split_counts(per_class, SPLIT_RATIOS)
+        per_split = split_counts(per_class)
         if min(per_split) < 1:
             raise ConfigError(
                 "dataset.per_class_count must give every train/val/test split "

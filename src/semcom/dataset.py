@@ -6,19 +6,21 @@ every class signature by a drift vector of configurable magnitude applied to
 the same pixel realizations, modelling a later capture of the same scenes.
 Pixels are quantized to f32 resolution at generation time so file round trips
 are exact. A record is its label and pixels: whether it is a t_0 or a t_1
-capture is told by which of the pair it came in. An MSIT container states the
-image shape once in its header and holds labels and pixels as two columns.
+capture is told by which of the pair it came in. Label c names the class
+``config.EUROSAT_CLASS_NAMES[c]``, and every scenario splits in ``config.SPLIT_RATIOS``.
+An MSIT container states the image shape once in its header and holds labels
+and pixels as two columns; one with a label that names no class is refused.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EUROSAT_CLASS_NAMES, SPLIT_RATIOS, U16_MAX, DatasetSpec, split_counts
+from .config import EUROSAT_CLASS_NAMES, U16_MAX, DatasetSpec, split_counts
 from .seeding import spawn_rng
 from .tables import csv_text
 
@@ -35,11 +37,10 @@ class TensorFileError(Exception):
 
 @dataclass
 class Dataset:
-    """Columnar batch of images; label ``c`` names the class ``class_names[c]``."""
+    """Columnar batch of images; label ``c`` names the class ``EUROSAT_CLASS_NAMES[c]``."""
 
     pixels: np.ndarray  # (N, H, W, D) float64
     labels: np.ndarray  # (N,) int64
-    class_names: tuple[str, ...] = field(default=EUROSAT_CLASS_NAMES, kw_only=True)
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
@@ -49,8 +50,8 @@ class Dataset:
         n = self.pixels.shape[0]
         if self.labels.shape != (n,):
             raise ValueError("labels must align with pixels")
-        if n and (self.labels.min() < 0 or self.labels.max() >= len(self.class_names)):
-            raise ValueError("labels out of class_names range")
+        if n and (self.labels.min() < 0 or self.labels.max() >= len(EUROSAT_CLASS_NAMES)):
+            raise ValueError("labels out of EUROSAT_CLASS_NAMES range")
 
     def __len__(self) -> int:
         return int(self.pixels.shape[0])
@@ -60,7 +61,7 @@ class Dataset:
         return self.pixels.reshape(len(self), -1)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.pixels[indices], self.labels[indices], class_names=self.class_names)
+        return Dataset(self.pixels[indices], self.labels[indices])
 
 
 @dataclass
@@ -113,7 +114,7 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
         texture = spec.texture_amplitude * np.cos(2.0 * np.pi * wave + phase[rows])
         pixels[rows] += signature + texture
     pixels[...] = pixels.astype(np.float32)
-    splits_t0 = split(Dataset(pixels, labels), SPLIT_RATIOS, spec.seed)
+    splits_t0 = split(Dataset(pixels, labels), spec.seed)
     del pixels  # the parts hold their own copies, and no other full-size array is made
 
     drift_rng = spawn_rng(spec.seed, "dataset", "drift")
@@ -128,26 +129,21 @@ def generate_synthetic(spec: DatasetSpec) -> tuple[SplitDatasets, SplitDatasets]
     return splits_t0, SplitDatasets(*parts_t1)
 
 
-def split(
-    dataset: Dataset, ratios: tuple[float, float, float], seed: int
-) -> SplitDatasets:
-    """Stratified split; deterministic, disjoint, exhaustive.
+def split(dataset: Dataset, seed: int) -> SplitDatasets:
+    """Stratified train/val/test split; deterministic, disjoint, exhaustive.
 
-    Within each class the three parts match the requested proportions to
-    within one record (:func:`split_counts`).
+    Within each class the three parts match :data:`~semcom.config.SPLIT_RATIOS`
+    to within one record (:func:`~semcom.config.split_counts`).
     """
     rng = spawn_rng(seed, "dataset", "split")
     parts: list[list[np.ndarray]] = [[], [], []]
-    for cls in range(len(dataset.class_names)):
+    for cls in range(len(EUROSAT_CLASS_NAMES)):
         idx = np.flatnonzero(dataset.labels == cls)
         idx = idx[rng.permutation(idx.size)]
-        counts = split_counts(idx.size, ratios)
-        start = 0
-        for part, count in zip(parts, counts):
-            part.append(idx[start : start + count])
-            start += count
-    chosen = [np.sort(np.concatenate(p)) if p else np.empty(0, dtype=np.int64) for p in parts]
-    return SplitDatasets(*(dataset.subset(idx) for idx in chosen))
+        train, val, _ = split_counts(idx.size)
+        for part, chunk in zip(parts, np.split(idx, [train, train + val])):
+            part.append(chunk)
+    return SplitDatasets(*(dataset.subset(np.sort(np.concatenate(p))) for p in parts))
 
 
 def tensor_file(dataset: Dataset) -> bytes:
@@ -164,8 +160,6 @@ def tensor_file(dataset: Dataset) -> bytes:
     shape = dataset.pixels.shape[1:]
     if max(shape) > U16_MAX:
         raise TensorFileError(f"dimensions {shape} exceed u16")
-    if int(dataset.labels.max()) > U16_MAX:
-        raise TensorFileError("label exceeds u16")
     columns = (dataset.labels.astype("<u2"), dataset.pixels.astype("<f4"))
     return MAGIC + _HEADER.pack(FORMAT_VERSION, n, *shape) + b"".join(c.tobytes() for c in columns)
 
@@ -173,7 +167,7 @@ def tensor_file(dataset: Dataset) -> bytes:
 def read_tensor_file(data: bytes) -> Dataset:
     """The dataset of a :func:`tensor_file` container; bytes past its pixels are ignored.
 
-    A NaN pixel, signalling or quiet, reads as NaN.
+    A NaN pixel, signalling or quiet, reads as NaN; a label that names no class raises.
     """
     if data[:4] != MAGIC:
         raise TensorFileError(f"bad magic {data[:4]!r}")
@@ -188,12 +182,11 @@ def read_tensor_file(data: bytes) -> Dataset:
     if len(data) < _COLUMNS + 2 * n + 4 * size:
         raise TensorFileError("truncated payload")
     labels = np.frombuffer(data, "<u2", n, _COLUMNS).astype(np.int64)
+    if labels.max() >= len(EUROSAT_CLASS_NAMES):
+        raise TensorFileError(f"label {labels.max()} names no class; there are {len(EUROSAT_CLASS_NAMES)}")
     with np.errstate(invalid="ignore"):  # widening a signalling NaN flags "invalid"
         pixels = np.frombuffer(data, "<f4", size, _COLUMNS + 2 * n).astype(np.float64).reshape(n, *shape)
-    n_classes = int(labels.max()) + 1
-    if n_classes <= len(EUROSAT_CLASS_NAMES):
-        return Dataset(pixels, labels)
-    return Dataset(pixels, labels, class_names=tuple(f"class{i}" for i in range(n_classes)))
+    return Dataset(pixels, labels)
 
 
 SUMMARY_CSV_HEADER = "class,count_train,count_val,count_test"
@@ -202,9 +195,6 @@ SUMMARY_CSV_HEADER = "class,count_train,count_val,count_test"
 def summary_csv(splits: SplitDatasets) -> str:
     """Per-class record counts across the three splits."""
     parts = (splits.train, splits.val, splits.test)
-    rows = [
-        (name, *(int((part.labels == cls).sum()) for part in parts))
-        for cls, name in enumerate(splits.train.class_names)
-    ]
-    return csv_text(SUMMARY_CSV_HEADER, rows)
+    counts = [np.bincount(part.labels, minlength=len(EUROSAT_CLASS_NAMES)) for part in parts]
+    return csv_text(SUMMARY_CSV_HEADER, zip(EUROSAT_CLASS_NAMES, *counts))
 

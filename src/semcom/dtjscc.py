@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .channel import apply_channel, noise_variance_from_psnr, sample_gain_sequence, sample_realization
-from .config import ChannelConfig, DtjsccConfig, psnr_ratio
+from .config import EUROSAT_CLASS_NAMES, TABLE_ORDER, ChannelConfig, DtjsccConfig, is_table_order, psnr_ratio
 from .dataset import Dataset, SplitDatasets
 from .modem import (
     DeepFadeError,
@@ -59,11 +59,11 @@ class Codebook:
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 2:
-            raise ValueError("entries must be (K, dim)")
+        if self.entries.ndim != 2 or not self.entries.shape[1]:
+            raise ValueError("entries must be (K, dim) with dim at least 1")
         k = self.entries.shape[0]
-        if k < 2 or (k & (k - 1)) != 0:
-            raise ValueError(f"codebook size must be a power of two, got {k}")
+        if not is_table_order(k):
+            raise ValueError(f"codebook size {TABLE_ORDER[1]}, got {k}")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("codewords must be finite")
 
@@ -409,7 +409,7 @@ def _training_key(splits: SplitDatasets, train_psnr_db: float, cfg: DtjsccConfig
     for array in (splits.train.pixels, splits.train.labels, splits.val.pixels, splits.val.labels):
         digest.update(repr((array.shape, array.dtype.str)).encode())
         digest.update(np.ascontiguousarray(array))
-    digest.update(repr((len(splits.train.class_names), train_psnr_db, cfg)).encode())
+    digest.update(repr((train_psnr_db, cfg)).encode())
     return digest.digest()
 
 
@@ -455,7 +455,7 @@ def _train_system(
 ) -> tuple[TrainedSystem, list[str]]:
     """The training :func:`train_dtjscc` describes; returns the system and its warning texts."""
     train = splits.train
-    n_classes = len(train.class_names)
+    n_classes = len(EUROSAT_CLASS_NAMES)
     input_dim = train.flattened().shape[1]
     a = cfg.feature_dim
     encoder = nn.init_network(
@@ -541,7 +541,7 @@ def codebook_file(codebook: Codebook) -> bytes:
 
 
 def read_codebook(data: bytes) -> Codebook:
-    """The codebook of a :func:`codebook_file`."""
+    """The codebook of a :func:`codebook_file`; any fault raises :class:`CodebookError`."""
     if data[:4] != CODEBOOK_MAGIC:
         raise CodebookError(f"bad magic {data[:4]!r}")
     if len(data) < 12:
@@ -549,7 +549,10 @@ def read_codebook(data: bytes) -> Codebook:
     k, dim = struct.unpack_from("<II", data, 4)
     if len(data) - 12 < k * dim * 8:
         raise CodebookError("truncated entries")
-    return Codebook(np.frombuffer(data, dtype="<f8", count=k * dim, offset=12).reshape(k, dim).copy())
+    try:
+        return Codebook(np.frombuffer(data, dtype="<f8", count=k * dim, offset=12).reshape(k, dim).copy())
+    except ValueError as exc:
+        raise CodebookError(str(exc)) from None
 
 
 def bundle_files(system: TrainedSystem) -> dict[str, bytes]:
@@ -562,17 +565,23 @@ def bundle_files(system: TrainedSystem) -> dict[str, bytes]:
 
 
 def load_bundle(directory: str) -> TrainedSystem:
-    """Rehydrate the :func:`bundle_files` of ``directory``; it reads no other file there."""
+    """Rehydrate ``directory``'s :func:`bundle_files`, refusing parts that do not fit; it reads nothing else."""
 
     def read(name: str) -> bytes:
         with open(os.path.join(directory, name), "rb") as fh:
             return fh.read()
 
-    return TrainedSystem(
+    system = TrainedSystem(
         encoder=nn.read_network(read("encoder.mnn1"), ["relu", "relu"]),
         classifier=nn.read_network(read("classifier.mnn1"), ["linear"]),
         codebook=read_codebook(read("codebook.mcb1")),
     )
+    width, dim, inputs = system.feature_dim, system.codebook.dim, system.classifier.input_dim
+    if width % dim:
+        raise nn.CheckpointError(f"encoder.mnn1 width {width} is not a multiple of codebook.mcb1 dim {dim}")
+    if inputs != width:
+        raise nn.CheckpointError(f"classifier.mnn1 takes {inputs} inputs, but encoder.mnn1 width is {width}")
+    return system
 
 
 def frame_bit_count(message: QuantizedMessage) -> int:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import blas, nn
-from .config import SHARD_MODES, ChannelConfig, ChannelKind, HarnessConfig
+from .config import EUROSAT_CLASS_NAMES, SHARD_MODES, ChannelConfig, ChannelKind, HarnessConfig
 from .csa import (
     COVARIANCE_HIDDEN,
     ROUNDLOG_CSV_HEADER,
@@ -76,15 +76,14 @@ class SweepResult:
 
 @dataclass
 class ConfusionMatrix:
-    counts: np.ndarray  # (C, C) int64, rows true / cols predicted
-    class_names: tuple[str, ...]
+    counts: np.ndarray  # (C, C) int64, rows true / cols predicted; class i is EUROSAT_CLASS_NAMES[i]
 
     def top1(self) -> float:
         total = int(self.counts.sum())
         return float(np.trace(self.counts)) / total if total else 0.0
 
     def csv(self) -> str:
-        names, totals = self.class_names, self.counts.sum(axis=1)
+        names, totals = EUROSAT_CLASS_NAMES, self.counts.sum(axis=1)
         rows = [
             (names[i], names[j], int(n), 100.0 * n / totals[i] if totals[i] else 0.0)
             for (i, j), n in np.ndenumerate(self.counts)
@@ -98,8 +97,8 @@ def evaluate_through_channel(
     channel_cfg: ChannelConfig,
     psnr_db: float,
     seed: int,
-    repetitions: int = 1,
-    frame: int = 32,
+    repetitions: int,
+    frame: int,
 ) -> ConfusionMatrix:
     """Send the whole dataset through the channel and count its decisions.
 
@@ -111,7 +110,7 @@ def evaluate_through_channel(
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     vectors = encode(dataset, system.encoder)
-    c = len(dataset.class_names)
+    c = len(EUROSAT_CLASS_NAMES)
     counts = np.zeros((c, c), dtype=np.int64)
     for rep in range(repetitions):
         probs, _ = classify_over_channel(
@@ -126,7 +125,7 @@ def evaluate_through_channel(
             rep,
         )
         np.add.at(counts, (dataset.labels, np.argmax(probs, axis=1)), 1)
-    return ConfusionMatrix(counts, dataset.class_names)
+    return ConfusionMatrix(counts)
 
 
 @blas.single_thread()
@@ -220,7 +219,7 @@ def build_csa_scenario(cfg: HarnessConfig) -> CsaScenario:
         t1 = splits_t1.train
         rng = spawn_rng(ex.master_seed, "scarce")
         keep = []
-        for c in range(len(t1.class_names)):
+        for c in range(len(EUROSAT_CLASS_NAMES)):
             idx = np.flatnonzero(t1.labels == c)
             keep.append(rng.choice(idx, size=min(per_class, len(idx)), replace=False))
         splits_t1 = SplitDatasets(t1.subset(np.sort(np.concatenate(keep))), splits_t1.val, splits_t1.test)
@@ -266,8 +265,7 @@ def fedavg_client_shards(
     clean = dequantize(message, system.codebook, system.feature_dim)
     labels = dataset.labels
     if mode == "disjoint":
-        n_classes = len(dataset.class_names)
-        assign = labels * n_clients // n_classes
+        assign = labels * n_clients // len(EUROSAT_CLASS_NAMES)
     else:
         assign = np.arange(len(labels)) % n_clients
     shards = []

@@ -49,8 +49,8 @@ class Constellation:
         self.points = np.asarray(self.points, dtype=np.complex128)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         m = self.points.size
-        if m < 2 or (m & (m - 1)) != 0:
-            raise ValueError(f"constellation order must be a power of two, got {m}")
+        if not is_table_order(m):
+            raise ValueError(f"constellation order {TABLE_ORDER[1]}, got {m}")
         if self.labels.shape != self.points.shape:
             raise ValueError("labels and points must align")
         if sorted(self.labels.tolist()) != list(range(m)):

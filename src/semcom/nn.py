@@ -265,7 +265,7 @@ def network_file(net: Network) -> bytes:
 
 
 def read_network(data: bytes, activations: Sequence[str]) -> Network:
-    """The network of a :func:`network_file` checkpoint, one activation per stored layer."""
+    """The :func:`network_file` network, one activation per layer; faults raise :class:`CheckpointError`."""
     if data[:4] != MAGIC:
         raise CheckpointError(f"bad magic {data[:4]!r}")
     raw_layers: list[tuple[np.ndarray, np.ndarray]] = []
@@ -284,4 +284,7 @@ def read_network(data: bytes, activations: Sequence[str]) -> Network:
         raise CheckpointError("checkpoint holds no layers")
     if len(activations) != len(raw_layers):
         raise CheckpointError(f"{len(activations)} activations supplied for {len(raw_layers)} layers")
-    return Network([Layer(w, b, act) for (w, b), act in zip(raw_layers, activations)])
+    try:
+        return Network([Layer(w, b, act) for (w, b), act in zip(raw_layers, activations)])
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None

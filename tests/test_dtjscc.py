@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from semcom import dtjscc, nn
 from semcom.cli import write_files
 from semcom.channel import noise_variance_from_psnr
-from semcom.config import ChannelConfig, ChannelKind, DtjsccConfig, load_config
+from semcom.config import EUROSAT_CLASS_NAMES, ChannelConfig, ChannelKind, DtjsccConfig, load_config
 from semcom.dataset import Dataset, SplitDatasets, generate_synthetic
 from semcom.dtjscc import (
+    CODEBOOK_MAGIC,
     Codebook,
+    TrainedSystem,
     _init_codebook,
     _split_blocks,
     CodebookError,
@@ -70,15 +72,16 @@ def nearest_exact(entries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 class TestCodebook:
-    def test_size_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            Codebook(np.zeros((6, 4)))
-        with pytest.raises(ValueError):
-            Codebook(np.zeros((1, 4)))
+    @pytest.mark.parametrize("k", [0, 1, 3, 6, 2**17])
+    def test_size_must_be_power_of_two(self, k):
+        with pytest.raises(ValueError, match=rf"^codebook size must be a power of two in \[2, 65536\], got {k}$"):
+            Codebook(np.arange(k, dtype=np.float64)[:, None])
 
     def test_entries_must_be_finite_matrix(self):
         with pytest.raises(ValueError):
             Codebook(np.zeros(8))
+        with pytest.raises(ValueError, match=r"^entries must be \(K, dim\) with dim at least 1$"):
+            Codebook(np.zeros((4, 0)))
         bad = np.zeros((4, 2))
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
@@ -347,7 +350,7 @@ def reference_train(splits, train_psnr_db, cfg):
         spawn_rng(cfg.seed, "enc").integers(2**32),
     )
     classifier = nn.init_network(
-        [a, len(train.class_names)], ["linear"], spawn_rng(cfg.seed, "clf").integers(2**32)
+        [a, len(EUROSAT_CLASS_NAMES)], ["linear"], spawn_rng(cfg.seed, "clf").integers(2**32)
     )
     rng = spawn_rng(cfg.seed, "train")
     warm = nn.forward(encoder, x_all[: max(cfg.k * 4, cfg.batch_size)])
@@ -514,7 +517,7 @@ def one_pixel_changed(splits):
 
 def one_label_changed(splits):
     labels = splits.train.labels.copy()
-    labels[3] = (labels[3] + 1) % len(splits.train.class_names)
+    labels[3] = (labels[3] + 1) % len(EUROSAT_CLASS_NAMES)
     return with_train(splits, labels=labels)
 
 
@@ -523,7 +526,6 @@ def split_point_moved(splits):
     both = Dataset(
         np.concatenate([train.pixels, val.pixels]),
         np.concatenate([train.labels, val.labels]),
-        class_names=train.class_names,
     )
     n = len(train) - 1
     return SplitDatasets(both.subset(slice(0, n)), both.subset(slice(n, len(both))), splits.test)
@@ -609,6 +611,39 @@ class TestPersistence:
             read_codebook(blob[:9])
         with pytest.raises(CodebookError, match="^truncated entries$"):
             read_codebook(blob[: len(blob) - 3])
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            (np.zeros((3, 2)), r"^codebook size must be a power of two in \[2, 65536\], got 3$"),
+            (np.zeros((0, 2)), r"^codebook size must be a power of two in \[2, 65536\], got 0$"),
+            (np.array([[0.0, np.nan], [1.0, 1.0]]), "^codewords must be finite$"),
+            (np.zeros((4, 0)), r"^entries must be \(K, dim\) with dim at least 1$"),
+        ],
+        ids=["K=3", "K=0", "nan", "dim=0"],
+    )
+    def test_a_codebook_that_cannot_be_built_raises_a_codebook_error(self, entries, message):
+        blob = CODEBOOK_MAGIC + struct.pack("<II", *entries.shape) + entries.astype("<f8").tobytes()
+        with pytest.raises(CodebookError, match=message):
+            read_codebook(blob)
+
+    @pytest.mark.parametrize(
+        "dim,inputs,message",
+        [
+            (3, 4, r"^encoder\.mnn1 width 4 is not a multiple of codebook\.mcb1 dim 3$"),
+            (2, 5, r"^classifier\.mnn1 takes 5 inputs, but encoder\.mnn1 width is 4$"),
+        ],
+        ids=["codebook", "classifier"],
+    )
+    def test_a_bundle_whose_parts_do_not_fit_is_refused(self, tmp_path, dim, inputs, message):
+        system = TrainedSystem(
+            encoder=nn.init_network([6, 8, 4], ["relu", "relu"], seed=1),
+            codebook=Codebook(spawn_rng(12, "p").standard_normal((4, dim))),
+            classifier=nn.init_network([inputs, 10], ["linear"], seed=2),
+        )
+        write_files(str(tmp_path / "bundle"), bundle_files(system))
+        with pytest.raises(nn.CheckpointError, match=message):
+            load_bundle(str(tmp_path / "bundle"))
 
     def test_bundle_bytes_equal_the_path_writers(self, tmp_path, small_system):
         oracle_save_codebook(str(tmp_path / "cb"), small_system.codebook)

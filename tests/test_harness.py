@@ -17,7 +17,7 @@ import pytest
 
 from semcom import config, harness
 from semcom.cli import main, write_files
-from semcom.config import ChannelKind, ConfigError, HarnessConfig, load_config
+from semcom.config import EUROSAT_CLASS_NAMES, ChannelKind, ConfigError, HarnessConfig, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, rounds_to_target, run_csa_end_to_end
 from semcom.dataset import SplitDatasets, generate_synthetic
 from semcom.dtjscc import encode
@@ -358,19 +358,19 @@ class TestRunSweep:
 
 class TestConfusionMatrix:
     def test_top1_is_trace_over_total(self):
-        m = ConfusionMatrix(np.array([[1, 1, 0], [0, 1, 0], [1, 0, 2]]), ("a", "b", "c"))
+        m = ConfusionMatrix(np.array([[1, 1, 0], [0, 1, 0], [1, 0, 2]]))
         assert m.top1() == 4 / 6
-        assert ConfusionMatrix(np.zeros((2, 2), dtype=np.int64), ("x", "y")).top1() == 0.0
+        assert ConfusionMatrix(np.zeros((2, 2), dtype=np.int64)).top1() == 0.0
 
     def test_csv_percentages_sum_per_row(self):
-        m = ConfusionMatrix(np.array([[1, 1], [0, 1]]), ("x", "y"))
+        m = ConfusionMatrix(np.array([[1, 1], [0, 1]]))
         lines = m.csv().strip().splitlines()
         assert lines[0] == CONFUSION_CSV_HEADER
         pct = [float(ln.split(",")[3]) for ln in lines[1:]]
         assert pct[0] + pct[1] == pytest.approx(100.0)
         assert pct[2] + pct[3] == pytest.approx(100.0)
         # A class with no test items gets 0.0 per cell.
-        assert ConfusionMatrix(np.zeros((1, 1), dtype=np.int64), ("x",)).csv() == CONFUSION_CSV_HEADER + "\nx,x,0,0.0\n"
+        assert ConfusionMatrix(np.zeros((1, 1), dtype=np.int64)).csv() == CONFUSION_CSV_HEADER + "\nAnnualCrop,AnnualCrop,0,0.0\n"
 
 
 def restrict_t1_train(splits: SplitDatasets, per_class: int, seed: int) -> SplitDatasets:
@@ -379,7 +379,7 @@ def restrict_t1_train(splits: SplitDatasets, per_class: int, seed: int) -> Split
     t1 = splits.train
     rng = spawn_rng(seed, "scarce")
     keep: list[np.ndarray] = []
-    for c in range(len(t1.class_names)):
+    for c in range(len(EUROSAT_CLASS_NAMES)):
         idx = np.flatnonzero(t1.labels == c)
         take = min(per_class, len(idx))
         if take:
@@ -504,12 +504,12 @@ class TestScenario:
     def test_evaluation_is_seed_deterministic(self, scenario, scenario_cfg):
         dataset = scenario.splits_t1.test
         channel_cfg = scenario.downlink_channel
-        a = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=5, frame=4)
-        b = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=5, frame=4)
-        c = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=6, frame=4)
+        a = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=5, repetitions=1, frame=4)
+        b = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=5, repetitions=1, frame=4)
+        c = evaluate_through_channel(scenario.system, dataset, channel_cfg, 12.0, seed=6, repetitions=1, frame=4)
         assert a.top1() == b.top1()
         assert a.counts.tobytes() == b.counts.tobytes()
-        per_class = np.bincount(dataset.labels, minlength=len(dataset.class_names))
+        per_class = np.bincount(dataset.labels, minlength=len(EUROSAT_CLASS_NAMES))
         np.testing.assert_array_equal(a.counts.sum(axis=1), per_class)
         np.testing.assert_array_equal(c.counts.sum(axis=1), per_class)
 
@@ -524,7 +524,7 @@ class TestScenario:
         )
         reference = restrict_t1_train(scenario.splits_t1, 2, scenario.seed)
         assert dataset_bytes(scarce.splits_t1.train) == dataset_bytes(reference.train)
-        assert np.bincount(scarce.splits_t1.train.labels).tolist() == [2] * len(whole.train.class_names)
+        assert np.bincount(scarce.splits_t1.train.labels).tolist() == [2] * len(EUROSAT_CLASS_NAMES)
         for part in ("val", "test"):
             assert dataset_bytes(getattr(scarce.splits_t1, part)) == dataset_bytes(getattr(whole, part))
 

@@ -14,6 +14,7 @@ from semcom import modem
 from semcom.channel import apply_channel, noise_variance_from_psnr
 from semcom.modem import (
     DEMOD_BLOCK_DISTANCES,
+    Constellation,
     DeepFadeError,
     _block_rows,
     bits_to_ints,
@@ -65,6 +66,12 @@ class TestConstellations:
             build_psk(6)
         with pytest.raises(ValueError):
             build_psk(1)
+
+    def test_more_points_than_the_tables_hold_are_refused(self):
+        m = 2**17
+        points = np.exp(2j * np.pi * np.arange(m) / m)
+        with pytest.raises(ValueError, match=rf"^constellation order must be a power of two in \[2, 65536\], got {m}$"):
+            Constellation(points, np.arange(m))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

@@ -234,6 +234,16 @@ class TestCheckpointFormat:
         with pytest.raises(nn.CheckpointError, match="^checkpoint holds no layers$"):
             nn.read_network(nn.MAGIC, [])
 
+    def test_layers_that_do_not_chain_raise_a_checkpoint_error(self):
+        tail = nn.network_file(make_mlp(sizes=(4, 2), activations=("linear",)))
+        blob = nn.network_file(make_mlp()) + tail[len(nn.MAGIC) :]  # layers 5x8, 8x3, then 4x2
+        with pytest.raises(nn.CheckpointError, match="^consecutive layer shapes do not chain$"):
+            nn.read_network(blob, ["tanh", "linear", "linear"])
+
+    def test_an_unknown_activation_raises_a_checkpoint_error(self):
+        with pytest.raises(nn.CheckpointError, match="^unknown activation 'gelu'$"):
+            nn.read_network(nn.network_file(make_mlp()), ["tanh", "gelu"])
+
     def test_activation_count_must_match(self):
         with pytest.raises(nn.CheckpointError, match="^1 activations supplied for 2 layers$"):
             nn.read_network(nn.network_file(make_mlp()), ["linear"])

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semcom.cli import main
-from semcom.config import load_config
+from semcom.config import EUROSAT_CLASS_NAMES, load_config
 from semcom.csa import ROUNDLOG_CSV_HEADER, RoundLog
 from semcom.dataset import SUMMARY_CSV_HEADER, Dataset, SplitDatasets, generate_synthetic, summary_csv
 from semcom.dtjscc import train_dtjscc
@@ -75,8 +75,9 @@ def old_link_csv(report):
 def old_confusion_csv(matrix):
     lines = [CONFUSION_CSV_HEADER]
     row_totals = matrix.counts.sum(axis=1)
-    for i, true_name in enumerate(matrix.class_names):
-        for j, pred_name in enumerate(matrix.class_names):
+    names = EUROSAT_CLASS_NAMES[: len(matrix.counts)]
+    for i, true_name in enumerate(names):
+        for j, pred_name in enumerate(names):
             count = int(matrix.counts[i, j])
             pct = 100.0 * count / row_totals[i] if row_totals[i] else 0.0
             lines.append(f"{true_name},{pred_name},{count},{repr(float(pct))}")
@@ -85,7 +86,7 @@ def old_confusion_csv(matrix):
 
 def old_summary_csv(splits):
     lines = [SUMMARY_CSV_HEADER]
-    for cls, name in enumerate(splits.train.class_names):
+    for cls, name in enumerate(EUROSAT_CLASS_NAMES):
         counts = (
             int((splits.train.labels == cls).sum()),
             int((splits.val.labels == cls).sum()),
@@ -119,9 +120,9 @@ def square_counts(draw):
 
 @st.composite
 def split_labels(draw):
-    """A class count and the labels of three splits, any of them empty."""
-    c = draw(st.integers(1, 6))
-    return c, *(draw(st.lists(st.integers(0, c - 1), max_size=12)) for _ in range(3))
+    """The labels of three splits, any of them empty."""
+    c = draw(st.integers(1, len(EUROSAT_CLASS_NAMES)))
+    return [draw(st.lists(st.integers(0, c - 1), max_size=12)) for _ in range(3)]
 
 
 def same_float(a: float, b: float) -> bool:
@@ -227,17 +228,12 @@ class TestBytesEqualTheOldWriters:
 
     @given(square_counts())
     def test_confusion(self, counts):
-        c = len(counts)
-        matrix = ConfusionMatrix(counts, tuple(f"class{i}" for i in range(c)))
+        matrix = ConfusionMatrix(counts)
         assert matrix.csv() == old_confusion_csv(matrix)
 
     @given(split_labels())
-    def test_summary(self, drawn):
-        c, *parts = drawn
-        names = tuple(f"class{i}" for i in range(c))
-        splits = SplitDatasets(
-            *(Dataset(np.zeros((len(labels), 1, 1, 1)), labels, class_names=names) for labels in parts)
-        )
+    def test_summary(self, parts):
+        splits = SplitDatasets(*(Dataset(np.zeros((len(labels), 1, 1, 1)), labels) for labels in parts))
         assert summary_csv(splits) == old_summary_csv(splits)
 
     @given(st.lists(st.floats(allow_subnormal=True), max_size=10))
